@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from .comb import upper_bound_threshold
-from .gf2hash import HashParams, ParityHash, derive_seed, sample_hash
+from .gf2hash import HashParams, derive_seed, sample_hash
 from .oracle import CountingProblem, SolverProfile, has_survivor
 
 __all__ = [
@@ -180,23 +180,8 @@ class SparseCountResult:
 
 def _trial(problem: CountingProblem, m: int, f: float, trial_seed: int,
            solver: SolverProfile = None, budget: float = None) -> str:
-    """One survival indicator; m = 0 degenerates to plain satisfiability."""
-    if m == 0:
-        if problem.kind == "explicit":
-            return "sat" if len(problem) else "unsat"
-        h = None
-    else:
-        h = sample_hash(HashParams(problem.n, m, f, seed=trial_seed))
-    if h is None:
-        from .oracle import _exhaustive_scan  # noqa: import guarded for m=0 cnf path
-
-        if solver is None:
-            return "sat" if _exhaustive_scan(problem.formula) is not None else "unsat"
-        from .dimacs import emit
-        from .oracle import run_external
-
-        text = emit(problem.formula, native_xor=solver.native_xor)
-        return run_external(text, solver, budget=budget).answer
+    """One survival indicator; m = 0 asks whether S is non-empty."""
+    h = sample_hash(HashParams(problem.n, m, f, seed=trial_seed)) if m else None
     return has_survivor(problem, h, budget=budget, solver=solver).answer
 
 
@@ -340,13 +325,8 @@ def sparse_count(problem: CountingProblem, config: SparseCountConfig,
         f_i = config.density_schedule(i)
         if not 0.0 <= f_i <= 0.5:
             raise ValueError("schedule density %r out of [0, 1/2]" % (f_i,))
-        stream = derive_seed(seed, i)
-        ones = 0
-        for t in range(T):
-            ans = _trial(problem, i, f_i, derive_seed(stream, t), solver, budget)
-            if ans == "unknown":
-                raise OracleUnknownError(1, T)
-            ones += ans == "sat"
+        ones = estimate_survival(problem, i, f_i, T, seed, solver,
+                                 budget).successes_Y
         if ones * 2 <= T:  # median < 1
             if i == 0:
                 return SparseCountResult(None, 0, False, T, n, seed)

@@ -27,8 +27,7 @@ from pathlib import Path
 from . import bounds as bd
 from . import comb, dimacs, tables
 from .gf2hash import Assignment
-from .oracle import (CountingProblem, SolverProfile, _exhaustive_scan,
-                     count_models)
+from .oracle import CountingProblem, SolverProfile, _model_blocks, count_models
 
 LN2 = math.log(2.0)
 
@@ -246,10 +245,11 @@ def cmd_table(args) -> int:
 def cmd_solve(args) -> int:
     """Exhaustive DIMACS solver speaking the standard s/v protocol."""
     formula = dimacs.parse(Path(args.input).read_text())
-    bits = _exhaustive_scan(formula)
-    if bits is None:
+    block = next(_model_blocks(formula), None)
+    if block is None:
         print("s UNSATISFIABLE")
         return 20
+    bits = int(block[0])
     lits = [(v if (bits >> (v - 1)) & 1 else -v) for v in range(1, formula.num_vars + 1)]
     print("s SATISFIABLE")
     print("v " + " ".join(str(l) for l in lits) + " 0")

@@ -103,10 +103,18 @@ def emit(formula: CnfFormula, native_xor: bool = True, chunk: int = 6) -> str:
         from .oracle import expand_xors  # deferred: oracle imports this module
 
         formula = expand_xors(formula, chunk=chunk)
-    lines = ["p cnf %d %d" % (formula.num_vars, len(formula.clauses))]
-    for cl in formula.clauses:
+    num_vars, clauses = formula.num_vars, formula.clauses
+    # an empty parity row is 0 = rhs: nothing to say when rhs is 0, and a
+    # contradiction on a fresh variable when it is 1 (x-lines cannot be empty)
+    if any(rhs for sup, rhs in formula.xors if not sup):
+        num_vars += 1
+        clauses = clauses + [[num_vars], [-num_vars]]
+    lines = ["p cnf %d %d" % (num_vars, len(clauses))]
+    for cl in clauses:
         lines.append(" ".join(str(l) for l in cl) + " 0")
     for sup, rhs in formula.xors:
+        if not sup:
+            continue
         lits = list(sup)
         head = str(lits[0]) if rhs == 1 else str(-lits[0])
         rest = " ".join(str(v) for v in lits[1:])

@@ -1,11 +1,18 @@
 """Membership oracles: does S have an element in the cell h^-1(0)?
 
 Three interchangeable backends answer the same question:
-  * explicit  — S is given outright; vectorized scan over packed bits.
-  * exhaustive — S is the model set of a CNF; enumerate all assignments
-    (capped at 2^26) against clauses, native XORs, and the hash rows.
+  * explicit  — S is given outright; vectorized parity scan over its
+    members, packed one uint64 per member.
+  * exhaustive — S is the model set of a CNF of at most 26 variables.  On
+    the problem's first question the formula's models are enumerated once
+    (clauses and native XORs, 2^16 assignments per numpy block), projected
+    onto the first n variables and kept packed at 8 bytes per model, at
+    most 512 MB at the cap; every question is then the explicit scan.
   * external  — serialize the conjoined instance to DIMACS and invoke a
-    solver subprocess; witnesses are always re-checked in process.
+    solver subprocess; witnesses are always re-checked in process, and a
+    SAT answer without a full model is `unknown`.
+
+A hash of None asks m = 0, "is S non-empty?", on every backend.
 """
 
 from __future__ import annotations
@@ -36,11 +43,7 @@ __all__ = [
 ]
 
 EXHAUSTIVE_CAP_VARS = 26
-_CHUNK_SHIFT = 20  # enumerate at most 2^20 assignments per numpy block
-
-
-class ProtocolError(RuntimeError):
-    pass
+_BLOCK = 1 << 16  # assignments per numpy block while enumerating models
 
 
 class IntegrityError(RuntimeError):
@@ -79,6 +82,9 @@ class CountingProblem:
     kind == "cnf":      S is the model set of `formula`, projected onto the
                         first n variables (n == num_vars unless the formula
                         carries auxiliary variables, as table encodings do).
+
+    `_packed` holds S one uint64 per member: built here for explicit sets of
+    at most 64 bits, and on the first exhaustive question for CNF problems.
     """
 
     def __init__(self, n: int, kind: str, members=None, formula: CnfFormula = None):
@@ -214,24 +220,32 @@ def _hash_masks(h: ParityHash):
     return rows, b
 
 
-def _explicit_survivor(problem: CountingProblem, h: ParityHash) -> OracleVerdict:
-    if problem._packed is not None and len(problem._packed):
-        mask = np.ones(len(problem._packed), dtype=bool)
+def _packed_survivor(packed, n: int, h: ParityHash = None) -> OracleVerdict:
+    """Scan a packed set for a member in h^-1(0); h=None asks for any member."""
+    mask = np.ones(len(packed), dtype=bool)
+    if h is not None:
+        one = np.uint64(1)
         for row, bi in zip(*_hash_masks(h)):
-            mask &= (np.bitwise_count(problem._packed & row) & np.uint64(1)) == bi
+            mask &= (np.bitwise_count(packed & row) & one) == bi
             if not mask.any():
-                return OracleVerdict("unsat")
-        idx = int(np.flatnonzero(mask)[0])
-        return OracleVerdict("sat", witness=problem.members[idx])
+                break
+    hits = np.flatnonzero(mask)
+    if not len(hits):
+        return OracleVerdict("unsat")
+    return OracleVerdict("sat", witness=Assignment(int(packed[hits[0]]), n))
+
+
+def _wide_survivor(problem: CountingProblem, h: ParityHash = None) -> OracleVerdict:
+    """Plain scan for explicit sets wider than 64 bits."""
     from .gf2hash import apply_hash
 
     for x in problem.members:
-        if apply_hash(h, x) == 0:
+        if h is None or apply_hash(h, x) == 0:
             return OracleVerdict("sat", witness=x)
     return OracleVerdict("unsat")
 
 
-def _formula_masks(formula: CnfFormula, h: ParityHash = None):
+def _formula_masks(formula: CnfFormula):
     """Precompute clause/xor data for vectorized evaluation."""
     clause_data = []
     for cl in formula.clauses:
@@ -241,9 +255,6 @@ def _formula_masks(formula: CnfFormula, h: ParityHash = None):
     xor_data = []
     for sup, rhs in formula.xors:
         xor_data.append((np.uint64(sum(1 << (v - 1) for v in sup)), np.uint64(rhs)))
-    if h is not None:
-        for row, bi in zip(*_hash_masks(h)):
-            xor_data.append((row, bi))
     return clause_data, xor_data
 
 
@@ -265,31 +276,39 @@ def _eval_block(arr, clause_data, xor_data):
     return mask
 
 
-def _exhaustive_scan(formula: CnfFormula, h: ParityHash = None,
-                     count: bool = False):
+def _model_blocks(formula: CnfFormula):
+    """Yield the formula's models in increasing order, as nonempty uint64
+    arrays, one per block of 2^16 assignments (num_vars <= 26)."""
     nv = formula.num_vars
     if nv > EXHAUSTIVE_CAP_VARS:
         raise ParameterError(
             "exhaustive backend capped at %d variables, formula has %d"
             % (EXHAUSTIVE_CAP_VARS, nv)
         )
-    clause_data, xor_data = _formula_masks(formula, h)
+    clause_data, xor_data = _formula_masks(formula)
     total = 1 << nv
-    found = 0
-    step = 1 << min(_CHUNK_SHIFT, nv)
-    for start in range(0, total, step):
-        arr = np.arange(start, min(start + step, total), dtype=np.uint64)
+    for start in range(0, total, _BLOCK):
+        arr = np.arange(start, min(start + _BLOCK, total), dtype=np.uint64)
         mask = _eval_block(arr, clause_data, xor_data)
-        if count:
-            found += int(mask.sum())
-        elif mask.any():
-            return int(arr[np.flatnonzero(mask)[0]])
-    return found if count else None
+        if mask.any():
+            yield arr[mask]
+
+
+def _model_set(problem: CountingProblem):
+    """S of a CNF problem, packed; enumerated on first use.  Concurrent first
+    calls may each enumerate, and all of them store the same array."""
+    if problem._packed is None:
+        blocks = list(_model_blocks(problem.formula))
+        packed = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.uint64)
+        if problem.n < problem.formula.num_vars:
+            packed = np.unique(packed & np.uint64((1 << problem.n) - 1))
+        problem._packed = packed
+    return problem._packed
 
 
 def count_models(formula: CnfFormula) -> int:
     """Exact model count by exhaustive enumeration (num_vars <= 26)."""
-    return _exhaustive_scan(formula, count=True)
+    return sum(len(block) for block in _model_blocks(formula))
 
 
 def _check_assignment(formula: CnfFormula, bits: int, h: ParityHash = None) -> bool:
@@ -358,46 +377,50 @@ def run_external(instance_text: str, profile: SolverProfile,
             stats["stderr"] = proc.stderr[-2000:]
             return OracleVerdict("unknown", stats=stats)
         if answer == "sat" and model_bits:
-            bits = 0
+            bits = assigned = 0
             for var, val in model_bits.items():
+                assigned |= 1 << (var - 1)
                 if val:
                     bits |= 1 << (var - 1)
             stats["model_bits"] = bits
+            stats["assigned_bits"] = assigned  # which variables the v lines set
         return OracleVerdict(answer, stats=stats)
     finally:
         Path(path).unlink(missing_ok=True)
 
 
-def has_survivor(problem: CountingProblem, h: ParityHash,
+def has_survivor(problem: CountingProblem, h: ParityHash = None,
                  budget: float = None, solver: SolverProfile = None) -> OracleVerdict:
-    """sat iff some x in S has h(x) = 0.
+    """sat iff some x in S has h(x) = 0; h=None (m = 0) asks whether S is
+    non-empty.
 
     Explicit problems are scanned directly.  CNF problems go to the external
-    solver when a profile is given, otherwise to exhaustive enumeration.
-    External witnesses are re-checked in process; a failing recheck is a
-    hard integrity error, never silently accepted.
+    solver when a profile is given, otherwise to their packed model set.
+    External SAT answers must carry a model over every formula variable,
+    else the verdict is unknown ("no model"); the model is re-checked in
+    process, and a failing recheck is a hard integrity error, never
+    silently accepted.
     """
+    if h is not None and h.n != problem.n:
+        raise DimensionError("hash width %d != problem width %d" % (h.n, problem.n))
     if problem.kind == "explicit":
-        if h.n != problem.n:
-            raise DimensionError(
-                "hash width %d != problem width %d" % (h.n, problem.n)
-            )
-        return _explicit_survivor(problem, h)
-    formula = problem.formula
+        if problem._packed is None:
+            return _wide_survivor(problem, h)
+        return _packed_survivor(problem._packed, problem.n, h)
     if solver is None:
-        bits = _exhaustive_scan(formula, h)
-        if bits is None:
-            return OracleVerdict("unsat")
-        wit = Assignment(bits & ((1 << problem.n) - 1), problem.n)
-        return OracleVerdict("sat", witness=wit)
-    conj = conjoin(formula, h, native_xor=solver.native_xor, chunk=solver.chunk)
-    text = emit(conj, native_xor=solver.native_xor)
+        return _packed_survivor(_model_set(problem), problem.n, h)
+    formula = problem.formula
+    conj = formula if h is None else conjoin(
+        formula, h, native_xor=solver.native_xor, chunk=solver.chunk)
+    text = emit(conj, native_xor=solver.native_xor, chunk=solver.chunk)
     verdict = run_external(text, solver, budget=budget)
-    if verdict.answer == "sat":
-        bits = verdict.stats.get("model_bits")
-        if bits is not None:
-            if not _check_assignment(formula, bits, h):
-                raise IntegrityError("solver witness fails in-process recheck")
-            wit = Assignment(bits & ((1 << problem.n) - 1), problem.n)
-            return OracleVerdict("sat", witness=wit, stats=verdict.stats)
-    return verdict
+    if verdict.answer != "sat":
+        return verdict
+    full = (1 << formula.num_vars) - 1
+    if verdict.stats.get("assigned_bits", 0) & full != full:
+        return OracleVerdict("unknown", stats=dict(verdict.stats, reason="no model"))
+    bits = verdict.stats.get("model_bits", 0)
+    if not _check_assignment(formula, bits, h):
+        raise IntegrityError("solver witness fails in-process recheck")
+    wit = Assignment(bits & ((1 << problem.n) - 1), problem.n)
+    return OracleVerdict("sat", witness=wit, stats=verdict.stats)

@@ -1,9 +1,19 @@
+import os
 import random
 import sys
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import xorcount
+
+# Fake solvers run `python -m xorcount.cli solve` in a child process; let the
+# child import the package under test however pytest itself found it.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(xorcount.__file__).resolve().parents[1]),
+                os.environ.get("PYTHONPATH")) if p)
 
 # one "criterion N <label> PASS|FAIL" line per acceptance test, printed in
 # the terminal summary so capture modes cannot swallow them
@@ -71,6 +81,14 @@ def lying_solver(tmp_path):
         print('s SATISFIABLE')
         print('v ' + ' '.join(str(-v) for v in range(1, nv + 1)) + ' 0')
     """))
+    return SolverProfile("%s %s {in}" % (sys.executable, script))
+
+
+@pytest.fixture
+def no_model_solver(tmp_path):
+    """A solver that claims SAT and prints no v line, whatever the input."""
+    script = tmp_path / "no_model.py"
+    script.write_text("print('s SATISFIABLE')\n")
     return SolverProfile("%s %s {in}" % (sys.executable, script))
 
 

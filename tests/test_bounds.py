@@ -67,6 +67,25 @@ class TestEstimateSurvival:
         with pytest.raises(ValueError):
             estimate_survival(full_cube_problem(4), 1, 0.5, 0, seed=0)
 
+    def test_jobs_match_serial_on_cnf(self):
+        # every trial of a fresh problem races to build its model set
+        from xorcount.dimacs import CnfFormula
+        rng = random.Random(4)
+        clauses = [[rng.choice([v, -v]) for v in rng.sample(range(1, 13), 3)]
+                   for _ in range(10)]
+        formula = CnfFormula(12, clauses, [])
+        serial = estimate_survival(CountingProblem.from_cnf(formula), 5, 0.3,
+                                   16, seed=2)
+        parallel = estimate_survival(CountingProblem.from_cnf(formula), 5, 0.3,
+                                     16, seed=2, jobs=4)
+        assert serial == parallel
+
+    def test_m_zero_sat_without_model_refuses(self, no_model_solver):
+        from xorcount.dimacs import CnfFormula
+        problem = CountingProblem.from_cnf(CnfFormula(2, [[1], [-1]], []))
+        with pytest.raises(OracleUnknownError):
+            estimate_survival(problem, 0, 0.5, 2, seed=0, solver=no_model_solver)
+
 
 class TestLowerBound:
     def _est(self, m, T, Y):

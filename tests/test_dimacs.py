@@ -87,6 +87,22 @@ class TestEmit:
         text = emit(f, native_xor=False, chunk=3)
         assert text.splitlines()[0] == "p cnf 7 12"
 
+    @pytest.mark.parametrize("rhs", [0, 1])
+    def test_conjoined_empty_row_native_matches_expanded(self, rhs):
+        # f = 0 hash rows have empty support; rhs 0 is vacuous, rhs 1 makes
+        # the instance unsatisfiable, and no x-line may come out empty
+        from xorcount.gf2hash import HashParams, ParityHash
+        from xorcount.oracle import conjoin, count_models
+
+        f = CnfFormula(4, [[1, -2], [3, 4]], [])
+        h = ParityHash((0b0110, 0), rhs << 1, HashParams(4, 2, 0.5))
+        conj = conjoin(f, h)
+        native = parse(emit(conj))
+        expanded = parse(emit(conj, native_xor=False))
+        assert all(sup for sup, _ in native.xors)
+        assert count_models(native) == count_models(expanded)
+        assert (count_models(native) == 0) == bool(rhs)
+
 
 @st.composite
 def formulas(draw):

@@ -183,11 +183,66 @@ class TestBackendAgreement:
             assert a == b == c
 
     def test_exhaustive_cap(self):
+        # past the cap: construction must not enumerate, the first question
+        # without a solver refuses
         f = CnfFormula(30, [[1]], [])
         problem = CountingProblem.from_cnf(f)
         h = sample_hash(HashParams(30, 2, 0.5, seed=0))
         with pytest.raises(ParameterError):
             has_survivor(problem, h)
+
+
+def random_cnf(rng, num_vars, k, xors=0):
+    clauses = [[rng.choice([v, -v]) for v in rng.sample(range(1, num_vars + 1), 3)]
+               for _ in range(k)]
+    rows = [(rng.sample(range(1, num_vars + 1), rng.randint(1, 4)), rng.randint(0, 1))
+            for _ in range(xors)]
+    return CnfFormula(num_vars, clauses, rows)
+
+
+class TestModelSet:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_brute_force(self, seed):
+        # native xors in the formula, and projection onto n < num_vars
+        from xorcount.gf2hash import apply_hash
+        rng = random.Random(seed)
+        num_vars = rng.randint(6, 11)
+        n = num_vars if seed % 2 else rng.randint(3, num_vars - 1)
+        formula = random_cnf(rng, num_vars, rng.randint(3, 12), xors=seed % 3)
+        models = [b for b in range(1 << num_vars) if _check_assignment(formula, b)]
+        assert count_models(formula) == len(models)
+        S = {b & ((1 << n) - 1) for b in models}
+        problem = CountingProblem.from_cnf(formula, n)
+        assert has_survivor(problem).answer == ("sat" if S else "unsat")
+        for k in range(12):
+            h = sample_hash(HashParams(n, rng.randint(1, n), rng.random() / 2,
+                                       seed=100 * seed + k))
+            survivors = {x for x in S if apply_hash(h, Assignment(x, n)) == 0}
+            v = has_survivor(problem, h)
+            assert v.is_sat == bool(survivors)
+            if v.is_sat:
+                assert v.witness.n == n and v.witness.bits in survivors
+        assert sorted(problem._packed.tolist()) == sorted(S)
+
+    def test_external_questions_never_build_it(self, exhaustive_solver):
+        rng = random.Random(5)
+        problem = CountingProblem.from_cnf(random_cnf(rng, 8, 6))
+        for seed in range(3):
+            h = sample_hash(HashParams(8, 2, 0.5, seed=seed))
+            has_survivor(problem, h, solver=exhaustive_solver)
+        has_survivor(problem, solver=exhaustive_solver)
+        assert problem._packed is None
+
+    def test_m_zero_on_every_kind(self, exhaustive_solver):
+        sat = CountingProblem.from_cnf(CnfFormula(3, [[1, 2]], []))
+        unsat = CountingProblem.from_cnf(CnfFormula(2, [[1], [-1]], []))
+        for solver in (None, exhaustive_solver):
+            assert has_survivor(sat, solver=solver).is_sat
+            assert has_survivor(unsat, solver=solver).answer == "unsat"
+        members = [Assignment(5, 70)]
+        for n, xs in ((6, [Assignment(5, 6)]), (70, members)):
+            assert has_survivor(CountingProblem.from_explicit(xs, n)).witness == xs[0]
+            assert has_survivor(CountingProblem.from_explicit([], n)).answer == "unsat"
 
 
 class TestCountModels:
@@ -242,6 +297,36 @@ class TestRunExternal:
         h = ParityHash((0,), 0, HashParams(2, 1, 0.0))
         with pytest.raises(IntegrityError):
             has_survivor(problem, h, solver=lying_solver)
+
+    def test_lying_solver_at_m_zero(self, lying_solver):
+        problem = CountingProblem.from_cnf(CnfFormula(2, [[1]], []))
+        with pytest.raises(IntegrityError):
+            has_survivor(problem, solver=lying_solver)
+
+    def test_sat_without_model_is_unknown(self, no_model_solver):
+        # the formula is unsatisfiable; a bare SAT claim must not count
+        problem = CountingProblem.from_cnf(CnfFormula(2, [[1], [-1]], []))
+        h = sample_hash(HashParams(2, 1, 0.5, seed=0))
+        v = has_survivor(problem, h, solver=no_model_solver)
+        assert v.answer == "unknown"
+        assert v.stats["reason"] == "no model"
+
+    def test_sat_without_model_at_m_zero_is_unknown(self, no_model_solver):
+        problem = CountingProblem.from_cnf(CnfFormula(2, [[1], [-1]], []))
+        v = has_survivor(problem, solver=no_model_solver)
+        assert v.answer == "unknown"
+        assert v.stats["reason"] == "no model"
+
+    def test_partial_model_is_unknown(self, tmp_path):
+        import sys
+        script = tmp_path / "partial.py"
+        script.write_text("print('s SATISFIABLE')\nprint('v 1 0')\n")
+        profile = SolverProfile("%s %s {in}" % (sys.executable, script))
+        problem = CountingProblem.from_cnf(CnfFormula(3, [[1]], []))
+        h = ParityHash((0,), 0, HashParams(3, 1, 0.0))
+        v = has_survivor(problem, h, solver=profile)
+        assert v.answer == "unknown"
+        assert v.stats["reason"] == "no model"
 
     def test_external_witness_passes_recheck(self, exhaustive_solver):
         rng = random.Random(9)
