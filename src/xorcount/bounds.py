@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .comb import upper_bound_threshold
 from .gf2hash import HashParams, derive_seed, sample_hash
-from .oracle import CountingProblem, SolverProfile, has_survivor
+from .oracle import CountingProblem, SolverProfile, has_survivors
 
 __all__ = [
     "SurvivalEstimate",
@@ -178,39 +178,27 @@ class SparseCountResult:
         }
 
 
-def _trial(problem: CountingProblem, m: int, f: float, trial_seed: int,
-           solver: SolverProfile = None, budget: float = None) -> str:
-    """One survival indicator; m = 0 asks whether S is non-empty."""
-    h = sample_hash(HashParams(problem.n, m, f, seed=trial_seed)) if m else None
-    return has_survivor(problem, h, budget=budget, solver=solver).answer
-
-
 def estimate_survival(problem: CountingProblem, m: int, f: float, T: int,
                       seed: int, solver: SolverProfile = None,
                       budget: float = None, jobs: int = 1) -> SurvivalEstimate:
     """Run T independent trials at m constraints; refuse on any unknown.
 
-    jobs > 1 runs trials on a thread pool (each external trial owns its own
-    subprocess and temp file); outcomes are collected by trial index, so the
-    estimate is identical regardless of completion order.
+    Trial k's hash is drawn from derive_seed(derive_seed(seed, m), k); m = 0
+    asks whether S is non-empty.  All T questions go to the oracle in one
+    call: in process they are answered in one pass, and with an external
+    solver jobs > 1 runs the solver calls on that many threads.  Outcomes
+    are kept in trial order either way.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
     stream = derive_seed(seed, m)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            answers = list(pool.map(
-                lambda k: _trial(problem, m, f, derive_seed(stream, k), solver, budget),
-                range(T),
-            ))
-    else:
-        answers = [
-            _trial(problem, m, f, derive_seed(stream, k), solver, budget)
-            for k in range(T)
-        ]
-    unknown = sum(1 for a in answers if a == "unknown")
+    hashes = [
+        sample_hash(HashParams(problem.n, m, f, seed=derive_seed(stream, k)))
+        if m else None
+        for k in range(T)
+    ]
+    answers = has_survivors(problem, hashes, budget=budget, solver=solver, jobs=jobs)
+    unknown = answers.count("unknown")
     if unknown:
         raise OracleUnknownError(unknown, T)
     outcomes = tuple(1 if a == "sat" else 0 for a in answers)
@@ -249,7 +237,7 @@ def lower_bound(est: SurvivalEstimate, kappa: float, c: float = None,
 def best_lower_bound(problem: CountingProblem, f: float, m_range, T: int,
                      kappa: float, c: float = None, seed: int = 0,
                      bonferroni: bool = False, solver: SolverProfile = None,
-                     budget: float = None) -> LowerBoundCertificate:
+                     budget: float = None, jobs: int = 1) -> LowerBoundCertificate:
     """Scan m over m_range, return the issued certificate with the largest
     bound; all-vacuous scans return the vacuous certificate with the best
     p_est on record.
@@ -264,7 +252,7 @@ def best_lower_bound(problem: CountingProblem, f: float, m_range, T: int,
     best_vacuous = None
     for m in m_list:
         t0 = time.monotonic()
-        est = estimate_survival(problem, m, f, T, seed, solver, budget)
+        est = estimate_survival(problem, m, f, T, seed, solver, budget, jobs)
         cert = lower_bound(est, kappa, c, n=problem.n,
                            wall_time_s=time.monotonic() - t0)
         if bonferroni:
@@ -280,7 +268,7 @@ def best_lower_bound(problem: CountingProblem, f: float, m_range, T: int,
 
 def upper_bound(problem: CountingProblem, m: int, f: float, delta: float,
                 seed: int = 0, T: int = None, solver: SolverProfile = None,
-                budget: float = None) -> UpperBoundCertificate:
+                budget: float = None, jobs: int = 1) -> UpperBoundCertificate:
     """Certificate |S| <= U(n,m,f) when a strict majority of T trials find
     the cell empty; otherwise the vacuous sentinel 2^n.
 
@@ -291,7 +279,7 @@ def upper_bound(problem: CountingProblem, m: int, f: float, delta: float,
     t_min = math.ceil(24.0 * math.log(1.0 / delta))
     T = t_min if T is None else max(T, t_min)
     t0 = time.monotonic()
-    est = estimate_survival(problem, m, f, T, seed, solver, budget)
+    est = estimate_survival(problem, m, f, T, seed, solver, budget, jobs)
     empty = T - est.successes_Y
     fired = empty * 2 > T  # strict majority: median of indicators is 1
     n = problem.n
@@ -310,7 +298,7 @@ def upper_bound(problem: CountingProblem, m: int, f: float, delta: float,
 
 def sparse_count(problem: CountingProblem, config: SparseCountConfig,
                  seed: int = 0, solver: SolverProfile = None,
-                 budget: float = None) -> SparseCountResult:
+                 budget: float = None, jobs: int = 1) -> SparseCountResult:
     """SPARSE-COUNT: raise the constraint count until the median survival
     indicator drops below 1; report i-1 as the log2 estimate.
 
@@ -326,7 +314,7 @@ def sparse_count(problem: CountingProblem, config: SparseCountConfig,
         if not 0.0 <= f_i <= 0.5:
             raise ValueError("schedule density %r out of [0, 1/2]" % (f_i,))
         ones = estimate_survival(problem, i, f_i, T, seed, solver,
-                                 budget).successes_Y
+                                 budget, jobs).successes_Y
         if ones * 2 <= T:  # median < 1
             if i == 0:
                 return SparseCountResult(None, 0, False, T, n, seed)
@@ -336,7 +324,7 @@ def sparse_count(problem: CountingProblem, config: SparseCountConfig,
 
 def pick_promising_m(problem: CountingProblem, f: float, coarse_T: int,
                      seed: int = 0, solver: SolverProfile = None,
-                     budget: float = None) -> int:
+                     budget: float = None, jobs: int = 1) -> int:
     """Coarse sweep for the largest m whose survival estimate clears 1/2.
 
     Geometric probe first (1, 2, 4, ...), then a linear walk upward from the
@@ -348,7 +336,7 @@ def pick_promising_m(problem: CountingProblem, f: float, coarse_T: int,
 
     def p_at(m: int) -> float:
         return estimate_survival(problem, m, f, coarse_T, seed, solver,
-                                 budget).p_est
+                                 budget, jobs).p_est
 
     best = 0
     m = 1

@@ -45,13 +45,15 @@ def _load_problem(path: str):
             problem, _ = tables.encode_to_cnf(spec)
             return problem, "table"
         break
-    members = [
-        Assignment.from_string(l.strip())
-        for l in text.splitlines() if l.strip() and not l.strip().startswith("#")
-    ]
-    if not members:
+    lines = [l.strip() for l in text.splitlines()]
+    lines = [l for l in lines if l and not l.startswith("#")]
+    if not lines:
         raise SystemExit("empty explicit-set file: %s" % path)
-    return CountingProblem.from_explicit(members, members[0].n), "explicit"
+    try:
+        members = [Assignment.from_string(l) for l in lines]
+        return CountingProblem.from_explicit(members, members[0].n), "explicit"
+    except ValueError as exc:  # a bad character, or lines of mixed lengths
+        raise SystemExit("bad explicit-set file %s: %s" % (path, exc)) from None
 
 
 def _solver_profile(args) -> SolverProfile | None:
@@ -104,14 +106,15 @@ def _run_lb(problem, args, solver):
     m_range = [args.m] if args.m else None
     if m_range is None:
         m0 = bd.pick_promising_m(problem, args.f, coarse_T=max(3, (args.T or 24) // 4),
-                                 seed=args.seed, solver=solver, budget=args.budget_s)
+                                 seed=args.seed, solver=solver, budget=args.budget_s,
+                                 jobs=args.jobs)
         lo = max(1, m0 - 2)
         hi = min(problem.n, m0 + 2)
         m_range = range(lo, hi + 1)
     return bd.best_lower_bound(
         problem, args.f, m_range, T=args.T or 24, kappa=args.kappa,
         c=args.c_threshold, seed=args.seed, bonferroni=args.bonferroni,
-        solver=solver, budget=args.budget_s,
+        solver=solver, budget=args.budget_s, jobs=args.jobs,
     )
 
 
@@ -119,14 +122,16 @@ def _run_ub(problem, args, solver):
     if args.m:
         return bd.upper_bound(problem, args.m, args.f, args.delta,
                               seed=args.seed, T=args.T, solver=solver,
-                              budget=args.budget_s)
+                              budget=args.budget_s, jobs=args.jobs)
     # no m given: walk upward from a promising level until the event fires
     m0 = bd.pick_promising_m(problem, args.f, coarse_T=max(3, (args.T or 24) // 4),
-                             seed=args.seed, solver=solver, budget=args.budget_s)
+                             seed=args.seed, solver=solver, budget=args.budget_s,
+                             jobs=args.jobs)
     cert = None
     for m in range(m0, min(problem.n, m0 + 8) + 1):
         cert = bd.upper_bound(problem, m, args.f, args.delta, seed=args.seed,
-                              T=args.T, solver=solver, budget=args.budget_s)
+                              T=args.T, solver=solver, budget=args.budget_s,
+                              jobs=args.jobs)
         if cert.event_fired:
             return cert
     return cert
@@ -152,7 +157,7 @@ def _bound_once(problem, args, solver):
                                    density_schedule=args.f, T=args.T,
                                    use_ln_n=not args.no_ln_n)
         res = bd.sparse_count(problem, cfg, seed=args.seed, solver=solver,
-                              budget=args.budget_s)
+                              budget=args.budget_s, jobs=args.jobs)
         if res.log2_estimate is None:
             print("fewer than one solution witnessed (broke at i=0)")
         else:
@@ -282,7 +287,8 @@ def _add_common_bound_flags(p):
     p.add_argument("--native-xor", dest="native_xor", action="store_true")
     p.add_argument("--chunk", type=int, default=6)
     p.add_argument("--bonferroni", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="external-solver calls run at once within an estimate")
 
 
 def build_parser() -> argparse.ArgumentParser:

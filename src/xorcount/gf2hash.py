@@ -57,6 +57,9 @@ class HashParams:
             raise ParameterError("density f must lie in [0, 1/2], got %r" % (self.f,))
 
 
+_NOT_BITS = str.maketrans("", "", "01")  # deletes the valid characters
+
+
 @dataclass(frozen=True)
 class Assignment:
     """An element of {0,1}^n, bit j of `bits` holding x_j."""
@@ -71,13 +74,10 @@ class Assignment:
     @classmethod
     def from_string(cls, s: str) -> "Assignment":
         """Parse a 0/1 string, leftmost character = variable 1 (bit 0)."""
-        bits = 0
-        for j, ch in enumerate(s):
-            if ch == "1":
-                bits |= 1 << j
-            elif ch != "0":
-                raise ValueError("invalid bit %r" % ch)
-        return cls(bits, len(s))
+        rest = s.translate(_NOT_BITS)
+        if rest:
+            raise ValueError("invalid bit %r" % rest[0])
+        return cls(int(s[::-1], 2) if s else 0, len(s))
 
     def to_string(self) -> str:
         return "".join("1" if (self.bits >> j) & 1 else "0" for j in range(self.n))

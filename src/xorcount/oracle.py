@@ -1,16 +1,23 @@
 """Membership oracles: does S have an element in the cell h^-1(0)?
 
 Three interchangeable backends answer the same question:
-  * explicit  — S is given outright; vectorized parity scan over its
-    members, packed one uint64 per member.
+  * explicit  — S is given outright and packed at construction.
   * exhaustive — S is the model set of a CNF of at most 26 variables.  On
     the problem's first question the formula's models are enumerated once
     (clauses and native XORs, 2^16 assignments per numpy block), projected
-    onto the first n variables and kept packed at 8 bytes per model, at
-    most 512 MB at the cap; every question is then the explicit scan.
+    onto the first n variables and packed, at most 512 MB at the cap.
   * external  — serialize the conjoined instance to DIMACS and invoke a
     solver subprocess; witnesses are always re-checked in process, and a
     SAT answer without a full model is `unknown`.
+
+The first two are in process: S is an (|S|, W) uint64 array, W =
+ceil(n/64) words per member, and one kernel answers every question against
+it.  `has_survivors` takes a whole estimate's T hashes at once and scans
+trials x members together, in chunks of at most 2^14 array elements: per
+hash row, AND the row into every member, fold the W words by XOR and
+compare the low bit of the popcount with b_i.  `has_survivor` is the same
+kernel with T = 1; its witness is the first surviving member.  External
+solvers get one call per hash.
 
 A hash of None asks m = 0, "is S non-empty?", on every backend.
 """
@@ -35,6 +42,7 @@ __all__ = [
     "OracleVerdict",
     "SolverProfile",
     "has_survivor",
+    "has_survivors",
     "xor_to_cnf",
     "expand_xors",
     "conjoin",
@@ -44,6 +52,9 @@ __all__ = [
 
 EXHAUSTIVE_CAP_VARS = 26
 _BLOCK = 1 << 16  # assignments per numpy block while enumerating models
+# trials x members x words per step of the survival scan: 2^14 to 2^16 ran
+# equally fast, and each doubling from 2^14 added about 0.4 MB of peak memory
+_SCAN_ELEMENTS = 1 << 14
 
 
 class IntegrityError(RuntimeError):
@@ -78,13 +89,17 @@ class SolverProfile:
 class CountingProblem:
     """The set S whose size is being bounded.
 
-    kind == "explicit": S is a deduplicated list of assignments over n bits.
+    kind == "explicit": S is a set of n-bit assignments, deduplicated; a
+                        member of any other width is a DimensionError.
     kind == "cnf":      S is the model set of `formula`, projected onto the
                         first n variables (n == num_vars unless the formula
                         carries auxiliary variables, as table encodings do).
 
-    `_packed` holds S one uint64 per member: built here for explicit sets of
-    at most 64 bits, and on the first exhaustive question for CNF problems.
+    `_packed` holds S in increasing order as an (|S|, W) uint64 array, W =
+    ceil(n/64), word k of a row holding bits 64k..64k+63 of the member.  It
+    is built here for explicit sets and on the first in-process question
+    for CNF problems; every in-process question (`has_survivors`, T hashes
+    in one pass) is answered from it.
     """
 
     def __init__(self, n: int, kind: str, members=None, formula: CnfFormula = None):
@@ -92,13 +107,16 @@ class CountingProblem:
         self.kind = kind
         self.formula = formula
         if kind == "explicit":
-            seen = sorted({x.bits for x in members})
-            self.members = tuple(Assignment(b, n) for b in seen)
-            self._packed = np.array(seen, dtype=np.uint64) if n <= 64 else None
+            seen = set()
+            for x in members:
+                if x.n != n:
+                    raise DimensionError(
+                        "member width %d != problem width %d" % (x.n, n))
+                seen.add(x.bits)
+            self._packed = _pack(sorted(seen), _words(n))
         elif kind == "cnf":
             if formula is None:
                 raise ParameterError("cnf problem needs a formula")
-            self.members = None
             self._packed = None
         else:
             raise ParameterError("unknown problem kind %r" % kind)
@@ -114,7 +132,7 @@ class CountingProblem:
     def __len__(self):
         if self.kind != "explicit":
             raise TypeError("only explicit problems have a known size")
-        return len(self.members)
+        return len(self._packed)
 
 
 def xor_to_cnf(support, rhs: int, chunk: int = 6, fresh=None):
@@ -214,35 +232,57 @@ def conjoin(formula: CnfFormula, h: ParityHash, native_xor: bool = True,
 # ---------------------------------------------------------------------------
 # backends
 
-def _hash_masks(h: ParityHash):
-    rows = np.array(h.rows, dtype=np.uint64)
-    b = np.array([(h.b_bits >> i) & 1 for i in range(h.m)], dtype=np.uint64)
-    return rows, b
+def _words(n: int) -> int:
+    """uint64 words per packed n-bit member."""
+    return max(1, -(-n // 64))
 
 
-def _packed_survivor(packed, n: int, h: ParityHash = None) -> OracleVerdict:
-    """Scan a packed set for a member in h^-1(0); h=None asks for any member."""
-    mask = np.ones(len(packed), dtype=bool)
-    if h is not None:
-        one = np.uint64(1)
-        for row, bi in zip(*_hash_masks(h)):
-            mask &= (np.bitwise_count(packed & row) & one) == bi
-            if not mask.any():
+def _pack(values, words: int):
+    """Python ints as a (len(values), words) uint64 array, word k of a row
+    holding bits 64k..64k+63."""
+    if words == 1:
+        return np.array(values, dtype=np.uint64).reshape(-1, 1)
+    blob = b"".join(v.to_bytes(8 * words, "little") for v in values)
+    return np.frombuffer(blob, dtype="<u8").reshape(-1, words)
+
+
+def _unpack(row) -> int:
+    return sum(int(w) << (64 * k) for k, w in enumerate(row))
+
+
+def _first_survivors(packed, hashes):
+    """Index in `packed` of the first member with h(x) = 0 for each hash,
+    -1 where the cell is empty.  The hashes share m; None asks m = 0."""
+    count, (size, words) = len(hashes), packed.shape
+    m = hashes[0].m if count and hashes[0] is not None else 0
+    if not size or not m:
+        return np.full(count, 0 if size else -1)
+    rows = _pack([r for h in hashes for r in h.rows], words).reshape(count, m, words)
+    nbytes = (m + 7) // 8
+    rhs = np.frombuffer(b"".join(h.b_bits.to_bytes(nbytes, "little") for h in hashes),
+                        dtype=np.uint8).reshape(count, nbytes)
+    rhs = np.unpackbits(rhs, axis=1, count=m, bitorder="little")
+    first = np.full(count, -1)
+    step = max(1, _SCAN_ELEMENTS // (size * words))
+    cols = packed.T  # word k of every member
+    for lo in range(0, count, step):
+        chunk, want = rows[lo:lo + step], rhs[lo:lo + step]
+        alive = np.ones((len(chunk), size), dtype=bool)
+        folded = np.empty(alive.shape, dtype=np.uint64)
+        parity = np.empty(alive.shape, dtype=np.uint8)
+        for i in range(m):
+            # parity of row & x: XOR the W words together, popcount once
+            np.bitwise_and(cols[0], chunk[:, i, 0, None], out=folded)
+            for k in range(1, words):
+                folded ^= cols[k] & chunk[:, i, k, None]
+            np.bitwise_count(folded, out=parity)
+            parity &= 1
+            alive &= parity == want[:, i, None]
+            if not alive.any():
                 break
-    hits = np.flatnonzero(mask)
-    if not len(hits):
-        return OracleVerdict("unsat")
-    return OracleVerdict("sat", witness=Assignment(int(packed[hits[0]]), n))
-
-
-def _wide_survivor(problem: CountingProblem, h: ParityHash = None) -> OracleVerdict:
-    """Plain scan for explicit sets wider than 64 bits."""
-    from .gf2hash import apply_hash
-
-    for x in problem.members:
-        if h is None or apply_hash(h, x) == 0:
-            return OracleVerdict("sat", witness=x)
-    return OracleVerdict("unsat")
+        hit = alive.any(axis=1)
+        first[lo:lo + step][hit] = alive.argmax(axis=1)[hit]
+    return first
 
 
 def _formula_masks(formula: CnfFormula):
@@ -294,15 +334,16 @@ def _model_blocks(formula: CnfFormula):
             yield arr[mask]
 
 
-def _model_set(problem: CountingProblem):
-    """S of a CNF problem, packed; enumerated on first use.  Concurrent first
-    calls may each enumerate, and all of them store the same array."""
+def _packed_set(problem: CountingProblem):
+    """S of an in-process problem, packed; a CNF problem's models are
+    enumerated on first use.  Concurrent first calls may each enumerate,
+    and all of them store the same array."""
     if problem._packed is None:
         blocks = list(_model_blocks(problem.formula))
         packed = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.uint64)
         if problem.n < problem.formula.num_vars:
             packed = np.unique(packed & np.uint64((1 << problem.n) - 1))
-        problem._packed = packed
+        problem._packed = packed.reshape(-1, 1)
     return problem._packed
 
 
@@ -389,26 +430,34 @@ def run_external(instance_text: str, profile: SolverProfile,
         Path(path).unlink(missing_ok=True)
 
 
+def _check_hashes(problem: CountingProblem, hashes):
+    if len({0 if h is None else h.m for h in hashes}) > 1:
+        raise ParameterError("the hashes of one batch must share m")
+    for h in hashes:
+        if h is not None and h.n != problem.n:
+            raise DimensionError("hash width %d != problem width %d" % (h.n, problem.n))
+
+
 def has_survivor(problem: CountingProblem, h: ParityHash = None,
                  budget: float = None, solver: SolverProfile = None) -> OracleVerdict:
     """sat iff some x in S has h(x) = 0; h=None (m = 0) asks whether S is
     non-empty.
 
-    Explicit problems are scanned directly.  CNF problems go to the external
-    solver when a profile is given, otherwise to their packed model set.
-    External SAT answers must carry a model over every formula variable,
+    Explicit problems, and CNF problems without a solver profile, are
+    answered in process from the packed set (the survival kernel with T = 1);
+    the witness is the first surviving member in increasing order.  CNF
+    problems with a profile go to the external solver.  External SAT answers must carry a model over every formula variable,
     else the verdict is unknown ("no model"); the model is re-checked in
     process, and a failing recheck is a hard integrity error, never
     silently accepted.
     """
-    if h is not None and h.n != problem.n:
-        raise DimensionError("hash width %d != problem width %d" % (h.n, problem.n))
-    if problem.kind == "explicit":
-        if problem._packed is None:
-            return _wide_survivor(problem, h)
-        return _packed_survivor(problem._packed, problem.n, h)
-    if solver is None:
-        return _packed_survivor(_model_set(problem), problem.n, h)
+    _check_hashes(problem, [h])
+    if problem.kind == "explicit" or solver is None:
+        packed = _packed_set(problem)
+        i = _first_survivors(packed, [h])[0]
+        if i < 0:
+            return OracleVerdict("unsat")
+        return OracleVerdict("sat", witness=Assignment(_unpack(packed[i]), problem.n))
     formula = problem.formula
     conj = formula if h is None else conjoin(
         formula, h, native_xor=solver.native_xor, chunk=solver.chunk)
@@ -424,3 +473,29 @@ def has_survivor(problem: CountingProblem, h: ParityHash = None,
         raise IntegrityError("solver witness fails in-process recheck")
     wit = Assignment(bits & ((1 << problem.n) - 1), problem.n)
     return OracleVerdict("sat", witness=wit, stats=verdict.stats)
+
+
+def has_survivors(problem: CountingProblem, hashes, budget: float = None,
+                  solver: SolverProfile = None, jobs: int = 1) -> list:
+    """The answer ("sat", "unsat" or "unknown") of has_survivor(problem, h)
+    for every h in `hashes`, which share m (None for all asks m = 0).
+
+    In-process problems answer all of them in one pass of the survival
+    kernel.  External solvers get one has_survivor call per hash; jobs > 1
+    runs them on a thread pool (each owns its own subprocess and temp file),
+    and answers stay in hash order.
+    """
+    _check_hashes(problem, hashes)
+    if problem.kind == "explicit" or solver is None:
+        first = _first_survivors(_packed_set(problem), hashes)
+        return ["sat" if i >= 0 else "unsat" for i in first.tolist()]
+
+    def ask(h):
+        return has_survivor(problem, h, budget=budget, solver=solver).answer
+
+    if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(ask, hashes))
+    return [ask(h) for h in hashes]

@@ -7,7 +7,8 @@ from xorcount.bounds import (LowerBoundCertificate, OracleUnknownError,
                              SparseCountConfig, SurvivalEstimate,
                              best_lower_bound, estimate_survival, lower_bound,
                              pick_promising_m, sparse_count, upper_bound)
-from xorcount.gf2hash import Assignment
+from xorcount.gf2hash import (Assignment, HashParams, count_survivors,
+                              derive_seed, sample_hash)
 from xorcount.oracle import CountingProblem
 from conftest import random_subset_problem
 
@@ -80,11 +81,71 @@ class TestEstimateSurvival:
                                      16, seed=2, jobs=4)
         assert serial == parallel
 
+    @pytest.mark.parametrize("n,size,m,f,T", [
+        (1, 2, 1, 0.5, 20),
+        (16, 300, 7, 0.3, 40),
+        (16, 50, 3, 0.0, 10),     # f = 0: every row empty
+        (63, 100, 6, 0.1, 30),
+        (64, 100, 6, 0.5, 30),
+        (65, 1024, 9, 0.3, 70),   # two words; 70 trials cross chunk boundaries
+        (130, 80, 5, 0.05, 30),
+        (400, 40, 4, 0.02, 30),
+        (70, 10, 0, 0.5, 5),      # m = 0
+        (65, 0, 3, 0.5, 10),      # empty S
+    ])
+    def test_outcomes_match_pure_python_scan(self, n, size, m, f, T):
+        rng = random.Random(n * 1000 + size)
+        members = [Assignment(rng.getrandbits(n), n) for _ in range(size)]
+        est = estimate_survival(CountingProblem.from_explicit(members, n),
+                                m, f, T, seed=n)
+        assert est.outcomes == scan_outcomes(members, n, m, f, T, seed=n)
+
+    def test_cnf_outcomes_match_pure_python_scan(self):
+        # n < num_vars: S is the model set projected onto the first 7 vars
+        from xorcount.dimacs import CnfFormula
+        from xorcount.oracle import _check_assignment
+        rng = random.Random(9)
+        clauses = [[rng.choice([v, -v]) for v in rng.sample(range(1, 11), 3)]
+                   for _ in range(12)]
+        formula = CnfFormula(10, clauses, [([2, 9], 1)])
+        S = {b & 127 for b in range(1 << 10) if _check_assignment(formula, b)}
+        members = [Assignment(b, 7) for b in sorted(S)]
+        for m in (0, 2, 4):
+            est = estimate_survival(CountingProblem.from_cnf(formula, 7),
+                                    m, 0.3, 25, seed=4)
+            assert est.outcomes == scan_outcomes(members, 7, m, 0.3, 25, seed=4)
+
+    @pytest.mark.parametrize("n,size,m,f,want", [
+        (16, 300, 8, 0.3, "0111111111011011111011101111101110111111"),
+        (130, 200, 7, 0.1, "1101111110110011000011101111111100111101"),
+    ])
+    def test_golden_outcomes(self, n, size, m, f, want):
+        # recorded before trials were batched: the seed streams and hash
+        # draws are the reproducibility contract
+        rng = random.Random(2024)
+        problem = CountingProblem.from_explicit(
+            [Assignment(rng.getrandbits(n), n) for _ in range(size)], n)
+        est = estimate_survival(problem, m, f, 40, seed=99)
+        assert "".join(map(str, est.outcomes)) == want
+
     def test_m_zero_sat_without_model_refuses(self, no_model_solver):
         from xorcount.dimacs import CnfFormula
         problem = CountingProblem.from_cnf(CnfFormula(2, [[1], [-1]], []))
         with pytest.raises(OracleUnknownError):
             estimate_survival(problem, 0, 0.5, 2, seed=0, solver=no_model_solver)
+
+
+def scan_outcomes(members, n, m, f, T, seed):
+    """estimate_survival's outcomes, one pure-Python scan per trial."""
+    stream = derive_seed(seed, m)
+    out = []
+    for k in range(T):
+        if m == 0:
+            out.append(int(bool(members)))
+            continue
+        h = sample_hash(HashParams(n, m, f, seed=derive_seed(stream, k)))
+        out.append(int(count_survivors(h, members) > 0))
+    return tuple(out)
 
 
 class TestLowerBound:

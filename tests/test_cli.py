@@ -128,6 +128,28 @@ class TestBoundCmd:
                    "--seed", "1"])
         assert rc == 0
 
+    def test_jobs_match_serial_with_solver(self, tmp_path):
+        cnf = tmp_path / "t.cnf"
+        cnf.write_text("p cnf 8 3\n1 2 0\n-1 3 0\n4 -5 6 0\n")
+        solver = "%s -m xorcount.cli solve {in}" % sys.executable
+        docs = []
+        for jobs in ("1", "2"):
+            report = tmp_path / ("jobs%s.json" % jobs)
+            rc = main(["bound", str(cnf), "lb", "--T", "6", "--m", "3",
+                       "--seed", "2", "--solver", solver, "--jobs", jobs,
+                       "--json", str(report)])
+            assert rc == 0
+            docs.append(strip_timing(json.loads(report.read_text())))
+        assert docs[0] == docs[1]
+
+    def test_mixed_width_set_is_a_one_line_error(self, tmp_path):
+        f = tmp_path / "mixed.txt"
+        f.write_text("0101\n11\n000000\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", str(f), "lb"])
+        msg = str(exc.value.code)
+        assert str(f) in msg and "\n" not in msg and "width" in msg
+
     def test_table_input(self, tmp_path, capsys):
         # 2x2 permutation-matrix spec: 2 tables, 12-variable CNF, small
         # enough for the exhaustive backend

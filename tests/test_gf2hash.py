@@ -182,6 +182,19 @@ class TestAssignment:
         with pytest.raises(ValueError):
             Assignment.from_string("10x")
 
+    @pytest.mark.parametrize("s", ["01x", "0_1", "+1", " 01"])
+    def test_rejects_what_int_would_accept(self, s):
+        # int(s, 2) alone takes underscores, signs and surrounding spaces
+        with pytest.raises(ValueError, match="invalid bit"):
+            Assignment.from_string(s)
+
+    def test_wide_and_empty_strings(self):
+        s = "1" + "0" * 63 + "1"
+        x = Assignment.from_string(s)
+        assert (x.bits, x.n) == (1 | 1 << 64, 65)
+        assert x.to_string() == s
+        assert Assignment.from_string("") == Assignment(0, 0)
+
 
 def test_derive_seed_spreads():
     seeds = {derive_seed(0, k) for k in range(1000)}

@@ -6,8 +6,8 @@ from xorcount.dimacs import CnfFormula, emit
 from xorcount.gf2hash import Assignment, HashParams, ParityHash, sample_hash
 from xorcount.oracle import (CountingProblem, IntegrityError, ParameterError,
                              SolverProfile, conjoin, count_models,
-                             expand_xors, has_survivor, run_external,
-                             xor_to_cnf, _check_assignment)
+                             expand_xors, has_survivor, has_survivors,
+                             run_external, xor_to_cnf, _check_assignment)
 
 
 def parity_solutions(n, support, rhs):
@@ -153,7 +153,7 @@ class TestExplicitBackend:
                 assert all(apply_hash(h, x) != 0 for x in members)
 
     def test_wide_problem_python_path(self):
-        # n > 64 disables the packed numpy path; plain scan must still work
+        # n > 64 packs two uint64 words per member
         members = [Assignment(0, 70), Assignment((1 << 70) - 1, 70)]
         problem = CountingProblem.from_explicit(members, 70)
         h = ParityHash((0,), 1, HashParams(70, 1, 0.0))
@@ -162,6 +162,39 @@ class TestExplicitBackend:
     def test_deduplication(self):
         members = [Assignment(3, 4)] * 5 + [Assignment(1, 4)]
         assert len(CountingProblem.from_explicit(members, 4)) == 2
+
+    def test_mixed_widths_rejected(self):
+        from xorcount.gf2hash import DimensionError
+        members = [Assignment.from_string(t) for t in ("0101", "11", "000000")]
+        with pytest.raises(DimensionError):
+            CountingProblem.from_explicit(members, 4)
+
+    @pytest.mark.parametrize("n", [12, 130])
+    def test_witness_is_first_survivor(self, n):
+        from xorcount.gf2hash import apply_hash
+        rng = random.Random(n)
+        members = [Assignment(rng.getrandbits(n), n) for _ in range(60)]
+        problem = CountingProblem.from_explicit(members, n)
+        for seed in range(20):
+            h = sample_hash(HashParams(n, 4, 0.3, seed=seed))
+            survivors = [x.bits for x in members if apply_hash(h, x) == 0]
+            v = has_survivor(problem, h)
+            assert v.is_sat == bool(survivors)
+            if survivors:
+                assert v.witness == Assignment(min(survivors), n)
+
+    def test_batch_checks_its_hashes(self):
+        from xorcount.gf2hash import DimensionError
+        problem = CountingProblem.from_explicit([Assignment(1, 6)], 6)
+        h2 = sample_hash(HashParams(6, 2, 0.5, seed=0))
+        h3 = sample_hash(HashParams(6, 3, 0.5, seed=0))
+        with pytest.raises(ParameterError):
+            has_survivors(problem, [h2, h3])
+        with pytest.raises(ParameterError):
+            has_survivors(problem, [h2, None])
+        with pytest.raises(DimensionError):
+            has_survivors(problem, [sample_hash(HashParams(7, 2, 0.5, seed=0))])
+        assert has_survivors(problem, []) == []
 
 
 class TestBackendAgreement:
@@ -222,7 +255,7 @@ class TestModelSet:
             assert v.is_sat == bool(survivors)
             if v.is_sat:
                 assert v.witness.n == n and v.witness.bits in survivors
-        assert sorted(problem._packed.tolist()) == sorted(S)
+        assert sorted(problem._packed[:, 0].tolist()) == sorted(S)
 
     def test_external_questions_never_build_it(self, exhaustive_solver):
         rng = random.Random(5)
