@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass
 
 from .comb import upper_bound_threshold
+from .errors import OracleUnknownError
 from .gf2hash import HashParams, derive_seed, sample_hash
 from .oracle import CountingProblem, SolverProfile, has_survivors
 
@@ -38,15 +39,6 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-
-
-class OracleUnknownError(RuntimeError):
-    """Some trials came back unknown; no estimate is finalized from them."""
-
-    def __init__(self, unknown: int, total: int):
-        super().__init__("%d of %d trials unknown; refusing to estimate" % (unknown, total))
-        self.unknown = unknown
-        self.total = total
 
 
 @dataclass(frozen=True)
@@ -179,15 +171,14 @@ class SparseCountResult:
 
 
 def estimate_survival(problem: CountingProblem, m: int, f: float, T: int,
-                      seed: int, solver: SolverProfile = None,
-                      budget: float = None, jobs: int = 1) -> SurvivalEstimate:
+                      seed: int, solver: SolverProfile = None) -> SurvivalEstimate:
     """Run T independent trials at m constraints; refuse on any unknown.
 
     Trial k's hash is drawn from derive_seed(derive_seed(seed, m), k); m = 0
     asks whether S is non-empty.  All T questions go to the oracle in one
     call: in process they are answered in one pass, and with an external
-    solver jobs > 1 runs the solver calls on that many threads.  Outcomes
-    are kept in trial order either way.
+    solver its profile's budget_s and jobs apply (jobs does nothing without
+    a solver).  Outcomes are kept in trial order either way.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
@@ -197,7 +188,7 @@ def estimate_survival(problem: CountingProblem, m: int, f: float, T: int,
         if m else None
         for k in range(T)
     ]
-    answers = has_survivors(problem, hashes, budget=budget, solver=solver, jobs=jobs)
+    answers = has_survivors(problem, hashes, solver=solver)
     unknown = answers.count("unknown")
     if unknown:
         raise OracleUnknownError(unknown, T)
@@ -236,8 +227,8 @@ def lower_bound(est: SurvivalEstimate, kappa: float, c: float = None,
 
 def best_lower_bound(problem: CountingProblem, f: float, m_range, T: int,
                      kappa: float, c: float = None, seed: int = 0,
-                     bonferroni: bool = False, solver: SolverProfile = None,
-                     budget: float = None, jobs: int = 1) -> LowerBoundCertificate:
+                     bonferroni: bool = False,
+                     solver: SolverProfile = None) -> LowerBoundCertificate:
     """Scan m over m_range, return the issued certificate with the largest
     bound; all-vacuous scans return the vacuous certificate with the best
     p_est on record.
@@ -252,7 +243,7 @@ def best_lower_bound(problem: CountingProblem, f: float, m_range, T: int,
     best_vacuous = None
     for m in m_list:
         t0 = time.monotonic()
-        est = estimate_survival(problem, m, f, T, seed, solver, budget, jobs)
+        est = estimate_survival(problem, m, f, T, seed, solver)
         cert = lower_bound(est, kappa, c, n=problem.n,
                            wall_time_s=time.monotonic() - t0)
         if bonferroni:
@@ -267,8 +258,8 @@ def best_lower_bound(problem: CountingProblem, f: float, m_range, T: int,
 
 
 def upper_bound(problem: CountingProblem, m: int, f: float, delta: float,
-                seed: int = 0, T: int = None, solver: SolverProfile = None,
-                budget: float = None, jobs: int = 1) -> UpperBoundCertificate:
+                seed: int = 0, T: int = None,
+                solver: SolverProfile = None) -> UpperBoundCertificate:
     """Certificate |S| <= U(n,m,f) when a strict majority of T trials find
     the cell empty; otherwise the vacuous sentinel 2^n.
 
@@ -279,7 +270,7 @@ def upper_bound(problem: CountingProblem, m: int, f: float, delta: float,
     t_min = math.ceil(24.0 * math.log(1.0 / delta))
     T = t_min if T is None else max(T, t_min)
     t0 = time.monotonic()
-    est = estimate_survival(problem, m, f, T, seed, solver, budget, jobs)
+    est = estimate_survival(problem, m, f, T, seed, solver)
     empty = T - est.successes_Y
     fired = empty * 2 > T  # strict majority: median of indicators is 1
     n = problem.n
@@ -297,8 +288,7 @@ def upper_bound(problem: CountingProblem, m: int, f: float, delta: float,
 
 
 def sparse_count(problem: CountingProblem, config: SparseCountConfig,
-                 seed: int = 0, solver: SolverProfile = None,
-                 budget: float = None, jobs: int = 1) -> SparseCountResult:
+                 seed: int = 0, solver: SolverProfile = None) -> SparseCountResult:
     """SPARSE-COUNT: raise the constraint count until the median survival
     indicator drops below 1; report i-1 as the log2 estimate.
 
@@ -313,8 +303,7 @@ def sparse_count(problem: CountingProblem, config: SparseCountConfig,
         f_i = config.density_schedule(i)
         if not 0.0 <= f_i <= 0.5:
             raise ValueError("schedule density %r out of [0, 1/2]" % (f_i,))
-        ones = estimate_survival(problem, i, f_i, T, seed, solver,
-                                 budget, jobs).successes_Y
+        ones = estimate_survival(problem, i, f_i, T, seed, solver).successes_Y
         if ones * 2 <= T:  # median < 1
             if i == 0:
                 return SparseCountResult(None, 0, False, T, n, seed)
@@ -323,8 +312,7 @@ def sparse_count(problem: CountingProblem, config: SparseCountConfig,
 
 
 def pick_promising_m(problem: CountingProblem, f: float, coarse_T: int,
-                     seed: int = 0, solver: SolverProfile = None,
-                     budget: float = None, jobs: int = 1) -> int:
+                     seed: int = 0, solver: SolverProfile = None) -> int:
     """Coarse sweep for the largest m whose survival estimate clears 1/2.
 
     Geometric probe first (1, 2, 4, ...), then a linear walk upward from the
@@ -335,8 +323,7 @@ def pick_promising_m(problem: CountingProblem, f: float, coarse_T: int,
     n = problem.n
 
     def p_at(m: int) -> float:
-        return estimate_survival(problem, m, f, coarse_T, seed, solver,
-                                 budget, jobs).p_est
+        return estimate_survival(problem, m, f, coarse_T, seed, solver).p_est
 
     best = 0
     m = 1

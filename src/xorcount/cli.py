@@ -26,6 +26,7 @@ from pathlib import Path
 
 from . import bounds as bd
 from . import comb, dimacs, tables
+from .errors import ParameterError
 from .gf2hash import Assignment
 from .oracle import CountingProblem, SolverProfile, _model_blocks, count_models
 
@@ -57,12 +58,15 @@ def _load_problem(path: str):
 
 
 def _solver_profile(args) -> SolverProfile | None:
-    template = getattr(args, "solver", None) or os.environ.get("XORCOUNT_SOLVER")
+    template = args.solver or os.environ.get("XORCOUNT_SOLVER")
     if not template:
         return None
-    return SolverProfile(template, budget_s=getattr(args, "budget_s", None),
-                         native_xor=getattr(args, "native_xor", False),
-                         chunk=getattr(args, "chunk", 6))
+    try:
+        return SolverProfile(template, budget_s=args.budget_s,
+                             native_xor=args.native_xor, chunk=args.chunk,
+                             jobs=args.jobs)
+    except ParameterError as exc:
+        raise SystemExit("bad solver settings: %s" % exc) from None
 
 
 def _print_scales(label: str, log2_value):
@@ -106,32 +110,28 @@ def _run_lb(problem, args, solver):
     m_range = [args.m] if args.m else None
     if m_range is None:
         m0 = bd.pick_promising_m(problem, args.f, coarse_T=max(3, (args.T or 24) // 4),
-                                 seed=args.seed, solver=solver, budget=args.budget_s,
-                                 jobs=args.jobs)
+                                 seed=args.seed, solver=solver)
         lo = max(1, m0 - 2)
         hi = min(problem.n, m0 + 2)
         m_range = range(lo, hi + 1)
     return bd.best_lower_bound(
         problem, args.f, m_range, T=args.T or 24, kappa=args.kappa,
         c=args.c_threshold, seed=args.seed, bonferroni=args.bonferroni,
-        solver=solver, budget=args.budget_s, jobs=args.jobs,
+        solver=solver,
     )
 
 
 def _run_ub(problem, args, solver):
     if args.m:
         return bd.upper_bound(problem, args.m, args.f, args.delta,
-                              seed=args.seed, T=args.T, solver=solver,
-                              budget=args.budget_s, jobs=args.jobs)
+                              seed=args.seed, T=args.T, solver=solver)
     # no m given: walk upward from a promising level until the event fires
     m0 = bd.pick_promising_m(problem, args.f, coarse_T=max(3, (args.T or 24) // 4),
-                             seed=args.seed, solver=solver, budget=args.budget_s,
-                             jobs=args.jobs)
+                             seed=args.seed, solver=solver)
     cert = None
     for m in range(m0, min(problem.n, m0 + 8) + 1):
         cert = bd.upper_bound(problem, m, args.f, args.delta, seed=args.seed,
-                              T=args.T, solver=solver, budget=args.budget_s,
-                              jobs=args.jobs)
+                              T=args.T, solver=solver)
         if cert.event_fired:
             return cert
     return cert
@@ -156,8 +156,7 @@ def _bound_once(problem, args, solver):
         cfg = bd.SparseCountConfig(delta=args.delta, alpha=args.alpha,
                                    density_schedule=args.f, T=args.T,
                                    use_ln_n=not args.no_ln_n)
-        res = bd.sparse_count(problem, cfg, seed=args.seed, solver=solver,
-                              budget=args.budget_s, jobs=args.jobs)
+        res = bd.sparse_count(problem, cfg, seed=args.seed, solver=solver)
         if res.log2_estimate is None:
             print("fewer than one solution witnessed (broke at i=0)")
         else:

@@ -12,6 +12,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .errors import ParameterError
+
 __all__ = [
     "LogNum",
     "EpsilonInputs",
@@ -30,10 +32,6 @@ LN2 = math.log(2.0)
 # U-threshold predicate: 1/(1 + 2^(2m) v(z)/z^2) >= 3/4  <=>  ratio <= 1/3
 _LOG_ONE_THIRD = math.log(1.0 / 3.0)
 _PRED_SLACK = 1e-12  # absorbs log-domain rounding at exact boundaries
-
-
-class ParameterError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -57,10 +55,6 @@ class LogNum:
         if x == 0:
             return cls.zero()
         return cls(math.log(x))
-
-    @classmethod
-    def from_log(cls, lv: float) -> "LogNum":
-        return cls(lv)
 
     def to_linear(self) -> float:
         if self.is_zero():
@@ -169,16 +163,6 @@ def w_star(n: int, q: int) -> int:
         prefix += binom
         w += 1
     return w
-
-
-def _binomial_prefix(n: int, w: int) -> int:
-    """Exact sum_{j=1..w} C(n,j)."""
-    total = 0
-    binom = 1
-    for j in range(1, w + 1):
-        binom = binom * (n - j + 1) // j
-        total += binom
-    return total
 
 
 def epsilon(inputs: EpsilonInputs) -> LogNum:

@@ -10,11 +10,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
+from .errors import ParseError
+
 __all__ = ["CnfFormula", "ParseError", "parse", "emit"]
-
-
-class ParseError(ValueError):
-    pass
 
 
 @dataclass

@@ -9,8 +9,10 @@ Rows and assignments are bit-packed into Python ints; the dot product is
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import CapacityError, DimensionError, ParameterError
 
 __all__ = [
     "HashParams",
@@ -25,18 +27,6 @@ __all__ = [
 
 # enumeration ceiling for the exact brute-force oracle: 2^(m*n+m) hash draws
 EXACT_ENUM_BITS = 24
-
-
-class ParameterError(ValueError):
-    pass
-
-
-class DimensionError(ValueError):
-    pass
-
-
-class CapacityError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,13 @@ trials x members together, in chunks of at most 2^14 array elements: per
 hash row, AND the row into every member, fold the W words by XOR and
 compare the low bit of the popcount with b_i.  `has_survivor` is the same
 kernel with T = 1; its witness is the first surviving member.  External
-solvers get one call per hash.
+solvers get one call per hash, and one in all for an estimate at m = 0.
 
 A hash of None asks m = 0, "is S non-empty?", on every backend.
 """
 
 from __future__ import annotations
 
-import math
 import shlex
 import subprocess
 import tempfile
@@ -35,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .dimacs import CnfFormula, emit
-from .gf2hash import Assignment, DimensionError, ParityHash
+from .errors import DimensionError, IntegrityError, ParameterError
+from .gf2hash import Assignment, ParityHash
 
 __all__ = [
     "CountingProblem",
@@ -57,14 +57,6 @@ _BLOCK = 1 << 16  # assignments per numpy block while enumerating models
 _SCAN_ELEMENTS = 1 << 14
 
 
-class IntegrityError(RuntimeError):
-    """A solver returned a witness that fails the in-process recheck."""
-
-
-class ParameterError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class OracleVerdict:
     answer: str  # "sat" | "unsat" | "unknown"
@@ -78,12 +70,30 @@ class OracleVerdict:
 
 @dataclass(frozen=True)
 class SolverProfile:
-    """External solver adapter: a command template with an {in} placeholder."""
+    """Every setting of the external solver, checked once here.
+
+    `template` is the command, with an {in} placeholder for the instance
+    path; `budget_s` is the per-call timeout (None: no limit); `native_xor`
+    sends parity rows as x-lines, else they are expanded into CNF with
+    sub-XORs of arity `chunk`; `jobs` is how many solver calls of one
+    estimate run at once.  The CLI fills these from --solver, --budget-s,
+    --native-xor, --chunk and --jobs.  Without a profile every question is
+    answered in process, so neither `budget_s` nor `jobs` has any effect.
+    """
 
     template: str
     budget_s: float | None = None
     native_xor: bool = False
     chunk: int = 6
+    jobs: int = 1
+
+    def __post_init__(self):
+        if "{in}" not in self.template:
+            raise ParameterError("solver template must contain an {in} placeholder")
+        if self.chunk < 2:
+            raise ParameterError("chunk must be at least 2")
+        if self.jobs < 1:
+            raise ParameterError("jobs must be at least 1")
 
 
 class CountingProblem:
@@ -352,17 +362,12 @@ def count_models(formula: CnfFormula) -> int:
     return sum(len(block) for block in _model_blocks(formula))
 
 
-def _check_assignment(formula: CnfFormula, bits: int, h: ParityHash = None) -> bool:
+def _check_assignment(formula: CnfFormula, bits: int) -> bool:
     for cl in formula.clauses:
         if not any((bits >> (l - 1)) & 1 if l > 0 else not (bits >> (-l - 1)) & 1
                    for l in cl):
             return False
-    xors = list(formula.xors)
-    if h is not None:
-        for i, row in enumerate(h.rows):
-            sup = [j + 1 for j in range(h.n) if (row >> j) & 1]
-            xors.append((sup, (h.b_bits >> i) & 1))
-    for sup, rhs in xors:
+    for sup, rhs in formula.xors:
         parity = 0
         for v in sup:
             parity ^= (bits >> (v - 1)) & 1
@@ -371,12 +376,8 @@ def _check_assignment(formula: CnfFormula, bits: int, h: ParityHash = None) -> b
     return True
 
 
-def run_external(instance_text: str, profile: SolverProfile,
-                 budget: float = None) -> OracleVerdict:
+def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
     """Write the instance, run the solver command, parse the s/v protocol."""
-    if "{in}" not in profile.template:
-        raise ParameterError("solver template must contain an {in} placeholder")
-    budget = budget if budget is not None else profile.budget_s
     t0 = time.monotonic()
     with tempfile.NamedTemporaryFile(
         "w", suffix=".cnf", prefix="xorcount_", delete=False
@@ -389,7 +390,7 @@ def run_external(instance_text: str, profile: SolverProfile,
         ]
         try:
             proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=budget
+                cmd, capture_output=True, text=True, timeout=profile.budget_s
             )
         except subprocess.TimeoutExpired:
             return OracleVerdict(
@@ -439,17 +440,19 @@ def _check_hashes(problem: CountingProblem, hashes):
 
 
 def has_survivor(problem: CountingProblem, h: ParityHash = None,
-                 budget: float = None, solver: SolverProfile = None) -> OracleVerdict:
+                 solver: SolverProfile = None) -> OracleVerdict:
     """sat iff some x in S has h(x) = 0; h=None (m = 0) asks whether S is
     non-empty.
 
     Explicit problems, and CNF problems without a solver profile, are
     answered in process from the packed set (the survival kernel with T = 1);
     the witness is the first surviving member in increasing order.  CNF
-    problems with a profile go to the external solver.  External SAT answers must carry a model over every formula variable,
-    else the verdict is unknown ("no model"); the model is re-checked in
-    process, and a failing recheck is a hard integrity error, never
-    silently accepted.
+    problems with a profile go to the external solver: the hash rows are
+    conjoined once as native XORs, and that one formula is both emitted in
+    the profile's transport and the witness's recheck.  External SAT
+    answers must carry a model over every formula variable, else the
+    verdict is unknown ("no model"); a model failing the recheck is a hard
+    integrity error, never silently accepted.
     """
     _check_hashes(problem, [h])
     if problem.kind == "explicit" or solver is None:
@@ -458,32 +461,31 @@ def has_survivor(problem: CountingProblem, h: ParityHash = None,
         if i < 0:
             return OracleVerdict("unsat")
         return OracleVerdict("sat", witness=Assignment(_unpack(packed[i]), problem.n))
-    formula = problem.formula
-    conj = formula if h is None else conjoin(
-        formula, h, native_xor=solver.native_xor, chunk=solver.chunk)
+    conj = problem.formula if h is None else conjoin(problem.formula, h)
     text = emit(conj, native_xor=solver.native_xor, chunk=solver.chunk)
-    verdict = run_external(text, solver, budget=budget)
+    verdict = run_external(text, solver)
     if verdict.answer != "sat":
         return verdict
-    full = (1 << formula.num_vars) - 1
+    full = (1 << conj.num_vars) - 1
     if verdict.stats.get("assigned_bits", 0) & full != full:
         return OracleVerdict("unknown", stats=dict(verdict.stats, reason="no model"))
     bits = verdict.stats.get("model_bits", 0)
-    if not _check_assignment(formula, bits, h):
+    if not _check_assignment(conj, bits):
         raise IntegrityError("solver witness fails in-process recheck")
     wit = Assignment(bits & ((1 << problem.n) - 1), problem.n)
     return OracleVerdict("sat", witness=wit, stats=verdict.stats)
 
 
-def has_survivors(problem: CountingProblem, hashes, budget: float = None,
-                  solver: SolverProfile = None, jobs: int = 1) -> list:
+def has_survivors(problem: CountingProblem, hashes,
+                  solver: SolverProfile = None) -> list:
     """The answer ("sat", "unsat" or "unknown") of has_survivor(problem, h)
     for every h in `hashes`, which share m (None for all asks m = 0).
 
     In-process problems answer all of them in one pass of the survival
-    kernel.  External solvers get one has_survivor call per hash; jobs > 1
-    runs them on a thread pool (each owns its own subprocess and temp file),
-    and answers stay in hash order.
+    kernel.  External solvers get one has_survivor call per hash, except at
+    m = 0, where the one question "is S non-empty?" is asked once and its
+    answer repeated; solver.jobs > 1 runs the calls on a thread pool (each
+    owns its own subprocess and temp file), and answers stay in hash order.
     """
     _check_hashes(problem, hashes)
     if problem.kind == "explicit" or solver is None:
@@ -491,11 +493,13 @@ def has_survivors(problem: CountingProblem, hashes, budget: float = None,
         return ["sat" if i >= 0 else "unsat" for i in first.tolist()]
 
     def ask(h):
-        return has_survivor(problem, h, budget=budget, solver=solver).answer
+        return has_survivor(problem, h, solver=solver).answer
 
-    if jobs > 1:
+    if hashes and hashes[0] is None:
+        return [ask(None)] * len(hashes)
+    if solver.jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=solver.jobs) as pool:
             return list(pool.map(ask, hashes))
     return [ask(h) for h in hashes]

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .dimacs import CnfFormula
+from .errors import CapacityError
 from .gf2hash import Assignment, HashParams, ParityHash, sample_hash
 from .oracle import CountingProblem
 
@@ -33,10 +34,6 @@ __all__ = [
 
 MAX_CELLS = 64
 MAX_SEARCH_ESTIMATE = 10**9
-
-
-class CapacityError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -45,13 +46,6 @@ class TestEstimateSurvival:
         b = estimate_survival(problem, 4, 0.4, 30, seed=11)
         assert a == b
 
-    def test_jobs_match_serial(self):
-        rng = random.Random(1)
-        problem = random_subset_problem(rng, 10, 100)
-        serial = estimate_survival(problem, 4, 0.4, 20, seed=5)
-        parallel = estimate_survival(problem, 4, 0.4, 20, seed=5, jobs=4)
-        assert serial == parallel
-
     def test_m_zero_is_satisfiability(self):
         assert estimate_survival(full_cube_problem(4), 0, 0.5, 5, seed=0
                                  ).successes_Y == 5
@@ -68,18 +62,21 @@ class TestEstimateSurvival:
         with pytest.raises(ValueError):
             estimate_survival(full_cube_problem(4), 1, 0.5, 0, seed=0)
 
-    def test_jobs_match_serial_on_cnf(self):
-        # every trial of a fresh problem races to build its model set
+    def test_jobs_match_serial_on_cnf(self, exhaustive_solver):
+        # four solver calls at once answer as one at a time, and as in process
         from xorcount.dimacs import CnfFormula
         rng = random.Random(4)
         clauses = [[rng.choice([v, -v]) for v in rng.sample(range(1, 13), 3)]
                    for _ in range(10)]
         formula = CnfFormula(12, clauses, [])
+        parallel_solver = dataclasses.replace(exhaustive_solver, jobs=4)
         serial = estimate_survival(CountingProblem.from_cnf(formula), 5, 0.3,
-                                   16, seed=2)
+                                   16, seed=2, solver=exhaustive_solver)
         parallel = estimate_survival(CountingProblem.from_cnf(formula), 5, 0.3,
-                                     16, seed=2, jobs=4)
+                                     16, seed=2, solver=parallel_solver)
         assert serial == parallel
+        assert serial == estimate_survival(CountingProblem.from_cnf(formula),
+                                           5, 0.3, 16, seed=2)
 
     @pytest.mark.parametrize("n,size,m,f,T", [
         (1, 2, 1, 0.5, 20),

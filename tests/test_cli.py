@@ -4,6 +4,7 @@ import math
 import random
 import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +143,17 @@ class TestBoundCmd:
             docs.append(strip_timing(json.loads(report.read_text())))
         assert docs[0] == docs[1]
 
+    @pytest.mark.parametrize("flags", [["--solver", "solver"],
+                                       ["--solver", "solver {in}", "--chunk", "1"],
+                                       ["--solver", "solver {in}", "--jobs", "0"]])
+    def test_bad_solver_settings_are_a_one_line_error(self, tmp_path, flags):
+        cnf = tmp_path / "t.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", str(cnf), "lb", "--m", "1"] + flags)
+        msg = str(exc.value.code)
+        assert msg.startswith("bad solver settings") and "\n" not in msg
+
     def test_mixed_width_set_is_a_one_line_error(self, tmp_path):
         f = tmp_path / "mixed.txt"
         f.write_text("0101\n11\n000000\n")
@@ -181,7 +193,7 @@ class TestSweepCmd:
             if row["lb_log2"]:
                 assert float(row["lb_log2"]) <= true_log2
             assert float(row["ub_log2"]) >= true_log2
-            assert json.loads(open(row["certificates_path"]).read())
+            assert json.loads(Path(row["certificates_path"]).read_text())
 
 
 class TestTableCmd:

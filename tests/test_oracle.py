@@ -278,6 +278,57 @@ class TestModelSet:
             assert has_survivor(CountingProblem.from_explicit([], n)).answer == "unsat"
 
 
+class TestSolverQuestion:
+    """What has_survivor sends to an external solver, and how often."""
+
+    @pytest.mark.parametrize("native_xor", [True, False])
+    @pytest.mark.parametrize("f", [0.0, 0.3])
+    @pytest.mark.parametrize("own_xlines", [0, 3])
+    def test_sends_the_conjoined_formula(self, monkeypatch, native_xor, f,
+                                         own_xlines):
+        from xorcount import oracle
+        sent = []
+
+        def fake_run_external(text, profile):
+            sent.append(text)
+            return oracle.OracleVerdict("unsat")
+
+        monkeypatch.setattr(oracle, "run_external", fake_run_external)
+        rng = random.Random(own_xlines * 10 + int(f * 10))
+        formula = random_cnf(rng, 10, 8, xors=own_xlines)
+        problem = CountingProblem.from_cnf(formula)
+        p = SolverProfile("solver {in}", native_xor=native_xor, chunk=3)
+        for seed in range(4):
+            h = sample_hash(HashParams(10, 5, f, seed=seed))
+            assert has_survivor(problem, h, solver=p).answer == "unsat"
+            want = emit(conjoin(formula, h, native_xor=p.native_xor, chunk=p.chunk),
+                        native_xor=p.native_xor, chunk=p.chunk)
+            assert sent[-1] == want
+        assert len(sent) == 4
+
+    def test_m_zero_is_asked_once(self, monkeypatch, exhaustive_solver):
+        from xorcount import oracle
+        from xorcount.bounds import estimate_survival
+        calls = []
+        real = oracle.run_external
+
+        def counting_run_external(text, profile):
+            calls.append(text)
+            return real(text, profile)
+
+        monkeypatch.setattr(oracle, "run_external", counting_run_external)
+        problem = CountingProblem.from_cnf(CnfFormula(3, [[1, 2]], []))
+        est = estimate_survival(problem, 0, 0.5, 5, seed=0, solver=exhaustive_solver)
+        assert est.outcomes == (1, 1, 1, 1, 1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("kwargs", [{"chunk": 1}, {"jobs": 0}])
+    def test_profile_checked_at_construction(self, kwargs):
+        # the template's {in} check: TestRunExternal.test_template_needs_placeholder
+        with pytest.raises(ParameterError):
+            SolverProfile("solver {in}", **kwargs)
+
+
 class TestCountModels:
     def test_small_formula(self):
         # (x1 or x2) and (not x1 or x3) over 4 variables
@@ -373,4 +424,4 @@ class TestRunExternal:
             v = has_survivor(problem, h, solver=exhaustive_solver)
             if v.is_sat:
                 assert v.witness is not None
-                assert _check_assignment(f, v.witness.bits, h)
+                assert _check_assignment(conjoin(f, h), v.witness.bits)
