@@ -26,11 +26,18 @@ from pathlib import Path
 
 from . import bounds as bd
 from . import comb, dimacs, tables
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .gf2hash import Assignment
 from .oracle import CountingProblem, SolverProfile, _model_blocks, count_models
 
 LN2 = math.log(2.0)
+
+
+def _load_table_spec(path: str, text: str) -> tables.ContingencyTableSpec:
+    try:
+        return tables.parse_table_spec(text)
+    except ValueError as exc:
+        raise SystemExit("bad table-spec file %s: %s" % (path, exc)) from None
 
 
 def _load_problem(path: str):
@@ -42,8 +49,7 @@ def _load_problem(path: str):
         if line.startswith("p cnf"):
             return CountingProblem.from_cnf(dimacs.parse(text)), "cnf"
         if line.startswith("rows"):
-            spec = tables.parse_table_spec(text)
-            problem, _ = tables.encode_to_cnf(spec)
+            problem, _ = tables.encode_to_cnf(_load_table_spec(path, text))
             return problem, "table"
         break
     lines = [l.strip() for l in text.splitlines()]
@@ -238,8 +244,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table(args) -> int:
-    spec = tables.parse_table_spec(Path(args.input).read_text())
-    count = tables.brute_force_count(spec, force=args.force)
+    spec = _load_table_spec(args.input, Path(args.input).read_text())
+    try:
+        count = tables.brute_force_count(spec, force=args.force)
+    except CapacityError as exc:
+        raise SystemExit("table spec %s: %s" % (
+            args.input, str(exc).replace("force=True", "--force"))) from None
     print("exact count: %d" % count)
     if count:
         _print_scales("log2 count", math.log2(count))

@@ -2,10 +2,14 @@
 
 A spec fixes row/column marginals (optionally 0-1 cells and structural
 zeros); the count of tables meeting it is the quantity of interest.  Small
-specs are counted exactly by pruned enumeration; any spec lowers to a CNF
-whose models over the cell bits are exactly the admissible tables, so the
-hashing bounds apply.  Cell bits come first in the variable order and
-adder auxiliaries after, so parity constraints range over cell bits only.
+specs are counted exactly by enumeration: rows are filled top to bottom,
+and each cell's lower bound is what its column still needs beyond what the
+rows below can supply, so the search never builds a row that leaves a
+column short and then has to discard it; the tables come out in increasing
+lexicographic order.  Any spec lowers to a CNF whose models over the cell
+bits are exactly the admissible tables, so the hashing bounds apply.  Cell
+bits come first in the variable order and adder auxiliaries after, so
+parity constraints range over cell bits only.
 """
 
 from __future__ import annotations
@@ -100,57 +104,63 @@ def _search_estimate(spec: ContingencyTableSpec) -> float:
     return est
 
 
-def _row_fill_options(spec, i, caps):
-    """Yield rows (tuples) summing to R_i within per-cell caps."""
-    r = spec.row_marginals[i]
-    cols = spec.cols
-    ubs = []
-    for j in range(cols):
-        ub = 0 if (i, j) in spec.structural_zeros else min(caps[j], r)
-        if spec.binary:
-            ub = min(ub, 1)
-        ubs.append(ub)
-    suffix = [0] * (cols + 1)
+def _rows_within(total, lo, hi):
+    """Yield, in increasing lexicographic order, every row v summing to
+    `total` with lo[j] <= v[j] <= hi[j].
+
+    An odometer: each position takes the least value that still lets the
+    positions after it reach `total`, and a step raises the rightmost
+    position that can still rise.  Suffix sums of lo and hi keep every
+    prefix completable, so each row it builds is yielded.
+    """
+    cols = len(lo)
+    lo_suffix = [0] * (cols + 1)
+    hi_suffix = [0] * (cols + 1)
     for j in range(cols - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + ubs[j]
+        if lo[j] > hi[j]:
+            return
+        lo_suffix[j] = lo_suffix[j + 1] + lo[j]
+        hi_suffix[j] = hi_suffix[j + 1] + hi[j]
+    if not lo_suffix[0] <= total <= hi_suffix[0]:
+        return
     row = [0] * cols
-
-    def rec(j, rem):
-        if j == cols:
-            if rem == 0:
-                yield tuple(row)
-            return
-        if rem > suffix[j]:
-            return
-        lo = max(0, rem - suffix[j + 1])
-        for v in range(lo, min(ubs[j], rem) + 1):
+    top = [0] * cols  # the most position j may hold after its prefix
+    rem = total  # what positions j.. still have to hold
+    j = 0
+    while True:
+        while j < cols:
+            v = rem - hi_suffix[j + 1]
+            if v < lo[j]:
+                v = lo[j]
+            t = rem - lo_suffix[j + 1]
+            top[j] = t if t < hi[j] else hi[j]
             row[j] = v
-            yield from rec(j + 1, rem - v)
-        row[j] = 0
-
-    yield from rec(0, r)
-
-
-def _columns_feasible(spec, caps, next_row):
-    """Can the remaining rows still cover every residual column demand?"""
-    rows_left = spec.rows - next_row
-    for j, cap in enumerate(caps):
-        if cap == 0:
-            continue
-        avail = 0
-        for k in range(next_row, spec.rows):
-            if (k, j) in spec.structural_zeros:
-                continue
-            avail += min(spec.row_marginals[k], 1) if spec.binary else spec.row_marginals[k]
-            if avail >= cap:
-                break
-        if avail < cap:
-            return False
-    return rows_left >= 0
+            rem -= v
+            j += 1
+        yield tuple(row)
+        j = cols - 1
+        while j >= 0 and row[j] == top[j]:
+            rem += row[j]
+            j -= 1
+        if j < 0:
+            return
+        row[j] += 1
+        rem -= 1
+        j += 1
 
 
 def enumerate_tables(spec: ContingencyTableSpec, force: bool = False):
-    """Yield every admissible table, row by row with column-demand pruning."""
+    """Yield every admissible table as a tuple of row tuples, in increasing
+    lexicographic order.
+
+    Rows are filled top to bottom.  `supply[k][j]` is the most that rows
+    k.. can still put into column j, so row i must leave column j no more
+    than `supply[i + 1][j]`: a per-cell lower bound `v_j >= caps_j -
+    supply[i + 1][j]`, where caps_j is column j's unmet demand.  The row
+    generator takes that bound with the upper bound `min(caps_j, row cap)`,
+    so every row it builds leaves each column a demand the rows below can
+    still meet, and none is built and then thrown away.
+    """
     if not force:
         if spec.rows * spec.cols > MAX_CELLS:
             raise CapacityError(
@@ -165,19 +175,27 @@ def enumerate_tables(spec: ContingencyTableSpec, force: bool = False):
             )
     if sum(spec.row_marginals) != sum(spec.col_marginals):
         return
+    # row_cap[k][j]: the most row k alone may put into column j
+    row_cap = [
+        [0 if (k, j) in spec.structural_zeros else min(r, 1) if spec.binary else r
+         for j in range(spec.cols)]
+        for k, r in enumerate(spec.row_marginals)
+    ]
+    supply = [[0] * spec.cols]
+    for cap_row in reversed(row_cap):
+        supply.append([s + c for s, c in zip(supply[-1], cap_row)])
+    supply.reverse()
     table = []
 
     def rec(i, caps):
         if i == spec.rows:
-            if all(c == 0 for c in caps):
-                yield tuple(table)
+            yield tuple(table)
             return
-        for row in _row_fill_options(spec, i, caps):
-            new_caps = [c - v for c, v in zip(caps, row)]
-            if not _columns_feasible(spec, new_caps, i + 1):
-                continue
+        lo = [max(0, c - s) for c, s in zip(caps, supply[i + 1])]
+        hi = [min(c, u) for c, u in zip(caps, row_cap[i])]
+        for row in _rows_within(spec.row_marginals[i], lo, hi):
             table.append(row)
-            yield from rec(i + 1, new_caps)
+            yield from rec(i + 1, [c - v for c, v in zip(caps, row)])
             table.pop()
 
     yield from rec(0, list(spec.col_marginals))
@@ -311,6 +329,15 @@ class CellEncoding:
     num_cell_bits: int
     num_vars: int
     gates: list = field(default_factory=list)
+    # (i, j, shift) of every cell of nonzero width, in row-major order
+    _cell_shifts: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._cell_shifts = [
+            (i, j, self.var_start[(i, j)] - 1)
+            for i in range(self.spec.rows) for j in range(self.spec.cols)
+            if self.widths[(i, j)]
+        ]
 
     def cell_bits(self, i: int, j: int):
         start = self.var_start[(i, j)]
@@ -349,13 +376,7 @@ class CellEncoding:
         return tuple(out)
 
     def encode_table(self, table) -> int:
-        bits = 0
-        for i in range(self.spec.rows):
-            for j in range(self.spec.cols):
-                w = self.widths[(i, j)]
-                if w:
-                    bits |= table[i][j] << (self.var_start[(i, j)] - 1)
-        return bits
+        return sum(table[i][j] << shift for i, j, shift in self._cell_shifts)
 
 
 def encode_to_cnf(spec: ContingencyTableSpec):
@@ -430,20 +451,23 @@ def parse_table_spec(text: str) -> ContingencyTableSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("rows"):
-            parts = line.split()
-            rows, cols = int(parts[1]), int(parts[3])
-        elif line.startswith("R:"):
-            rmarg = tuple(int(t) for t in line[2:].split())
-        elif line.startswith("C:"):
-            cmarg = tuple(int(t) for t in line[2:].split())
-        elif line.startswith("binary:"):
-            binary = bool(int(line.split(":", 1)[1]))
-        elif line.startswith("Z:"):
-            i, j = (int(t) for t in line[2:].split())
-            zeros.add((i, j))
-        else:
-            raise ValueError("unrecognized table-spec line: %r" % line)
+        try:
+            if line.startswith("rows"):
+                parts = line.split()
+                rows, cols = int(parts[1]), int(parts[3])
+            elif line.startswith("R:"):
+                rmarg = tuple(int(t) for t in line[2:].split())
+            elif line.startswith("C:"):
+                cmarg = tuple(int(t) for t in line[2:].split())
+            elif line.startswith("binary:"):
+                binary = bool(int(line.split(":", 1)[1]))
+            elif line.startswith("Z:"):
+                i, j = (int(t) for t in line[2:].split())
+                zeros.add((i, j))
+            else:
+                raise ValueError("unrecognized line")
+        except (ValueError, IndexError) as exc:
+            raise ValueError("bad table-spec line %r: %s" % (line, exc)) from None
     if rows is None or rmarg is None or cmarg is None:
         raise ValueError("table spec needs 'rows r cols c', 'R:' and 'C:' lines")
     return ContingencyTableSpec(rows, cols, rmarg, cmarg, binary, frozenset(zeros))

@@ -197,12 +197,39 @@ class TestSweepCmd:
 
 
 class TestTableCmd:
+    SYNTH_9 = "rows 9 cols 9\nR: 1 8 8 8 8 8 8 8 8\nC: 1 8 8 8 8 8 8 8 8\nbinary: 1\n"
+
     def test_synth_8(self, tmp_path, capsys):
         spec = tmp_path / "s.spec"
         spec.write_text("rows 8 cols 8\nR: 1 7 7 7 7 7 7 7\n"
                         "C: 1 7 7 7 7 7 7 7\nbinary: 1\n")
         assert main(["table", str(spec)]) == 0
         assert "exact count: 50" in capsys.readouterr().out
+
+    def test_capacity_refusal_is_a_one_line_error(self, tmp_path):
+        spec = tmp_path / "s9.spec"
+        spec.write_text(self.SYNTH_9)
+        with pytest.raises(SystemExit) as exc:
+            main(["table", str(spec)])
+        msg = str(exc.value.code)
+        assert str(spec) in msg and "\n" not in msg
+        assert "81 cells" in msg and "--force" in msg
+
+    def test_force_counts_past_the_cap(self, tmp_path, capsys):
+        spec = tmp_path / "s9.spec"
+        spec.write_text(self.SYNTH_9)
+        assert main(["table", str(spec), "--force"]) == 0
+        assert "exact count: 65" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cmd", [["table"], ["bound", "lb"]])
+    def test_malformed_spec_is_a_one_line_error(self, tmp_path, cmd):
+        spec = tmp_path / "bad.spec"
+        spec.write_text("rows 1 cols 2\nR: 1\nC: 1 x\n")
+        with pytest.raises(SystemExit) as exc:
+            main([cmd[0], str(spec)] + cmd[1:])
+        msg = str(exc.value.code)
+        assert msg.startswith("bad table-spec file %s" % spec)
+        assert "'C: 1 x'" in msg and "\n" not in msg
 
 
 class TestSolveCmd:

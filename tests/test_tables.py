@@ -1,5 +1,8 @@
+import hashlib
+import itertools
 import math
 import random
+import warnings
 
 import pytest
 
@@ -116,6 +119,106 @@ class TestBruteForce:
                 assert sum(t[i][j] for i in range(3)) == c
             assert t[0][0] == 0
             assert all(v in (0, 1) for row in t for v in row)
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _golden_random_spec(seed):
+    spec = random_table_spec(random.Random(seed), max_cell_bits=24)
+    # the goldens are meant to cover integer cells and structural zeros
+    assert not spec.binary and spec.structural_zeros
+    assert any(spec.cell_max(i, j) > 1
+               for i in range(spec.rows) for j in range(spec.cols))
+    return spec
+
+
+def _naive_tables(spec):
+    """Every cell-value product meeting the marginals, sorted by rows."""
+    caps = [range(spec.cell_max(i, j) + 1)
+            for i in range(spec.rows) for j in range(spec.cols)]
+    found = []
+    for flat in itertools.product(*caps):
+        t = tuple(flat[i * spec.cols:(i + 1) * spec.cols]
+                  for i in range(spec.rows))
+        if (tuple(map(sum, t)) == spec.row_marginals
+                and tuple(map(sum, zip(*t))) == spec.col_marginals):
+            found.append(t)
+    return sorted(found)
+
+
+def _order_spec(rng):
+    """Random spec small enough for a cell-by-cell product: binary or
+    integer cells, structural zeros, sometimes an all-zero row or column
+    and sometimes marginals that disagree."""
+    while True:
+        r, c = rng.randint(2, 4), rng.randint(2, 4)
+        binary = rng.random() < 0.5
+        zeros = frozenset((i, j) for i in range(r) for j in range(c)
+                          if rng.random() < 0.15)
+        table = [[0 if (i, j) in zeros else rng.randint(0, 1 if binary else 2)
+                  for j in range(c)] for i in range(r)]
+        if rng.random() < 0.2:
+            if rng.random() < 0.5:
+                table[rng.randrange(r)] = [0] * c
+            else:
+                j = rng.randrange(c)
+                for row in table:
+                    row[j] = 0
+        rmarg = [sum(row) for row in table]
+        cmarg = [sum(col) for col in zip(*table)]
+        if rng.random() < 0.15:
+            j = rng.randrange(c)
+            cmarg[j] += 1 if cmarg[j] < r or not binary else -1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            spec = ContingencyTableSpec(r, c, rmarg, cmarg, binary, zeros)
+        if math.prod(spec.cell_max(i, j) + 1 for i in range(r)
+                     for j in range(c)) <= 10000:
+            return spec
+
+
+class TestEnumerationOrder:
+    # SHA-256 of repr(list(enumerate_tables(spec, force=True))): callers
+    # such as explicit_problem and the CLI rely on this exact sequence
+    GOLDEN = {
+        "synth_5": "23861111371720874166c782f69bda16294ccf869ecbbbad01a42a56b3da2dd5",
+        "synth_8": "78bb93fb532429012d51790ef08f9eec62a2f1a31487f3f3ddce63e429e27f4d",
+        "synth_12": "9f12915afc2b023f52bfa1e2db5fc6913124a2ab9a9c155ba06bc1d97a0d6716",
+        "random_74": "b0d559355cf2d214863724cad118270bebb917be79035152b57b6402f40db5db",
+        "random_255": "e41d7d0093b078c5bcce35e25b03639c2f97646542e65eb6359aeb388e4731f8",
+        "random_274": "4c9ddc52769963f489a77f4dae27bf010b89cbe50328ba996f52ed5319d3a16b",
+    }
+    PACKED_SYNTH_12 = "6939d3d8cd431183491a35da5e9b7412ee3aac270173eddac25a636489dea975"
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_sequence(self, name):
+        kind, arg = name.split("_")
+        spec = (synth_spec(int(arg)) if kind == "synth"
+                else _golden_random_spec(int(arg)))
+        tables = list(enumerate_tables(spec, force=True))
+        assert _digest(repr(tables).encode()) == self.GOLDEN[name]
+
+    def test_golden_packed_set(self):
+        problem = explicit_problem(synth_spec(12), force=True)
+        assert _digest(problem._packed.tobytes()) == self.PACKED_SYNTH_12
+
+    def test_order_matches_sorted_product(self):
+        rng = random.Random(29)
+        seen = {"binary": 0, "integer": 0, "zeros": 0, "empty line": 0,
+                "mismatched": 0, "several tables": 0}
+        for _ in range(200):
+            spec = _order_spec(rng)
+            seen["binary" if spec.binary else "integer"] += 1
+            seen["zeros"] += bool(spec.structural_zeros)
+            seen["empty line"] += 0 in spec.row_marginals + spec.col_marginals
+            seen["mismatched"] += (sum(spec.row_marginals)
+                                   != sum(spec.col_marginals))
+            naive = _naive_tables(spec)
+            seen["several tables"] += len(naive) > 1
+            assert list(enumerate_tables(spec)) == naive, spec
+        assert all(seen.values()), seen
 
 
 class TestEncoding:
