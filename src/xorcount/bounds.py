@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from .comb import upper_bound_threshold
-from .errors import OracleUnknownError
+from .errors import OracleUnknownError, ParameterError
 from .gf2hash import HashParams, derive_seed, sample_hash
 from .oracle import CountingProblem, SolverProfile, has_survivors
 
@@ -132,9 +132,9 @@ class SparseCountConfig:
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0,1)")
+            raise ParameterError("delta must lie in (0,1)")
         if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+            raise ParameterError("alpha must be positive")
         if not callable(self.density_schedule):
             fconst = float(self.density_schedule)
             self.density_schedule = lambda i: fconst
@@ -181,7 +181,7 @@ def estimate_survival(problem: CountingProblem, m: int, f: float, T: int,
     a solver).  Outcomes are kept in trial order either way.
     """
     if T < 1:
-        raise ValueError("T must be at least 1")
+        raise ParameterError("T must be at least 1")
     stream = derive_seed(seed, m)
     hashes = [
         sample_hash(HashParams(problem.n, m, f, seed=derive_seed(stream, k)))
@@ -208,12 +208,12 @@ def lower_bound(est: SurvivalEstimate, kappa: float, c: float = None,
     grid); the certificate records that choice.
     """
     if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
+        raise ParameterError("kappa must be positive")
     data_chosen = c is None
     if data_chosen:
         c = est.p_est if est.successes_Y > 0 else 1.0 / est.trials_T
     if not 0.0 < c <= 1.0:
-        raise ValueError("threshold c must lie in (0, 1]")
+        raise ParameterError("threshold c must lie in (0, 1]")
     confidence = _lb_confidence(kappa, c, est.trials_T)
     issued = est.p_est >= c
     bound_log2 = est.m + math.log2(c) - math.log2(1.0 + kappa) if issued else None
@@ -238,7 +238,7 @@ def best_lower_bound(problem: CountingProblem, f: float, m_range, T: int,
     """
     m_list = sorted(set(m_range))
     if not m_list or m_list[0] < 1 or m_list[-1] > problem.n:
-        raise ValueError("m_range must lie within [1, n]")
+        raise ParameterError("m_range must lie within [1, n]")
     best = None
     best_vacuous = None
     for m in m_list:
@@ -266,7 +266,9 @@ def upper_bound(problem: CountingProblem, m: int, f: float, delta: float,
     T defaults to ceil(24 ln(1/Delta)) and is never allowed below it.
     """
     if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0,1)")
+        raise ParameterError("delta must lie in (0,1)")
+    if not 1 <= m <= problem.n:
+        raise ParameterError("m must lie within [1, n], got m=%d n=%d" % (m, problem.n))
     t_min = math.ceil(24.0 * math.log(1.0 / delta))
     T = t_min if T is None else max(T, t_min)
     t0 = time.monotonic()
@@ -302,7 +304,7 @@ def sparse_count(problem: CountingProblem, config: SparseCountConfig,
     for i in range(0, max_i + 1):
         f_i = config.density_schedule(i)
         if not 0.0 <= f_i <= 0.5:
-            raise ValueError("schedule density %r out of [0, 1/2]" % (f_i,))
+            raise ParameterError("schedule density %r out of [0, 1/2]" % (f_i,))
         ones = estimate_survival(problem, i, f_i, T, seed, solver).successes_Y
         if ones * 2 <= T:  # median < 1
             if i == 0:
@@ -319,7 +321,7 @@ def pick_promising_m(problem: CountingProblem, f: float, coarse_T: int,
     best geometric point.  Falls back to m = 1 when nothing clears 1/2.
     """
     if coarse_T < 3:
-        raise ValueError("coarse_T must be at least 3")
+        raise ParameterError("coarse_T must be at least 3")
     n = problem.n
 
     def p_at(m: int) -> float:

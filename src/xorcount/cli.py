@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import bounds as bd
@@ -40,17 +41,21 @@ def _load_table_spec(path: str, text: str) -> tables.ContingencyTableSpec:
         raise SystemExit("bad table-spec file %s: %s" % (path, exc)) from None
 
 
-def _load_problem(path: str):
-    text = Path(path).read_text()
+def _load_problem(path: str) -> CountingProblem:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit("bad bound parameters: cannot read %s: %s"
+                         % (path, exc)) from None
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("c ") or line == "c" or line.startswith("#"):
             continue
         if line.startswith("p cnf"):
-            return CountingProblem.from_cnf(dimacs.parse(text)), "cnf"
+            return CountingProblem.from_cnf(dimacs.parse(text))
         if line.startswith("rows"):
             problem, _ = tables.encode_to_cnf(_load_table_spec(path, text))
-            return problem, "table"
+            return problem
         break
     lines = [l.strip() for l in text.splitlines()]
     lines = [l for l in lines if l and not l.startswith("#")]
@@ -58,7 +63,7 @@ def _load_problem(path: str):
         raise SystemExit("empty explicit-set file: %s" % path)
     try:
         members = [Assignment.from_string(l) for l in lines]
-        return CountingProblem.from_explicit(members, members[0].n), "explicit"
+        return CountingProblem.from_explicit(members, members[0].n)
     except ValueError as exc:  # a bad character, or lines of mixed lengths
         raise SystemExit("bad explicit-set file %s: %s" % (path, exc)) from None
 
@@ -112,52 +117,39 @@ def cmd_fstar(args) -> int:
     return 0
 
 
-def _run_lb(problem, args, solver):
-    m_range = [args.m] if args.m else None
-    if m_range is None:
-        m0 = bd.pick_promising_m(problem, args.f, coarse_T=max(3, (args.T or 24) // 4),
-                                 seed=args.seed, solver=solver)
-        lo = max(1, m0 - 2)
-        hi = min(problem.n, m0 + 2)
-        m_range = range(lo, hi + 1)
+def _start_m(problem, args, solver, f: float) -> int:
+    """Where both bounds at density f start: --m, else the pre-scan's pick."""
+    if args.m is not None:
+        return args.m
+    T = 24 if args.T is None else args.T
+    return bd.pick_promising_m(problem, f, coarse_T=max(3, T // 4),
+                               seed=args.seed, solver=solver)
+
+
+def _run_lb(problem, args, solver, f: float, m0: int):
+    # --m alone, else the window m0 +- 2 around the pre-scan's pick
+    m_range = ([m0] if args.m is not None
+               else range(max(1, m0 - 2), min(problem.n, m0 + 2) + 1))
     return bd.best_lower_bound(
-        problem, args.f, m_range, T=args.T or 24, kappa=args.kappa,
+        problem, f, m_range, T=24 if args.T is None else args.T, kappa=args.kappa,
         c=args.c_threshold, seed=args.seed, bonferroni=args.bonferroni,
         solver=solver,
     )
 
 
-def _run_ub(problem, args, solver):
-    if args.m:
-        return bd.upper_bound(problem, args.m, args.f, args.delta,
-                              seed=args.seed, T=args.T, solver=solver)
-    # no m given: walk upward from a promising level until the event fires
-    m0 = bd.pick_promising_m(problem, args.f, coarse_T=max(3, (args.T or 24) // 4),
-                             seed=args.seed, solver=solver)
-    cert = None
-    for m in range(m0, min(problem.n, m0 + 8) + 1):
-        cert = bd.upper_bound(problem, m, args.f, args.delta, seed=args.seed,
+def _run_ub(problem, args, solver, f: float, m0: int):
+    # without --m, walk upward from m0, at most 8 levels, until the event fires
+    top = m0 if args.m is not None else min(problem.n, m0 + 8)
+    for m in range(m0, top + 1):
+        cert = bd.upper_bound(problem, m, f, args.delta, seed=args.seed,
                               T=args.T, solver=solver)
         if cert.event_fired:
-            return cert
+            break
     return cert
 
 
-def _bound_once(problem, args, solver):
-    """Run one mode; returns (certificates, issued?)."""
-    if args.mode == "lb":
-        cert = _run_lb(problem, args, solver)
-        _print_scales("lower bound", cert.bound_log2)
-        print("confidence %.4f (m=%d, c=%g, kappa=%g, T=%d, p_est=%.4f)"
-              % (cert.confidence, cert.m, cert.c, cert.kappa, cert.T, cert.p_est))
-        return [cert.to_json()], True  # vacuous still counts as issued
-    if args.mode == "ub":
-        cert = _run_ub(problem, args, solver)
-        _print_scales("upper bound", cert.verdict_log2)
-        print("event %s (m=%d, T=%d, empty %d/%d, Delta=%g)"
-              % ("fired" if cert.event_fired else "did not fire; sentinel",
-                 cert.m, cert.T, cert.empty_count, cert.T, cert.delta))
-        return [cert.to_json()], True
+def _bound_once(problem, args, solver) -> dict:
+    """Run one mode at --f, print its summary and return its certificate JSON."""
     if args.mode == "count":
         cfg = bd.SparseCountConfig(delta=args.delta, alpha=args.alpha,
                                    density_schedule=args.f, T=args.T,
@@ -169,12 +161,24 @@ def _bound_once(problem, args, solver):
             _print_scales("sparse-count estimate", res.log2_estimate)
         if res.exhausted:
             print("warning: level loop exhausted at i=%d" % res.break_i)
-        return [res.to_json()], True
-    raise SystemExit("unknown mode %r" % args.mode)
+        return res.to_json()
+    m0 = _start_m(problem, args, solver, args.f)
+    if args.mode == "lb":
+        cert = _run_lb(problem, args, solver, args.f, m0)
+        _print_scales("lower bound", cert.bound_log2)
+        print("confidence %.4f (m=%d, c=%g, kappa=%g, T=%d, p_est=%.4f)"
+              % (cert.confidence, cert.m, cert.c, cert.kappa, cert.T, cert.p_est))
+        return cert.to_json()
+    cert = _run_ub(problem, args, solver, args.f, m0)
+    _print_scales("upper bound", cert.verdict_log2)
+    print("event %s (m=%d, T=%d, empty %d/%d, Delta=%g)"
+          % ("fired" if cert.event_fired else "did not fire; sentinel",
+             cert.m, cert.T, cert.empty_count, cert.T, cert.delta))
+    return cert.to_json()
 
 
 def cmd_bound(args) -> int:
-    problem, _kind = _load_problem(args.input)
+    problem = _load_problem(args.input)
     solver = _solver_profile(args)
     t0 = time.monotonic()
     report = {
@@ -185,26 +189,25 @@ def cmd_bound(args) -> int:
                    "alpha": args.alpha, "bonferroni": args.bonferroni},
     }
     try:
-        certs, issued = _bound_once(problem, args, solver)
+        report["certificates"] = [_bound_once(problem, args, solver)]
+    except ParameterError as exc:
+        raise SystemExit("bad bound parameters: %s" % exc) from None
     except bd.OracleUnknownError as exc:
-        report["certificates"] = []
-        report["inconclusive"] = str(exc)
+        report.update(certificates=[], inconclusive=str(exc))
         print("inconclusive: %s" % exc, file=sys.stderr)
-        if args.json:
-            report["wall_time_s"] = time.monotonic() - t0
-            Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
-        return 2
-    report["certificates"] = certs
     report["wall_time_s"] = time.monotonic() - t0
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
-    return 0 if issued else 1
+    return 2 if "inconclusive" in report else 0
 
 
 def cmd_sweep(args) -> int:
-    problem, _kind = _load_problem(args.input)
+    try:
+        f_list = [float(t) for t in args.f_list.split(",")]
+    except ValueError as exc:  # a density that is not a number
+        raise SystemExit("bad bound parameters: %s in %r" % (exc, args.f_list)) from None
+    problem = _load_problem(args.input)
     solver = _solver_profile(args)
-    f_list = [float(t) for t in args.f_list.split(",")]
     out_dir = Path(args.certs_dir) if args.certs_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -214,16 +217,17 @@ def cmd_sweep(args) -> int:
         row = {"f": f, "lb_log2": "", "ub_log2": "", "wall_time_s": "",
                "certificates_path": ""}
         try:
-            opts = dict(vars(args), f=f)
-            ns = argparse.Namespace(**opts)
-            lb = _run_lb(problem, ns, solver)
-            ub = _run_ub(problem, ns, solver)
+            m0 = _start_m(problem, args, solver, f)
+            lb = _run_lb(problem, args, solver, f, m0)
+            ub = _run_ub(problem, args, solver, f, m0)
             row["lb_log2"] = "" if lb.bound_log2 is None else "%.6g" % lb.bound_log2
             row["ub_log2"] = "%.6g" % ub.verdict_log2
             if out_dir:
                 p = out_dir / ("certs_f%s.json" % ("%g" % f).replace(".", "p"))
                 p.write_text(json.dumps([lb.to_json(), ub.to_json()], indent=2) + "\n")
                 row["certificates_path"] = str(p)
+        except ParameterError as exc:
+            raise SystemExit("bad bound parameters: %s" % exc) from None
         except bd.OracleUnknownError as exc:
             print("f=%g inconclusive: %s" % (f, exc), file=sys.stderr)
         row["wall_time_s"] = "%.4f" % (time.monotonic() - t0)
@@ -232,14 +236,10 @@ def cmd_sweep(args) -> int:
               % (f, row["lb_log2"] or "-", row["ub_log2"] or "-",
                  row["wall_time_s"]))
     fieldnames = ["f", "lb_log2", "ub_log2", "wall_time_s", "certificates_path"]
-    out = open(args.csv, "w", newline="") if args.csv else sys.stdout
-    try:
+    with open(args.csv, "w", newline="") if args.csv else nullcontext(sys.stdout) as out:
         writer = csv.DictWriter(out, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if args.csv:
-            out.close()
     return 0
 
 

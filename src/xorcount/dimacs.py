@@ -1,4 +1,5 @@
 """DIMACS CNF parsing and emission, with extended parity ("x") lines.
+Text only: `oracle.expand_xors` lowers parity rows to plain clauses.
 
 x-line convention (dialects disagree, so pinned here and in golden tests):
 "x1 2 0" asserts x1 XOR x2 = 1; a leading minus on the FIRST literal flips
@@ -89,18 +90,13 @@ def parse(text: str) -> CnfFormula:
     return CnfFormula(num_vars, clauses, xors).validate()
 
 
-def emit(formula: CnfFormula, native_xor: bool = True, chunk: int = 6) -> str:
+def emit(formula: CnfFormula) -> str:
     """Serialize deterministically: clauses in order, x-lines last.
 
-    With native_xor=False, XOR rows are first expanded to plain clauses over
-    fresh auxiliary variables (chunked sub-XORs) and the header counts the
-    expansion.
+    Parity rows go out as they are, as x-lines; a solver without x-line
+    support is sent `oracle.expand_xors(formula)` instead.
     """
     formula.validate()
-    if not native_xor and formula.xors:
-        from .oracle import expand_xors  # deferred: oracle imports this module
-
-        formula = expand_xors(formula, chunk=chunk)
     num_vars, clauses = formula.num_vars, formula.clauses
     # an empty parity row is 0 = rhs: nothing to say when rhs is 0, and a
     # contradiction on a fresh variable when it is 1 (x-lines cannot be empty)

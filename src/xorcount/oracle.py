@@ -8,7 +8,8 @@ Three interchangeable backends answer the same question:
     onto the first n variables and packed, at most 512 MB at the cap.
   * external  — serialize the conjoined instance to DIMACS and invoke a
     solver subprocess; witnesses are always re-checked in process, and a
-    SAT answer without a full model is `unknown`.
+    SAT answer without a full model is `unknown`.  Solvers without x-lines
+    get the parity rows as plain clauses, lowered here by `expand_xors`.
 
 The first two are in process: S is an (|S|, W) uint64 array, W =
 ceil(n/64) words per member, and one kernel answers every question against
@@ -153,22 +154,17 @@ def xor_to_cnf(support, rhs: int, chunk: int = 6, fresh=None):
     expands to 2^(s-1) clauses.  Empty support: rhs 1 gives the empty
     clause (contradiction), rhs 0 gives no clauses.
 
-    The default allocator numbers auxiliaries from max(support)+1; pass a
-    `fresh` callable whenever the enclosing formula has variables outside
-    the support, or the auxiliaries will shadow them.
+    Only the caller knows which variable numbers are free, so chaining
+    needs its `fresh` callable (one new variable per call); without one a
+    constraint longer than `chunk` is a ParameterError.
     """
     if chunk < 2:
         raise ParameterError("chunk must be at least 2")
     support = list(support)
     if not support:
         return [[]] if rhs else []
-    if fresh is None:
-        counter = [max(support)]
-
-        def fresh():
-            counter[0] += 1
-            return counter[0]
-
+    if fresh is None and len(support) > chunk:
+        raise ParameterError("chaining a long XOR needs a fresh-variable allocator")
     clauses = []
     pending = support
     # chaining needs arity-3 sub-XORs at minimum (two inputs + the link
@@ -219,8 +215,7 @@ def expand_xors(formula: CnfFormula, chunk: int = 6) -> CnfFormula:
     return CnfFormula(counter[0], clauses, [])
 
 
-def conjoin(formula: CnfFormula, h: ParityHash, native_xor: bool = True,
-            chunk: int = 6) -> CnfFormula:
+def conjoin(formula: CnfFormula, h: ParityHash, native_xor: bool = True) -> CnfFormula:
     """Append the hash rows of h to the formula as parity constraints.
 
     Hash columns address variables 1..h.n, which must be a prefix of the
@@ -236,7 +231,7 @@ def conjoin(formula: CnfFormula, h: ParityHash, native_xor: bool = True,
         rhs = (h.b_bits >> i) & 1
         xors.append((sup, rhs))
     out = CnfFormula(formula.num_vars, [list(cl) for cl in formula.clauses], xors)
-    return out if native_xor else expand_xors(out, chunk=chunk)
+    return out if native_xor else expand_xors(out)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +443,9 @@ def has_survivor(problem: CountingProblem, h: ParityHash = None,
     answered in process from the packed set (the survival kernel with T = 1);
     the witness is the first surviving member in increasing order.  CNF
     problems with a profile go to the external solver: the hash rows are
-    conjoined once as native XORs, and that one formula is both emitted in
-    the profile's transport and the witness's recheck.  External SAT
+    conjoined once as native XORs; that one formula is the witness's
+    recheck, and it is sent as x-lines or, without solver.native_xor, as
+    its `expand_xors` at solver.chunk.  External SAT
     answers must carry a model over every formula variable, else the
     verdict is unknown ("no model"); a model failing the recheck is a hard
     integrity error, never silently accepted.
@@ -462,7 +458,7 @@ def has_survivor(problem: CountingProblem, h: ParityHash = None,
             return OracleVerdict("unsat")
         return OracleVerdict("sat", witness=Assignment(_unpack(packed[i]), problem.n))
     conj = problem.formula if h is None else conjoin(problem.formula, h)
-    text = emit(conj, native_xor=solver.native_xor, chunk=solver.chunk)
+    text = emit(conj if solver.native_xor else expand_xors(conj, chunk=solver.chunk))
     verdict = run_external(text, solver)
     if verdict.answer != "sat":
         return verdict

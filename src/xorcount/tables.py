@@ -185,20 +185,22 @@ def enumerate_tables(spec: ContingencyTableSpec, force: bool = False):
     for cap_row in reversed(row_cap):
         supply.append([s + c for s, c in zip(supply[-1], cap_row)])
     supply.reverse()
-    table = []
-
-    def rec(i, caps):
+    # depth first without recursion: stack[i] = (demand left, row i's choices)
+    table, stack, caps = [()] * spec.rows, [], list(spec.col_marginals)
+    while True:
+        i = len(stack)
         if i == spec.rows:
             yield tuple(table)
+        else:
+            lo = [max(0, c - s) for c, s in zip(caps, supply[i + 1])]
+            hi = [min(c, u) for c, u in zip(caps, row_cap[i])]
+            stack.append((caps, _rows_within(spec.row_marginals[i], lo, hi)))
+        while stack and (row := next(stack[-1][1], None)) is None:
+            stack.pop()
+        if not stack:
             return
-        lo = [max(0, c - s) for c, s in zip(caps, supply[i + 1])]
-        hi = [min(c, u) for c, u in zip(caps, row_cap[i])]
-        for row in _rows_within(spec.row_marginals[i], lo, hi):
-            table.append(row)
-            yield from rec(i + 1, [c - v for c, v in zip(caps, row)])
-            table.pop()
-
-    yield from rec(0, list(spec.col_marginals))
+        table[len(stack) - 1] = row
+        caps = [c - v for c, v in zip(stack[-1][0], row)]
 
 
 def brute_force_count(spec: ContingencyTableSpec, force: bool = False) -> int:

@@ -154,6 +154,30 @@ class TestBoundCmd:
         msg = str(exc.value.code)
         assert msg.startswith("bad solver settings") and "\n" not in msg
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "{set}", "lb", "--T", "0"],
+        ["bound", "{set}", "lb", "--m", "0"],
+        ["bound", "{set}", "ub", "--m", "0"],
+        ["bound", "{set}", "lb", "--m", "40"],
+        ["bound", "{set}", "ub", "--m", "40"],
+        ["bound", "{set}", "lb", "--f", "0.7"],
+        ["bound", "{set}", "ub", "--m", "3", "--delta", "1.5"],
+        ["bound", "{set}", "count", "--delta", "1.5"],
+        ["bound", "{set}", "lb", "--m", "3", "--kappa", "0"],
+        ["bound", "{missing}", "lb"],
+        ["sweep", "{set}", "0.3,abc"],
+        ["sweep", "{set}", "0.3,0.7", "--m", "3", "--T", "4"],
+        ["sweep", "{missing}", "0.3"],
+    ])
+    def test_bad_bound_parameters_are_a_one_line_error(self, tmp_path, argv):
+        f = tmp_path / "set.txt"
+        write_explicit(f, range(0, 1 << 12, 37), 12)
+        argv = [a.format(set=f, missing=tmp_path / "nope.txt") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        msg = str(exc.value.code)
+        assert msg.startswith("bad bound parameters: ") and "\n" not in msg
+
     def test_mixed_width_set_is_a_one_line_error(self, tmp_path):
         f = tmp_path / "mixed.txt"
         f.write_text("0101\n11\n000000\n")
@@ -194,6 +218,36 @@ class TestSweepCmd:
                 assert float(row["lb_log2"]) <= true_log2
             assert float(row["ub_log2"]) >= true_log2
             assert json.loads(Path(row["certificates_path"]).read_text())
+
+
+    def test_one_prescan_per_density(self, tmp_path, monkeypatch):
+        # each certificate file holds what `bound lb` and `bound ub` write at
+        # that density, from one pre-scan shared by both bounds
+        from xorcount import bounds
+        scanned = []
+        real = bounds.pick_promising_m
+
+        def counting_pick(problem, f, *args, **kwargs):
+            scanned.append(f)
+            return real(problem, f, *args, **kwargs)
+
+        monkeypatch.setattr(bounds, "pick_promising_m", counting_pick)
+        rng = random.Random(12)
+        f = tmp_path / "set.txt"
+        write_explicit(f, rng.sample(range(1 << 14), 256), 14)
+        flags = ["--T", "40", "--seed", "6"]
+        assert main(["sweep", str(f), "0.3,0.5", "--csv", str(tmp_path / "s.csv"),
+                     "--certs-dir", str(tmp_path / "certs")] + flags) == 0
+        assert scanned == [0.3, 0.5]
+        for density in ("0.3", "0.5"):
+            want = []
+            for mode in ("lb", "ub"):
+                report = tmp_path / ("%s_%s.json" % (mode, density))
+                assert main(["bound", str(f), mode, "--f", density,
+                             "--json", str(report)] + flags) == 0
+                want += json.loads(report.read_text())["certificates"]
+            path = tmp_path / "certs" / ("certs_f%s.json" % density.replace(".", "p"))
+            assert strip_timing(json.loads(path.read_text())) == strip_timing(want)
 
 
 class TestTableCmd:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -38,6 +39,13 @@ class TestXorToCnf:
     def test_clause_count_no_chaining(self):
         for t in range(1, 6):
             assert len(xor_to_cnf(list(range(1, t + 1)), 1, chunk=6)) == 1 << (t - 1)
+
+    def test_chaining_needs_an_allocator(self):
+        # 7 variables at chunk 6 must chain; only the caller knows which
+        # variable numbers are free
+        with pytest.raises(ParameterError):
+            xor_to_cnf(list(range(1, 8)), 0, chunk=6)
+        assert len(xor_to_cnf(list(range(1, 7)), 0, chunk=6)) == 32
 
     def test_chunk_validation(self):
         with pytest.raises(ParameterError):
@@ -301,10 +309,46 @@ class TestSolverQuestion:
         for seed in range(4):
             h = sample_hash(HashParams(10, 5, f, seed=seed))
             assert has_survivor(problem, h, solver=p).answer == "unsat"
-            want = emit(conjoin(formula, h, native_xor=p.native_xor, chunk=p.chunk),
-                        native_xor=p.native_xor, chunk=p.chunk)
+            conj = conjoin(formula, h)
+            want = emit(conj if p.native_xor else expand_xors(conj, chunk=p.chunk))
             assert sent[-1] == want
         assert len(sent) == 4
+
+    # a formula with its own x-lines, one of them long enough to chain
+    FORMULA = CnfFormula(8, [[1, -2, 3], [-4, 5], [2, 6, -7], [-1, 8]],
+                         [([1, 3, 5, 7], 1), ([2, 4, 6, 8, 1, 3, 5], 0)])
+    # m = 0, a dense hash, an f = 0 hash whose second (empty) row has rhs 1,
+    # and a sparse hash with an empty rhs-1 row last
+    HASHES = (
+        None,
+        ParityHash((0b10110101, 0b01101110, 0b11111111), 0b101, HashParams(8, 3, 0.5)),
+        ParityHash((0, 0), 0b10, HashParams(8, 2, 0.0)),
+        ParityHash((0b00000100, 0b10000001, 0b00110000, 0), 0b1011,
+                   HashParams(8, 4, 0.2)),
+    )
+
+    # SHA-256 of the texts sent for HASHES in order, recorded before the
+    # transport choice moved out of dimacs.emit
+    @pytest.mark.parametrize("native_xor,chunk,digest", [
+        (True, 6, "62e4bd0ea31f29311e95738a6e42f097f60a3ef2dcf802236a02bf6a9652e294"),
+        (False, 3, "4ebc4497a29392d75ab8586977d6e97c9956f3dc26834730a09fe478328a3df0"),
+        (False, 6, "db19a83c4872de6767dd0e5074b75c9f4698c01eb589664efe5da14b9421a1da"),
+    ])
+    def test_sent_text_digests(self, monkeypatch, native_xor, chunk, digest):
+        from xorcount import oracle
+        sent = []
+
+        def fake_run_external(text, profile):
+            sent.append(text)
+            return oracle.OracleVerdict("unsat")
+
+        monkeypatch.setattr(oracle, "run_external", fake_run_external)
+        problem = CountingProblem.from_cnf(self.FORMULA)
+        p = SolverProfile("solver {in}", native_xor=native_xor, chunk=chunk)
+        for h in self.HASHES:
+            assert has_survivor(problem, h, solver=p).answer == "unsat"
+        assert len(sent) == len(self.HASHES)
+        assert hashlib.sha256("".join(sent).encode()).hexdigest() == digest
 
     def test_m_zero_is_asked_once(self, monkeypatch, exhaustive_solver):
         from xorcount import oracle

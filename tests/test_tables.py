@@ -220,6 +220,11 @@ class TestEnumerationOrder:
             assert list(enumerate_tables(spec)) == naive, spec
         assert all(seen.values()), seen
 
+    def test_depth_not_bounded_by_recursion_limit(self):
+        # one row per level of the search; a recursive walk dies near 1,000
+        spec = ContingencyTableSpec(1200, 1, (0,) * 1200, (0,))
+        assert brute_force_count(spec, force=True) == 1
+
 
 class TestEncoding:
     def test_projection_equals_brute_force(self):
