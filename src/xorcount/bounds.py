@@ -36,6 +36,7 @@ __all__ = [
     "upper_bound",
     "sparse_count",
     "pick_promising_m",
+    "check_parameters",
 ]
 
 LN2 = math.log(2.0)
@@ -131,8 +132,7 @@ class SparseCountConfig:
     use_ln_n: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ParameterError("delta must lie in (0,1)")
+        check_parameters(delta=self.delta)
         if self.alpha <= 0.0:
             raise ParameterError("alpha must be positive")
         if not callable(self.density_schedule):
@@ -170,6 +170,21 @@ class SparseCountResult:
         }
 
 
+def check_parameters(T: int = None, kappa: float = None, c: float = None,
+                     delta: float = None):
+    """Refuse a trial count, kappa, threshold c or Delta out of range; None
+    skips that check.  The bound functions check theirs here, and callers
+    can check before any oracle call."""
+    if T is not None and T < 1:
+        raise ParameterError("T must be at least 1")
+    if kappa is not None and kappa <= 0.0:
+        raise ParameterError("kappa must be positive")
+    if c is not None and not 0.0 < c <= 1.0:
+        raise ParameterError("threshold c must lie in (0, 1]")
+    if delta is not None and not 0.0 < delta < 1.0:
+        raise ParameterError("delta must lie in (0,1)")
+
+
 def estimate_survival(problem: CountingProblem, m: int, f: float, T: int,
                       seed: int, solver: SolverProfile = None) -> SurvivalEstimate:
     """Run T independent trials at m constraints; refuse on any unknown.
@@ -180,8 +195,7 @@ def estimate_survival(problem: CountingProblem, m: int, f: float, T: int,
     solver its profile's budget_s and jobs apply (jobs does nothing without
     a solver).  Outcomes are kept in trial order either way.
     """
-    if T < 1:
-        raise ParameterError("T must be at least 1")
+    check_parameters(T=T)
     stream = derive_seed(seed, m)
     hashes = [
         sample_hash(HashParams(problem.n, m, f, seed=derive_seed(stream, k)))
@@ -207,13 +221,11 @@ def lower_bound(est: SurvivalEstimate, kappa: float, c: float = None,
     c=None picks the data-chosen threshold p_est itself (already on the 1/T
     grid); the certificate records that choice.
     """
-    if kappa <= 0.0:
-        raise ParameterError("kappa must be positive")
+    check_parameters(kappa=kappa)
     data_chosen = c is None
     if data_chosen:
         c = est.p_est if est.successes_Y > 0 else 1.0 / est.trials_T
-    if not 0.0 < c <= 1.0:
-        raise ParameterError("threshold c must lie in (0, 1]")
+    check_parameters(c=c)
     confidence = _lb_confidence(kappa, c, est.trials_T)
     issued = est.p_est >= c
     bound_log2 = est.m + math.log2(c) - math.log2(1.0 + kappa) if issued else None
@@ -265,8 +277,7 @@ def upper_bound(problem: CountingProblem, m: int, f: float, delta: float,
 
     T defaults to ceil(24 ln(1/Delta)) and is never allowed below it.
     """
-    if not 0.0 < delta < 1.0:
-        raise ParameterError("delta must lie in (0,1)")
+    check_parameters(delta=delta)
     if not 1 <= m <= problem.n:
         raise ParameterError("m must lie within [1, n], got m=%d n=%d" % (m, problem.n))
     t_min = math.ceil(24.0 * math.log(1.0 / delta))

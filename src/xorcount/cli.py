@@ -34,11 +34,25 @@ from .oracle import CountingProblem, SolverProfile, _model_blocks, count_models
 LN2 = math.log(2.0)
 
 
+def _read_input(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SystemExit("cannot read %s: %s" % (path, exc)) from None
+
+
 def _load_table_spec(path: str, text: str) -> tables.ContingencyTableSpec:
     try:
         return tables.parse_table_spec(text)
     except ValueError as exc:
         raise SystemExit("bad table-spec file %s: %s" % (path, exc)) from None
+
+
+def _load_dimacs(path: str, text: str) -> dimacs.CnfFormula:
+    try:
+        return dimacs.parse(text)
+    except ValueError as exc:  # a ParseError, or a token that is no integer
+        raise SystemExit("bad DIMACS file %s: %s" % (path, exc)) from None
 
 
 def _load_problem(path: str) -> CountingProblem:
@@ -93,18 +107,23 @@ def _print_scales(label: str, log2_value):
 
 
 def cmd_epsilon(args) -> int:
-    inputs = comb.EpsilonInputs(args.n, args.m, args.q, args.f)
-    eps = comb.epsilon(inputs)
+    try:
+        eps = comb.epsilon(comb.EpsilonInputs(args.n, args.m, args.q, args.f))
+        v = comb.variance_bound_v(args.q, args.n, args.m, args.f)
+    except ParameterError as exc:
+        raise SystemExit("bad parameters: %s" % exc) from None
     _print_scales("epsilon(n=%d,m=%d,q=%d,f=%g)" % (args.n, args.m, args.q, args.f),
                   eps.log2_value)
-    v = comb.variance_bound_v(args.q, args.n, args.m, args.f)
     _print_scales("v(q)", v.log2_value if not v.is_zero() else None)
     return 0
 
 
 def cmd_fstar(args) -> int:
     q = 1 << (args.m + args.c)
-    cert = comb.min_density_fstar(args.n, args.m, q, args.delta)
+    try:
+        cert = comb.min_density_fstar(args.n, args.m, q, args.delta)
+    except ParameterError as exc:
+        raise SystemExit("bad parameters: %s" % exc) from None
     print("f* = %.5f  (bracket [%.5f, %.5f], tolerance %g)"
           % (cert.f_star, cert.bracket_lo, cert.bracket_hi, cert.tolerance))
     print("n=%d m=%d c=%g delta=%g q=2^%d" % (cert.n, cert.m, cert.c,
@@ -162,6 +181,11 @@ def _bound_once(problem, args, solver) -> dict:
         if res.exhausted:
             print("warning: level loop exhausted at i=%d" % res.break_i)
         return res.to_json()
+    # refuse bad flags before the pre-scan spends oracle calls
+    if args.mode == "lb":
+        bd.check_parameters(T=args.T, kappa=args.kappa, c=args.c_threshold)
+    else:
+        bd.check_parameters(delta=args.delta)
     m0 = _start_m(problem, args, solver, args.f)
     if args.mode == "lb":
         cert = _run_lb(problem, args, solver, args.f, m0)
@@ -217,6 +241,8 @@ def cmd_sweep(args) -> int:
         row = {"f": f, "lb_log2": "", "ub_log2": "", "wall_time_s": "",
                "certificates_path": ""}
         try:
+            bd.check_parameters(T=args.T, kappa=args.kappa, c=args.c_threshold,
+                                delta=args.delta)
             m0 = _start_m(problem, args, solver, f)
             lb = _run_lb(problem, args, solver, f, m0)
             ub = _run_ub(problem, args, solver, f, m0)
@@ -244,7 +270,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table(args) -> int:
-    spec = _load_table_spec(args.input, Path(args.input).read_text())
+    spec = _load_table_spec(args.input, _read_input(args.input))
     try:
         count = tables.brute_force_count(spec, force=args.force)
     except CapacityError as exc:
@@ -258,7 +284,7 @@ def cmd_table(args) -> int:
 
 def cmd_solve(args) -> int:
     """Exhaustive DIMACS solver speaking the standard s/v protocol."""
-    formula = dimacs.parse(Path(args.input).read_text())
+    formula = _load_dimacs(args.input, _read_input(args.input))
     block = next(_model_blocks(formula), None)
     if block is None:
         print("s UNSATISFIABLE")
@@ -271,7 +297,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_count_models(args) -> int:
-    formula = dimacs.parse(Path(args.input).read_text())
+    formula = _load_dimacs(args.input, _read_input(args.input))
     n = count_models(formula)
     print("models: %d" % n)
     if n:

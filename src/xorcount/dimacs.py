@@ -18,6 +18,13 @@ __all__ = ["CnfFormula", "ParseError", "parse", "emit"]
 
 @dataclass
 class CnfFormula:
+    """A CNF over variables 1..num_vars plus native parity rows.
+
+    `oracle.conjoin` and `oracle.expand_xors` build new formulas that share
+    this one's clause lists (only the outer list is new), so a clause list
+    must not be mutated once its formula is constructed.
+    """
+
     num_vars: int
     clauses: list  # list[list[int]], nonempty, no literal 0
     xors: list = field(default_factory=list)  # list[(list[int] of vars, rhs 0/1)]
@@ -94,23 +101,36 @@ def emit(formula: CnfFormula) -> str:
     """Serialize deterministically: clauses in order, x-lines last.
 
     Parity rows go out as they are, as x-lines; a solver without x-line
-    support is sent `oracle.expand_xors(formula)` instead.
+    support is sent `oracle.expand_xors(formula)` instead.  Clauses are
+    checked while they are written: each literal is looked up in a table
+    of the legal ones, ±1..±num_vars.  Any fault, in a clause or in a
+    parity row, raises the ParseError `CnfFormula.validate` raises for it.
     """
-    formula.validate()
-    num_vars, clauses = formula.num_vars, formula.clauses
+    num_vars, clauses, xors = formula.num_vars, formula.clauses, formula.xors
+    for sup, rhs in xors:
+        if rhs not in (0, 1) or (sup and not 1 <= min(sup) <= max(sup) <= num_vars):
+            formula.validate()
+    if not all(clauses):
+        formula.validate()
+    digits = list(map(str, range(1, num_vars + 1)))
+    names = dict(zip(range(1, num_vars + 1), digits))
+    names.update(zip(range(-1, -num_vars - 1, -1), map("-".__add__, digits)))
+    name = names.__getitem__
     # an empty parity row is 0 = rhs: nothing to say when rhs is 0, and a
     # contradiction on a fresh variable when it is 1 (x-lines cannot be empty)
-    if any(rhs for sup, rhs in formula.xors if not sup):
+    extra = []
+    if any(rhs for sup, rhs in xors if not sup):
         num_vars += 1
-        clauses = clauses + [[num_vars], [-num_vars]]
-    lines = ["p cnf %d %d" % (num_vars, len(clauses))]
-    for cl in clauses:
-        lines.append(" ".join(str(l) for l in cl) + " 0")
-    for sup, rhs in formula.xors:
-        if not sup:
-            continue
-        lits = list(sup)
-        head = str(lits[0]) if rhs == 1 else str(-lits[0])
-        rest = " ".join(str(v) for v in lits[1:])
-        lines.append("x" + head + (" " + rest if rest else "") + " 0")
+        extra = ["%d 0" % num_vars, "-%d 0" % num_vars]
+    lines = ["p cnf %d %d" % (num_vars, len(clauses) + len(extra))]
+    try:
+        lines += [" ".join(map(name, cl)) + " 0" for cl in clauses]
+        lines += extra
+        for sup, rhs in xors:
+            if sup:
+                lits = [sup[0] if rhs else -sup[0], *sup[1:]]
+                lines.append("x" + " ".join(map(name, lits)) + " 0")
+    except KeyError as exc:
+        formula.validate()  # raises for the first bad literal
+        raise ParseError("literal %r is not an integer" % (exc.args[0],)) from None
     return "\n".join(lines) + "\n"

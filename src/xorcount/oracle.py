@@ -30,6 +30,7 @@ import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -171,47 +172,50 @@ def xor_to_cnf(support, rhs: int, chunk: int = 6, fresh=None):
     # variable); chunk=2 still works for short constraints but long ones
     # are chained at arity 3
     link = max(chunk, 3)
+    chained = _sign_patterns(link, 0) if len(pending) > chunk else None
     while len(pending) > chunk:
         group = pending[: link - 1]
         aux = fresh()
         # aux is defined as the XOR of the group: XOR(group + [aux]) = 0
-        clauses.extend(_direct_xor(group + [aux], 0))
+        clauses.extend(_direct_xor(group + [aux], chained))
         pending = [aux] + pending[link - 1 :]
-    clauses.extend(_direct_xor(pending, rhs))
+    clauses.extend(_direct_xor(pending, _sign_patterns(len(pending), rhs)))
     return clauses
 
 
-def _direct_xor(vars_, rhs: int):
-    """All 2^(s-1) clauses ruling out wrong-parity assignments."""
-    s = len(vars_)
-    out = []
-    for pattern in range(1 << s):
-        if pattern.bit_count() & 1 != rhs:
-            # forbid the assignment where var i takes bit i of pattern
-            out.append(
-                [v if not (pattern >> i) & 1 else -v for i, v in enumerate(vars_)]
-            )
-    return out
+def _sign_patterns(s: int, rhs: int):
+    """The signs of the 2^(s-1) clauses ruling out wrong-parity assignments
+    of s variables: pattern p forbids the assignment where variable i takes
+    bit i of p, so its clause negates exactly those variables."""
+    return [
+        [-1 if (p >> i) & 1 else 1 for i in range(s)]
+        for p in range(1 << s) if p.bit_count() & 1 != rhs
+    ]
+
+
+def _direct_xor(vars_, patterns):
+    """One clause over vars_ per sign pattern of `_sign_patterns`."""
+    return [list(map(mul, vars_, signs)) for signs in patterns]
 
 
 def expand_xors(formula: CnfFormula, chunk: int = 6) -> CnfFormula:
-    """Replace native XOR rows with plain clauses over fresh auxiliaries."""
+    """Replace native XOR rows with plain clauses over fresh auxiliaries;
+    the formula's own clause lists are shared, not copied."""
     counter = [formula.num_vars]
 
     def fresh():
         counter[0] += 1
         return counter[0]
 
-    clauses = [list(cl) for cl in formula.clauses]
+    clauses = list(formula.clauses)
     for sup, rhs in formula.xors:
-        for cl in xor_to_cnf(sup, rhs, chunk=chunk, fresh=fresh):
-            if not cl:
-                # contradiction: encode on a fresh variable to stay DIMACS-legal
-                v = fresh()
-                clauses.append([v])
-                clauses.append([-v])
-            else:
-                clauses.append(cl)
+        rows = xor_to_cnf(sup, rhs, chunk=chunk, fresh=fresh)
+        if rows == [[]]:
+            # contradiction: encode on a fresh variable to stay DIMACS-legal
+            v = fresh()
+            clauses += [[v], [-v]]
+        else:
+            clauses += rows
     return CnfFormula(counter[0], clauses, [])
 
 
@@ -219,7 +223,8 @@ def conjoin(formula: CnfFormula, h: ParityHash, native_xor: bool = True) -> CnfF
     """Append the hash rows of h to the formula as parity constraints.
 
     Hash columns address variables 1..h.n, which must be a prefix of the
-    formula's variables.  Original clauses and numbering are untouched.
+    formula's variables.  Original clauses and numbering are untouched: the
+    result has a new clause list holding the formula's own clause lists.
     """
     if h.n > formula.num_vars:
         raise DimensionError(
@@ -227,10 +232,10 @@ def conjoin(formula: CnfFormula, h: ParityHash, native_xor: bool = True) -> CnfF
         )
     xors = list(formula.xors)
     for i, row in enumerate(h.rows):
-        sup = [j + 1 for j in range(h.n) if (row >> j) & 1]
+        sup = [j + 1 for j in range(row.bit_length()) if (row >> j) & 1]
         rhs = (h.b_bits >> i) & 1
         xors.append((sup, rhs))
-    out = CnfFormula(formula.num_vars, [list(cl) for cl in formula.clauses], xors)
+    out = CnfFormula(formula.num_vars, list(formula.clauses), xors)
     return out if native_xor else expand_xors(out)
 
 

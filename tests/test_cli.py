@@ -178,6 +178,32 @@ class TestBoundCmd:
         msg = str(exc.value.code)
         assert msg.startswith("bad bound parameters: ") and "\n" not in msg
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "{set}", "lb", "--T", "0"],
+        ["bound", "{set}", "lb", "--kappa", "0"],
+        ["bound", "{set}", "lb", "--c-threshold", "1.5"],
+        ["bound", "{set}", "ub", "--delta", "1.5"],
+        ["sweep", "{set}", "0.3", "--T", "0"],
+        ["sweep", "{set}", "0.3", "--delta", "0"],
+    ])
+    def test_bad_flags_are_refused_before_the_prescan(self, tmp_path,
+                                                      monkeypatch, argv):
+        from xorcount import bounds
+        calls = []
+        real = bounds.estimate_survival
+
+        def counting_estimate(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "estimate_survival", counting_estimate)
+        f = tmp_path / "set.txt"
+        write_explicit(f, range(0, 1 << 12, 37), 12)
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(set=f) for a in argv])
+        assert str(exc.value.code).startswith("bad bound parameters: ")
+        assert calls == []
+
     def test_mixed_width_set_is_a_one_line_error(self, tmp_path):
         f = tmp_path / "mixed.txt"
         f.write_text("0101\n11\n000000\n")
@@ -317,3 +343,30 @@ class TestCountModelsCmd:
         cnf.write_text("p cnf 3 1\n1 0\n")
         assert main(["count-models", str(cnf)]) == 0
         assert "models: 4" in capsys.readouterr().out
+
+
+class TestOneLineErrors:
+    @pytest.mark.parametrize("argv,prefix", [
+        (["table", "{missing}"], "cannot read {missing}: "),
+        (["solve", "{missing}"], "cannot read {missing}: "),
+        (["count-models", "{missing}"], "cannot read {missing}: "),
+        (["solve", "{bad_token}"], "bad DIMACS file {bad_token}: "),
+        (["count-models", "{bad_token}"], "bad DIMACS file {bad_token}: "),
+        (["solve", "{bad_literal}"], "bad DIMACS file {bad_literal}: literal 3"),
+        (["count-models", "{bad_literal}"],
+         "bad DIMACS file {bad_literal}: literal 3"),
+        (["epsilon", "5", "10", "4", "0.3"], "bad parameters: need 1 <= m <= n"),
+        (["epsilon", "5", "3", "4", "0.9"], "bad parameters: density f"),
+        (["fstar", "10", "20"], "bad parameters: need 1 <= m <= n"),
+        (["fstar", "10", "5", "--delta", "1"], "bad parameters: delta must"),
+    ])
+    def test_bad_input_is_a_one_line_error(self, tmp_path, argv, prefix):
+        paths = {"missing": tmp_path / "nope.cnf",
+                 "bad_token": tmp_path / "token.cnf",
+                 "bad_literal": tmp_path / "literal.cnf"}
+        paths["bad_token"].write_text("p cnf 2 1\n1 x 0\n")
+        paths["bad_literal"].write_text("p cnf 2 1\n1 3 0\n")
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(**paths) for a in argv])
+        msg = str(exc.value.code)
+        assert msg.startswith(prefix.format(**paths)) and "\n" not in msg

@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xorcount import tables
 from xorcount.dimacs import CnfFormula, ParseError, emit, parse
-from xorcount.oracle import expand_xors
+from xorcount.oracle import conjoin, expand_xors
 
 
 class TestParse:
@@ -103,6 +106,67 @@ class TestEmit:
         assert all(sup for sup, _ in native.xors)
         assert count_models(native) == count_models(expanded)
         assert (count_models(native) == 0) == bool(rhs)
+
+    # each bad formula raises what validate() names first, clauses before
+    # x-lines; messages recorded before emit checked clauses as it wrote them
+    @pytest.mark.parametrize("clauses,xors,message", [
+        ([[1, 2], [0, -5], [4]], [], "literal 0 out of range"),
+        ([[1, 4], [0]], [], "literal 4 out of range"),
+        ([[1, -4]], [], "literal -4 out of range"),
+        ([[1, 2], [3, -4, 0], [5]], [], "literal -4 out of range"),
+        ([[1], []], [], "zero-width clause"),
+        ([[], [7]], [], "zero-width clause"),
+        ([[4]], [([], 1)], "literal 4 out of range"),
+        ([[5]], [([1, 4], 1)], "literal 5 out of range"),
+        ([[1, 2]], [([1, 4], 1)], "xor variable 4 out of range"),
+        ([[1, 2]], [([2, 0], 1)], "xor variable 0 out of range"),
+        ([[1, 2]], [([-2, 1], 0)], "xor variable -2 out of range"),
+        ([[1, 2]], [([1, 2], 2)], "xor rhs must be 0 or 1"),
+        ([[1, 2]], [([], 2)], "xor rhs must be 0 or 1"),
+        ([[1, 2]], [([1, 2], 1), ([3, 9], 2)], "xor rhs must be 0 or 1"),
+    ])
+    def test_bad_formula_names_the_first_fault(self, clauses, xors, message):
+        with pytest.raises(ParseError) as exc:
+            emit(CnfFormula(3, clauses, xors))
+        assert str(exc.value) == message
+
+
+class TestEncodingDigests:
+    """SHA-256 of the text emit writes for synth_n table CNFs with hashes
+    over their cell bits at f = 0 (empty rows, some with rhs 1), f* and 1/2,
+    in three forms; recorded before emit, conjoin and expand_xors lost
+    their per-literal Python loops."""
+
+    FORMS = {
+        "native": lambda F, h: emit(conjoin(F, h)),
+        "expanded": lambda F, h: emit(conjoin(F, h, native_xor=False)),
+        "chunk3": lambda F, h: emit(expand_xors(conjoin(F, h), chunk=3)),
+    }
+
+    # (n, m, f* of that m rounded to two places, form, digest)
+    @pytest.mark.parametrize("n,m,fstar,form,digest", [
+        (8, 8, 0.40, "native",
+         "427b66a94c9d16f57693772224d280d26b7a765831ee0c7bee7341394abfaaf9"),
+        (8, 8, 0.40, "expanded",
+         "d10266c6d32e176fbf3a447c5b7dfd5e88c3bf1575af3d6aa4ba3843526d8592"),
+        (8, 8, 0.40, "chunk3",
+         "499bd900a30c15fbda1f0210df39133aee44c6db06262db4d8f710cd093e1ea8"),
+        (12, 9, 0.41, "native",
+         "9f166753c812b05de2c4db81a97a43297977152b57803ef381fd8aa0972ffc97"),
+        (12, 9, 0.41, "expanded",
+         "180fc23623cb25974c545d195a9aa3d7008e39a7d1b5b83ddc73bbef935b1c7b"),
+        (12, 9, 0.41, "chunk3",
+         "821592ad39f20017408d09ec094279340dbed9b93baaffd9f85d646b95062558"),
+    ])
+    def test_synth_table_questions(self, n, m, fstar, form, digest):
+        problem, _ = tables.encode_to_cnf(tables.synth_spec(n))
+        texts = []
+        for f in (0.0, fstar, 0.5):
+            h = tables.hash_over_cells(problem, m, f, seed=n)
+            if f == 0.0:
+                assert h.b_bits and not any(h.rows)
+            texts.append(self.FORMS[form](problem.formula, h))
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
 
 
 @st.composite

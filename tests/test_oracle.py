@@ -71,6 +71,47 @@ class TestXorToCnf:
             assert projected_models(f, n) == parity_solutions(n, support, rhs)
 
 
+    @staticmethod
+    def reference_xor_to_cnf(support, rhs, chunk, fresh):
+        """xor_to_cnf as it was with one Python loop per sign pattern."""
+        def direct(vars_, rhs):
+            out = []
+            for pattern in range(1 << len(vars_)):
+                if pattern.bit_count() & 1 != rhs:
+                    out.append([v if not (pattern >> i) & 1 else -v
+                                for i, v in enumerate(vars_)])
+            return out
+
+        clauses = []
+        pending = list(support)
+        link = max(chunk, 3)
+        while len(pending) > chunk:
+            aux = fresh()
+            clauses.extend(direct(pending[: link - 1] + [aux], 0))
+            pending = [aux] + pending[link - 1 :]
+        clauses.extend(direct(pending, rhs))
+        return clauses
+
+    @pytest.mark.parametrize("chunk", [2, 3, 4, 5, 6, 7])
+    def test_matches_the_per_pattern_loop(self, chunk):
+        def counting_fresh():
+            counter = [20]
+
+            def fresh():
+                counter[0] += 1
+                return counter[0]
+            return fresh
+
+        rng = random.Random(chunk)
+        for t in range(1, 10):
+            support = rng.sample(range(1, 21), t)
+            for rhs in (0, 1):
+                got = xor_to_cnf(support, rhs, chunk=chunk, fresh=counting_fresh())
+                want = self.reference_xor_to_cnf(support, rhs, chunk,
+                                                 counting_fresh())
+                assert got == want
+
+
 class TestExpandXors:
     def test_solution_preserving(self):
         f = CnfFormula(4, [[1, 2]], [([1, 3], 1), ([2, 3, 4], 0)])
@@ -103,6 +144,15 @@ class TestConjoin:
         assert g.clauses == f.clauses
         assert g.num_vars == f.num_vars
         assert g.xors[: len(f.xors)] == f.xors
+
+    def test_expanded_leaves_the_formula_alone(self):
+        f = CnfFormula(6, [[1, -2], [3], [-4, 5, 6]], [([4, 5], 1)])
+        before = [list(cl) for cl in f.clauses]
+        h = sample_hash(HashParams(6, 3, 0.5, seed=2))
+        g = conjoin(f, h, native_xor=False)
+        assert len(g.clauses) > len(f.clauses)
+        assert f.clauses == before
+        assert f.xors == [([4, 5], 1)]
 
     def test_purity(self):
         f = CnfFormula(5, [[1, 2, 3]], [])
