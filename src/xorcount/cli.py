@@ -66,7 +66,7 @@ def _load_problem(path: str) -> CountingProblem:
         if not line or line.startswith("c ") or line == "c" or line.startswith("#"):
             continue
         if line.startswith("p cnf"):
-            return CountingProblem.from_cnf(dimacs.parse(text))
+            return CountingProblem.from_cnf(_load_dimacs(path, text))
         if line.startswith("rows"):
             problem, _ = tables.encode_to_cnf(_load_table_spec(path, text))
             return problem

@@ -172,13 +172,17 @@ def xor_to_cnf(support, rhs: int, chunk: int = 6, fresh=None):
     # variable); chunk=2 still works for short constraints but long ones
     # are chained at arity 3
     link = max(chunk, 3)
-    chained = _sign_patterns(link, 0) if len(pending) > chunk else None
+    groups = []
     while len(pending) > chunk:
         group = pending[: link - 1]
         aux = fresh()
         # aux is defined as the XOR of the group: XOR(group + [aux]) = 0
-        clauses.extend(_direct_xor(group + [aux], chained))
+        groups.append(group + [aux])
         pending = [aux] + pending[link - 1 :]
+    if groups:
+        # every chained sub-XOR's clauses in one product: (groups, patterns, link)
+        signs = np.array(_sign_patterns(link, 0))
+        clauses = (np.array(groups)[:, None, :] * signs).reshape(-1, link).tolist()
     clauses.extend(_direct_xor(pending, _sign_patterns(len(pending), rhs)))
     return clauses
 
@@ -232,7 +236,8 @@ def conjoin(formula: CnfFormula, h: ParityHash, native_xor: bool = True) -> CnfF
         )
     xors = list(formula.xors)
     for i, row in enumerate(h.rows):
-        sup = [j + 1 for j in range(row.bit_length()) if (row >> j) & 1]
+        # bin(row)[:1:-1] is the row's bits, lowest first: variable j at j - 1
+        sup = [j for j, bit in enumerate(bin(row)[:1:-1], 1) if bit == "1"]
         rhs = (h.b_bits >> i) & 1
         xors.append((sup, rhs))
     out = CnfFormula(formula.num_vars, list(formula.clauses), xors)

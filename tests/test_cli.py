@@ -359,6 +359,8 @@ class TestOneLineErrors:
         (["epsilon", "5", "3", "4", "0.9"], "bad parameters: density f"),
         (["fstar", "10", "20"], "bad parameters: need 1 <= m <= n"),
         (["fstar", "10", "5", "--delta", "1"], "bad parameters: delta must"),
+        (["bound", "{bad_token}", "lb"], "bad DIMACS file {bad_token}: "),
+        (["bound", "{bad_literal}", "lb"], "bad DIMACS file {bad_literal}: literal 3"),
     ])
     def test_bad_input_is_a_one_line_error(self, tmp_path, argv, prefix):
         paths = {"missing": tmp_path / "nope.cnf",

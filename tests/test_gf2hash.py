@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -45,6 +46,67 @@ class TestSampleHash:
     def test_invalid_params(self, n, m, f):
         with pytest.raises(ParameterError):
             HashParams(n, m, f)
+
+
+def reference_sample_hash(params):
+    """The per-entry draw `sample_hash` must reproduce: one rng.random()
+    per entry of A, row-major, then one per bit of b."""
+    rng = random.Random(params.seed)
+    n, m, f = params.n, params.m, params.f
+    rows = []
+    for _ in range(m):
+        row = 0
+        for j in range(n):
+            if rng.random() < f:
+                row |= 1 << j
+        rows.append(row)
+    b_bits = 0
+    for i in range(m):
+        if rng.random() < 0.5:
+            b_bits |= 1 << i
+    return tuple(rows), b_bits
+
+
+DRAW_NS = (1, 2, 16, 63, 64, 65, 130, 400)
+# 0, the least subnormal, a 2^-20 grid point, values just off and at 1/2
+DRAW_FS = (0.0, 5e-324, 2.0 ** -20, 0.1, 1 / 3, 0.4999999999999999, 0.5)
+DRAW_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, derive_seed(0, 0),
+              derive_seed(12345, 7), derive_seed(2**64 - 1, 3))
+
+
+def draw_grid():
+    for n in DRAW_NS:
+        for m in sorted({1, 2, n} & set(range(1, n + 1))):
+            for f in DRAW_FS:
+                for seed in DRAW_SEEDS:
+                    yield HashParams(n, m, f, seed=seed)
+
+
+class TestSampleHashDrawContract:
+    @pytest.mark.parametrize("n", DRAW_NS)
+    def test_matches_per_entry_reference(self, n):
+        for p in draw_grid():
+            if p.n == n:
+                h = sample_hash(p)
+                assert (h.rows, h.b_bits) == reference_sample_hash(p), p
+
+    def test_matches_reference_on_random_params(self):
+        rng = random.Random(2014)
+        for _ in range(300):
+            n = rng.choice([3, 7, 31, 32, 33, 100, 204])
+            p = HashParams(n, rng.randint(1, n), rng.random() / 2,
+                           seed=rng.getrandbits(64))
+            h = sample_hash(p)
+            assert (h.rows, h.b_bits) == reference_sample_hash(p), p
+
+    def test_outputs_pinned(self):
+        # sha256 over the whole grid, recorded with the per-entry sampler
+        digest = hashlib.sha256()
+        for p in draw_grid():
+            h = sample_hash(p)
+            digest.update(repr((h.rows, h.b_bits)).encode())
+        assert digest.hexdigest() == (
+            "251653224e1998317106abb11a282d8cd0dd01b048a2c824d8091d798ce44739")
 
 
 class TestApplyHash:

@@ -73,7 +73,13 @@ class TestXorToCnf:
 
     @staticmethod
     def reference_xor_to_cnf(support, rhs, chunk, fresh):
-        """xor_to_cnf as it was with one Python loop per sign pattern."""
+        """xor_to_cnf as it was with one Python loop per sign pattern and
+        one per chained sub-XOR."""
+        if chunk < 2:
+            raise ParameterError("chunk must be at least 2")
+        if fresh is None and len(support) > chunk:
+            raise ParameterError("chaining a long XOR needs a fresh-variable allocator")
+
         def direct(vars_, rhs):
             out = []
             for pattern in range(1 << len(vars_)):
@@ -92,24 +98,31 @@ class TestXorToCnf:
         clauses.extend(direct(pending, rhs))
         return clauses
 
-    @pytest.mark.parametrize("chunk", [2, 3, 4, 5, 6, 7])
+    @staticmethod
+    def outcome(convert, support, rhs, chunk, chained):
+        """(clauses, fresh() calls) or the ParameterError's message."""
+        counter = [200]
+
+        def fresh():
+            counter[0] += 1
+            return counter[0]
+        try:
+            clauses = convert(support, rhs, chunk, fresh if chained else None)
+        except ParameterError as exc:
+            return "ParameterError: %s" % exc
+        return clauses, counter[0] - 200
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_matches_the_per_pattern_loop(self, chunk):
-        def counting_fresh():
-            counter = [20]
-
-            def fresh():
-                counter[0] += 1
-                return counter[0]
-            return fresh
-
         rng = random.Random(chunk)
-        for t in range(1, 10):
-            support = rng.sample(range(1, 21), t)
+        for t in range(61):
+            support = rng.sample(range(1, 201), t)
             for rhs in (0, 1):
-                got = xor_to_cnf(support, rhs, chunk=chunk, fresh=counting_fresh())
-                want = self.reference_xor_to_cnf(support, rhs, chunk,
-                                                 counting_fresh())
-                assert got == want
+                for chained in (True, False):
+                    got = self.outcome(xor_to_cnf, support, rhs, chunk, chained)
+                    want = self.outcome(self.reference_xor_to_cnf,
+                                        support, rhs, chunk, chained)
+                    assert got == want, (support, rhs, chunk, chained)
 
 
 class TestExpandXors:
