@@ -3,13 +3,16 @@
 Three interchangeable backends answer the same question:
   * explicit  — S is given outright and packed at construction.
   * exhaustive — S is the model set of a CNF of at most 26 variables.  On
-    the problem's first question the formula's models are enumerated once
-    (clauses and native XORs, 2^16 assignments per numpy block), projected
-    onto the first n variables and packed, at most 512 MB at the cap.
+    the problem's first question the formula's models are enumerated once,
+    projected onto the first n variables and packed, at most 512 MB at the
+    cap.  Enumeration is bit-sliced: one uint64 word holds 64 assignments,
+    so a clause is a few word-wide ORs and a native XOR row a few XORs,
+    over blocks of 2^20 assignments (128 KB of words).
   * external  — serialize the conjoined instance to DIMACS and invoke a
     solver subprocess; witnesses are always re-checked in process, and a
-    SAT answer without a full model is `unknown`.  Solvers without x-lines
-    get the parity rows as plain clauses, lowered here by `expand_xors`.
+    SAT answer without a full model, or with a v line that is not all
+    integers, is `unknown`.  Solvers without x-lines get the parity rows
+    as plain clauses, lowered here by `expand_xors`.
 
 The first two are in process: S is an (|S|, W) uint64 array, W =
 ceil(n/64) words per member, and one kernel answers every question against
@@ -53,7 +56,11 @@ __all__ = [
 ]
 
 EXHAUSTIVE_CAP_VARS = 26
-_BLOCK = 1 << 16  # assignments per numpy block while enumerating models
+# model enumeration: a block is 2^20 assignments, 64 per uint64 word, and
+# bit l of _LOW[j] is bit j of l, variable j + 1's value across any word
+_BLOCK_VARS = 20
+_ALL = (1 << 64) - 1
+_LOW = tuple(sum(1 << l for l in range(64) if l >> j & 1) for j in range(6))
 # trials x members x words per step of the survival scan: 2^14 to 2^16 ran
 # equally fast, and each doubling from 2^14 added about 0.4 MB of peak memory
 _SCAN_ELEMENTS = 1 << 14
@@ -300,53 +307,76 @@ def _first_survivors(packed, hashes):
     return first
 
 
-def _formula_masks(formula: CnfFormula):
-    """Precompute clause/xor data for vectorized evaluation."""
-    clause_data = []
-    for cl in formula.clauses:
-        pos = np.uint64(sum(1 << (l - 1) for l in cl if l > 0))
-        neg = np.uint64(sum(1 << (-l - 1) for l in cl if l < 0))
-        clause_data.append((pos, neg))
-    xor_data = []
-    for sup, rhs in formula.xors:
-        xor_data.append((np.uint64(sum(1 << (v - 1) for v in sup)), np.uint64(rhs)))
-    return clause_data, xor_data
-
-
-def _eval_block(arr, clause_data, xor_data):
-    mask = np.ones(arr.shape, dtype=bool)
-    one = np.uint64(1)
-    zero = np.uint64(0)
-    for pos, neg in clause_data:
-        sat = (arr & pos) != zero if pos else np.zeros(arr.shape, dtype=bool)
-        if neg:
-            sat |= (arr & neg) != neg
-        mask &= sat
-        if not mask.any():
-            return mask
-    for sup, rhs in xor_data:
-        mask &= (np.bitwise_count(arr & sup) & one) == rhs
-        if not mask.any():
-            return mask
-    return mask
-
-
 def _model_blocks(formula: CnfFormula):
     """Yield the formula's models in increasing order, as nonempty uint64
-    arrays, one per block of 2^16 assignments (num_vars <= 26)."""
+    arrays, one per block of up to 2^20 assignments (num_vars <= 26).
+
+    Blocks are bit-sliced, 64 assignments per word: bit l of word w in the
+    block starting at assignment s stands for assignment s + 64w + l.  The
+    block's 2^(width - 6) words are laid out as a (2,) * (width - 6) array
+    whose axis width - 1 - j is bit j - 6 of w.  So variable j < 6 is one
+    fixed word, variable 6 <= j < width a [0, all-ones] slice along its
+    own axis (numpy broadcasts it over the rest), and a variable at or
+    above the width a constant over the block.  Each clause and parity row
+    becomes one word array (`_block_constraints`) ANDed into the block's
+    mask; a block is dropped as soon as its mask is all zero.
+    """
     nv = formula.num_vars
     if nv > EXHAUSTIVE_CAP_VARS:
         raise ParameterError(
             "exhaustive backend capped at %d variables, formula has %d"
             % (EXHAUSTIVE_CAP_VARS, nv)
         )
-    clause_data, xor_data = _formula_masks(formula)
-    total = 1 << nv
-    for start in range(0, total, _BLOCK):
-        arr = np.arange(start, min(start + _BLOCK, total), dtype=np.uint64)
-        mask = _eval_block(arr, clause_data, xor_data)
-        if mask.any():
-            yield arr[mask]
+    width = min(nv, _BLOCK_VARS)
+    dims = max(0, width - 6)
+    slices = [np.uint64(_LOW[j]) if j < 6 else
+              np.array([0, _ALL], dtype=np.uint64).reshape(
+                  [2 if axis == width - 1 - j else 1 for axis in range(dims)])
+              for j in range(width)]
+    shape = (2,) * dims or (1,)
+    # below 6 variables the block is one word, and only its low 2^nv bits
+    # stand for assignments
+    valid = _ALL if nv >= 6 else (1 << (1 << nv)) - 1
+    for start in range(0, 1 << nv, 1 << width):
+        mask = np.full(shape, valid, dtype=np.uint64)
+        for value in _block_constraints(formula, slices, start):
+            mask &= value
+            if not mask.any():
+                break
+        else:
+            bits = np.unpackbits(mask.view(np.uint8), bitorder="little")
+            models = np.flatnonzero(bits.view(bool)).view(np.uint64)
+            models += np.uint64(start)
+            yield models
+
+
+def _block_constraints(formula: CnfFormula, slices, start: int):
+    """For each clause, then each parity row, the words of the block at
+    `start` whose bits satisfy it; `slices[j]` is variable j + 1 across the
+    block.  A clause is the OR of its literals' slices (~slice for a
+    negative literal), and one that a literal above the block satisfies is
+    skipped; a parity row is the XOR of its slices, inverted when the
+    right-hand side is 0, and a variable above the block set to 1 inverts
+    it again."""
+    width = len(slices)
+    for cl in formula.clauses:
+        value = np.uint64(0)
+        for lit in cl:
+            j = abs(lit) - 1
+            if j < width:
+                value = value | (slices[j] if lit > 0 else ~slices[j])
+            elif (start >> j & 1) == (lit > 0):
+                break
+        else:
+            yield value
+    for sup, rhs in formula.xors:
+        value = np.uint64(0 if rhs else _ALL)
+        for v in sup:
+            if v <= width:
+                value = value ^ slices[v - 1]
+            elif start >> (v - 1) & 1:
+                value = ~value
+        yield value
 
 
 def _packed_set(problem: CountingProblem):
@@ -402,8 +432,8 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
                 "unknown", stats={"solver_time_s": time.monotonic() - t0,
                                   "reason": "timeout"}
             )
-        elapsed = time.monotonic() - t0
-        answer = None
+        stats = {"solver_time_s": time.monotonic() - t0, "exit_code": proc.returncode}
+        answer = reason = None
         model_bits = {}
         for line in proc.stdout.splitlines():
             line = line.strip()
@@ -414,14 +444,18 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
                 elif tag == "UNSATISFIABLE":
                     answer = "unsat"
             elif line.startswith("v "):
-                for tok in line[2:].split():
-                    lit = int(tok)
+                try:
+                    lits = [int(tok) for tok in line[2:].split()]
+                except ValueError:
+                    reason = "bad model line"
+                    break
+                for lit in lits:
                     if lit:
                         model_bits[abs(lit)] = 1 if lit > 0 else 0
-        stats = {"solver_time_s": elapsed, "exit_code": proc.returncode}
-        if answer is None:
-            stats["reason"] = "no solution line"
-            stats["stderr"] = proc.stderr[-2000:]
+        if answer is None and reason is None:
+            reason = "no solution line"
+        if reason is not None:
+            stats.update(reason=reason, stderr=proc.stderr[-2000:])
             return OracleVerdict("unknown", stats=stats)
         if answer == "sat" and model_bits:
             bits = assigned = 0

@@ -93,6 +93,19 @@ def no_model_solver(tmp_path):
 
 
 @pytest.fixture
+def bad_model_solver(tmp_path):
+    """A solver that claims SAT with a non-integer token in its v line."""
+    script = tmp_path / "bad_model.py"
+    script.write_text(textwrap.dedent("""\
+        import sys
+        print('s SATISFIABLE')
+        print('v 1 x 0')
+        print('model garbled', file=sys.stderr)
+    """))
+    return SolverProfile("%s %s {in}" % (sys.executable, script))
+
+
+@pytest.fixture
 def sleepy_solver(tmp_path):
     script = tmp_path / "sleepy.py"
     script.write_text("import time\ntime.sleep(30)\n")

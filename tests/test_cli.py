@@ -108,6 +108,15 @@ class TestBoundCmd:
                    "--budget-s", "0.2"])
         assert rc == 2
 
+    def test_bad_model_line_is_inconclusive(self, tmp_path, capsys, bad_model_solver):
+        cnf = tmp_path / "t.cnf"
+        cnf.write_text("p cnf 2 1\n1 0\n")
+        rc = main(["bound", str(cnf), "lb", "--m", "1", "--T", "2",
+                   "--solver", bad_model_solver.template])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive: 2 of 2 trials unknown") and err.count("\n") == 1
+
     def test_json_deterministic_given_seed(self, tmp_path):
         rng = random.Random(8)
         f = tmp_path / "set.txt"

@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from xorcount.dimacs import CnfFormula, emit
@@ -8,7 +9,8 @@ from xorcount.gf2hash import Assignment, HashParams, ParityHash, sample_hash
 from xorcount.oracle import (CountingProblem, IntegrityError, ParameterError,
                              SolverProfile, conjoin, count_models,
                              expand_xors, has_survivor, has_survivors,
-                             run_external, xor_to_cnf, _check_assignment)
+                             run_external, xor_to_cnf, _check_assignment,
+                             _model_blocks, _packed_set)
 
 
 def parity_solutions(n, support, rhs):
@@ -451,6 +453,136 @@ class TestCountModels:
     def test_unsat(self):
         assert count_models(CnfFormula(3, [[1], [-1]], [])) == 0
 
+    @pytest.mark.parametrize("formula,want", [
+        (CnfFormula(0, [], []), 1),
+        (CnfFormula(0, [], [([], 1)]), 0),
+        (CnfFormula(3, [[1]], [([], 0)]), 4),
+        # DIMACS allows a repeated variable: "1 1 0" and "x1 1 0"
+        (CnfFormula(2, [[1, 1], [-2]], []), 1),
+        (CnfFormula(2, [], [([1, 1], 0)]), 4),
+    ])
+    def test_edge_counts(self, formula, want):
+        assert count_models(formula) == want
+
+
+# nv of the enumeration grid: no variable, a partial word, exactly one
+# word (6), one block (20) and two or four blocks of 2^20 assignments
+MODEL_GRID_NV = (0, 1, 2, 5, 6, 7, 12, 19, 20, 21, 22)
+# sha256 of `_packed_set` over the grid, in full and projected onto
+# variables 1..nv//2, as the one-assignment-per-word enumerator built it
+MODEL_GRID_SHA256 = "d4ef43e0dac716aada8d4305c50414167b521e5ff58d41ecc237a9c6e726dbd3"
+
+
+def model_grid():
+    """Seeded formulas over MODEL_GRID_NV, three per nv: clauses only;
+    clauses with parity rows (an empty one with rhs 0, random ones, one over
+    the top variables); and that again with an empty row of rhs 1.  Clauses
+    have width 1-4 on distinct variables; above 20 variables some of them
+    reach above the 2^20-assignment block, and one lies wholly above it."""
+    rng = random.Random(2024)
+    for nv in MODEL_GRID_NV:
+        clauses = []
+        for _ in range(nv):
+            vars_ = rng.sample(range(1, nv + 1), min(rng.choice((1, 2, 3, 4, 4)), nv))
+            if nv > 20 and len(vars_) > 1 and rng.random() < 0.4:
+                vars_[0] = rng.choice([v for v in range(21, nv + 1) if v not in vars_[1:]])
+            clauses.append([rng.choice([v, -v]) for v in vars_])
+        if nv > 20:
+            clauses.append(list(range(21, nv + 1)))
+        rows = [([], 0)]
+        for _ in range(rng.randint(1, 3) if nv else 0):
+            rows.append((rng.sample(range(1, nv + 1), rng.randint(1, min(6, nv))),
+                         rng.randint(0, 1)))
+        top = list(range(max(1, nv - 2), nv + 1)) if nv else []
+        rows.append((top, rng.randint(0, 1)))
+        yield CnfFormula(nv, clauses, [])
+        yield CnfFormula(nv, clauses, rows)
+        yield CnfFormula(nv, clauses, rows + [([], 1)])
+
+
+def per_assignment_models(formula):
+    """The formula's models, each assignment evaluated on its own in numpy
+    (2^16 at a time): a reference where brute force in Python is too slow."""
+    nv, out = formula.num_vars, []
+    for lo in range(0, 1 << nv, 1 << 16):
+        x = np.arange(lo, min(lo + (1 << 16), 1 << nv), dtype=np.uint64)
+        col = [None] + [(x >> np.uint64(j)) & np.uint64(1) == 1 for j in range(nv)]
+        ok = np.ones(len(x), dtype=bool)
+        for cl in formula.clauses:
+            ok &= np.any([col[l] if l > 0 else ~col[-l] for l in cl], axis=0)
+        for sup, rhs in formula.xors:
+            parity = np.zeros(len(x), dtype=bool)
+            for v in sup:
+                parity ^= col[v]
+            ok &= parity == bool(rhs)
+        out += x[ok].tolist()
+    return out
+
+
+class TestModelBlocks:
+    @pytest.mark.parametrize("index", range(3 * len(MODEL_GRID_NV)))
+    def test_matches_brute_force(self, index):
+        formula = list(model_grid())[index]
+        nv = formula.num_vars
+        blocks = list(_model_blocks(formula))
+        for block in blocks:
+            assert block.dtype == np.uint64 and block.ndim == 1 and len(block)
+        models = np.concatenate(blocks).tolist() if blocks else []
+        assert models == sorted(set(models))
+        if nv <= 12:
+            assert models == [b for b in range(1 << nv) if _check_assignment(formula, b)]
+            return
+        assert models == per_assignment_models(formula)
+        rng, held = random.Random(index), set(models)
+        for b in rng.sample(models, min(len(models), 1000)) + rng.sample(range(1 << nv), 2000):
+            assert _check_assignment(formula, b) == (b in held)
+
+    def test_packed_sets_match_the_recorded_digest(self):
+        digest = hashlib.sha256()
+        for formula in model_grid():
+            for n in (formula.num_vars, formula.num_vars // 2):
+                packed = _packed_set(CountingProblem.from_cnf(formula, n))
+                digest.update(b"%d:" % len(packed) + packed.tobytes())
+        assert digest.hexdigest() == MODEL_GRID_SHA256
+
+
+class TestExhaustiveCap:
+    @staticmethod
+    def grouped_formula():
+        """26 variables in disjoint groups, so the count is the product of
+        the groups' counts: (a|b|c)(-a|-b) has 5 models in a 3-variable
+        group, (a|b|c) with a^c = 1 has 4, and (-25|-26) has 3."""
+        clauses, rows = [[-25, -26]], []
+        for g in range(8):
+            a, b, c = 3 * g + 1, 3 * g + 2, 3 * g + 3
+            clauses.append([a, b, c])
+            if g % 2:
+                rows.append(([a, c], 1))
+            else:
+                clauses.append([-a, -b])
+        return CnfFormula(26, clauses, rows)
+
+    def test_count_at_the_cap(self):
+        assert count_models(self.grouped_formula()) == 5 ** 4 * 4 ** 4 * 3
+
+    def test_solve_at_the_cap(self, tmp_path, capsys):
+        from xorcount.cli import main
+        formula = self.grouped_formula()
+        path = tmp_path / "cap.cnf"
+        path.write_text(emit(formula))
+        assert main(["solve", str(path)]) == 10
+        vline = capsys.readouterr().out.splitlines()[1]
+        lits = [int(t) for t in vline.split()[1:-1]]
+        assert [abs(l) for l in lits] == list(range(1, 27))
+        assert _check_assignment(formula, sum(1 << (l - 1) for l in lits if l > 0))
+
+    def test_27_variables_refused(self):
+        formula = CnfFormula(27, [[1]], [])
+        with pytest.raises(ParameterError):
+            count_models(formula)
+        with pytest.raises(ParameterError):
+            _packed_set(CountingProblem.from_cnf(formula))
+
 
 class TestRunExternal:
     def test_trivial_sat(self, exhaustive_solver):
@@ -488,6 +620,20 @@ class TestRunExternal:
         h = ParityHash((0,), 0, HashParams(2, 1, 0.0))
         with pytest.raises(IntegrityError):
             has_survivor(problem, h, solver=lying_solver)
+
+    def test_non_integer_model_token_is_unknown(self, bad_model_solver):
+        v = run_external("p cnf 2 1\n1 0\n", bad_model_solver)
+        assert v.answer == "unknown"
+        assert v.stats["reason"] == "bad model line"
+        assert "model garbled" in v.stats["stderr"]
+
+    def test_non_integer_model_token_in_a_question(self, bad_model_solver):
+        problem = CountingProblem.from_cnf(CnfFormula(2, [[1]], []))
+        h = ParityHash((1,), 1, HashParams(2, 1, 0.5))
+        for v in (has_survivor(problem, h, solver=bad_model_solver),
+                  has_survivor(problem, solver=bad_model_solver)):
+            assert v.answer == "unknown" and v.stats["reason"] == "bad model line"
+        assert has_survivors(problem, [h, h], solver=bad_model_solver) == ["unknown"] * 2
 
     def test_lying_solver_at_m_zero(self, lying_solver):
         problem = CountingProblem.from_cnf(CnfFormula(2, [[1]], []))
