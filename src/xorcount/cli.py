@@ -119,9 +119,12 @@ def cmd_epsilon(args) -> int:
 
 
 def cmd_fstar(args) -> int:
-    q = 1 << (args.m + args.c)
     try:
-        cert = comb.min_density_fstar(args.n, args.m, q, args.delta)
+        if args.m + args.c < 1:
+            raise ParameterError("need m + c >= 1 (q = 2^(m+c) >= 2), got %d"
+                                 % (args.m + args.c))
+        cert = comb.min_density_fstar(args.n, args.m, 1 << (args.m + args.c),
+                                      args.delta)
     except ParameterError as exc:
         raise SystemExit("bad parameters: %s" % exc) from None
     print("f* = %.5f  (bracket [%.5f, %.5f], tolerance %g)"
@@ -235,7 +238,7 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.certs_dir) if args.certs_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    rows, inconclusive = [], False
     for f in f_list:
         t0 = time.monotonic()
         row = {"f": f, "lb_log2": "", "ub_log2": "", "wall_time_s": "",
@@ -256,6 +259,7 @@ def cmd_sweep(args) -> int:
             raise SystemExit("bad bound parameters: %s" % exc) from None
         except bd.OracleUnknownError as exc:
             print("f=%g inconclusive: %s" % (f, exc), file=sys.stderr)
+            inconclusive = True
         row["wall_time_s"] = "%.4f" % (time.monotonic() - t0)
         rows.append(row)
         print("f=%g  lb_log2=%s  ub_log2=%s  (%ss)"
@@ -266,7 +270,7 @@ def cmd_sweep(args) -> int:
         writer = csv.DictWriter(out, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
-    return 0
+    return 2 if inconclusive else 0
 
 
 def cmd_table(args) -> int:
@@ -362,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="exact contingency-table count")
     p.add_argument("input")
     p.add_argument("--force", action="store_true",
-                   help="override the enumeration capacity estimate")
+                   help="count without the cap on rows the search builds")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("solve", help="exhaustive DIMACS solver (debug oracle)")

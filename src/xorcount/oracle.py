@@ -20,8 +20,9 @@ it.  `has_survivors` takes a whole estimate's T hashes at once and scans
 trials x members together, in chunks of at most 2^14 array elements: per
 hash row, AND the row into every member, fold the W words by XOR and
 compare the low bit of the popcount with b_i.  `has_survivor` is the same
-kernel with T = 1; its witness is the first surviving member.  External
-solvers get one call per hash, and one in all for an estimate at m = 0.
+kernel with T = 1.  In-process answers carry no witness: only the external
+backend returns one, its model rechecked in process.  External solvers get
+one call per hash, and one in all for an estimate at m = 0.
 
 A hash of None asks m = 0, "is S non-empty?", on every backend.
 """
@@ -88,6 +89,7 @@ class SolverProfile:
     estimate run at once.  The CLI fills these from --solver, --budget-s,
     --native-xor, --chunk and --jobs.  Without a profile every question is
     answered in process, so neither `budget_s` nor `jobs` has any effect.
+    `argv` is the template split once, shell-style, here.
     """
 
     template: str
@@ -95,10 +97,15 @@ class SolverProfile:
     native_xor: bool = False
     chunk: int = 6
     jobs: int = 1
+    argv: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if "{in}" not in self.template:
             raise ParameterError("solver template must contain an {in} placeholder")
+        try:
+            object.__setattr__(self, "argv", tuple(shlex.split(self.template)))
+        except ValueError as exc:  # unbalanced quotes
+            raise ParameterError("solver template %r: %s" % (self.template, exc)) from None
         if self.chunk < 2:
             raise ParameterError("chunk must be at least 2")
         if self.jobs < 1:
@@ -268,23 +275,19 @@ def _pack(values, words: int):
     return np.frombuffer(blob, dtype="<u8").reshape(-1, words)
 
 
-def _unpack(row) -> int:
-    return sum(int(w) << (64 * k) for k, w in enumerate(row))
-
-
-def _first_survivors(packed, hashes):
-    """Index in `packed` of the first member with h(x) = 0 for each hash,
-    -1 where the cell is empty.  The hashes share m; None asks m = 0."""
+def _any_survivors(packed, hashes):
+    """One bool per hash: does some member of `packed` have h(x) = 0?  The
+    hashes share m; None asks m = 0."""
     count, (size, words) = len(hashes), packed.shape
     m = hashes[0].m if count and hashes[0] is not None else 0
     if not size or not m:
-        return np.full(count, 0 if size else -1)
+        return np.full(count, bool(size))
     rows = _pack([r for h in hashes for r in h.rows], words).reshape(count, m, words)
     nbytes = (m + 7) // 8
     rhs = np.frombuffer(b"".join(h.b_bits.to_bytes(nbytes, "little") for h in hashes),
                         dtype=np.uint8).reshape(count, nbytes)
     rhs = np.unpackbits(rhs, axis=1, count=m, bitorder="little")
-    first = np.full(count, -1)
+    hit = np.zeros(count, dtype=bool)
     step = max(1, _SCAN_ELEMENTS // (size * words))
     cols = packed.T  # word k of every member
     for lo in range(0, count, step):
@@ -302,9 +305,8 @@ def _first_survivors(packed, hashes):
             alive &= parity == want[:, i, None]
             if not alive.any():
                 break
-        hit = alive.any(axis=1)
-        first[lo:lo + step][hit] = alive.argmax(axis=1)[hit]
-    return first
+        hit[lo:lo + step] = alive.any(axis=1)
+    return hit
 
 
 def _model_blocks(formula: CnfFormula):
@@ -412,7 +414,11 @@ def _check_assignment(formula: CnfFormula, bits: int) -> bool:
 
 
 def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
-    """Write the instance, run the solver command, parse the s/v protocol."""
+    """Write the instance, run the solver command, parse the s/v protocol.
+
+    A timeout, a command that cannot be started, and output without an s
+    line or with a bad v line are `unknown`, with stats["reason"] saying
+    which."""
     t0 = time.monotonic()
     with tempfile.NamedTemporaryFile(
         "w", suffix=".cnf", prefix="xorcount_", delete=False
@@ -420,9 +426,7 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
         fh.write(instance_text)
         path = fh.name
     try:
-        cmd = [
-            part.replace("{in}", path) for part in shlex.split(profile.template)
-        ]
+        cmd = [part.replace("{in}", path) for part in profile.argv]
         try:
             proc = subprocess.run(
                 cmd, capture_output=True, text=True, timeout=profile.budget_s
@@ -431,6 +435,11 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
             return OracleVerdict(
                 "unknown", stats={"solver_time_s": time.monotonic() - t0,
                                   "reason": "timeout"}
+            )
+        except OSError as exc:  # missing or not executable
+            return OracleVerdict(
+                "unknown", stats={"solver_time_s": time.monotonic() - t0,
+                                  "reason": "cannot start solver", "error": str(exc)}
             )
         stats = {"solver_time_s": time.monotonic() - t0, "exit_code": proc.returncode}
         answer = reason = None
@@ -484,9 +493,9 @@ def has_survivor(problem: CountingProblem, h: ParityHash = None,
     non-empty.
 
     Explicit problems, and CNF problems without a solver profile, are
-    answered in process from the packed set (the survival kernel with T = 1);
-    the witness is the first surviving member in increasing order.  CNF
-    problems with a profile go to the external solver: the hash rows are
+    answered in process by `has_survivors` with T = 1, and the verdict
+    carries no witness.  CNF problems with a profile go to the external
+    solver, whose verdict carries the rechecked witness: the hash rows are
     conjoined once as native XORs; that one formula is the witness's
     recheck, and it is sent as x-lines or, without solver.native_xor, as
     its `expand_xors` at solver.chunk.  External SAT
@@ -494,13 +503,9 @@ def has_survivor(problem: CountingProblem, h: ParityHash = None,
     verdict is unknown ("no model"); a model failing the recheck is a hard
     integrity error, never silently accepted.
     """
-    _check_hashes(problem, [h])
     if problem.kind == "explicit" or solver is None:
-        packed = _packed_set(problem)
-        i = _first_survivors(packed, [h])[0]
-        if i < 0:
-            return OracleVerdict("unsat")
-        return OracleVerdict("sat", witness=Assignment(_unpack(packed[i]), problem.n))
+        return OracleVerdict(has_survivors(problem, [h])[0])
+    _check_hashes(problem, [h])
     conj = problem.formula if h is None else conjoin(problem.formula, h)
     text = emit(conj if solver.native_xor else expand_xors(conj, chunk=solver.chunk))
     verdict = run_external(text, solver)
@@ -529,8 +534,8 @@ def has_survivors(problem: CountingProblem, hashes,
     """
     _check_hashes(problem, hashes)
     if problem.kind == "explicit" or solver is None:
-        first = _first_survivors(_packed_set(problem), hashes)
-        return ["sat" if i >= 0 else "unsat" for i in first.tolist()]
+        hits = _any_survivors(_packed_set(problem), hashes)
+        return ["sat" if hit else "unsat" for hit in hits.tolist()]
 
     def ask(h):
         return has_survivor(problem, h, solver=solver).answer

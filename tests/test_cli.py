@@ -117,6 +117,15 @@ class TestBoundCmd:
         err = capsys.readouterr().err
         assert err.startswith("inconclusive: 2 of 2 trials unknown") and err.count("\n") == 1
 
+    def test_solver_that_cannot_start_is_inconclusive(self, tmp_path, capsys):
+        cnf = tmp_path / "t.cnf"
+        cnf.write_text("p cnf 2 1\n1 0\n")
+        rc = main(["bound", str(cnf), "lb", "--m", "1", "--T", "2",
+                   "--solver", "no_such_solver_xyz {in}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("inconclusive: 2 of 2 trials unknown") and err.count("\n") == 1
+
     def test_json_deterministic_given_seed(self, tmp_path):
         rng = random.Random(8)
         f = tmp_path / "set.txt"
@@ -154,7 +163,8 @@ class TestBoundCmd:
 
     @pytest.mark.parametrize("flags", [["--solver", "solver"],
                                        ["--solver", "solver {in}", "--chunk", "1"],
-                                       ["--solver", "solver {in}", "--jobs", "0"]])
+                                       ["--solver", "solver {in}", "--jobs", "0"],
+                                       ["--solver", 'foo "{in}']])
     def test_bad_solver_settings_are_a_one_line_error(self, tmp_path, flags):
         cnf = tmp_path / "t.cnf"
         cnf.write_text("p cnf 3 1\n1 2 0\n")
@@ -254,6 +264,20 @@ class TestSweepCmd:
             assert float(row["ub_log2"]) >= true_log2
             assert json.loads(Path(row["certificates_path"]).read_text())
 
+    def test_inconclusive_exit_code_keeps_every_row(self, tmp_path, capsys,
+                                                    sleepy_solver):
+        cnf = tmp_path / "tiny.cnf"
+        cnf.write_text("p cnf 4 1\n1 2 0\n")
+        out_csv = tmp_path / "sweep.csv"
+        rc = main(["sweep", str(cnf), "0.3,0.5", "--m", "2", "--T", "2",
+                   "--solver", sleepy_solver.template, "--budget-s", "0.2",
+                   "--csv", str(out_csv)])
+        assert rc == 2
+        with open(out_csv) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["f"], r["lb_log2"], r["ub_log2"]) for r in rows] == [
+            ("0.3", "", ""), ("0.5", "", "")]
+        assert capsys.readouterr().err.count("inconclusive") == 2
 
     def test_one_prescan_per_density(self, tmp_path, monkeypatch):
         # each certificate file holds what `bound lb` and `bound ub` write at
@@ -295,20 +319,36 @@ class TestTableCmd:
         assert main(["table", str(spec)]) == 0
         assert "exact count: 50" in capsys.readouterr().out
 
+    PERM_9 = "rows 9 cols 9\nR: 1 1 1 1 1 1 1 1 1\nC: 1 1 1 1 1 1 1 1 1\nbinary: 1\n"
+
     def test_capacity_refusal_is_a_one_line_error(self, tmp_path):
-        spec = tmp_path / "s9.spec"
-        spec.write_text(self.SYNTH_9)
+        # 362,880 permutation tables: the search passes its work cap first
+        spec = tmp_path / "p9.spec"
+        spec.write_text(self.PERM_9)
         with pytest.raises(SystemExit) as exc:
             main(["table", str(spec)])
         msg = str(exc.value.code)
         assert str(spec) in msg and "\n" not in msg
-        assert "81 cells" in msg and "--force" in msg
+        assert "rows" in msg and "--force" in msg
 
-    def test_force_counts_past_the_cap(self, tmp_path, capsys):
+    def test_force_counts_past_the_cap(self, tmp_path, capsys, monkeypatch):
+        from xorcount import tables
+        monkeypatch.setattr(tables, "MAX_SEARCH_WORK", 100)
         spec = tmp_path / "s9.spec"
         spec.write_text(self.SYNTH_9)
+        with pytest.raises(SystemExit):
+            main(["table", str(spec)])
         assert main(["table", str(spec), "--force"]) == 0
         assert "exact count: 65" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n,count", [(9, 65), (12, 122), (16, 226), (20, 362)])
+    def test_synth_n_counts_without_force(self, tmp_path, capsys, n, count):
+        marginals = " ".join(["1"] + [str(n - 1)] * (n - 1))
+        spec = tmp_path / "synth.spec"
+        spec.write_text("rows %d cols %d\nR: %s\nC: %s\nbinary: 1\n"
+                        % (n, n, marginals, marginals))
+        assert main(["table", str(spec)]) == 0
+        assert "exact count: %d" % count in capsys.readouterr().out
 
     @pytest.mark.parametrize("cmd", [["table"], ["bound", "lb"]])
     def test_malformed_spec_is_a_one_line_error(self, tmp_path, cmd):
@@ -370,6 +410,7 @@ class TestOneLineErrors:
         (["fstar", "10", "5", "--delta", "1"], "bad parameters: delta must"),
         (["bound", "{bad_token}", "lb"], "bad DIMACS file {bad_token}: "),
         (["bound", "{bad_literal}", "lb"], "bad DIMACS file {bad_literal}: literal 3"),
+        (["fstar", "10", "5", "--c", "-10"], "bad parameters: need m + c >= 1"),
     ])
     def test_bad_input_is_a_one_line_error(self, tmp_path, argv, prefix):
         paths = {"missing": tmp_path / "nope.cnf",

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from xorcount import tables
 from xorcount.oracle import _check_assignment
 from xorcount.tables import (CapacityError, ContingencyTableSpec,
                              brute_force_count, encode_to_cnf,
@@ -74,12 +75,16 @@ class TestBruteForce:
             rec(0, [])
             assert brute_force_count(spec) == naive
 
-    def test_capacity_refusal_cells(self):
-        # 72 cells exceeds the 64-cell cap; force overrides
-        spec = ContingencyTableSpec(8, 9, (1,) * 8, (1,) * 8 + (0,))
-        with pytest.raises(CapacityError):
+    def test_capacity_refusal_rows(self, monkeypatch):
+        # the 6 x 7 permutation tables take 1,956 rows of work 7 + 8 each;
+        # past the cap the search refuses, and force counts them all
+        monkeypatch.setattr(tables, "MAX_SEARCH_WORK", 1956 * 15 - 1)
+        spec = ContingencyTableSpec(6, 7, (1,) * 6, (1,) * 6 + (0,))
+        with pytest.raises(CapacityError, match="built 1956 rows"):
             brute_force_count(spec)
-        assert brute_force_count(spec, force=True) == math.factorial(8)
+        assert brute_force_count(spec, force=True) == math.factorial(6)
+        monkeypatch.setattr(tables, "MAX_SEARCH_WORK", 1956 * 15)
+        assert brute_force_count(spec) == math.factorial(6)
 
     def test_structural_zero_monotone(self):
         rng = random.Random(8)
