@@ -9,25 +9,58 @@ the right-hand side to 0, i.e. "x-1 2 0" asserts x1 XOR x2 = 0.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import ParseError
 
 __all__ = ["CnfFormula", "ParseError", "parse", "emit"]
 
 
-@dataclass
 class CnfFormula:
     """A CNF over variables 1..num_vars plus native parity rows.
 
-    `oracle.conjoin` and `oracle.expand_xors` build new formulas that share
-    this one's clause lists (only the outer list is new), so a clause list
-    must not be mutated once its formula is constructed.
+    A formula is not changed once it is constructed, nor are its clause
+    lists: `oracle.conjoin` and `oracle.expand_xors` build formulas that
+    open with this one's clauses and share its clause lists (only the outer
+    list is new, and only built when `clauses` is first read), and `emit`
+    keeps the validated text of the clauses on the formula, computed on its
+    first call and reused by every formula built from it.  Neither shows in
+    `==` or `repr`, which compare and print num_vars, clauses and xors.
     """
 
-    num_vars: int
-    clauses: list  # list[list[int]], nonempty, no literal 0
-    xors: list = field(default_factory=list)  # list[(list[int] of vars, rhs 0/1)]
+    def __init__(self, num_vars: int, clauses: list, xors: list = None):
+        self.num_vars = num_vars
+        self._clauses = clauses  # list[list[int]], nonempty, no literal 0
+        # list[(list[int] of vars, rhs 0/1)]
+        self.xors = [] if xors is None else xors
+        self._base = None  # the formula whose clauses open this one's
+        self._tail = None  # (count, text, build) of the clauses after them
+        self._text = None  # (count, text) of every clause line, once written
+
+    def _extend(self, num_vars: int, xors: list, count: int = 0, text: str = "",
+                build=list) -> "CnfFormula":
+        """A formula over num_vars variables with these parity rows whose
+        clauses are this one's, then the `count` clauses written as `text`
+        that `build()` returns when the clause lists are read."""
+        out = CnfFormula(num_vars, None, xors)
+        out._base, out._tail = self, (count, text, build)
+        return out
+
+    @property
+    def clauses(self) -> list:
+        if self._clauses is None:
+            self._clauses = self._base.clauses + self._tail[2]()
+        return self._clauses
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.num_vars, self.clauses, self.xors)
+                == (other.num_vars, other.clauses, other.xors))
+
+    def __repr__(self):
+        return "CnfFormula(num_vars=%r, clauses=%r, xors=%r)" % (
+            self.num_vars, self.clauses, self.xors)
 
     def validate(self):
         for cl in self.clauses:
@@ -43,6 +76,25 @@ class CnfFormula:
                 if not 1 <= v <= self.num_vars:
                     raise ParseError("xor variable %d out of range" % v)
         return self
+
+    def _clause_text(self):
+        """(number of clauses, their DIMACS lines), written and checked on
+        the first call; a fault raises what `validate` raises for it.
+        Concurrent first calls may each write the text, and all of them
+        store the same."""
+        if self._text is None:
+            text = None
+            if self._base is not None:
+                count, tail, _ = self._tail
+                try:
+                    base_count, base = self._base._clause_text()
+                    text = base_count + count, base + tail
+                except ParseError:
+                    pass  # the base's fault may be legal over more variables
+            if text is None:
+                text = len(self.clauses), _write(self, self.clauses)
+            self._text = text
+        return self._text
 
 
 def parse(text: str) -> CnfFormula:
@@ -101,36 +153,60 @@ def emit(formula: CnfFormula) -> str:
     """Serialize deterministically: clauses in order, x-lines last.
 
     Parity rows go out as they are, as x-lines; a solver without x-line
-    support is sent `oracle.expand_xors(formula)` instead.  Clauses are
-    checked while they are written: each literal is looked up in a table
-    of the legal ones, ±1..±num_vars.  Any fault, in a clause or in a
-    parity row, raises the ParseError `CnfFormula.validate` raises for it.
+    support is sent `oracle.expand_xors(formula)` instead.  The clause lines
+    are written once per formula and kept on it (`CnfFormula`), and a
+    formula built by `oracle.conjoin` or `oracle.expand_xors` opens with its
+    base formula's kept lines, so only the header, the new clauses and the
+    x-lines are written again.  Each literal is checked while its lines are
+    first written: only the literals that occur are named, and any fault,
+    in a clause or in a parity row, raises the ParseError
+    `CnfFormula.validate` raises for it.
     """
-    num_vars, clauses, xors = formula.num_vars, formula.clauses, formula.xors
+    num_vars, xors = formula.num_vars, formula.xors
     for sup, rhs in xors:
         if rhs not in (0, 1) or (sup and not 1 <= min(sup) <= max(sup) <= num_vars):
             formula.validate()
-    if not all(clauses):
-        formula.validate()
-    digits = list(map(str, range(1, num_vars + 1)))
-    names = dict(zip(range(1, num_vars + 1), digits))
-    names.update(zip(range(-1, -num_vars - 1, -1), map("-".__add__, digits)))
-    name = names.__getitem__
+    count, body = formula._clause_text()
     # an empty parity row is 0 = rhs: nothing to say when rhs is 0, and a
     # contradiction on a fresh variable when it is 1 (x-lines cannot be empty)
-    extra = []
+    extra = ""
     if any(rhs for sup, rhs in xors if not sup):
         num_vars += 1
-        extra = ["%d 0" % num_vars, "-%d 0" % num_vars]
-    lines = ["p cnf %d %d" % (num_vars, len(clauses) + len(extra))]
+        count += 2
+        extra = "%d 0\n-%d 0\n" % (num_vars, num_vars)
+    rows = [[sup[0] if rhs else -sup[0], *sup[1:]] for sup, rhs in xors if sup]
+    return "".join(["p cnf %d %d\n" % (num_vars, count), body, extra,
+                    _write(formula, rows, "x")])
+
+
+def _write(formula: CnfFormula, rows, prefix: str = "") -> str:
+    """One DIMACS line per row of literals, `prefix` first and " 0" last.
+    A literal that is not one of ±1..±num_vars, or an empty row, raises the
+    ParseError `formula.validate()` raises first, else names the literal."""
+    if not all(rows):
+        formula.validate()
+    num_vars = formula.num_vars
+    lits = set(chain.from_iterable(rows))
+    if set(map(type, lits)) <= {int} and 0 not in lits and (
+            not lits or -num_vars <= min(lits) and max(lits) <= num_vars):
+        names = dict(zip(lits, map(str, lits)))
+    else:
+        formula.validate()
+        names = {lit: _name(lit, num_vars) for lit in lits}
+        for lit in chain.from_iterable(rows):
+            if names[lit] is None:
+                raise ParseError("literal %r is not an integer" % (lit,))
+    if not rows:
+        return ""
+    name = names.__getitem__
+    lines = [" ".join(map(name, row)) for row in rows]
+    return prefix + (" 0\n" + prefix).join(lines) + " 0\n"
+
+
+def _name(lit, num_vars: int):
+    """The DIMACS name of lit if it equals one of ±1..±num_vars, else None."""
     try:
-        lines += [" ".join(map(name, cl)) + " 0" for cl in clauses]
-        lines += extra
-        for sup, rhs in xors:
-            if sup:
-                lits = [sup[0] if rhs else -sup[0], *sup[1:]]
-                lines.append("x" + " ".join(map(name, lits)) + " 0")
-    except KeyError as exc:
-        formula.validate()  # raises for the first bad literal
-        raise ParseError("literal %r is not an integer" % (exc.args[0],)) from None
-    return "\n".join(lines) + "\n"
+        k = int(lit)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return str(k) if k == lit and 0 < abs(k) <= num_vars else None

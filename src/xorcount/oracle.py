@@ -29,12 +29,14 @@ A hash of None asks m = 0, "is S non-empty?", on every backend.
 
 from __future__ import annotations
 
+import functools
 import shlex
 import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -173,68 +175,119 @@ def xor_to_cnf(support, rhs: int, chunk: int = 6, fresh=None):
     needs its `fresh` callable (one new variable per call); without one a
     constraint longer than `chunk` is a ParameterError.
     """
+    subs = _sub_xors(support, rhs, chunk, fresh)
+    if not subs:
+        return [[]] if rhs else []
+    return _clauses_of(subs)
+
+
+def _sub_xors(support, rhs: int, chunk: int, fresh):
+    """The chain of sub-XORs (vars, rhs), in clause order, that
+    `xor_to_cnf` expands XOR(support) = rhs into; none for empty support.
+
+    Chaining needs arity-3 sub-XORs at minimum (two inputs + the link
+    variable); chunk=2 still works for short constraints but long ones are
+    chained at arity 3.  Each link variable is the XOR of its group's
+    inputs, XOR(group + [aux]) = 0, and stands in for them in the rest.
+    """
     if chunk < 2:
         raise ParameterError("chunk must be at least 2")
-    support = list(support)
-    if not support:
-        return [[]] if rhs else []
-    if fresh is None and len(support) > chunk:
+    pending = list(support)
+    if fresh is None and len(pending) > chunk:
         raise ParameterError("chaining a long XOR needs a fresh-variable allocator")
-    clauses = []
-    pending = support
-    # chaining needs arity-3 sub-XORs at minimum (two inputs + the link
-    # variable); chunk=2 still works for short constraints but long ones
-    # are chained at arity 3
+    if not pending:
+        return []
     link = max(chunk, 3)
-    groups = []
+    subs = []
     while len(pending) > chunk:
-        group = pending[: link - 1]
         aux = fresh()
-        # aux is defined as the XOR of the group: XOR(group + [aux]) = 0
-        groups.append(group + [aux])
+        subs.append((pending[: link - 1] + [aux], 0))
         pending = [aux] + pending[link - 1 :]
-    if groups:
-        # every chained sub-XOR's clauses in one product: (groups, patterns, link)
-        signs = np.array(_sign_patterns(link, 0))
-        clauses = (np.array(groups)[:, None, :] * signs).reshape(-1, link).tolist()
-    clauses.extend(_direct_xor(pending, _sign_patterns(len(pending), rhs)))
+    subs.append((pending, rhs))
+    return subs
+
+
+@functools.cache
+def _sign_patterns(s: int, rhs: int):
+    """The signs of the 2^(s-1) clauses ruling out wrong-parity assignments
+    of s variables, as an array: pattern p forbids the assignment where
+    variable i takes bit i of p, so its clause negates exactly those
+    variables."""
+    return np.array([
+        [-1 if (p >> i) & 1 else 1 for i in range(s)]
+        for p in range(1 << s) if p.bit_count() & 1 != rhs
+    ])
+
+
+@functools.cache
+def _line_template(s: int, rhs: int):
+    """The clause lines of `_sign_patterns(s, rhs)` as a getter of tokens:
+    given a sub-XOR's tokens, its variables' names and then their
+    negations, each with a trailing space, then "0\\n", it returns the
+    tokens of its DIMACS lines in order."""
+    picks = []
+    for signs in _sign_patterns(s, rhs).tolist():
+        picks += [i if sign > 0 else s + i for i, sign in enumerate(signs)]
+        picks.append(2 * s)
+    return itemgetter(*picks)
+
+
+def _clauses_of(subs) -> list:
+    """The clauses of sub-XORs, in order; each run of one (arity, rhs) is
+    one numpy product of its variables with the run's sign patterns."""
+    clauses = []
+    for (s, rhs), run in groupby(subs, key=lambda sub: (len(sub[0]), sub[1])):
+        groups = np.array([vars_ for vars_, _ in run])
+        clauses += (groups[:, None, :] * _sign_patterns(s, rhs)).reshape(-1, s).tolist()
     return clauses
 
 
-def _sign_patterns(s: int, rhs: int):
-    """The signs of the 2^(s-1) clauses ruling out wrong-parity assignments
-    of s variables: pattern p forbids the assignment where variable i takes
-    bit i of p, so its clause negates exactly those variables."""
-    return [
-        [-1 if (p >> i) & 1 else 1 for i in range(s)]
-        for p in range(1 << s) if p.bit_count() & 1 != rhs
-    ]
-
-
-def _direct_xor(vars_, patterns):
-    """One clause over vars_ per sign pattern of `_sign_patterns`."""
-    return [list(map(mul, vars_, signs)) for signs in patterns]
+def _text_of(subs) -> str:
+    """The DIMACS lines of `_clauses_of(subs)`, from the line templates."""
+    tokens = []
+    for vars_, rhs in subs:
+        names = [str(v) + " " for v in vars_]
+        tokens += _line_template(len(vars_), rhs)(
+            names + ["-" + name for name in names] + ["0\n"])
+    return "".join(tokens)
 
 
 def expand_xors(formula: CnfFormula, chunk: int = 6) -> CnfFormula:
-    """Replace native XOR rows with plain clauses over fresh auxiliaries;
-    the formula's own clause lists are shared, not copied."""
+    """Replace native XOR rows with plain clauses over fresh auxiliaries.
+
+    The result opens with the formula's own clauses (their lists are
+    shared, not copied) and writes the new ones from line templates; their
+    int lists are built only when its `clauses` are read.  A row whose
+    right-hand side is not 0 or 1, or whose support is not of int
+    variables in range, makes the result a plain formula, so that `emit`
+    names its fault."""
     counter = [formula.num_vars]
 
     def fresh():
         counter[0] += 1
         return counter[0]
 
-    clauses = list(formula.clauses)
+    subs = []
+    plain = True
     for sup, rhs in formula.xors:
-        rows = xor_to_cnf(sup, rhs, chunk=chunk, fresh=fresh)
-        if rows == [[]]:
+        row = _sub_xors(sup, rhs, chunk, fresh)
+        if not row and rhs:
             # contradiction: encode on a fresh variable to stay DIMACS-legal
             v = fresh()
-            clauses += [[v], [-v]]
-        else:
-            clauses += rows
-    return CnfFormula(counter[0], clauses, [])
+            row = [([v], 1), ([v], 0)]
+        subs += row
+        plain = plain and _plain_row(sup, rhs, formula.num_vars)
+    if not plain:
+        return CnfFormula(counter[0], formula.clauses + _clauses_of(subs), [])
+    count = sum(1 << len(vars_) - 1 for vars_, _ in subs)
+    return formula._extend(counter[0], [], count, _text_of(subs),
+                           functools.partial(_clauses_of, subs))
+
+
+def _plain_row(sup, rhs, num_vars: int) -> bool:
+    """Does the parity row have rhs 0 or 1 and int variables in 1..num_vars?"""
+    return rhs in (0, 1) and (not len(sup) or set(map(type, sup)) == {int}
+                              and 1 <= min(sup) and max(sup) <= num_vars)
 
 
 def conjoin(formula: CnfFormula, h: ParityHash, native_xor: bool = True) -> CnfFormula:
@@ -242,7 +295,8 @@ def conjoin(formula: CnfFormula, h: ParityHash, native_xor: bool = True) -> CnfF
 
     Hash columns address variables 1..h.n, which must be a prefix of the
     formula's variables.  Original clauses and numbering are untouched: the
-    result has a new clause list holding the formula's own clause lists.
+    result opens with the formula's clauses (see `CnfFormula`) and has no
+    clauses of its own.
     """
     if h.n > formula.num_vars:
         raise DimensionError(
@@ -254,7 +308,7 @@ def conjoin(formula: CnfFormula, h: ParityHash, native_xor: bool = True) -> CnfF
         sup = [j for j, bit in enumerate(bin(row)[:1:-1], 1) if bit == "1"]
         rhs = (h.b_bits >> i) & 1
         xors.append((sup, rhs))
-    out = CnfFormula(formula.num_vars, list(formula.clauses), xors)
+    out = formula._extend(formula.num_vars, xors)
     return out if native_xor else expand_xors(out)
 
 

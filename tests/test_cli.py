@@ -161,6 +161,29 @@ class TestBoundCmd:
             docs.append(strip_timing(json.loads(report.read_text())))
         assert docs[0] == docs[1]
 
+    @pytest.mark.parametrize("transport", [[], ["--native-xor"]])
+    def test_four_jobs_match_serial_with_solver(self, tmp_path, transport):
+        # each run parses the formula afresh, so its first four questions
+        # go out at once and may each write the formula's clause text
+        rng = random.Random(6)
+        lines = ["p cnf 12 24"]
+        for _ in range(24):
+            lines.append(" ".join(str(rng.choice([v, -v]))
+                                  for v in rng.sample(range(1, 13), 3)) + " 0")
+        lines += ["x1 4 7 10 0", "x-2 3 0"]
+        cnf = tmp_path / "t.cnf"
+        cnf.write_text("\n".join(lines) + "\n")
+        solver = "%s -m xorcount.cli solve {in}" % sys.executable
+        docs = []
+        for jobs in ("1", "4"):
+            report = tmp_path / ("jobs%s.json" % jobs)
+            rc = main(["bound", str(cnf), "lb", "--T", "4", "--m", "3",
+                       "--f", "0.3", "--seed", "5", "--solver", solver,
+                       "--jobs", jobs, "--json", str(report)] + transport)
+            assert rc == 0
+            docs.append(strip_timing(json.loads(report.read_text())))
+        assert docs[0] == docs[1]
+
     @pytest.mark.parametrize("flags", [["--solver", "solver"],
                                        ["--solver", "solver {in}", "--chunk", "1"],
                                        ["--solver", "solver {in}", "--jobs", "0"],

@@ -1,10 +1,11 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorcount import tables
+from xorcount import comb, tables
 from xorcount.dimacs import CnfFormula, ParseError, emit, parse
 from xorcount.oracle import conjoin, expand_xors
 
@@ -107,6 +108,21 @@ class TestEmit:
         assert count_models(native) == count_models(expanded)
         assert (count_models(native) == 0) == bool(rhs)
 
+    def test_names_only_the_literals_written(self):
+        # a formula declaring 10^6 variables once made a table of all 2*10^6
+        # legal literals on every call (about 255 MB at peak)
+        import tracemalloc
+
+        f = CnfFormula(10**6, [[1, -2]], [])
+        tracemalloc.start()
+        try:
+            text = emit(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == "p cnf 1000000 1\n1 -2 0\n"
+        assert peak < 1 << 20
+
     # each bad formula raises what validate() names first, clauses before
     # x-lines; messages recorded before emit checked clauses as it wrote them
     @pytest.mark.parametrize("clauses,xors,message", [
@@ -167,6 +183,144 @@ class TestEncodingDigests:
                 assert h.b_bits and not any(h.rows)
             texts.append(self.FORMS[form](problem.formula, h))
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
+
+
+def reference_emit(formula):
+    """emit as it was before a formula kept its clause text: a name table of
+    every legal literal, and every line written again on every call."""
+    num_vars, clauses, xors = formula.num_vars, formula.clauses, formula.xors
+    digits = list(map(str, range(1, num_vars + 1)))
+    names = dict(zip(range(1, num_vars + 1), digits))
+    names.update(zip(range(-1, -num_vars - 1, -1), map("-".__add__, digits)))
+    name = names.__getitem__
+    extra = []
+    if any(rhs for sup, rhs in xors if not sup):
+        num_vars += 1
+        extra = ["%d 0" % num_vars, "-%d 0" % num_vars]
+    lines = ["p cnf %d %d" % (num_vars, len(clauses) + len(extra))]
+    lines += [" ".join(map(name, cl)) + " 0" for cl in clauses]
+    lines += extra
+    for sup, rhs in xors:
+        if sup:
+            lits = [sup[0] if rhs else -sup[0], *sup[1:]]
+            lines.append("x" + " ".join(map(name, lits)) + " 0")
+    return "\n".join(lines) + "\n"
+
+
+def reference_conjoin(formula, h):
+    """conjoin's result built eagerly: new lists throughout."""
+    rows = [([j + 1 for j in range(h.n) if row >> j & 1], h.b_bits >> i & 1)
+            for i, row in enumerate(h.rows)]
+    return CnfFormula(formula.num_vars, list(formula.clauses),
+                      list(formula.xors) + rows)
+
+
+def reference_expand(formula, chunk=6):
+    """expand_xors built eagerly, one clause per sign pattern: each row
+    chained into sub-XORs of arity <= chunk (at least 3 when chaining),
+    and an empty row with rhs 1 a contradiction on a fresh variable."""
+    num_vars = formula.num_vars
+    clauses = list(formula.clauses)
+
+    def direct(vars_, rhs):
+        return [[-v if p >> i & 1 else v for i, v in enumerate(vars_)]
+                for p in range(1 << len(vars_)) if p.bit_count() & 1 != rhs]
+
+    for sup, rhs in formula.xors:
+        if not sup:
+            if rhs:
+                num_vars += 1
+                clauses += [[num_vars], [-num_vars]]
+            continue
+        pending = list(sup)
+        link = max(chunk, 3)
+        while len(pending) > chunk:
+            num_vars += 1
+            clauses += direct(pending[: link - 1] + [num_vars], 0)
+            pending = [num_vars] + pending[link - 1:]
+        clauses += direct(pending, rhs)
+    return CnfFormula(num_vars, clauses, [])
+
+
+class TestEncodingMatchesReference:
+    """conjoin, expand_xors and emit write a question's text from the base
+    formula's kept text, line templates and x-lines; every byte and every
+    clause list must be what the eager reference gives."""
+
+    @staticmethod
+    def bases():
+        """Fresh base formulas (cold text) with their hash widths: random
+        3-CNFs without and with their own x-lines, and the synth_8 table
+        CNF."""
+        rng = random.Random(5)
+        clauses = [[rng.choice([v, -v]) for v in rng.sample(range(1, 15), 3)]
+                   for _ in range(30)]
+        own = [([1, 3, 5, 7, 9, 11, 13], 1), ([2, 4], 0), ([], 0), ([6], 1)]
+        problem, _ = tables.encode_to_cnf(tables.synth_spec(8))
+        return [(CnfFormula(14, clauses, []), 12),
+                (CnfFormula(14, [list(cl) for cl in clauses], own), 12),
+                (problem.formula, problem.n)]
+
+    @staticmethod
+    def hashes(n, seed):
+        """Seeded hashes at f = 0, 0.05, f* and 1/2, and one whose empty
+        rows (rhs 1, rhs 0, rhs 1) sit between long and short rows."""
+        from xorcount.gf2hash import HashParams, ParityHash, sample_hash
+
+        m = 6
+        fstar = comb.min_density_fstar(n, m, 1 << (m + 2), 2.25).f_star
+        out = [sample_hash(HashParams(n, m, f, seed=seed + k))
+               for k, f in enumerate((0.0, 0.05, fstar, 0.5))]
+        full = (1 << n) - 1
+        rows = (full ^ 0b10, 0, full, 0, 0, 0b11, 0)
+        out.append(ParityHash(rows, 0b1010110, HashParams(n, len(rows), 0.5)))
+        return out
+
+    @pytest.mark.parametrize("chunk", range(2, 10))
+    def test_questions_match(self, chunk):
+        for formula, n in self.bases():
+            # the base's clauses read before any text is kept
+            assert formula.clauses == [list(cl) for cl in formula.clauses]
+            kept = None
+            for h in self.hashes(n, seed=10 * chunk):
+                ref = reference_conjoin(formula, h)
+                want_native = reference_emit(ref)
+                want_expanded = reference_expand(ref, chunk)
+                want_text = reference_emit(want_expanded)
+
+                conj = conjoin(formula, h)
+                assert emit(conj) == want_native
+                early = expand_xors(conj, chunk)
+                assert early.clauses == want_expanded.clauses  # read before emit
+                assert emit(early) == want_text
+                late = expand_xors(conj, chunk)
+                assert emit(late) == want_text
+                assert late.clauses == want_expanded.clauses  # read after emit
+                assert late.num_vars == want_expanded.num_vars
+                if chunk == 6:
+                    assert emit(conjoin(formula, h, native_xor=False)) == want_text
+                # the base's text is written once and kept for every question
+                kept = kept or formula._text
+                assert formula._text is kept
+
+    def test_the_kept_text_is_invisible(self):
+        from xorcount.gf2hash import HashParams, sample_hash
+
+        formula, n = self.bases()[1]
+        copy, _ = self.bases()[1]
+        h = sample_hash(HashParams(n, 4, 0.3, seed=1))
+        conj = conjoin(formula, h)
+        expanded = expand_xors(conj, chunk=3)
+        forms = (formula, conj, expanded)
+        before = [repr(f) for f in forms]
+        texts = [emit(f) for f in forms]
+        assert [repr(f) for f in forms] == before
+        assert formula == copy and copy._text is None
+        assert conj == reference_conjoin(copy, h)
+        assert expanded == reference_expand(reference_conjoin(copy, h), 3)
+        assert texts == [emit(copy), emit(conjoin(copy, h)),
+                         emit(expand_xors(conjoin(copy, h), chunk=3))]
+        assert repr(formula) == repr(copy)
 
 
 @st.composite
