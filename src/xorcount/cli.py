@@ -289,7 +289,10 @@ def cmd_table(args) -> int:
 def cmd_solve(args) -> int:
     """Exhaustive DIMACS solver speaking the standard s/v protocol."""
     formula = _load_dimacs(args.input, _read_input(args.input))
-    block = next(_model_blocks(formula), None)
+    try:
+        block = next(_model_blocks(formula), None)
+    except ParameterError as exc:  # past the exhaustive backend's cap
+        raise SystemExit("formula %s: %s" % (args.input, exc)) from None
     if block is None:
         print("s UNSATISFIABLE")
         return 20
@@ -302,7 +305,10 @@ def cmd_solve(args) -> int:
 
 def cmd_count_models(args) -> int:
     formula = _load_dimacs(args.input, _read_input(args.input))
-    n = count_models(formula)
+    try:
+        n = count_models(formula)
+    except ParameterError as exc:  # past the exhaustive backend's cap
+        raise SystemExit("formula %s: %s" % (args.input, exc)) from None
     print("models: %d" % n)
     if n:
         _print_scales("log2 models", math.log2(n))

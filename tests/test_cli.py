@@ -434,13 +434,19 @@ class TestOneLineErrors:
         (["bound", "{bad_token}", "lb"], "bad DIMACS file {bad_token}: "),
         (["bound", "{bad_literal}", "lb"], "bad DIMACS file {bad_literal}: literal 3"),
         (["fstar", "10", "5", "--c", "-10"], "bad parameters: need m + c >= 1"),
+        (["solve", "{too_wide}"], "formula {too_wide}: exhaustive backend capped "
+                                  "at 26 variables, formula has 27"),
+        (["count-models", "{too_wide}"], "formula {too_wide}: exhaustive backend "
+                                         "capped at 26 variables, formula has 27"),
     ])
     def test_bad_input_is_a_one_line_error(self, tmp_path, argv, prefix):
         paths = {"missing": tmp_path / "nope.cnf",
                  "bad_token": tmp_path / "token.cnf",
-                 "bad_literal": tmp_path / "literal.cnf"}
+                 "bad_literal": tmp_path / "literal.cnf",
+                 "too_wide": tmp_path / "wide.cnf"}
         paths["bad_token"].write_text("p cnf 2 1\n1 x 0\n")
         paths["bad_literal"].write_text("p cnf 2 1\n1 3 0\n")
+        paths["too_wide"].write_text("p cnf 27 1\n1 0\n")
         with pytest.raises(SystemExit) as exc:
             main([a.format(**paths) for a in argv])
         msg = str(exc.value.code)

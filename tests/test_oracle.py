@@ -10,7 +10,9 @@ from xorcount.oracle import (CountingProblem, IntegrityError, ParameterError,
                              SolverProfile, conjoin, count_models,
                              expand_xors, has_survivor, has_survivors,
                              run_external, xor_to_cnf, _check_assignment,
-                             _model_blocks, _packed_set)
+                             _model_blocks, _pack, _packed_set, _row_scan,
+                             _table_scan, _tables_pay, _SCAN_ELEMENTS,
+                             _TABLE_ELEMENTS)
 
 
 def parity_solutions(n, support, rhs):
@@ -221,7 +223,7 @@ class TestExplicitBackend:
             v = has_survivor(problem, h)
             assert v.is_sat == any(apply_hash(h, x) == 0 for x in members)
 
-    def test_wide_problem_python_path(self):
+    def test_wide_problem_two_words(self):
         # n > 64 packs two uint64 words per member
         members = [Assignment(0, 70), Assignment((1 << 70) - 1, 70)]
         problem = CountingProblem.from_explicit(members, 70)
@@ -683,3 +685,131 @@ class TestRunExternal:
             if v.is_sat:
                 assert v.witness is not None
                 assert _check_assignment(conjoin(f, h), v.witness.bits)
+
+
+# The survival kernels: a row scan, and table lookup where `_tables_pay`
+# says it is cheaper.  The grid crosses widths around the byte and word
+# edges with m around the table uint widths; KERNEL_GRID_SHA256 is the
+# sha256 of its answers, recorded with the row scan alone.
+KERNEL_NS = (1, 7, 8, 9, 16, 20, 63, 64, 65, 130)
+KERNEL_MS = (1, 8, 9, 16, 17, 32, 33, 64, 65)
+KERNEL_SIZES = (0, 1, 255, 256, 257, 5000)
+KERNEL_FS = (0.0, 0.05, 0.5)
+# (n, m, |S|, T): both sides of the rule's boundary, then sets of several
+# trial chunks whose T is no multiple of the chunk
+KERNEL_EDGES = ((16, 6, 512, 9), (16, 6, 513, 9), (130, 17, 512, 9),
+                (130, 17, 513, 9), (64, 64, 85, 9), (64, 64, 86, 9),
+                (16, 9, 5000, 31), (20, 10, 5000, 31), (64, 8, 255, 70),
+                (130, 65, 257, 50))
+KERNEL_GRID_SHA256 = "4f8d36be9c9ee0c2cb517127fa3896b9cb27f6c5ad7ed339448207b466a0f7aa"
+
+
+def kernel_cases():
+    """(n, m, members, hashes) over the grid: T sampled hashes, then the
+    first one with b all zeros and all ones, with every other row zeroed,
+    and all-zero rows with b all zeros and all ones."""
+    shapes = []
+    for n in KERNEL_NS:
+        for m in KERNEL_MS:
+            if m <= n:
+                shapes.append((n, m, KERNEL_SIZES[len(shapes) % 6], 9))
+    shapes += KERNEL_EDGES
+    for index, (n, m, size, T) in enumerate(shapes):
+        rng = random.Random(index)
+        size = min(size, 1 << n)
+        if n <= 20:
+            members = rng.sample(range(1 << n), size)
+        else:
+            members = set()
+            while len(members) < size:
+                members.add(rng.getrandbits(n))
+        f = KERNEL_FS[index % 3]
+        hashes = [sample_hash(HashParams(n, m, f, seed=1000 * index + k))
+                  for k in range(T)]
+        first, ones = hashes[0], (1 << m) - 1
+        halved = tuple(r if i % 2 else 0 for i, r in enumerate(first.rows))
+        hashes += [ParityHash(first.rows, 0, first.params),
+                   ParityHash(first.rows, ones, first.params),
+                   ParityHash(halved, first.b_bits, first.params),
+                   ParityHash((0,) * m, 0, first.params),
+                   ParityHash((0,) * m, ones, first.params)]
+        yield n, m, sorted(members), hashes
+
+
+class TestSurvivalKernels:
+    def test_match_apply_hash(self):
+        from xorcount.gf2hash import apply_hash
+        digest, sides = hashlib.sha256(), set()
+        for n, m, members, hashes in kernel_cases():
+            xs = [Assignment(x, n) for x in members]
+            got = has_survivors(CountingProblem.from_explicit(xs, n), hashes)
+            want = [any(apply_hash(h, x) == 0 for x in xs) for h in hashes]
+            assert got == ["sat" if w else "unsat" for w in want], (n, m, len(xs))
+            digest.update(b"%d %d %d:" % (n, m, len(xs))
+                          + "".join(a[0] for a in got).encode())
+            sides.add(_tables_pay(len(xs), n, m, -(-n // 64)))
+        assert sides == {False, True}
+        assert digest.hexdigest() == KERNEL_GRID_SHA256
+
+    def test_rule_boundary(self, monkeypatch):
+        for n, m, size, _ in KERNEL_EDGES[:6:2]:
+            words = -(-n // 64)
+            assert not _tables_pay(size, n, m, words)
+            assert _tables_pay(size + 1, n, m, words)
+        assert not _tables_pay(10 ** 9, 130, 65, 3)
+        # and has_survivors follows the rule
+        from xorcount import oracle
+        ran = []
+
+        def spy(name):
+            return lambda *args: ran.append(name) or np.ones(1, dtype=bool)
+
+        monkeypatch.setattr(oracle, "_row_scan", spy("rows"))
+        monkeypatch.setattr(oracle, "_table_scan", spy("tables"))
+        h = sample_hash(HashParams(16, 6, 0.5, seed=0))
+        for size in (512, 513):
+            has_survivors(CountingProblem.from_explicit(
+                [Assignment(x, 16) for x in range(size)], 16), [h])
+        assert ran == ["rows", "tables"]
+
+    def test_chunk_remainders(self):
+        for n, m, size, T in KERNEL_EDGES[6:]:
+            words, count = -(-n // 64), T + 5  # kernel_cases adds 5 hashes
+            step = (_TABLE_ELEMENTS // size if _tables_pay(size, n, m, words)
+                    else _SCAN_ELEMENTS // (size * words))
+            assert count > step and count % step, (n, m, size)
+
+    @pytest.mark.parametrize("n", [20, 70])
+    def test_tables_read_member_bytes_in_value_order(self, n):
+        # a '>u8' array lays out its bytes as a big-endian host's native
+        # uint64 does: the tables must still read byte p as bits 8p..8p+7
+        rng = random.Random(n)
+        words = -(-n // 64)
+        packed = _pack(sorted({rng.getrandbits(n) for _ in range(3000)}), words)
+        hashes = [sample_hash(HashParams(n, 12, 0.3, seed=s)) for s in range(40)]
+        rows = _pack([r for h in hashes for r in h.rows], words).reshape(40, 12, words)
+        want = _row_scan(packed, hashes, rows).tolist()
+        assert _table_scan(packed.astype(">u8"), hashes, rows, n).tolist() == want
+        assert True in want and False in want
+
+    def test_tables_are_built_per_trial_chunk(self):
+        # criterion 11's 3-CNF: 141,440 models of 20 variables.  Tables for
+        # all 2,000 trials at once would take 256 * 3 * 2,000 * 4 bytes,
+        # 6 MB; one chunk at a time needs about 3 MB at peak
+        import tracemalloc
+        rng = random.Random(7)
+        clauses = []
+        for _ in range(15):
+            vs = rng.sample(range(1, 21), 3)
+            clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+        problem = CountingProblem.from_cnf(CnfFormula(20, clauses, []))
+        size = len(_packed_set(problem))
+        assert size == 141_440 and _tables_pay(size, 20, 17, 1)
+        hashes = [sample_hash(HashParams(20, 17, 0.3, seed=s)) for s in range(2000)]
+        tracemalloc.start()
+        try:
+            has_survivors(problem, hashes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
