@@ -115,6 +115,8 @@ def parse(text: str) -> CnfFormula:
                 num_vars, declared_clauses = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError("malformed header: %r" % line) from None
+            if num_vars < 0 or declared_clauses < 0:
+                raise ParseError("malformed header: %r" % line)
             continue
         if num_vars is None:
             raise ParseError("clause before header")

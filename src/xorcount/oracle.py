@@ -17,20 +17,14 @@ Three interchangeable backends answer the same question:
 The first two are in process: S is an (|S|, W) uint64 array, W =
 ceil(n/64) words per member, and every question is answered against it.
 `has_survivors` takes a whole estimate's T hashes at once and scans trials
-x members together, in chunks, with one of two kernels:
-  * row scan — per hash row, AND the row into every member, fold the W
-    words by XOR and compare the low bit of the popcount with b_i: m
-    passes over the chunk.
-  * tables (the "method of Four Russians") — per chunk of trials, one
-    256-entry table per member byte holds the XOR of the columns of A
-    that the byte selects, so Ax is ceil(n/8) lookups whatever m is,
-    compared with b as one m-bit uint.
-The tables run when m <= 64 and |S| m W > 2 ceil(n/8) (|S| + 256), a count
-of the element steps each kernel takes; small sets of wide members, and
-m > 64, keep the row scan.  Both give the same answers.  `has_survivor` is
-`has_survivors` with T = 1.  In-process answers carry no witness: only the
-external backend returns one, its model rechecked in process.  External
-solvers get one call per hash, and one in all for an estimate at m = 0.
+x members together, in chunks, by table lookup (the "method of Four
+Russians"): per chunk of trials, one 256-entry table per member byte holds
+the XOR of the columns of A that the byte selects, so Ax is ceil(n/8)
+lookups whatever m is, compared with b as one uint per group of up to 64
+hash rows.  `has_survivor` is `has_survivors` with T = 1.  In-process
+answers carry no witness: only the external backend returns one, its model
+rechecked in process.  External solvers get one call per hash, and one in
+all for an estimate at m = 0.
 
 A hash of None asks m = 0, "is S non-empty?", on every backend.
 """
@@ -72,12 +66,10 @@ EXHAUSTIVE_CAP_VARS = 26
 _BLOCK_VARS = 20
 _ALL = (1 << 64) - 1
 _LOW = tuple(sum(1 << l for l in range(64) if l >> j & 1) for j in range(6))
-# trials x members x words per chunk of the row scan: 2^14 to 2^16 ran
-# equally fast, and each doubling from 2^14 added about 0.4 MB of peak
-# memory.  Trials x members per chunk of the table kernel: a chunk costs
-# about 15 numpy calls besides its lookups, so at |S| = 1,024 chunks of 2^16
-# ran 2.3x as fast as chunks of 2^14; a chunk's Ax takes at most 512 KB
-_SCAN_ELEMENTS = 1 << 14
+# trials x members per chunk of the survival kernel: a chunk costs about 15
+# numpy calls besides its lookups, so at |S| = 1,024 chunks of 2^16 ran
+# 2.3x as fast as chunks of 2^14; a chunk's Ax takes at most 512 KB per
+# group of 64 hash rows
 _TABLE_ELEMENTS = 1 << 16
 
 
@@ -343,91 +335,69 @@ def _pack(values, words: int):
 
 def _any_survivors(packed, hashes):
     """One bool per hash: does some member of `packed` have h(x) = 0?  The
-    hashes share m; None asks m = 0.  `_tables_pay` picks the kernel."""
+    hashes share m; None asks m = 0."""
     count, (size, words) = len(hashes), packed.shape
     m = hashes[0].m if count and hashes[0] is not None else 0
     if not size or not m:
         return np.full(count, bool(size))
     rows = _pack([r for h in hashes for r in h.rows], words).reshape(count, m, words)
-    if _tables_pay(size, hashes[0].n, m, words):
-        return _table_scan(packed, hashes, rows, hashes[0].n)
-    return _row_scan(packed, hashes, rows)
-
-
-def _tables_pay(size: int, n: int, m: int, words: int) -> bool:
-    """Is the table kernel the cheaper one for |S| = size?  A row scan
-    takes about size * m * words element steps per trial, the tables
-    ceil(n/8) * (size + 256): a lookup per member byte, and 256 entries
-    per table.  The factor 2 is a margin, so that the shapes the rule sends
-    to the tables gain clearly.  Past m = 64, Ax fits no uint."""
-    return m <= 64 and size * m * words > 2 * -(-n // 8) * (size + 256)
-
-
-def _row_scan(packed, hashes, rows):
-    """The survival kernel one hash row at a time: per row of `rows`
-    (trial, row, word), AND it into every member, fold the W words by XOR
-    and compare the low bit of the popcount with b_i; a chunk stops once
-    none of its trials has a survivor left."""
-    (count, m, words), size = rows.shape, len(packed)
-    nbytes = (m + 7) // 8
-    rhs = np.frombuffer(b"".join(h.b_bits.to_bytes(nbytes, "little") for h in hashes),
-                        dtype=np.uint8).reshape(count, nbytes)
-    rhs = np.unpackbits(rhs, axis=1, count=m, bitorder="little")
-    hit = np.zeros(count, dtype=bool)
-    step = max(1, _SCAN_ELEMENTS // (size * words))
-    cols = packed.T  # word k of every member
-    for lo in range(0, count, step):
-        chunk, want = rows[lo:lo + step], rhs[lo:lo + step]
-        alive = np.ones((len(chunk), size), dtype=bool)
-        folded = np.empty(alive.shape, dtype=np.uint64)
-        parity = np.empty(alive.shape, dtype=np.uint8)
-        for i in range(m):
-            # parity of row & x: XOR the W words together, popcount once
-            np.bitwise_and(cols[0], chunk[:, i, 0, None], out=folded)
-            for k in range(1, words):
-                folded ^= cols[k] & chunk[:, i, k, None]
-            np.bitwise_count(folded, out=parity)
-            parity &= 1
-            alive &= parity == want[:, i, None]
-            if not alive.any():
-                break
-        hit[lo:lo + step] = alive.any(axis=1)
-    return hit
+    return _table_scan(packed, hashes, rows, hashes[0].n)
 
 
 def _table_scan(packed, hashes, rows, n: int):
     """The survival kernel by table lookup (the "method of Four Russians"):
     Ax is the XOR, over the member's bytes, of one 256-entry table per byte
     position, entry v holding the XOR of the columns of A that v selects.
-    A column is an m-bit uint, bit i from row i, so h(x) = 0 is Ax == b.
+    The hash rows are taken 64 at a time: in a group of g rows a column is
+    a g-bit uint, bit i from the group's row i, and the group holds where
+    its Ax equals its slice of b, so h(x) = 0 where every group holds.
     Tables are built per chunk of trials, so memory stays bounded whatever
     T is."""
     (count, m, words), size = rows.shape, len(packed)
     nb = -(-n // 8)
-    uint = np.dtype("u%d" % (1 if m <= 8 else 2 if m <= 16 else 4 if m <= 32 else 8))
     # byte p of a member must be its bits 8p..8p+7: read through '<u8', since
     # `_pack` gives one word native uint64, big-endian on a big-endian host
     member_bytes = np.ascontiguousarray(
         packed.astype("<u8", copy=False).view(np.uint8)[:, :nb].T)
     row_bytes = rows.astype("<u8", copy=False).view(np.uint8)
-    powers = np.left_shift(1, np.arange(m, dtype=np.uint64)).astype(uint)
-    rhs = np.array([h.b_bits for h in hashes], dtype=uint)
+    groups = []
+    for g in range(0, m, 64):
+        width = min(64, m - g)
+        uint = np.min_scalar_type((1 << width) - 1)  # uint8 .. uint64
+        powers = np.left_shift(1, np.arange(width, dtype=np.uint64)).astype(uint)
+        rhs = np.array([h.b_bits >> g & (1 << width) - 1 for h in hashes], dtype=uint)
+        groups.append((row_bytes[:, g:g + width], powers, rhs))
     hit = np.empty(count, dtype=bool)
     step = max(1, _TABLE_ELEMENTS // size)
     for lo in range(0, count, step):
-        bits = np.unpackbits(row_bytes[lo:lo + step], axis=2, count=8 * nb,
+        hit[lo:lo + step] = _chunk_hits(member_bytes, groups, slice(lo, lo + step))
+    return hit
+
+
+def _chunk_hits(member_bytes, groups, trials: slice):
+    """One bool per trial of the chunk: does some member hold in every group?
+    Each group is (trial, row, byte) of its hash rows, 2^i for each row i as
+    the group's uint, and each trial's slice of b.  The chunk's arrays are
+    freed when it returns, before the next chunk allocates its own: holding
+    one chunk's arrays through the next made `cnf20-exhaustive` requests
+    about 3% slower (9 of 10 perfbench pairs)."""
+    nb = len(member_bytes)
+    alive = None
+    for row_bytes, powers, rhs in groups:
+        bits = np.unpackbits(row_bytes[trials], axis=2, count=8 * nb,
                              bitorder="little")
         # column 8p + k of each trial's A, laid out (k, p, trial)
         cols = np.matmul(powers, bits).reshape(-1, nb, 8).T
-        tables = np.empty((256, nb, len(bits)), dtype=uint)
+        tables = np.empty((256, nb, len(bits)), dtype=powers.dtype)
         tables[0] = 0
         for k in range(8):  # entries 2^k..2^(k+1)-1: the ones below, ^ column k
             np.bitwise_xor(tables[:1 << k], cols[k], out=tables[1 << k:2 << k])
         ax = np.take(tables[:, 0], member_bytes[0], axis=0)
         for p in range(1, nb):
             ax ^= np.take(tables[:, p], member_bytes[p], axis=0)
-        hit[lo:lo + step] = (ax == rhs[lo:lo + step]).any(axis=0)
-    return hit
+        held = ax == rhs[trials]
+        alive = held if alive is None else alive & held
+    return alive.any(axis=0)
 
 
 def _model_blocks(formula: CnfFormula):

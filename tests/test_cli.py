@@ -438,14 +438,20 @@ class TestOneLineErrors:
                                   "at 26 variables, formula has 27"),
         (["count-models", "{too_wide}"], "formula {too_wide}: exhaustive backend "
                                          "capped at 26 variables, formula has 27"),
+        (["solve", "{negative}"], "bad DIMACS file {negative}: malformed header"),
+        (["count-models", "{negative}"],
+         "bad DIMACS file {negative}: malformed header"),
+        (["bound", "{negative}", "lb"], "bad DIMACS file {negative}: malformed header"),
     ])
     def test_bad_input_is_a_one_line_error(self, tmp_path, argv, prefix):
         paths = {"missing": tmp_path / "nope.cnf",
                  "bad_token": tmp_path / "token.cnf",
                  "bad_literal": tmp_path / "literal.cnf",
+                 "negative": tmp_path / "negative.cnf",
                  "too_wide": tmp_path / "wide.cnf"}
         paths["bad_token"].write_text("p cnf 2 1\n1 x 0\n")
         paths["bad_literal"].write_text("p cnf 2 1\n1 3 0\n")
+        paths["negative"].write_text("p cnf -1 0\n")
         paths["too_wide"].write_text("p cnf 27 1\n1 0\n")
         with pytest.raises(SystemExit) as exc:
             main([a.format(**paths) for a in argv])

@@ -42,6 +42,11 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("p dnf 2 1\n1 0\n")
 
+    @pytest.mark.parametrize("header", ["p cnf -1 0", "p cnf 2 -1"])
+    def test_negative_header_count(self, header):
+        with pytest.raises(ParseError, match="malformed header"):
+            parse(header + "\n")
+
     def test_missing_header(self):
         with pytest.raises(ParseError):
             parse("1 0\n")

@@ -10,8 +10,7 @@ from xorcount.oracle import (CountingProblem, IntegrityError, ParameterError,
                              SolverProfile, conjoin, count_models,
                              expand_xors, has_survivor, has_survivors,
                              run_external, xor_to_cnf, _check_assignment,
-                             _model_blocks, _pack, _packed_set, _row_scan,
-                             _table_scan, _tables_pay, _SCAN_ELEMENTS,
+                             _model_blocks, _pack, _packed_set, _table_scan,
                              _TABLE_ELEMENTS)
 
 
@@ -687,16 +686,16 @@ class TestRunExternal:
                 assert _check_assignment(conjoin(f, h), v.witness.bits)
 
 
-# The survival kernels: a row scan, and table lookup where `_tables_pay`
-# says it is cheaper.  The grid crosses widths around the byte and word
-# edges with m around the table uint widths; KERNEL_GRID_SHA256 is the
-# sha256 of its answers, recorded with the row scan alone.
+# The survival kernel, by table lookup.  The grid crosses widths around the
+# byte and word edges with m around the table uint widths and the 64-row
+# group; KERNEL_GRID_SHA256 is the sha256 of its answers, recorded with a
+# row-at-a-time scan, the kernel this one replaced.
 KERNEL_NS = (1, 7, 8, 9, 16, 20, 63, 64, 65, 130)
 KERNEL_MS = (1, 8, 9, 16, 17, 32, 33, 64, 65)
 KERNEL_SIZES = (0, 1, 255, 256, 257, 5000)
 KERNEL_FS = (0.0, 0.05, 0.5)
-# (n, m, |S|, T): both sides of the rule's boundary, then sets of several
-# trial chunks whose T is no multiple of the chunk
+# (n, m, |S|, T): pairs of set sizes one apart, then larger T, some over
+# several trial chunks (test_trial_chunks_and_row_groups pins those edges)
 KERNEL_EDGES = ((16, 6, 512, 9), (16, 6, 513, 9), (130, 17, 512, 9),
                 (130, 17, 513, 9), (64, 64, 85, 9), (64, 64, 86, 9),
                 (16, 9, 5000, 31), (20, 10, 5000, 31), (64, 8, 255, 70),
@@ -739,7 +738,7 @@ def kernel_cases():
 class TestSurvivalKernels:
     def test_match_apply_hash(self):
         from xorcount.gf2hash import apply_hash
-        digest, sides = hashlib.sha256(), set()
+        digest = hashlib.sha256()
         for n, m, members, hashes in kernel_cases():
             xs = [Assignment(x, n) for x in members]
             got = has_survivors(CountingProblem.from_explicit(xs, n), hashes)
@@ -747,48 +746,47 @@ class TestSurvivalKernels:
             assert got == ["sat" if w else "unsat" for w in want], (n, m, len(xs))
             digest.update(b"%d %d %d:" % (n, m, len(xs))
                           + "".join(a[0] for a in got).encode())
-            sides.add(_tables_pay(len(xs), n, m, -(-n // 64)))
-        assert sides == {False, True}
         assert digest.hexdigest() == KERNEL_GRID_SHA256
 
-    def test_rule_boundary(self, monkeypatch):
-        for n, m, size, _ in KERNEL_EDGES[:6:2]:
-            words = -(-n // 64)
-            assert not _tables_pay(size, n, m, words)
-            assert _tables_pay(size + 1, n, m, words)
-        assert not _tables_pay(10 ** 9, 130, 65, 3)
-        # and has_survivors follows the rule
-        from xorcount import oracle
-        ran = []
-
-        def spy(name):
-            return lambda *args: ran.append(name) or np.ones(1, dtype=bool)
-
-        monkeypatch.setattr(oracle, "_row_scan", spy("rows"))
-        monkeypatch.setattr(oracle, "_table_scan", spy("tables"))
-        h = sample_hash(HashParams(16, 6, 0.5, seed=0))
-        for size in (512, 513):
-            has_survivors(CountingProblem.from_explicit(
-                [Assignment(x, 16) for x in range(size)], 16), [h])
-        assert ran == ["rows", "tables"]
-
-    def test_chunk_remainders(self):
-        for n, m, size, T in KERNEL_EDGES[6:]:
-            words, count = -(-n // 64), T + 5  # kernel_cases adds 5 hashes
-            step = (_TABLE_ELEMENTS // size if _tables_pay(size, n, m, words)
-                    else _SCAN_ELEMENTS // (size * words))
-            assert count > step and count % step, (n, m, size)
+    @pytest.mark.parametrize("n,m", [(16, 9), (130, 64), (130, 129)])
+    def test_trial_chunks_and_row_groups(self, n, m):
+        # T is past one chunk of trials and no multiple of it; at m = 129
+        # each chunk takes three groups of rows (64, 64, 1)
+        from xorcount.gf2hash import apply_hash
+        size, T = 5000, 31
+        step = _TABLE_ELEMENTS // size
+        assert T > step and T % step
+        rng = random.Random(n + m)
+        members = set()
+        while len(members) < size:
+            members.add(rng.getrandbits(n))
+        xs = [Assignment(x, n) for x in sorted(members)]
+        hashes = []
+        for k in range(T):
+            h = sample_hash(HashParams(n, m, 0.05 * (k % 3), seed=k))
+            # plant member k: b = Ax makes it survive; one flipped bit of b,
+            # in the first or the last row, makes it fail in that row alone
+            ax = apply_hash(ParityHash(h.rows, 0, h.params), xs[k])
+            b = (h.b_bits, ax, ax ^ 1, ax ^ 1 << m - 1)[k % 4]
+            hashes.append(ParityHash(h.rows, b, h.params))
+        got = has_survivors(CountingProblem.from_explicit(xs, n), hashes)
+        want = [any(apply_hash(h, x) == 0 for x in xs) for h in hashes]
+        assert got == ["sat" if w else "unsat" for w in want]
+        assert True in want and False in want
 
     @pytest.mark.parametrize("n", [20, 70])
     def test_tables_read_member_bytes_in_value_order(self, n):
         # a '>u8' array lays out its bytes as a big-endian host's native
         # uint64 does: the tables must still read byte p as bits 8p..8p+7
+        from xorcount.gf2hash import apply_hash
         rng = random.Random(n)
         words = -(-n // 64)
-        packed = _pack(sorted({rng.getrandbits(n) for _ in range(3000)}), words)
+        members = sorted({rng.getrandbits(n) for _ in range(3000)})
+        packed = _pack(members, words)
         hashes = [sample_hash(HashParams(n, 12, 0.3, seed=s)) for s in range(40)]
         rows = _pack([r for h in hashes for r in h.rows], words).reshape(40, 12, words)
-        want = _row_scan(packed, hashes, rows).tolist()
+        xs = [Assignment(x, n) for x in members]
+        want = [any(apply_hash(h, x) == 0 for x in xs) for h in hashes]
         assert _table_scan(packed.astype(">u8"), hashes, rows, n).tolist() == want
         assert True in want and False in want
 
@@ -804,7 +802,7 @@ class TestSurvivalKernels:
             clauses.append([v if rng.random() < 0.5 else -v for v in vs])
         problem = CountingProblem.from_cnf(CnfFormula(20, clauses, []))
         size = len(_packed_set(problem))
-        assert size == 141_440 and _tables_pay(size, 20, 17, 1)
+        assert size == 141_440
         hashes = [sample_hash(HashParams(20, 17, 0.3, seed=s)) for s in range(2000)]
         tracemalloc.start()
         try:
