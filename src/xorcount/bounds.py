@@ -133,8 +133,8 @@ class SparseCountConfig:
 
     def __post_init__(self):
         check_parameters(delta=self.delta)
-        if self.alpha <= 0.0:
-            raise ParameterError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ParameterError("alpha must be positive and finite")
         if not callable(self.density_schedule):
             fconst = float(self.density_schedule)
             self.density_schedule = lambda i: fconst
@@ -177,8 +177,8 @@ def check_parameters(T: int = None, kappa: float = None, c: float = None,
     can check before any oracle call."""
     if T is not None and T < 1:
         raise ParameterError("T must be at least 1")
-    if kappa is not None and kappa <= 0.0:
-        raise ParameterError("kappa must be positive")
+    if kappa is not None and not 0.0 < kappa < math.inf:
+        raise ParameterError("kappa must be positive and finite")
     if c is not None and not 0.0 < c <= 1.0:
         raise ParameterError("threshold c must lie in (0, 1]")
     if delta is not None and not 0.0 < delta < 1.0:

@@ -16,15 +16,17 @@ Three interchangeable backends answer the same question:
 
 The first two are in process: S is an (|S|, W) uint64 array, W =
 ceil(n/64) words per member, and every question is answered against it.
-`has_survivors` takes a whole estimate's T hashes at once and scans trials
-x members together, in chunks, by table lookup (the "method of Four
-Russians"): per chunk of trials, one 256-entry table per member byte holds
-the XOR of the columns of A that the byte selects, so Ax is ceil(n/8)
-lookups whatever m is, compared with b as one uint per group of up to 64
-hash rows.  `has_survivor` is `has_survivors` with T = 1.  In-process
-answers carry no witness: only the external backend returns one, its model
-rechecked in process.  External solvers get one call per hash, and one in
-all for an estimate at m = 0.
+`has_survivors` takes a whole estimate's T hashes at once and answers them
+by table lookup (the "method of Four Russians"): per chunk of trials, one
+256-entry table per member byte holds the XOR of the columns of A that the
+byte selects, so Ax is ceil(n/8) lookups whatever m is, compared with b as
+one uint per group of up to 64 hash rows.  Each lookup gathers the entries
+of every trial in the chunk at once.  A trial needs one survivor, so the
+members are read in blocks, and the scan of a chunk stops after the block
+in which its last trial finds one.  `has_survivor` is `has_survivors` with
+T = 1.  In-process answers carry no witness: only the external backend
+returns one, its model rechecked in process.  External solvers get one
+call per hash, and one in all for an estimate at m = 0.
 
 A hash of None asks m = 0, "is S non-empty?", on every backend.
 """
@@ -32,6 +34,7 @@ A hash of None asks m = 0, "is S non-empty?", on every backend.
 from __future__ import annotations
 
 import functools
+import math
 import shlex
 import subprocess
 import tempfile
@@ -66,11 +69,12 @@ EXHAUSTIVE_CAP_VARS = 26
 _BLOCK_VARS = 20
 _ALL = (1 << 64) - 1
 _LOW = tuple(sum(1 << l for l in range(64) if l >> j & 1) for j in range(6))
-# trials x members per chunk of the survival kernel: a chunk costs about 15
-# numpy calls besides its lookups, so at |S| = 1,024 chunks of 2^16 ran
-# 2.3x as fast as chunks of 2^14; a chunk's Ax takes at most 512 KB per
-# group of 64 hash rows
-_TABLE_ELEMENTS = 1 << 16
+# the survival kernel: a chunk of trials holds at most _TABLE_BYTES of
+# tables, a block of members at most _BLOCK_ELEMENTS (member, trial) pairs,
+# and `any` folds a block's pairs _FOLD members at a time
+_TABLE_BYTES = 1 << 20
+_BLOCK_ELEMENTS = 1 << 16
+_FOLD = 64
 
 
 @dataclass(frozen=True)
@@ -89,13 +93,14 @@ class SolverProfile:
     """Every setting of the external solver, checked once here.
 
     `template` is the command, with an {in} placeholder for the instance
-    path; `budget_s` is the per-call timeout (None: no limit); `native_xor`
-    sends parity rows as x-lines, else they are expanded into CNF with
-    sub-XORs of arity `chunk`; `jobs` is how many solver calls of one
-    estimate run at once.  The CLI fills these from --solver, --budget-s,
-    --native-xor, --chunk and --jobs.  Without a profile every question is
-    answered in process, so neither `budget_s` nor `jobs` has any effect.
-    `argv` is the template split once, shell-style, here.
+    path; `budget_s` is the per-call timeout in seconds, positive and
+    finite (None: no limit); `native_xor` sends parity rows as x-lines,
+    else they are expanded into CNF with sub-XORs of arity `chunk`; `jobs`
+    is how many solver calls of one estimate run at once.  The CLI fills
+    these from --solver, --budget-s, --native-xor, --chunk and --jobs.
+    Without a profile every question is answered in process, so neither
+    `budget_s` nor `jobs` has any effect.  `argv` is the template split
+    once, shell-style, here.
     """
 
     template: str
@@ -112,6 +117,8 @@ class SolverProfile:
             object.__setattr__(self, "argv", tuple(shlex.split(self.template)))
         except ValueError as exc:  # unbalanced quotes
             raise ParameterError("solver template %r: %s" % (self.template, exc)) from None
+        if self.budget_s is not None and not 0.0 < self.budget_s < math.inf:
+            raise ParameterError("budget_s must be positive and finite, or None")
         if self.chunk < 2:
             raise ParameterError("chunk must be at least 2")
         if self.jobs < 1:
@@ -351,14 +358,17 @@ def _table_scan(packed, hashes, rows, n: int):
     The hash rows are taken 64 at a time: in a group of g rows a column is
     a g-bit uint, bit i from the group's row i, and the group holds where
     its Ax equals its slice of b, so h(x) = 0 where every group holds.
-    Tables are built per chunk of trials, so memory stays bounded whatever
-    T is."""
+
+    Trials go in chunks whose tables fit in _TABLE_BYTES.  A chunk builds
+    its tables once, then reads the members in blocks of at most
+    _BLOCK_ELEMENTS (member, trial) pairs, and stops after the block in
+    which its last trial finds a survivor.  The blocks' arrays are views of
+    buffers allocated here, once."""
     (count, m, words), size = rows.shape, len(packed)
     nb = -(-n // 8)
     # byte p of a member must be its bits 8p..8p+7: read through '<u8', since
     # `_pack` gives one word native uint64, big-endian on a big-endian host
-    member_bytes = np.ascontiguousarray(
-        packed.astype("<u8", copy=False).view(np.uint8)[:, :nb].T)
+    member_bytes = packed.astype("<u8", copy=False).view(np.uint8)[:, :nb]
     row_bytes = rows.astype("<u8", copy=False).view(np.uint8)
     groups = []
     for g in range(0, m, 64):
@@ -367,37 +377,99 @@ def _table_scan(packed, hashes, rows, n: int):
         powers = np.left_shift(1, np.arange(width, dtype=np.uint64)).astype(uint)
         rhs = np.array([h.b_bits >> g & (1 << width) - 1 for h in hashes], dtype=uint)
         groups.append((row_bytes[:, g:g + width], powers, rhs))
+    itemsizes = [powers.itemsize for _, powers, _ in groups]  # widest first
+    step = max(1, min(count, _TABLE_BYTES // (256 * nb * sum(itemsizes))))
+    lanes = _lanes(step, itemsizes[0])
+    block = max(_FOLD, _BLOCK_ELEMENTS // max(lanes, nb) // _FOLD * _FOLD)
+    pairs = min(block, size + -size % _FOLD) * lanes
+    buffers = (np.empty((nb, min(block, size)), dtype=np.intp),  # rows of the tables
+               np.arange(nb)[:, None],
+               [np.empty(pairs * k, dtype=np.uint8) for k in itemsizes],  # each Ax
+               np.empty(pairs * itemsizes[0], dtype=np.uint8),  # a lookup, a comparison
+               np.empty(pairs, dtype=bool))  # where every group holds
     hit = np.empty(count, dtype=bool)
-    step = max(1, _TABLE_ELEMENTS // size)
     for lo in range(0, count, step):
-        hit[lo:lo + step] = _chunk_hits(member_bytes, groups, slice(lo, lo + step))
+        hit[lo:lo + step] = _chunk_hits(member_bytes, groups, slice(lo, lo + step),
+                                        block, buffers)
     return hit
 
 
-def _chunk_hits(member_bytes, groups, trials: slice):
+def _lanes(trials: int, itemsize: int) -> int:
+    """Trials padded so that a table row under 32 bytes is a power of two of
+    bytes, which `np.take` copies about 3x as fast as other widths."""
+    if trials * itemsize >= 32:
+        return trials
+    return (1 << (trials * itemsize - 1).bit_length()) // itemsize
+
+
+def _chunk_hits(member_bytes, groups, trials: slice, block: int, buffers):
     """One bool per trial of the chunk: does some member hold in every group?
     Each group is (trial, row, byte) of its hash rows, 2^i for each row i as
-    the group's uint, and each trial's slice of b.  The chunk's arrays are
-    freed when it returns, before the next chunk allocates its own: holding
-    one chunk's arrays through the next made `cnf20-exhaustive` requests
-    about 3% slower (9 of 10 perfbench pairs)."""
-    nb = len(member_bytes)
-    alive = None
+    the group's uint, and each trial's slice of b.  The tables are built
+    once, then `_block_hits` reads `block` members at a time until every
+    trial has a survivor.  The lanes past the chunk's trials (see `_lanes`)
+    have A = 0 and b = 0, so every member holds in them."""
+    nb = member_bytes.shape[1]
+    count = len(groups[0][2][trials])
+    lanes = _lanes(count, groups[0][1].itemsize)
+    chunk = []
     for row_bytes, powers, rhs in groups:
         bits = np.unpackbits(row_bytes[trials], axis=2, count=8 * nb,
                              bitorder="little")
-        # column 8p + k of each trial's A, laid out (k, p, trial)
-        cols = np.matmul(powers, bits).reshape(-1, nb, 8).T
-        tables = np.empty((256, nb, len(bits)), dtype=powers.dtype)
+        # column 8p + k of each trial's A, laid out (k, p, lane)
+        cols = np.zeros((lanes, 8 * nb), dtype=powers.dtype)
+        np.matmul(powers, bits, out=cols[:count])
+        cols = np.ascontiguousarray(cols.reshape(lanes, nb, 8).T)
+        tables = np.empty((256, nb, lanes), dtype=powers.dtype)
         tables[0] = 0
         for k in range(8):  # entries 2^k..2^(k+1)-1: the ones below, ^ column k
             np.bitwise_xor(tables[:1 << k], cols[k], out=tables[1 << k:2 << k])
-        ax = np.take(tables[:, 0], member_bytes[0], axis=0)
+        # b joins the tables of byte 0, so the lookups give Ax ^ b, 0 where
+        # the group holds
+        tables[:, 0, :count] ^= rhs[trials]
+        chunk.append(tables.reshape(256 * nb, lanes))
+    hit = _block_hits(member_bytes[:block], chunk, buffers)
+    for lo in range(block, len(member_bytes), block):
+        if hit.all():
+            break
+        hit |= _block_hits(member_bytes[lo:lo + block], chunk, buffers)
+    return hit[:count]
+
+
+def _block_hits(member_bytes, chunk, buffers):
+    """One bool per lane: does one of these members hold in every group?
+    `chunk` is each group's tables, entry v of byte p in row nb * v + p;
+    the (member, lane) arrays are views of `buffers`.  The members are
+    padded with False to a multiple of _FOLD and folded _FOLD at a time
+    before `any` reduces them: `any` down a (member, lane) array of a few
+    lanes took up to 40x as long."""
+    size, nb = member_bytes.shape
+    lanes = chunk[0].shape[1]
+    index, offsets, axs, scratch, alive = buffers
+    index = index[:, :size]
+    index[...] = member_bytes.T
+    index *= nb
+    index += offsets
+    padded = size + -size % _FOLD
+    alive = _pairs(alive, bool, padded, lanes)
+    alive[size:] = False
+    held = alive[:size]
+    for g, tables in enumerate(chunk):
+        ax = _pairs(axs[g], tables.dtype, size, lanes)
+        np.take(tables, index[0], axis=0, out=ax, mode="clip")
+        look = _pairs(scratch, tables.dtype, size, lanes)
         for p in range(1, nb):
-            ax ^= np.take(tables[:, p], member_bytes[p], axis=0)
-        held = ax == rhs[trials]
-        alive = held if alive is None else alive & held
-    return alive.any(axis=0)
+            ax ^= np.take(tables, index[p], axis=0, out=look, mode="clip")
+        if g:
+            held &= np.equal(ax, 0, out=_pairs(scratch, bool, size, lanes))
+        else:
+            np.equal(ax, 0, out=held)
+    return alive.reshape(-1, _FOLD * lanes).any(0).reshape(_FOLD, lanes).any(0)
+
+
+def _pairs(buffer, dtype, size: int, lanes: int):
+    """The start of `buffer` as a (size, lanes) array of dtype."""
+    return buffer.view(dtype)[:size * lanes].reshape(size, lanes)
 
 
 def _model_blocks(formula: CnfFormula):

@@ -442,13 +442,28 @@ class TestOneLineErrors:
         (["count-models", "{negative}"],
          "bad DIMACS file {negative}: malformed header"),
         (["bound", "{negative}", "lb"], "bad DIMACS file {negative}: malformed header"),
+        (["bound", "{good}", "lb", "--kappa", "nan"], "bad bound parameters: kappa"),
+        (["bound", "{good}", "lb", "--kappa", "inf"], "bad bound parameters: kappa"),
+        (["sweep", "{good}", "0.5", "--kappa", "nan"], "bad bound parameters: kappa"),
+        (["bound", "{good}", "count", "--alpha", "nan"], "bad bound parameters: alpha"),
+        (["bound", "{good}", "count", "--alpha", "inf"], "bad bound parameters: alpha"),
+        (["bound", "{good}", "lb", "--solver", "solve {{in}}", "--budget-s", "nan"],
+         "bad solver settings: budget_s"),
+        (["bound", "{good}", "lb", "--solver", "solve {{in}}", "--budget-s", "inf"],
+         "bad solver settings: budget_s"),
+        (["bound", "{good}", "lb", "--solver", "solve {{in}}", "--budget-s", "0"],
+         "bad solver settings: budget_s"),
+        (["bound", "{good}", "lb", "--solver", "solve {{in}}", "--budget-s", "-1"],
+         "bad solver settings: budget_s"),
     ])
     def test_bad_input_is_a_one_line_error(self, tmp_path, argv, prefix):
         paths = {"missing": tmp_path / "nope.cnf",
                  "bad_token": tmp_path / "token.cnf",
                  "bad_literal": tmp_path / "literal.cnf",
                  "negative": tmp_path / "negative.cnf",
-                 "too_wide": tmp_path / "wide.cnf"}
+                 "too_wide": tmp_path / "wide.cnf",
+                 "good": tmp_path / "good.cnf"}
+        paths["good"].write_text("p cnf 3 1\n1 2 0\n")
         paths["bad_token"].write_text("p cnf 2 1\n1 x 0\n")
         paths["bad_literal"].write_text("p cnf 2 1\n1 3 0\n")
         paths["negative"].write_text("p cnf -1 0\n")

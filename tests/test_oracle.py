@@ -10,8 +10,7 @@ from xorcount.oracle import (CountingProblem, IntegrityError, ParameterError,
                              SolverProfile, conjoin, count_models,
                              expand_xors, has_survivor, has_survivors,
                              run_external, xor_to_cnf, _check_assignment,
-                             _model_blocks, _pack, _packed_set, _table_scan,
-                             _TABLE_ELEMENTS)
+                             _model_blocks, _pack, _packed_set, _table_scan)
 
 
 def parity_solutions(n, support, rhs):
@@ -423,7 +422,10 @@ class TestSolverQuestion:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("kwargs", [{"chunk": 1}, {"jobs": 0},
-                                        {"template": 'solver "{in}'}])
+                                        {"template": 'solver "{in}'},
+                                        {"budget_s": float("nan")},
+                                        {"budget_s": float("inf")},
+                                        {"budget_s": 0.0}, {"budget_s": -1.0}])
     def test_profile_checked_at_construction(self, kwargs):
         # the template's {in} check: TestRunExternal.test_template_needs_placeholder
         with pytest.raises(ParameterError):
@@ -749,30 +751,109 @@ class TestSurvivalKernels:
         assert digest.hexdigest() == KERNEL_GRID_SHA256
 
     @pytest.mark.parametrize("n,m", [(16, 9), (130, 64), (130, 129)])
-    def test_trial_chunks_and_row_groups(self, n, m):
-        # T is past one chunk of trials and no multiple of it; at m = 129
-        # each chunk takes three groups of rows (64, 64, 1)
-        from xorcount.gf2hash import apply_hash
+    def test_trial_chunks_and_row_groups(self, n, m, monkeypatch):
+        # trial k plants a member spread over the set, the first trial the
+        # first member and the last trial the last one; at n = 16 one chunk
+        # of 31 trials reads several blocks, at n = 130 the tables of 31
+        # trials need several chunks, and at m = 129 each chunk takes three
+        # groups of rows (64, 64, 1)
         size, T = 5000, 31
-        step = _TABLE_ELEMENTS // size
-        assert T > step and T % step
-        rng = random.Random(n + m)
-        members = set()
-        while len(members) < size:
-            members.add(rng.getrandbits(n))
-        xs = [Assignment(x, n) for x in sorted(members)]
+        xs = self.random_members(n, size, seed=n + m)
         hashes = []
         for k in range(T):
             h = sample_hash(HashParams(n, m, 0.05 * (k % 3), seed=k))
-            # plant member k: b = Ax makes it survive; one flipped bit of b,
+            # b = Ax makes the planted member survive; one flipped bit of b,
             # in the first or the last row, makes it fail in that row alone
-            ax = apply_hash(ParityHash(h.rows, 0, h.params), xs[k])
+            ax = self.image(h, xs[k * (size - 1) // (T - 1)])
             b = (h.b_bits, ax, ax ^ 1, ax ^ 1 << m - 1)[k % 4]
             hashes.append(ParityHash(h.rows, b, h.params))
-        got = has_survivors(CountingProblem.from_explicit(xs, n), hashes)
+        chunks, blocks = self.spy(monkeypatch)
+        want = self.check(xs, hashes)
+        assert True in want and False in want
+        assert len(chunks) > 1 if n == 130 else len(blocks) > len(chunks)
+
+    @pytest.mark.parametrize("size", [1, 300, 20_000])
+    def test_a_survivor_in_the_last_member_of_the_last_block(self, size, monkeypatch):
+        # with 40 rows no member but the planted one survives; the scan
+        # reads every block, the last one short of a whole block
+        xs = self.random_members(64, size, seed=size)
+        hashes = []
+        for k in range(3):
+            h = sample_hash(HashParams(64, 40, 0.5, seed=k))
+            ax = self.image(h, xs[-1])
+            hashes.append(ParityHash(h.rows, ax ^ (k == 2), h.params))
+        chunks, blocks = self.spy(monkeypatch)
+        assert self.check(xs, hashes) == [True, True, False]
+        assert sum(blocks) == size
+        assert size < 20_000 or len(blocks) > 1 and blocks[-1] < blocks[0]
+
+    def test_trials_resolve_in_different_blocks(self, monkeypatch):
+        # trial k's only survivor is member 1,000 k + 999: the scan stops
+        # after the block holding the last trial's survivor
+        xs = self.random_members(64, 30_000, seed=3)
+        T = 20
+        hashes = []
+        for k in range(T):
+            h = sample_hash(HashParams(64, 40, 0.5, seed=k))
+            hashes.append(ParityHash(h.rows, self.image(h, xs[1000 * k + 999]), h.params))
+        chunks, blocks = self.spy(monkeypatch)
+        assert self.check(xs, hashes) == [True] * T
+        assert len(chunks) == 1 and len(blocks) > 1
+        assert sum(blocks[:-1]) <= 1000 * (T - 1) + 999 < sum(blocks) < len(xs)
+
+    def test_early_hits_read_only_the_first_block(self, monkeypatch):
+        # every trial's survivor is among the first members: one block is
+        # read of a set many blocks long
+        xs = self.random_members(20, 100_000, seed=4)
+        hashes = [sample_hash(HashParams(20, 10, 0.5, seed=s)) for s in range(7)]
+        hashes = [ParityHash(h.rows, self.image(h, xs[s]), h.params)
+                  for s, h in enumerate(hashes)]
+        chunks, blocks = self.spy(monkeypatch)
+        assert has_survivors(CountingProblem.from_explicit(xs, 20), hashes) == ["sat"] * 7
+        assert len(chunks) == 1 and len(blocks) == 1 and blocks[0] < len(xs) // 4
+
+    @staticmethod
+    def random_members(n, size, seed):
+        rng = random.Random(seed)
+        members = set()
+        while len(members) < size:
+            members.add(rng.getrandbits(n))
+        return [Assignment(x, n) for x in sorted(members)]
+
+    @staticmethod
+    def image(h, x):
+        """Ax, so that b = Ax makes x survive h."""
+        from xorcount.gf2hash import apply_hash
+        return apply_hash(ParityHash(h.rows, 0, h.params), x)
+
+    @staticmethod
+    def check(xs, hashes):
+        """The kernel's answers, checked against apply_hash."""
+        from xorcount.gf2hash import apply_hash
+        got = has_survivors(CountingProblem.from_explicit(xs, xs[0].n), hashes)
         want = [any(apply_hash(h, x) == 0 for x in xs) for h in hashes]
         assert got == ["sat" if w else "unsat" for w in want]
-        assert True in want and False in want
+        return want
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record each chunk of trials the kernel scans and the members in
+        each block it reads."""
+        from xorcount import oracle
+        chunks, blocks = [], []
+        chunk_hits, block_hits = oracle._chunk_hits, oracle._block_hits
+
+        def on_chunk(member_bytes, groups, trials, *rest):
+            chunks.append(trials)
+            return chunk_hits(member_bytes, groups, trials, *rest)
+
+        def on_block(member_bytes, *rest):
+            blocks.append(len(member_bytes))
+            return block_hits(member_bytes, *rest)
+
+        monkeypatch.setattr(oracle, "_chunk_hits", on_chunk)
+        monkeypatch.setattr(oracle, "_block_hits", on_block)
+        return chunks, blocks
 
     @pytest.mark.parametrize("n", [20, 70])
     def test_tables_read_member_bytes_in_value_order(self, n):
