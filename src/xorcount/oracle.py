@@ -2,20 +2,22 @@
 
 Three interchangeable backends answer the same question:
   * explicit  — S is given outright and packed at construction.
-  * exhaustive — S is the model set of a CNF of at most 26 variables.  On
-    the problem's first question the formula's models are enumerated once,
-    projected onto the first n variables and packed, at most 512 MB at the
+  * exhaustive — S is the model set of a CNF of at most 26 variables.  Its
+    models are enumerated lazily, one block of assignments at a time and
+    only as far as the questions read them, projected onto the first n
+    variables, packed and kept for later questions, at most 512 MB at the
     cap.  Enumeration is bit-sliced: one uint64 word holds 64 assignments,
     so a clause is a few word-wide ORs and a native XOR row a few XORs,
-    over blocks of 2^20 assignments (128 KB of words).
+    over blocks of 2^16 assignments doubling up to 2^20 (128 KB of words).
   * external  — serialize the conjoined instance to DIMACS and invoke a
     solver subprocess; witnesses are always re-checked in process, and a
     SAT answer without a full model, or with a v line that is not all
     integers, is `unknown`.  Solvers without x-lines get the parity rows
     as plain clauses, lowered here by `expand_xors`.
 
-The first two are in process: S is an (|S|, W) uint64 array, W =
-ceil(n/64) words per member, and every question is answered against it.
+The first two are in process: S is a stream of (k, W) uint64 blocks, W =
+ceil(n/64) words per member (an explicit set is one block), and every
+question is answered against it.
 `has_survivors` takes a whole estimate's T hashes at once and answers them
 by table lookup (the "method of Four Russians"): per chunk of trials, one
 256-entry table per member byte holds the XOR of the columns of A that the
@@ -23,8 +25,9 @@ byte selects, so Ax is ceil(n/8) lookups whatever m is, compared with b as
 one uint per group of up to 64 hash rows.  Each lookup gathers the entries
 of every trial in the chunk at once.  A trial needs one survivor, so the
 members are read in blocks, and the scan of a chunk stops after the block
-in which its last trial finds one.  `has_survivor` is `has_survivors` with
-T = 1.  In-process answers carry no witness: only the external backend
+in which its last trial finds one; a CNF's models past that block are not
+enumerated until a question reads them.  `has_survivor` is `has_survivors`
+with T = 1.  In-process answers carry no witness: only the external backend
 returns one, its model rechecked in process.  External solvers get one
 call per hash, and one in all for an estimate at m = 0.
 
@@ -38,6 +41,7 @@ import math
 import shlex
 import subprocess
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -64,9 +68,13 @@ __all__ = [
 ]
 
 EXHAUSTIVE_CAP_VARS = 26
-# model enumeration: a block is 2^20 assignments, 64 per uint64 word, and
-# bit l of _LOW[j] is bit j of l, variable j + 1's value across any word
+# model enumeration: blocks of 2^16 assignments, then blocks doubling up to
+# 2^20, 64 assignments per uint64 word; bit l of _LOW[j] is bit j of l,
+# variable j + 1's value across any word, and variables 7.._AXIS_VARS pick
+# a word along one contiguous axis of a block's words
+_FIRST_BLOCK_VARS = 16
 _BLOCK_VARS = 20
+_AXIS_VARS = 16
 _ALL = (1 << 64) - 1
 _LOW = tuple(sum(1 << l for l in range(64) if l >> j & 1) for j in range(6))
 # the survival kernel: a chunk of trials holds at most _TABLE_BYTES of
@@ -134,29 +142,41 @@ class CountingProblem:
                         first n variables (n == num_vars unless the formula
                         carries auxiliary variables, as table encodings do).
 
-    `_packed` holds S in increasing order as an (|S|, W) uint64 array, W =
-    ceil(n/64), word k of a row holding bits 64k..64k+63 of the member.  It
-    is built here for explicit sets and on the first in-process question
-    for CNF problems; every in-process question (`has_survivors`, T hashes
-    in one pass) is answered from it.
+    Every in-process question (`has_survivors`, T hashes in one pass)
+    reads S as a stream of packed blocks (`_stream`): (k, W) uint64 arrays,
+    W = ceil(n/64), word k of a row holding bits 64k..64k+63 of the member.
+    `_blocks` holds the blocks so far and `_source` what yields the rest.
+    An explicit set is one block, in increasing order, packed here.  A CNF
+    problem's blocks are its models, each block in increasing order,
+    enumerated by `_model_blocks` only when a question reads past the
+    blocks held; projected onto n < num_vars, a member may recur in later
+    blocks.  `_lock` lets one thread at a time extend the stream.
     """
 
     def __init__(self, n: int, kind: str, members=None, formula: CnfFormula = None):
         self.n = n
         self.kind = kind
         self.formula = formula
+        self._lock = threading.Lock()
         if kind == "explicit":
+            if n < 0:
+                raise ParameterError("problem width n = %d is negative" % n)
             seen = set()
             for x in members:
                 if x.n != n:
                     raise DimensionError(
                         "member width %d != problem width %d" % (x.n, n))
                 seen.add(x.bits)
-            self._packed = _pack(sorted(seen), _words(n))
+            self._blocks = [_pack(sorted(seen), _words(n))] if seen else []
+            self._source = iter(())
         elif kind == "cnf":
             if formula is None:
                 raise ParameterError("cnf problem needs a formula")
-            self._packed = None
+            if not 0 <= n <= formula.num_vars:
+                raise ParameterError("problem width n = %d is outside 0..num_vars = %d"
+                                     % (n, formula.num_vars))
+            self._blocks = []
+            self._source = None  # `_model_blocks`, on the first read past _blocks
         else:
             raise ParameterError("unknown problem kind %r" % kind)
 
@@ -171,7 +191,7 @@ class CountingProblem:
     def __len__(self):
         if self.kind != "explicit":
             raise TypeError("only explicit problems have a known size")
-        return len(self._packed)
+        return sum(map(len, self._blocks))
 
 
 def xor_to_cnf(support, rhs: int, chunk: int = 6, fresh=None):
@@ -340,18 +360,23 @@ def _pack(values, words: int):
     return np.frombuffer(blob, dtype="<u8").reshape(-1, words)
 
 
-def _any_survivors(packed, hashes):
-    """One bool per hash: does some member of `packed` have h(x) = 0?  The
-    hashes share m; None asks m = 0."""
-    count, (size, words) = len(hashes), packed.shape
+def _any_survivors(problem: CountingProblem, hashes):
+    """One bool per hash: does some member of S have h(x) = 0?  The hashes
+    share m; None asks m = 0, which reads only S's first block."""
+    count = len(hashes)
     m = hashes[0].m if count and hashes[0] is not None else 0
-    if not size or not m:
-        return np.full(count, bool(size))
-    rows = _pack([r for h in hashes for r in h.rows], words).reshape(count, m, words)
-    return _table_scan(packed, hashes, rows, hashes[0].n)
+    empty = not problem._blocks and not _pull(problem, 0)
+    if empty or not m:
+        return np.full(count, not empty)
+    rows = _pack([r for h in hashes for r in h.rows], _words(problem.n))
+    # no block is longer than an explicit set, 2^20 models or 2^n members
+    most = (len(problem._blocks[0]) if problem.kind == "explicit"
+            else 1 << min(problem.n, _BLOCK_VARS))
+    return _table_scan(functools.partial(_stream, problem), hashes,
+                       rows.reshape(count, m, -1), problem.n, most)
 
 
-def _table_scan(packed, hashes, rows, n: int):
+def _table_scan(blocks, hashes, rows, n: int, most: int):
     """The survival kernel by table lookup (the "method of Four Russians"):
     Ax is the XOR, over the member's bytes, of one 256-entry table per byte
     position, entry v holding the XOR of the columns of A that v selects.
@@ -359,16 +384,14 @@ def _table_scan(packed, hashes, rows, n: int):
     a g-bit uint, bit i from the group's row i, and the group holds where
     its Ax equals its slice of b, so h(x) = 0 where every group holds.
 
-    Trials go in chunks whose tables fit in _TABLE_BYTES.  A chunk builds
-    its tables once, then reads the members in blocks of at most
-    _BLOCK_ELEMENTS (member, trial) pairs, and stops after the block in
-    which its last trial finds a survivor.  The blocks' arrays are views of
-    buffers allocated here, once."""
-    (count, m, words), size = rows.shape, len(packed)
+    `blocks()` iterates over S as packed (k, W) blocks, none longer than
+    `most`; each chunk of trials, as many as fit in _TABLE_BYTES of tables,
+    builds its tables once, then reads the blocks anew, in pieces of at
+    most _BLOCK_ELEMENTS (member, trial) pairs, and stops after the piece
+    in which its last trial finds a survivor.  The pieces' arrays are views
+    of buffers allocated here, once, no larger than the pieces need."""
+    count, m = rows.shape[:2]
     nb = -(-n // 8)
-    # byte p of a member must be its bits 8p..8p+7: read through '<u8', since
-    # `_pack` gives one word native uint64, big-endian on a big-endian host
-    member_bytes = packed.astype("<u8", copy=False).view(np.uint8)[:, :nb]
     row_bytes = rows.astype("<u8", copy=False).view(np.uint8)
     groups = []
     for g in range(0, m, 64):
@@ -381,15 +404,15 @@ def _table_scan(packed, hashes, rows, n: int):
     step = max(1, min(count, _TABLE_BYTES // (256 * nb * sum(itemsizes))))
     lanes = _lanes(step, itemsizes[0])
     block = max(_FOLD, _BLOCK_ELEMENTS // max(lanes, nb) // _FOLD * _FOLD)
-    pairs = min(block, size + -size % _FOLD) * lanes
-    buffers = (np.empty((nb, min(block, size)), dtype=np.intp),  # rows of the tables
+    pairs = min(block, most + -most % _FOLD) * lanes
+    buffers = (np.empty((nb, min(block, most)), dtype=np.intp),  # rows of the tables
                np.arange(nb)[:, None],
                [np.empty(pairs * k, dtype=np.uint8) for k in itemsizes],  # each Ax
                np.empty(pairs * itemsizes[0], dtype=np.uint8),  # a lookup, a comparison
                np.empty(pairs, dtype=bool))  # where every group holds
     hit = np.empty(count, dtype=bool)
     for lo in range(0, count, step):
-        hit[lo:lo + step] = _chunk_hits(member_bytes, groups, slice(lo, lo + step),
+        hit[lo:lo + step] = _chunk_hits(blocks, groups, slice(lo, lo + step), nb,
                                         block, buffers)
     return hit
 
@@ -402,14 +425,13 @@ def _lanes(trials: int, itemsize: int) -> int:
     return (1 << (trials * itemsize - 1).bit_length()) // itemsize
 
 
-def _chunk_hits(member_bytes, groups, trials: slice, block: int, buffers):
+def _chunk_hits(blocks, groups, trials: slice, nb: int, block: int, buffers):
     """One bool per trial of the chunk: does some member hold in every group?
     Each group is (trial, row, byte) of its hash rows, 2^i for each row i as
     the group's uint, and each trial's slice of b.  The tables are built
-    once, then `_block_hits` reads `block` members at a time until every
-    trial has a survivor.  The lanes past the chunk's trials (see `_lanes`)
-    have A = 0 and b = 0, so every member holds in them."""
-    nb = member_bytes.shape[1]
+    once, then `_block_hits` reads `block` members of `blocks()` at a time
+    until every trial has a survivor.  The lanes past the chunk's trials
+    (see `_lanes`) have A = 0 and b = 0, so every member holds in them."""
     count = len(groups[0][2][trials])
     lanes = _lanes(count, groups[0][1].itemsize)
     chunk = []
@@ -428,11 +450,16 @@ def _chunk_hits(member_bytes, groups, trials: slice, block: int, buffers):
         # the group holds
         tables[:, 0, :count] ^= rhs[trials]
         chunk.append(tables.reshape(256 * nb, lanes))
-    hit = _block_hits(member_bytes[:block], chunk, buffers)
-    for lo in range(block, len(member_bytes), block):
-        if hit.all():
-            break
-        hit |= _block_hits(member_bytes[lo:lo + block], chunk, buffers)
+    hit = np.zeros(lanes, dtype=bool)
+    for members in blocks():
+        # byte p of a member must be its bits 8p..8p+7: read through '<u8',
+        # since `_pack` gives one word native uint64, big-endian on a
+        # big-endian host
+        member_bytes = members.astype("<u8", copy=False).view(np.uint8)[:, :nb]
+        for lo in range(0, len(member_bytes), block):
+            hit |= _block_hits(member_bytes[lo:lo + block], chunk, buffers)
+            if hit.all():
+                return hit[:count]
     return hit[:count]
 
 
@@ -473,18 +500,14 @@ def _pairs(buffer, dtype, size: int, lanes: int):
 
 
 def _model_blocks(formula: CnfFormula):
-    """Yield the formula's models in increasing order, as nonempty uint64
-    arrays, one per block of up to 2^20 assignments (num_vars <= 26).
+    """The formula's models in increasing order, as an iterator of nonempty
+    uint64 arrays, one per block of assignments (num_vars <= 26, checked
+    here, before any block is read).
 
-    Blocks are bit-sliced, 64 assignments per word: bit l of word w in the
-    block starting at assignment s stands for assignment s + 64w + l.  The
-    block's 2^(width - 6) words are laid out as a (2,) * (width - 6) array
-    whose axis width - 1 - j is bit j - 6 of w.  So variable j < 6 is one
-    fixed word, variable 6 <= j < width a [0, all-ones] slice along its
-    own axis (numpy broadcasts it over the rest), and a variable at or
-    above the width a constant over the block.  Each clause and parity row
-    becomes one word array (`_block_constraints`) ANDed into the block's
-    mask; a block is dropped as soon as its mask is all zero.
+    The first block is [0, 2^16); then each block [2^w, 2^(w+1)) doubles
+    up to 2^20 assignments, and the rest are 2^20 long, each aligned to its
+    own length; a formula of at most 16 variables is one block.  Only the
+    blocks read are enumerated.
     """
     nv = formula.num_vars
     if nv > EXHAUSTIVE_CAP_VARS:
@@ -492,69 +515,130 @@ def _model_blocks(formula: CnfFormula):
             "exhaustive backend capped at %d variables, formula has %d"
             % (EXHAUSTIVE_CAP_VARS, nv)
         )
-    width = min(nv, _BLOCK_VARS)
-    dims = max(0, width - 6)
-    slices = [np.uint64(_LOW[j]) if j < 6 else
-              np.array([0, _ALL], dtype=np.uint64).reshape(
-                  [2 if axis == width - 1 - j else 1 for axis in range(dims)])
-              for j in range(width)]
-    shape = (2,) * dims or (1,)
-    # below 6 variables the block is one word, and only its low 2^nv bits
-    # stand for assignments
-    valid = _ALL if nv >= 6 else (1 << (1 << nv)) - 1
-    for start in range(0, 1 << nv, 1 << width):
-        mask = np.full(shape, valid, dtype=np.uint64)
-        for value in _block_constraints(formula, slices, start):
-            mask &= value
-            if not mask.any():
-                break
-        else:
-            bits = np.unpackbits(mask.view(np.uint8), bitorder="little")
-            models = np.flatnonzero(bits.view(bool)).view(np.uint64)
-            models += np.uint64(start)
-            yield models
+    first = min(nv, _FIRST_BLOCK_VARS)
+    spans = [(0, first)] + [(1 << w, w) for w in range(first, min(nv, _BLOCK_VARS))]
+    spans += [(start, _BLOCK_VARS) for start in
+              range(1 << _BLOCK_VARS, 1 << nv, 1 << _BLOCK_VARS)]
+    blocks = (_block_models(formula, start, width) for start, width in spans)
+    return (models for models in blocks if models is not None)
+
+
+@functools.cache
+def _slices(width: int):
+    """Each variable j < width across a block of 2^width assignments,
+    bit-sliced (see `_block_models`), then each one's negation; the arrays
+    are shared by every block of that width, so they are read-only."""
+    if width > _AXIS_VARS:
+        pos, neg = _slices(_AXIS_VARS)
+        own = [np.array([0, _ALL], dtype=np.uint64).reshape(
+                   [2 if axis == width - 1 - j else 1
+                    for axis in range(width - _AXIS_VARS)] + [1])
+               for j in range(_AXIS_VARS, width)]
+    else:
+        pos = neg = ()
+        words = np.arange(1 << max(0, width - 6), dtype=np.uint64)
+        ones, zeros = np.uint64(_ALL), np.uint64(0)
+        own = [np.uint64(_LOW[j]) if j < 6 else
+               np.where(words >> np.uint64(j - 6) & np.uint64(1), ones, zeros)
+               for j in range(width)]
+    negated = [~x for x in own]
+    for x in own + negated:
+        if isinstance(x, np.ndarray):
+            x.setflags(write=False)
+    return pos + tuple(own), neg + tuple(negated)
+
+
+def _block_models(formula: CnfFormula, start: int, width: int):
+    """The models among assignments start..start + 2^width - 1, or None.
+
+    The block is bit-sliced, 64 assignments per word: bit l of word w
+    stands for assignment start + 64w + l.  Variable j < 6 is one fixed
+    word.  The words are laid out as a (2,) * (width - 16) + (2^10,) array
+    (or one axis of 2^(width - 6) words below 16 variables): variable
+    6 <= j < 16 is a pattern along the last axis, where word w is all ones
+    if bit j - 6 of w is set; variable 16 <= j < width is a [0, all-ones]
+    slice along axis width - 1 - j (numpy broadcasts both over the rest);
+    and a variable at or above the width is a constant over the block.
+    Each clause and parity row becomes one word array
+    (`_block_constraints`) ANDed into the block's mask.  The block is
+    dropped once its mask is all zero, as checked after constraints 1, 2,
+    4, 8, ... and the last, so a block that dies early costs at most twice
+    the constraints it needs.
+    """
+    # below 6 variables the block is one word, and only its low 2^width
+    # bits stand for assignments
+    valid = _ALL if width >= 6 else (1 << (1 << width)) - 1
+    words = 1 << max(0, min(width, _AXIS_VARS) - 6)
+    mask = np.full((2,) * max(0, width - _AXIS_VARS) + (words,), valid, dtype=np.uint64)
+    k = 0
+    for k, value in enumerate(_block_constraints(formula, _slices(width), start), 1):
+        mask &= value
+        if not k & k - 1 and not mask.any():
+            return None
+    if k & k - 1 and not mask.any():
+        return None
+    bits = np.unpackbits(mask.view(np.uint8), bitorder="little")
+    models = np.flatnonzero(bits.view(bool)).view(np.uint64)
+    models += np.uint64(start)
+    return models
 
 
 def _block_constraints(formula: CnfFormula, slices, start: int):
     """For each clause, then each parity row, the words of the block at
-    `start` whose bits satisfy it; `slices[j]` is variable j + 1 across the
-    block.  A clause is the OR of its literals' slices (~slice for a
-    negative literal), and one that a literal above the block satisfies is
-    skipped; a parity row is the XOR of its slices, inverted when the
-    right-hand side is 0, and a variable above the block set to 1 inverts
-    it again."""
-    width = len(slices)
+    `start` whose bits satisfy it; `slices` is each variable j + 1 across
+    the block, then each one's negation.  A clause is the OR of its
+    literals' slices (the zero word for an empty clause), and one that a
+    literal above the block satisfies is skipped; a parity row is the XOR
+    of its slices, inverted when the right-hand side is 0, and a variable
+    above the block set to 1 inverts it again."""
+    pos, neg = slices
+    width = len(pos)
     for cl in formula.clauses:
-        value = np.uint64(0)
+        value = None
         for lit in cl:
             j = abs(lit) - 1
             if j < width:
-                value = value | (slices[j] if lit > 0 else ~slices[j])
+                sliced = pos[j] if lit > 0 else neg[j]
+                value = sliced if value is None else value | sliced
             elif (start >> j & 1) == (lit > 0):
                 break
         else:
-            yield value
+            yield np.uint64(0) if value is None else value
     for sup, rhs in formula.xors:
         value = np.uint64(0 if rhs else _ALL)
         for v in sup:
             if v <= width:
-                value = value ^ slices[v - 1]
+                value = value ^ pos[v - 1]
             elif start >> (v - 1) & 1:
                 value = ~value
         yield value
 
 
-def _packed_set(problem: CountingProblem):
-    """S of an in-process problem, packed; a CNF problem's models are
-    enumerated on first use.  Concurrent first calls may each enumerate,
-    and all of them store the same array."""
-    if problem._packed is None:
-        blocks = list(_model_blocks(problem.formula))
-        packed = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.uint64)
+def _stream(problem: CountingProblem):
+    """S of an in-process problem as its packed blocks: those held, then
+    each further one as `_pull` adds it."""
+    blocks, i = problem._blocks, 0
+    while i < len(blocks) or _pull(problem, i):
+        yield blocks[i]
+        i += 1
+
+
+def _pull(problem: CountingProblem, i: int) -> bool:
+    """Is there a block i?  Under the problem's lock, a CNF problem's next
+    block of models is enumerated, projected onto the first n variables
+    (masked and deduplicated when n < num_vars), packed and kept."""
+    with problem._lock:
+        if i < len(problem._blocks):  # another thread added it
+            return True
+        if problem._source is None:
+            problem._source = _model_blocks(problem.formula)
+        models = next(problem._source, None)
+        if models is None:
+            return False
         if problem.n < problem.formula.num_vars:
-            packed = np.unique(packed & np.uint64((1 << problem.n) - 1))
-        problem._packed = packed.reshape(-1, 1)
-    return problem._packed
+            models = np.unique(models & np.uint64((1 << problem.n) - 1))
+        problem._blocks.append(models.reshape(-1, 1))
+        return True
 
 
 def count_models(formula: CnfFormula) -> int:
@@ -697,7 +781,7 @@ def has_survivors(problem: CountingProblem, hashes,
     """
     _check_hashes(problem, hashes)
     if problem.kind == "explicit" or solver is None:
-        hits = _any_survivors(_packed_set(problem), hashes)
+        hits = _any_survivors(problem, hashes)
         return ["sat" if hit else "unsat" for hit in hits.tolist()]
 
     def ask(h):

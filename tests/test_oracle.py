@@ -10,7 +10,7 @@ from xorcount.oracle import (CountingProblem, IntegrityError, ParameterError,
                              SolverProfile, conjoin, count_models,
                              expand_xors, has_survivor, has_survivors,
                              run_external, xor_to_cnf, _check_assignment,
-                             _model_blocks, _pack, _packed_set, _table_scan)
+                             _model_blocks, _pack, _stream, _table_scan)
 
 
 def parity_solutions(n, support, rhs):
@@ -18,6 +18,19 @@ def parity_solutions(n, support, rhs):
         bits for bits in range(1 << n)
         if sum((bits >> (v - 1)) & 1 for v in support) % 2 == rhs
     }
+
+
+def packed_set(problem):
+    """S of an in-process problem as one (|S|, W) array in increasing
+    order: its stream of blocks concatenated, deduplicated when a CNF is
+    projected onto n < num_vars."""
+    blocks = list(_stream(problem))
+    if not blocks:
+        return np.empty((0, max(1, -(-problem.n // 64))), dtype=np.uint64)
+    packed = np.concatenate(blocks)
+    if problem.kind == "cnf" and problem.n < problem.formula.num_vars:
+        packed = np.unique(packed[:, 0]).reshape(-1, 1)
+    return packed
 
 
 def projected_models(formula, n):
@@ -318,7 +331,7 @@ class TestModelSet:
                                        seed=100 * seed + k))
             survivors = {x for x in S if apply_hash(h, Assignment(x, n)) == 0}
             assert has_survivor(problem, h).is_sat == bool(survivors)
-        assert sorted(problem._packed[:, 0].tolist()) == sorted(S)
+        assert sorted(packed_set(problem)[:, 0].tolist()) == sorted(S)
 
     def test_external_questions_never_build_it(self, exhaustive_solver):
         rng = random.Random(5)
@@ -327,7 +340,7 @@ class TestModelSet:
             h = sample_hash(HashParams(8, 2, 0.5, seed=seed))
             has_survivor(problem, h, solver=exhaustive_solver)
         has_survivor(problem, solver=exhaustive_solver)
-        assert problem._packed is None
+        assert problem._blocks == [] and problem._source is None
 
     def test_m_zero_on_every_kind(self, exhaustive_solver):
         sat = CountingProblem.from_cnf(CnfFormula(3, [[1, 2]], []))
@@ -462,8 +475,9 @@ class TestCountModels:
 # nv of the enumeration grid: no variable, a partial word, exactly one
 # word (6), one block (20) and two or four blocks of 2^20 assignments
 MODEL_GRID_NV = (0, 1, 2, 5, 6, 7, 12, 19, 20, 21, 22)
-# sha256 of `_packed_set` over the grid, in full and projected onto
-# variables 1..nv//2, as the one-assignment-per-word enumerator built it
+# sha256 of the packed model sets over the grid (`packed_set`), in full and
+# projected onto variables 1..nv//2, as the one-assignment-per-word
+# enumerator built them
 MODEL_GRID_SHA256 = "d4ef43e0dac716aada8d4305c50414167b521e5ff58d41ecc237a9c6e726dbd3"
 
 
@@ -535,9 +549,191 @@ class TestModelBlocks:
         digest = hashlib.sha256()
         for formula in model_grid():
             for n in (formula.num_vars, formula.num_vars // 2):
-                packed = _packed_set(CountingProblem.from_cnf(formula, n))
+                packed = packed_set(CountingProblem.from_cnf(formula, n))
                 digest.update(b"%d:" % len(packed) + packed.tobytes())
         assert digest.hexdigest() == MODEL_GRID_SHA256
+
+
+def criterion_11_cnf():
+    """Criterion 11's random 3-CNF: 141,440 models of 20 variables, in
+    stream blocks of 6,880, 6,880, 16,416, 32,000 and 79,264."""
+    rng = random.Random(7)
+    clauses = []
+    for _ in range(15):
+        vs = rng.sample(range(1, 21), 3)
+        clauses.append([v if rng.random() < 0.5 else -v for v in vs])
+    return CnfFormula(20, clauses, [])
+
+
+def survives(h, members):
+    """Does some member (uint64 array) have h(x) = 0?  By row parities,
+    one popcount per member and row."""
+    ok = np.ones(len(members), dtype=bool)
+    for i, row in enumerate(h.rows):
+        parity = np.bitwise_count(members & np.uint64(row)) & 1
+        ok &= parity == (h.b_bits >> i & 1)
+    return bool(ok.any())
+
+
+def spy_model_blocks(monkeypatch):
+    """The length of each block a problem's enumerator yields, in order."""
+    from xorcount import oracle
+    pulled = []
+    real = oracle._model_blocks
+
+    def counting(formula):
+        def blocks(source):
+            for models in source:
+                pulled.append(len(models))
+                yield models
+        return blocks(real(formula))
+
+    monkeypatch.setattr(oracle, "_model_blocks", counting)
+    return pulled
+
+
+class TestModelStream:
+    """In-process questions read a CNF's models only as far as they need."""
+
+    def test_blocks_double_up_to_2_20(self):
+        blocks = list(_model_blocks(criterion_11_cnf()))
+        assert [len(b) for b in blocks] == [6880, 6880, 16416, 32000, 79264]
+        bounds = [0, 1 << 16, 1 << 17, 1 << 18, 1 << 19, 1 << 20]
+        for block, lo, hi in zip(blocks, bounds, bounds[1:]):
+            assert lo <= int(block[0]) and int(block[-1]) < hi
+        spans = [(int(b[0]) >> 20, int(b[-1]) >> 20)
+                 for b in _model_blocks(CnfFormula(23, [[21, 22, 23]], []))]
+        assert spans[-7:] == [(k, k) for k in range(1, 8)]
+
+    def test_first_block_answers_leave_the_rest_unread(self, monkeypatch):
+        # every trial's survivor is the first model: one block is pulled of
+        # five, and later questions reread the blocks held
+        pulled = spy_model_blocks(monkeypatch)
+        formula = criterion_11_cnf()
+        first = int(next(_model_blocks(formula))[0])
+        problem = CountingProblem.from_cnf(formula)
+        hashes = []
+        for seed in range(7):
+            h = sample_hash(HashParams(20, 10, 0.5, seed=seed))
+            image = TestSurvivalKernels.image(h, Assignment(first, 20))
+            hashes.append(ParityHash(h.rows, image, h.params))
+        assert has_survivors(problem, hashes) == ["sat"] * 7
+        assert pulled == [6880] and len(problem._blocks) == 1
+        assert has_survivors(problem, [None]) == ["sat"]
+        assert pulled == [6880]
+        # no survivor: every block is read, once
+        none = ParityHash((0,) * 10, 1, hashes[0].params)
+        assert has_survivors(problem, [none, hashes[0]]) == ["unsat", "sat"]
+        assert pulled == [6880, 6880, 16416, 32000, 79264]
+        assert has_survivors(problem, [none]) == ["unsat"]
+        assert len(pulled) == 5
+
+    def test_answers_over_the_grid_match_apply_hash(self):
+        from xorcount.gf2hash import apply_hash
+        rng = random.Random(17)
+        for formula in model_grid():
+            blocks = list(_model_blocks(formula))
+            models = np.concatenate(blocks) if blocks else np.empty(0, np.uint64)
+            for n in {formula.num_vars, formula.num_vars // 2}:
+                S = np.unique(models & np.uint64((1 << n) - 1))
+                problem = CountingProblem.from_cnf(formula, n)
+                assert has_survivors(problem, [None] * 2) == ["sat" if len(S) else "unsat"] * 2
+                for m in sorted({1, (n + 1) // 2, n}) if n else ():
+                    hashes = [sample_hash(HashParams(n, m, f, seed=rng.getrandbits(32)))
+                              for f in (0.1, 0.3, 0.5) for _ in range(3)]
+                    hashes.append(ParityHash((0,) * m, 1, hashes[0].params))
+                    want = [survives(h, S) for h in hashes]
+                    got = has_survivors(problem, hashes)
+                    assert got == ["sat" if w else "unsat" for w in want], (formula, n, m)
+                    assert want[-1] is False
+                    # the parity reference agrees with apply_hash
+                    for h in hashes[:3]:
+                        for x in rng.sample(S.tolist(), min(len(S), 20)):
+                            ok = apply_hash(h, Assignment(x, n)) == 0
+                            assert ok == survives(h, np.array([x], dtype=np.uint64))
+
+    def test_m_zero_reads_the_first_nonempty_block(self, monkeypatch):
+        pulled = spy_model_blocks(monkeypatch)
+        # models only from assignment 3 * 2^20 on: the stream's first block
+        late = CountingProblem.from_cnf(CnfFormula(22, [[21], [22]], []))
+        assert has_survivors(late, [None] * 3) == ["sat"] * 3
+        assert pulled == [1 << 20] and len(late._blocks) == 1
+        early = CountingProblem.from_cnf(criterion_11_cnf())
+        assert has_survivor(early).is_sat
+        assert pulled[1:] == [6880]
+        unsat = CountingProblem.from_cnf(CnfFormula(20, [[1], [-1]], []))
+        assert has_survivors(unsat, [None] * 2) == ["unsat"] * 2
+        assert len(pulled) == 2 and unsat._blocks == []
+
+    def test_solve_reads_one_block(self, tmp_path, capsys, monkeypatch):
+        from xorcount import oracle
+        from xorcount.cli import main
+        formula = CnfFormula(26, [[1, 26], [-2, 25], [3, -4]], [([5, 20, 26], 1)])
+        blocks = []
+        real = oracle._block_constraints
+
+        def counting(formula, slices, start):
+            blocks.append(start)
+            return real(formula, slices, start)
+
+        monkeypatch.setattr(oracle, "_block_constraints", counting)
+        path = tmp_path / "f26.cnf"
+        path.write_text(emit(formula))
+        assert main(["solve", str(path)]) == 10
+        assert blocks == [0]
+        vline = capsys.readouterr().out.splitlines()[1]
+        lits = [int(t) for t in vline.split()[1:-1]]
+        assert _check_assignment(formula, sum(1 << (l - 1) for l in lits if l > 0))
+
+    def test_concurrent_first_questions(self):
+        import threading
+        formula = criterion_11_cnf()
+        # f = 0.1 at m = 12 leaves some trials without a survivor, so each
+        # question reads the whole stream
+        hashes = [sample_hash(HashParams(20, 12, 0.1, seed=s)) for s in range(9)]
+        serial = has_survivors(CountingProblem.from_cnf(formula), hashes)
+        assert "sat" in serial and "unsat" in serial
+        for _ in range(3):
+            problem = CountingProblem.from_cnf(formula)
+            start = threading.Barrier(2)
+            answers, errors = [None, None], []
+
+            def ask(k):
+                try:
+                    start.wait()
+                    answers[k] = has_survivors(problem, hashes)
+                except Exception as exc:  # reported below, in the main thread
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=ask, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert errors == [] and answers == [serial, serial]
+            assert [len(b) for b in problem._blocks] == [6880, 6880, 16416, 32000, 79264]
+
+
+class TestProblemWidth:
+    def test_cnf_width_beyond_the_formula_refused(self):
+        formula = CnfFormula(3, [[1, 2]], [])
+        for n in (5, 4, -1):
+            with pytest.raises(ParameterError) as err:
+                CountingProblem.from_cnf(formula, n)
+            message = str(err.value)
+            assert "\n" not in message and "n = %d" % n in message and "3" in message
+        for n in (0, 2, 3):
+            assert has_survivor(CountingProblem.from_cnf(formula, n)).is_sat
+
+    def test_negative_explicit_width_refused(self):
+        with pytest.raises(ParameterError, match="n = -1"):
+            CountingProblem.from_explicit([], -1)
+
+    def test_table_encodings_are_projected(self):
+        from xorcount import tables
+        for k in (3, 5, 8):
+            problem, enc = tables.encode_to_cnf(tables.synth_spec(k))
+            assert problem.n == enc.num_cell_bits < problem.formula.num_vars
 
 
 class TestExhaustiveCap:
@@ -575,7 +771,7 @@ class TestExhaustiveCap:
         with pytest.raises(ParameterError):
             count_models(formula)
         with pytest.raises(ParameterError):
-            _packed_set(CountingProblem.from_cnf(formula))
+            packed_set(CountingProblem.from_cnf(formula))
 
 
 class TestRunExternal:
@@ -868,7 +1064,8 @@ class TestSurvivalKernels:
         rows = _pack([r for h in hashes for r in h.rows], words).reshape(40, 12, words)
         xs = [Assignment(x, n) for x in members]
         want = [any(apply_hash(h, x) == 0 for x in xs) for h in hashes]
-        assert _table_scan(packed.astype(">u8"), hashes, rows, n).tolist() == want
+        blocks = lambda: [packed.astype(">u8")]  # noqa: E731
+        assert _table_scan(blocks, hashes, rows, n, len(members)).tolist() == want
         assert True in want and False in want
 
     def test_tables_are_built_per_trial_chunk(self):
@@ -876,13 +1073,8 @@ class TestSurvivalKernels:
         # all 2,000 trials at once would take 256 * 3 * 2,000 * 4 bytes,
         # 6 MB; one chunk at a time needs about 3 MB at peak
         import tracemalloc
-        rng = random.Random(7)
-        clauses = []
-        for _ in range(15):
-            vs = rng.sample(range(1, 21), 3)
-            clauses.append([v if rng.random() < 0.5 else -v for v in vs])
-        problem = CountingProblem.from_cnf(CnfFormula(20, clauses, []))
-        size = len(_packed_set(problem))
+        problem = CountingProblem.from_cnf(criterion_11_cnf())
+        size = len(packed_set(problem))
         assert size == 141_440
         hashes = [sample_hash(HashParams(20, 17, 0.3, seed=s)) for s in range(2000)]
         tracemalloc.start()

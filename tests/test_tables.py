@@ -207,7 +207,8 @@ class TestEnumerationOrder:
 
     def test_golden_packed_set(self):
         problem = explicit_problem(synth_spec(12), force=True)
-        assert _digest(problem._packed.tobytes()) == self.PACKED_SYNTH_12
+        [packed] = problem._blocks  # an explicit set is one packed block
+        assert _digest(packed.tobytes()) == self.PACKED_SYNTH_12
 
     def test_order_matches_sorted_product(self):
         rng = random.Random(29)
