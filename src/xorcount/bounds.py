@@ -8,7 +8,9 @@ Upper bound: with T >= 24 ln(1/Delta) trials, a strict majority of empty
 cells certifies |S| <= U(n,m,f) with probability 1 - Delta.
 
 SPARSE-COUNT: grow m until the median survival indicator drops below 1;
-the break index brackets log2 |S| within a constant factor.
+the break index brackets log2 |S| within a constant factor.  Each level asks
+its trials in order only until that median test is decided; the bound
+certificates and the pre-scan ask all T.
 """
 
 from __future__ import annotations
@@ -196,18 +198,59 @@ def estimate_survival(problem: CountingProblem, m: int, f: float, T: int,
     a solver).  Outcomes are kept in trial order either way.
     """
     check_parameters(T=T)
+    outcomes = _ask(problem, _trial_hashes(problem.n, m, f, seed, range(T)),
+                    T, solver)
+    return SurvivalEstimate(m, f, T, sum(outcomes), seed, outcomes)
+
+
+def _trial_hashes(n: int, m: int, f: float, seed: int, trials) -> list:
+    """The hashes of the given trial indices of the estimate at (m, f, seed):
+    trial k's from derive_seed(derive_seed(seed, m), k), None at m = 0."""
     stream = derive_seed(seed, m)
-    hashes = [
-        sample_hash(HashParams(problem.n, m, f, seed=derive_seed(stream, k)))
-        if m else None
-        for k in range(T)
-    ]
+    return [sample_hash(HashParams(n, m, f, seed=derive_seed(stream, k)))
+            if m else None
+            for k in trials]
+
+
+def _ask(problem: CountingProblem, hashes: list, asked: int,
+         solver: SolverProfile) -> tuple:
+    """0/1 outcomes of the questions `hashes`, in order; any unknown
+    raises OracleUnknownError against the `asked` trials so far."""
     answers = has_survivors(problem, hashes, solver=solver)
     unknown = answers.count("unknown")
     if unknown:
-        raise OracleUnknownError(unknown, T)
-    outcomes = tuple(1 if a == "sat" else 0 for a in answers)
-    return SurvivalEstimate(m, f, T, sum(outcomes), seed, outcomes)
+        raise OracleUnknownError(unknown, asked)
+    return tuple(1 if a == "sat" else 0 for a in answers)
+
+
+def _majority_survives(problem: CountingProblem, m: int, f: float, T: int,
+                       seed: int, solver: SolverProfile = None) -> bool:
+    """Whether a strict majority of estimate_survival(problem, m, f, T,
+    seed)'s trials see a survivor, asking them in trial order only until
+    that is decided.
+
+    Each wave asks the fewest further trials that could decide it, so all
+    T are asked only when the answers split close to even.  m = 0 is one
+    question, whose answer every trial shares.  An unknown raises
+    OracleUnknownError(unknown, asked) at the first wave that holds one.
+    A trial never asked cannot be unknown, so an unknown that asking all T
+    would have met in a skipped trial does not refuse the test.
+    """
+    check_parameters(T=T)
+    if not m:
+        return _ask(problem, [None], 1, solver) == (1,)
+    need = T // 2 + 1  # survivors for a strict majority
+    spare = T - need + 1  # empties that rule it out
+    ones = zeros = 0
+    while ones < need and zeros < spare:
+        asked = ones + zeros
+        wave = min(need - ones, spare - zeros)
+        got = sum(_ask(problem, _trial_hashes(problem.n, m, f, seed,
+                                              range(asked, asked + wave)),
+                       asked + wave, solver))
+        ones += got
+        zeros += wave - got
+    return ones >= need
 
 
 def _lb_confidence(kappa: float, c: float, T: int) -> float:
@@ -308,6 +351,12 @@ def sparse_count(problem: CountingProblem, config: SparseCountConfig,
     Median < 1 means at most half the trials saw a survivor.  A break at
     i = 0 reports "fewer than one solution witnessed" (estimate None);
     running out of levels returns n flagged exhausted.
+
+    Level i's trials are those of estimate_survival(problem, i, f_i, T,
+    seed), asked in trial order only until the median test is decided (at
+    least T - T//2 of them; level 0 is one question), so the result is the
+    one all T answers give.  An unknown among the asked trials raises
+    OracleUnknownError; an unknown among the skipped ones is never seen.
     """
     n = problem.n
     T = config.trials(n)
@@ -316,8 +365,7 @@ def sparse_count(problem: CountingProblem, config: SparseCountConfig,
         f_i = config.density_schedule(i)
         if not 0.0 <= f_i <= 0.5:
             raise ParameterError("schedule density %r out of [0, 1/2]" % (f_i,))
-        ones = estimate_survival(problem, i, f_i, T, seed, solver).successes_Y
-        if ones * 2 <= T:  # median < 1
+        if not _majority_survives(problem, i, f_i, T, seed, solver):  # median < 1
             if i == 0:
                 return SparseCountResult(None, 0, False, T, n, seed)
             return SparseCountResult(float(i - 1), i, False, T, n, seed)

@@ -1,15 +1,20 @@
 import dataclasses
+import hashlib
+import json
 import math
 import random
 
 import pytest
 
+from xorcount import bounds, oracle
 from xorcount.bounds import (LowerBoundCertificate, OracleUnknownError,
-                             SparseCountConfig, SurvivalEstimate,
+                             SparseCountConfig, SparseCountResult,
+                             SurvivalEstimate,
                              best_lower_bound, estimate_survival, lower_bound,
                              pick_promising_m, sparse_count, upper_bound)
 from xorcount.gf2hash import (Assignment, HashParams, count_survivors,
                               derive_seed, sample_hash)
+from xorcount.dimacs import CnfFormula
 from xorcount.oracle import CountingProblem
 from conftest import random_subset_problem
 
@@ -308,7 +313,193 @@ class TestUpperBound:
         assert len(doc["trial_outcomes"]) == doc["T"]
 
 
+def full_t_sparse_count(problem, config, seed):
+    """sparse_count as it was before early stopping: every level asks all T
+    trials through estimate_survival and tests the median on their count."""
+    n = problem.n
+    T = config.trials(n)
+    max_i = config.max_i if config.max_i is not None else n
+    for i in range(max_i + 1):
+        ones = estimate_survival(problem, i, config.density_schedule(i), T,
+                                 seed).successes_Y
+        if ones * 2 <= T:
+            return SparseCountResult(None if i == 0 else float(i - 1), i,
+                                     False, T, n, seed)
+    return SparseCountResult(float(n), max_i, True, T, n, seed)
+
+
+# SPARSE_GRID_SHA256 is the sha256 of sparse_count's results over
+# sparse_grid(), recorded when every level asked all T trials.
+SPARSE_GRID_SHA256 = "ccb69c89c628f5d58ef0da3a0a5113d6776191b8051af416a2212c2c8d9f76a6"
+
+
+def sparse_grid():
+    """(problem, config, seed) over explicit 8-bit sets (empty, singleton,
+    full cube, random) x densities (0.2, 0.5, a schedule) x T (1, 2, 7, 8,
+    the default 24) x max_i (n, 3)."""
+    n = 8
+    rng = random.Random(8)
+    sets = ([], [5], range(1 << n), rng.sample(range(1 << n), 40))
+    schedules = (0.2, 0.5, lambda i: 0.5 if i < 3 else 0.25)
+    index = 0
+    for members in sets:
+        problem = CountingProblem.from_explicit(
+            [Assignment(b, n) for b in members], n)
+        for schedule in schedules:
+            for T in (1, 2, 7, 8, None):
+                for max_i in (None, 3):
+                    index += 1
+                    yield problem, SparseCountConfig(
+                        delta=0.1, alpha=0.2, density_schedule=schedule,
+                        T=T, max_i=max_i), index
+
+
+def answering(answers):
+    """A stand-in for bounds.has_survivors that answers each question from
+    answers(hash) and records how many it was asked at each m."""
+    asked = {}
+
+    def has_survivors(problem, hashes, solver=None):
+        for h in hashes:
+            m = 0 if h is None else h.params.m
+            asked[m] = asked.get(m, 0) + 1
+        return [answers(h) for h in hashes]
+    return has_survivors, asked
+
+
 class TestSparseCount:
+    def test_matches_full_t_run(self):
+        digest = hashlib.sha256()
+        for problem, cfg, seed in sparse_grid():
+            res = sparse_count(problem, cfg, seed=seed)
+            assert res == full_t_sparse_count(problem, cfg, seed), (cfg, seed)
+            digest.update(json.dumps(res.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == SPARSE_GRID_SHA256
+
+    @pytest.mark.parametrize("T", [1, 2, 7, 8, 24])
+    def test_decided_levels_ask_the_fewest_trials(self, T, monkeypatch):
+        # sample_hash is drawn once per asked trial; every level past 0
+        # survives, so each asks T//2 + 1 and the run goes to max_i
+        problem = full_cube_problem(8)
+        drawn = {}
+        real_sample_hash = bounds.sample_hash
+
+        def counting_sample_hash(params):
+            drawn[params.m] = drawn.get(params.m, 0) + 1
+            return real_sample_hash(params)
+
+        monkeypatch.setattr(bounds, "sample_hash", counting_sample_hash)
+        stub, asked = answering(lambda h: "sat")
+        monkeypatch.setattr(bounds, "has_survivors", stub)
+        cfg = SparseCountConfig(delta=0.1, alpha=0.2, T=T, max_i=5)
+        res = sparse_count(problem, cfg, seed=3)
+        assert res.exhausted and res.T == T
+        assert drawn == {m: T // 2 + 1 for m in range(1, 6)}
+        assert asked == {0: 1, **drawn}
+
+        # an empty level stops at its (T - T//2)-th empty cell
+        drawn.clear()
+        stub, asked = answering(lambda h: "sat" if h is None else "unsat")
+        monkeypatch.setattr(bounds, "has_survivors", stub)
+        res = sparse_count(problem, cfg, seed=3)
+        assert (res.break_i, res.log2_estimate) == (1, 0.0)
+        assert drawn == {1: T - T // 2}
+        assert asked == {0: 1, 1: T - T // 2}
+
+    def test_split_levels_ask_at_most_t(self, monkeypatch):
+        # a biased coin per question: every level asks between T - T//2 and
+        # T trials, and the run ends as the full-T run on the same answers
+        rng = random.Random(5)
+        coins = {}
+
+        def coin(h):
+            if h is None:
+                return "sat"
+            key = (h.params.m, h.params.seed)
+            return coins.setdefault(key, "sat" if rng.random() < 0.6 else "unsat")
+
+        problem = full_cube_problem(8)
+        split = 0
+        for T in (7, 8, 24) * 4:
+            cfg = SparseCountConfig(delta=0.1, alpha=0.2, T=T)
+            stub, asked = answering(coin)
+            monkeypatch.setattr(bounds, "has_survivors", stub)
+            res = sparse_count(problem, cfg, seed=len(coins))
+            assert asked.pop(0) == 1
+            assert sorted(asked) == list(range(1, res.break_i + 1))
+            assert all(T - T // 2 <= k <= T for k in asked.values()), asked
+            split += sum(k > T // 2 + 1 for k in asked.values())
+            monkeypatch.setattr(bounds, "has_survivors", lambda p, hs, solver=None:
+                                [coin(h) for h in hs])
+            assert res == full_t_sparse_count(problem, cfg, seed=res.seed)
+        assert split
+
+    def test_unknown_in_a_skipped_trial_is_never_seen(self, monkeypatch):
+        # trials 0-3 of level 1 survive, which decides it at T = 7; a full-T
+        # run would have met the unknown in trial 4 and refused
+        answers = iter(["sat"] * 4 + ["unknown"] * 3)
+        stub, asked = answering(lambda h: "sat" if h is None else next(answers))
+        monkeypatch.setattr(bounds, "has_survivors", stub)
+        res = sparse_count(full_cube_problem(4), SparseCountConfig(
+            delta=0.1, alpha=0.2, T=7, max_i=1), seed=0)
+        assert res.exhausted
+        assert asked == {0: 1, 1: 4}
+
+    def test_unknown_in_an_asked_wave_refuses(self, monkeypatch):
+        # level 1's first wave (4 of T = 7) holds one unknown
+        stub, asked = answering(lambda h: "sat" if h is None or h.params.seed % 2
+                                else "unknown")
+        monkeypatch.setattr(bounds, "has_survivors", stub)
+        problem = full_cube_problem(4)
+        with pytest.raises(OracleUnknownError) as err:
+            sparse_count(problem, SparseCountConfig(delta=0.1, alpha=0.2, T=7),
+                         seed=0)
+        assert err.value.unknown >= 1 and err.value.total == asked[1] == 4
+
+    def test_solver_level_zero_is_one_call(self, monkeypatch, exhaustive_solver):
+        calls = []
+        real = oracle.run_external
+
+        def counting_run_external(text, profile):
+            calls.append(text)
+            return real(text, profile)
+
+        monkeypatch.setattr(oracle, "run_external", counting_run_external)
+        cfg = SparseCountConfig(delta=0.1, alpha=0.2)
+        unsat = CountingProblem.from_cnf(CnfFormula(3, [[1], [-1]], []))
+        res = sparse_count(unsat, cfg, seed=0, solver=exhaustive_solver)
+        assert (res.break_i, res.log2_estimate) == (0, None) and res.T > 1
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_solver_matches_in_process(self, jobs, monkeypatch,
+                                       exhaustive_solver):
+        # |S| = 4 of 2^5: through a solver, count equals the in-process run
+        # and asks fewer questions than T per level
+        calls = []
+        real = oracle.run_external
+
+        def counting_run_external(text, profile):
+            calls.append(text)
+            return real(text, profile)
+
+        monkeypatch.setattr(oracle, "run_external", counting_run_external)
+        problem = CountingProblem.from_cnf(CnfFormula(5, [[1], [-2], [3]], []))
+        cfg = SparseCountConfig(delta=0.1, alpha=0.5, T=5)
+        solver = dataclasses.replace(exhaustive_solver, jobs=jobs)
+        res = sparse_count(problem, cfg, seed=1, solver=solver)
+        assert res == sparse_count(problem, cfg, seed=1)
+        assert res == full_t_sparse_count(problem, cfg, seed=1)
+        assert len(calls) < res.T * (res.break_i + 1)
+
+    def test_solver_unknown_refuses(self, sleepy_solver):
+        # the first asked question, level 0's only one, times out
+        problem = CountingProblem.from_cnf(CnfFormula(4, [[1]], []))
+        with pytest.raises(OracleUnknownError) as err:
+            sparse_count(problem, SparseCountConfig(delta=0.1, alpha=0.2),
+                         seed=0, solver=sleepy_solver)
+        assert (err.value.unknown, err.value.total) == (1, 1)
+
     def test_empty_set_special_value(self):
         problem = CountingProblem.from_explicit([], 8)
         res = sparse_count(problem, SparseCountConfig(delta=0.1, alpha=0.1),
