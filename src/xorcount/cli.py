@@ -28,8 +28,8 @@ from pathlib import Path
 from . import bounds as bd
 from . import comb, dimacs, tables
 from .errors import CapacityError, ParameterError
-from .gf2hash import Assignment
-from .oracle import CountingProblem, SolverProfile, _model_blocks, count_models
+from .oracle import (CountingProblem, SolverProfile, _explicit_from_lines,
+                     _model_blocks, count_models)
 
 LN2 = math.log(2.0)
 
@@ -61,23 +61,22 @@ def _load_problem(path: str) -> CountingProblem:
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit("bad bound parameters: cannot read %s: %s"
                          % (path, exc)) from None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c ") or line == "c" or line.startswith("#"):
+    lines = [raw.strip() for raw in text.splitlines()]
+    # comments and the header as `dimacs.parse` reads them
+    for line in lines:
+        if not line or line.startswith(("c", "#")):
             continue
-        if line.startswith("p cnf"):
+        if line.split()[:2] == ["p", "cnf"]:
             return CountingProblem.from_cnf(_load_dimacs(path, text))
         if line.startswith("rows"):
             problem, _ = tables.encode_to_cnf(_load_table_spec(path, text))
             return problem
         break
-    lines = [l.strip() for l in text.splitlines()]
     lines = [l for l in lines if l and not l.startswith("#")]
     if not lines:
         raise SystemExit("empty explicit-set file: %s" % path)
     try:
-        members = [Assignment.from_string(l) for l in lines]
-        return CountingProblem.from_explicit(members, members[0].n)
+        return _explicit_from_lines(lines)
     except ValueError as exc:  # a bad character, or lines of mixed lengths
         raise SystemExit("bad explicit-set file %s: %s" % (path, exc)) from None
 

@@ -5,21 +5,26 @@ drawn entrywise Bernoulli(f) with f <= 1/2, b is a uniform m-bit vector.
 Rows and assignments are bit-packed into Python ints; the dot product is
 (row & x).bit_count() & 1, which is cheap even for n in the thousands.
 
-Draw contract: a hash is a function of (n, m, f, seed) alone.  It is the
-one that `random.Random(seed)` gives by comparing one `random()` per entry
-of A, row-major, against f, then one per bit of b against 1/2.
-`sample_hash` reads all of those uniforms from a single `getrandbits` call
-and rebuilds the comparisons exactly, so the per-entry loop is never run.
-It relies on CPython's `getrandbits` filling its result with the same
-32-bit Mersenne Twister outputs, lowest word first, that `random()` reads
-two at a time.
+Draw contract: a hash is a function of (n, m, f, seed) alone, the seed an
+int (`HashParams` refuses any other type).  It is the one that
+`random.Random(seed)` gives by comparing one `random()` per entry of A,
+row-major, against f, then one per bit of b against 1/2.  `sample_hash`
+does not build that generator: each thread keeps one Mersenne Twister (the
+C base of `random.Random`) and reseeds it per hash, which for an int seed
+gives the state `random.Random(seed)` starts from (abs(seed)'s 32-bit
+words through `init_by_array`).  It reads all the uniforms from a single
+`getrandbits` call and rebuilds the comparisons exactly, so the per-entry
+loop is never run.  This relies on CPython's `getrandbits` filling its
+result with the same 32-bit outputs, lowest word first, that `random()`
+reads two at a time.
 """
 
 from __future__ import annotations
 
+import _random
 import math
-import random
 import struct
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +47,17 @@ EXACT_ENUM_BITS = 24
 _WORDS = struct.Struct("<II")  # the two 32-bit outputs behind one random()
 
 
+class _Generator(threading.local):
+    """Each thread's Mersenne Twister (the C base of `random.Random`),
+    reseeded for every hash."""
+
+    def __init__(self):
+        self.rng = _random.Random()
+
+
+_generator = _Generator()
+
+
 @dataclass(frozen=True)
 class HashParams:
     """Parameters of the hash family: n variables, m constraints, density f."""
@@ -58,6 +74,8 @@ class HashParams:
             raise ParameterError("m=%d exceeds n=%d" % (self.m, self.n))
         if not 0.0 <= self.f <= 0.5:
             raise ParameterError("density f must lie in [0, 1/2], got %r" % (self.f,))
+        if not isinstance(self.seed, int):
+            raise ParameterError("seed must be an int, got %r" % (self.seed,))
 
 
 _NOT_BITS = str.maketrans("", "", "01")  # deletes the valid characters
@@ -131,10 +149,11 @@ def _below(raw: bytes, tops: bytes, t: int) -> bytes:
 def sample_hash(params: HashParams) -> ParityHash:
     """Draw h_{A,b} from the f-sparse family.
 
-    The RNG is Python's Mersenne Twister seeded with params.seed; the draw
-    order is row-major over A (one uniform per entry, compared against f),
-    then one fair coin per entry of b.  Equal params give identical output,
-    the same hash that k = m*n + m calls of `rng.random()` would give.
+    The RNG is this thread's Mersenne Twister reseeded with params.seed;
+    the draw order is row-major over A (one uniform per entry, compared
+    against f), then one fair coin per entry of b.  Equal params give
+    identical output, the same hash that k = m*n + m calls of
+    `random.Random(params.seed).random()` would give.
 
     All k uniforms come from one `getrandbits(64*k)` call, which consumes
     the same 2k 32-bit outputs, in the same order, as k `random()` calls.
@@ -143,17 +162,22 @@ def sample_hash(params: HashParams) -> ParityHash:
     * 2^53) (f * 2^53 is an exact double).  Little-endian, entry e's a and
     b are bytes 8e..8e+7, and byte 8e+3 is u's top 8 bits: a 256-byte
     translate table decides every entry whose top byte differs from the
-    threshold's, and the ~1/256 that tie are compared in full.
+    threshold's, and the ~1/256 that tie are compared in full.  The m*n
+    entries of A become one int, entry (i, j) at bit i*n + j, and row i is
+    cut from it by shift and mask.
     """
     n, m = params.n, params.m
     mn = m * n
     k = mn + m
-    raw = random.Random(params.seed).getrandbits(64 * k).to_bytes(8 * k, "little")
+    rng = _generator.rng
+    rng.seed(params.seed)
+    raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
     tops = raw[3::8]
-    bits = _below(raw, tops[:mn], math.ceil(params.f * 2.0**53))
+    a = int(_below(raw, tops[:mn], math.ceil(params.f * 2.0**53))[::-1], 2)
+    mask = (1 << n) - 1
     # a list, not a generator: tuple(genexpr) raised peak RSS by 2 MB over
     # 60k draws at n = 16, where tuple(list) raised it by nothing
-    rows = tuple([int(bits[i : i + n][::-1], 2) for i in range(0, mn, n)])
+    rows = tuple([a >> i & mask for i in range(0, mn, n)])
     b_bits = int(_below(raw[8 * mn :], tops[mn:], 1 << 52)[::-1], 2)
     return ParityHash(rows, b_bits, params)
 

@@ -146,7 +146,8 @@ class CountingProblem:
     reads S as a stream of packed blocks (`_stream`): (k, W) uint64 arrays,
     W = ceil(n/64), word k of a row holding bits 64k..64k+63 of the member.
     `_blocks` holds the blocks so far and `_source` what yields the rest.
-    An explicit set is one block, in increasing order, packed here.  A CNF
+    An explicit set is one block, in increasing order, packed here (or by
+    `_explicit_from_lines`, straight from a file's lines).  A CNF
     problem's blocks are its models, each block in increasing order,
     enumerated by `_model_blocks` only when a question reads past the
     blocks held; projected onto n < num_vars, a member may recur in later
@@ -358,6 +359,35 @@ def _pack(values, words: int):
         return np.array(values, dtype=np.uint64).reshape(-1, 1)
     blob = b"".join(v.to_bytes(8 * words, "little") for v in values)
     return np.frombuffer(blob, dtype="<u8").reshape(-1, words)
+
+
+def _explicit_from_lines(lines: list) -> CountingProblem:
+    """The explicit problem whose members are `lines`, nonempty stripped 0/1
+    strings, leftmost character = variable 1 (bit 0), as `from_explicit`
+    would build it from `Assignment.from_string` of each line.
+
+    A ValueError names the first character that is not 0 or 1, else a
+    DimensionError the first line whose width differs from the first's.
+    The lines are checked as one joined string, then its bytes become the
+    packed block in one numpy pass: sorted by value, duplicates dropped.
+    """
+    joined = "".join(lines)
+    raw = joined.encode()
+    if raw.translate(None, b"01"):
+        raise ValueError("invalid bit %r" % joined.lstrip("01")[0])
+    n, k = len(lines[0]), len(lines)
+    if len(set(map(len, lines))) > 1:
+        width = next(len(l) for l in lines if len(l) != n)
+        raise DimensionError("member width %d != problem width %d" % (width, n))
+    bits = np.zeros((k, 64 * _words(n)), dtype=bool)
+    bits[:, :n] = np.frombuffer(raw, dtype=np.uint8).reshape(k, n) == 49
+    words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    words = words[np.lexsort(words.T)]  # the top word is the primary key
+    fresh = np.ones(k, dtype=bool)
+    fresh[1:] = (words[1:] != words[:-1]).any(axis=1)
+    problem = CountingProblem(n, "explicit", members=())
+    problem._blocks = [words[fresh]]
+    return problem
 
 
 def _any_survivors(problem: CountingProblem, hashes):

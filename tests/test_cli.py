@@ -472,3 +472,84 @@ class TestOneLineErrors:
             main([a.format(**paths) for a in argv])
         msg = str(exc.value.code)
         assert msg.startswith(prefix.format(**paths)) and "\n" not in msg
+
+
+class TestDimacsSniffing:
+    # the sniffer reads comments and the header as dimacs.parse does: any
+    # line starting with "c" is a comment, the header is "p" then "cnf"
+    @pytest.mark.parametrize("text", [
+        "c\tmade by a tool\np cnf 3 1\n1 2 0\n",
+        "c made by a tool\np  cnf 3 1\n1 2 0\n",
+        "p\tcnf 3 1\n1 2 0\n",
+        "ccomment\n\n  p cnf   3 1\n1 2 0\n",
+    ])
+    @pytest.mark.parametrize("cmd", ["bound", "sweep"])
+    def test_header_and_comments_as_parse_reads_them(self, tmp_path, capsys,
+                                                     text, cmd):
+        cnf = tmp_path / "tool.cnf"
+        cnf.write_text(text)
+        assert main(["count-models", str(cnf)]) == 0
+        assert "models: 6" in capsys.readouterr().out
+        argv = ([cmd, str(cnf), "ub", "--m", "1"] if cmd == "bound"
+                else [cmd, str(cnf), "0.5", "--m", "1", "--csv", str(tmp_path / "s.csv")])
+        assert main(argv + ["--T", "5", "--seed", "3"]) == 0
+
+
+def _explicit_text(members, n, rng):
+    """`members` as an explicit-set file with `#` lines, blank lines, CRLF
+    endings and surrounding spaces mixed in."""
+    out = ["# a comment\r\n", "\r\n"]
+    for b in members:
+        line = Assignment(b, n).to_string()
+        pad = rng.choice(["", " ", "\t", "  "])
+        out.append(pad + line + rng.choice(["", " ", "\t"])
+                   + rng.choice(["\n", "\r\n"]))
+        if rng.random() < 0.1:
+            out.append(rng.choice(["\n", "   \n", "#x\n", "\t# 0101\r\n"]))
+    return "".join(out)
+
+
+class TestExplicitLoader:
+    @pytest.mark.parametrize("n", [1, 7, 8, 16, 63, 64, 65, 130])
+    def test_block_equals_from_explicit(self, tmp_path, n):
+        from xorcount.cli import _load_problem
+        from xorcount.oracle import CountingProblem
+        rng = random.Random(n)
+        for k in (1, 2, 5, 300):
+            members = [rng.getrandbits(n) for _ in range(k)]
+            members += rng.choices(members, k=k // 2 + 1)  # duplicates
+            rng.shuffle(members)
+            f = tmp_path / ("set%d.txt" % k)
+            f.write_bytes(_explicit_text(members, n, rng).encode())
+            got = _load_problem(str(f))
+            want = CountingProblem.from_explicit(
+                [Assignment(b, n) for b in members], n)
+            assert (got.kind, got.n, len(got)) == ("explicit", n, len(set(members)))
+            block, expected = got._blocks[0], want._blocks[0]
+            assert block.dtype == expected.dtype and block.shape == expected.shape
+            assert (block == expected).all()
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty explicit-set file: {f}"),
+        ("\n# only comments\n  \n", "empty explicit-set file: {f}"),
+        ("0101\n01x1\n", "bad explicit-set file {f}: invalid bit 'x'"),
+        ("0101\n01 1\n", "bad explicit-set file {f}: invalid bit ' '"),
+        ("0101\n0é01\n", "bad explicit-set file {f}: invalid bit 'é'"),
+        ("0101\n2101\n01y1\n", "bad explicit-set file {f}: invalid bit '2'"),
+        ("0101\n11\n000000\n",
+         "bad explicit-set file {f}: member width 2 != problem width 4"),
+        ("0101\n0101\n101\n",
+         "bad explicit-set file {f}: member width 3 != problem width 4"),
+        # widths that sum to a multiple of the first still differ
+        ("0101\n011\n01111\n",
+         "bad explicit-set file {f}: member width 3 != problem width 4"),
+        # a width mismatch on line 2 and a bad character on line 3: the
+        # characters are checked first
+        ("0101\n011\n01z1\n", "bad explicit-set file {f}: invalid bit 'z'"),
+    ])
+    def test_error_messages(self, tmp_path, text, message):
+        f = tmp_path / "bad.txt"
+        f.write_text(text, encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", str(f), "lb"])
+        assert str(exc.value.code) == message.format(f=f)

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -262,3 +264,56 @@ def test_derive_seed_spreads():
     seeds = {derive_seed(0, k) for k in range(1000)}
     assert len(seeds) == 1000
     assert all(0 <= s < (1 << 64) for s in seeds)
+
+
+class TestReseededGenerator:
+    # one generator per thread is reseeded for every hash; each draw must
+    # still be the one random.Random(seed) gives, whatever came before it
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, -1, -(2**32), -(2**64 + 5))
+
+    @pytest.mark.parametrize("n", [5, 63, 64, 65, 130])
+    def test_matches_reference_at_edge_seeds(self, n):
+        for seed in self.SEEDS:
+            for m in sorted({1, 3, n}):
+                for f in (0.1, 0.5):
+                    p = HashParams(n, m, f, seed=seed)
+                    h = sample_hash(p)
+                    assert (h.rows, h.b_bits) == reference_sample_hash(p), p
+
+    def test_negative_seed_draws_its_absolute_value(self):
+        h, g = (sample_hash(HashParams(20, 4, 0.3, seed=s)) for s in (-77, 77))
+        assert (h.rows, h.b_bits) == (g.rows, g.b_bits)
+
+    def test_threads_draw_what_one_serial_draw_gets(self):
+        shapes = [(16, 8), (70, 3), (130, 65), (9, 9)] * 200
+        params = [HashParams(n, m, 0.3, seed=derive_seed(5, k))
+                  for k, (n, m) in enumerate(shapes)]
+        want = [sample_hash(p) for p in params]
+        got = [[None] * len(params) for _ in range(4)]
+        start = threading.Barrier(4, timeout=60)
+
+        def draw(t):
+            start.wait()
+            # each thread walks the list from its own offset, so the four
+            # threads' draws interleave on different params
+            for i in range(len(params)):
+                j = (i + 200 * t) % len(params)
+                got[t][j] = sample_hash(params[j])
+
+        threads = [threading.Thread(target=draw, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between seed and draw
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(g == want for g in got)
+
+    @pytest.mark.parametrize("seed", ["7", b"7", 7.0, None, 2**0.5])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ParameterError, match="seed must be an int"):
+            HashParams(8, 2, 0.5, seed=seed)
