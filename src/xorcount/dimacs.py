@@ -17,22 +17,45 @@ __all__ = ["CnfFormula", "ParseError", "parse", "emit"]
 
 
 class CnfFormula:
-    """A CNF over variables 1..num_vars plus native parity rows.
+    """A CNF over variables 1..num_vars plus native parity rows, checked
+    once, when it is built.
+
+    The constructor raises the ParseError naming the first fault, clauses
+    before parity rows: a clause with no literals, a literal that is not an
+    int or not one of ±1..±num_vars, a right-hand side other than 0 or 1,
+    or a row variable outside 1..num_vars.  So every formula is well
+    formed, and nothing that reads one checks it again.
 
     A formula is not changed once it is constructed, nor are its clause
     lists: `oracle.conjoin` and `oracle.expand_xors` build formulas that
     open with this one's clauses and share its clause lists (only the outer
     list is new, and only built when `clauses` is first read), and `emit`
-    keeps the validated text of the clauses on the formula, computed on its
-    first call and reused by every formula built from it.  Neither shows in
-    `==` or `repr`, which compare and print num_vars, clauses and xors.
+    keeps the text of the clauses on the formula, computed on its first
+    call and reused by every formula built from it.  Neither shows in `==`
+    or `repr`, which compare and print num_vars, clauses and xors.
     """
 
     def __init__(self, num_vars: int, clauses: list, xors: list = None):
+        xors = [] if xors is None else xors
+        for cl in clauses:
+            if not cl:
+                raise ParseError("zero-width clause")
+            for lit in cl:
+                if type(lit) is not int:
+                    raise ParseError("literal %r is not an integer" % (lit,))
+                if lit == 0 or abs(lit) > num_vars:
+                    raise ParseError("literal %d out of range" % lit)
+        for sup, rhs in xors:
+            if rhs not in (0, 1):
+                raise ParseError("xor rhs must be 0 or 1")
+            for v in sup:
+                if type(v) is not int:
+                    raise ParseError("xor variable %r is not an integer" % (v,))
+                if not 1 <= v <= num_vars:
+                    raise ParseError("xor variable %d out of range" % v)
         self.num_vars = num_vars
         self._clauses = clauses  # list[list[int]], nonempty, no literal 0
-        # list[(list[int] of vars, rhs 0/1)]
-        self.xors = [] if xors is None else xors
+        self.xors = xors  # list[(list[int] of vars, rhs 0/1)]
         self._base = None  # the formula whose clauses open this one's
         self._tail = None  # (count, text, build) of the clauses after them
         self._text = None  # (count, text) of every clause line, once written
@@ -41,9 +64,11 @@ class CnfFormula:
                 build=list) -> "CnfFormula":
         """A formula over num_vars variables with these parity rows whose
         clauses are this one's, then the `count` clauses written as `text`
-        that `build()` returns when the clause lists are read."""
-        out = CnfFormula(num_vars, None, xors)
-        out._base, out._tail = self, (count, text, build)
+        that `build()` returns when the clause lists are read.  Its parts
+        are well formed by construction, so it is not checked again."""
+        out = CnfFormula.__new__(CnfFormula)
+        out.num_vars, out._clauses, out.xors = num_vars, None, xors
+        out._base, out._tail, out._text = self, (count, text, build), None
         return out
 
     @property
@@ -62,38 +87,17 @@ class CnfFormula:
         return "CnfFormula(num_vars=%r, clauses=%r, xors=%r)" % (
             self.num_vars, self.clauses, self.xors)
 
-    def validate(self):
-        for cl in self.clauses:
-            if not cl:
-                raise ParseError("zero-width clause")
-            for lit in cl:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ParseError("literal %d out of range" % lit)
-        for sup, rhs in self.xors:
-            if rhs not in (0, 1):
-                raise ParseError("xor rhs must be 0 or 1")
-            for v in sup:
-                if not 1 <= v <= self.num_vars:
-                    raise ParseError("xor variable %d out of range" % v)
-        return self
-
     def _clause_text(self):
-        """(number of clauses, their DIMACS lines), written and checked on
-        the first call; a fault raises what `validate` raises for it.
-        Concurrent first calls may each write the text, and all of them
-        store the same."""
+        """(number of clauses, their DIMACS lines), written on the first
+        call.  Concurrent first calls may each write the text, and all of
+        them store the same."""
         if self._text is None:
-            text = None
-            if self._base is not None:
+            if self._base is None:
+                self._text = len(self._clauses), _write(self._clauses)
+            else:
                 count, tail, _ = self._tail
-                try:
-                    base_count, base = self._base._clause_text()
-                    text = base_count + count, base + tail
-                except ParseError:
-                    pass  # the base's fault may be legal over more variables
-            if text is None:
-                text = len(self.clauses), _write(self, self.clauses)
-            self._text = text
+                base_count, base = self._base._clause_text()
+                self._text = base_count + count, base + tail
         return self._text
 
 
@@ -108,6 +112,8 @@ def parse(text: str) -> CnfFormula:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise ParseError("repeated header: %r" % line)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError("malformed header: %r" % line)
@@ -148,7 +154,7 @@ def parse(text: str) -> CnfFormula:
         warnings.warn(
             "header declares %d clauses, found %d" % (declared_clauses, len(clauses))
         )
-    return CnfFormula(num_vars, clauses, xors).validate()
+    return CnfFormula(num_vars, clauses, xors)
 
 
 def emit(formula: CnfFormula) -> str:
@@ -159,15 +165,10 @@ def emit(formula: CnfFormula) -> str:
     are written once per formula and kept on it (`CnfFormula`), and a
     formula built by `oracle.conjoin` or `oracle.expand_xors` opens with its
     base formula's kept lines, so only the header, the new clauses and the
-    x-lines are written again.  Each literal is checked while its lines are
-    first written: only the literals that occur are named, and any fault,
-    in a clause or in a parity row, raises the ParseError
-    `CnfFormula.validate` raises for it.
+    x-lines are written again.  The formula was checked when it was built,
+    so nothing here checks it.
     """
     num_vars, xors = formula.num_vars, formula.xors
-    for sup, rhs in xors:
-        if rhs not in (0, 1) or (sup and not 1 <= min(sup) <= max(sup) <= num_vars):
-            formula.validate()
     count, body = formula._clause_text()
     # an empty parity row is 0 = rhs: nothing to say when rhs is 0, and a
     # contradiction on a fresh variable when it is 1 (x-lines cannot be empty)
@@ -178,37 +179,15 @@ def emit(formula: CnfFormula) -> str:
         extra = "%d 0\n-%d 0\n" % (num_vars, num_vars)
     rows = [[sup[0] if rhs else -sup[0], *sup[1:]] for sup, rhs in xors if sup]
     return "".join(["p cnf %d %d\n" % (num_vars, count), body, extra,
-                    _write(formula, rows, "x")])
+                    _write(rows, "x")])
 
 
-def _write(formula: CnfFormula, rows, prefix: str = "") -> str:
-    """One DIMACS line per row of literals, `prefix` first and " 0" last.
-    A literal that is not one of ±1..±num_vars, or an empty row, raises the
-    ParseError `formula.validate()` raises first, else names the literal."""
-    if not all(rows):
-        formula.validate()
-    num_vars = formula.num_vars
-    lits = set(chain.from_iterable(rows))
-    if set(map(type, lits)) <= {int} and 0 not in lits and (
-            not lits or -num_vars <= min(lits) and max(lits) <= num_vars):
-        names = dict(zip(lits, map(str, lits)))
-    else:
-        formula.validate()
-        names = {lit: _name(lit, num_vars) for lit in lits}
-        for lit in chain.from_iterable(rows):
-            if names[lit] is None:
-                raise ParseError("literal %r is not an integer" % (lit,))
+def _write(rows, prefix: str = "") -> str:
+    """One DIMACS line per row of int literals, `prefix` first and " 0"
+    last; each literal that occurs is named once, with `str`."""
     if not rows:
         return ""
-    name = names.__getitem__
+    lits = set(chain.from_iterable(rows))
+    name = dict(zip(lits, map(str, lits))).__getitem__
     lines = [" ".join(map(name, row)) for row in rows]
     return prefix + (" 0\n" + prefix).join(lines) + " 0\n"
-
-
-def _name(lit, num_vars: int):
-    """The DIMACS name of lit if it equals one of ±1..±num_vars, else None."""
-    try:
-        k = int(lit)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return str(k) if k == lit and 0 < abs(k) <= num_vars else None

@@ -289,10 +289,7 @@ def expand_xors(formula: CnfFormula, chunk: int = 6) -> CnfFormula:
 
     The result opens with the formula's own clauses (their lists are
     shared, not copied) and writes the new ones from line templates; their
-    int lists are built only when its `clauses` are read.  A row whose
-    right-hand side is not 0 or 1, or whose support is not of int
-    variables in range, makes the result a plain formula, so that `emit`
-    names its fault."""
+    int lists are built only when its `clauses` are read."""
     counter = [formula.num_vars]
 
     def fresh():
@@ -300,7 +297,6 @@ def expand_xors(formula: CnfFormula, chunk: int = 6) -> CnfFormula:
         return counter[0]
 
     subs = []
-    plain = True
     for sup, rhs in formula.xors:
         row = _sub_xors(sup, rhs, chunk, fresh)
         if not row and rhs:
@@ -308,18 +304,9 @@ def expand_xors(formula: CnfFormula, chunk: int = 6) -> CnfFormula:
             v = fresh()
             row = [([v], 1), ([v], 0)]
         subs += row
-        plain = plain and _plain_row(sup, rhs, formula.num_vars)
-    if not plain:
-        return CnfFormula(counter[0], formula.clauses + _clauses_of(subs), [])
     count = sum(1 << len(vars_) - 1 for vars_, _ in subs)
     return formula._extend(counter[0], [], count, _text_of(subs),
                            functools.partial(_clauses_of, subs))
-
-
-def _plain_row(sup, rhs, num_vars: int) -> bool:
-    """Does the parity row have rhs 0 or 1 and int variables in 1..num_vars?"""
-    return rhs in (0, 1) and (not len(sup) or set(map(type, sup)) == {int}
-                              and 1 <= min(sup) and max(sup) <= num_vars)
 
 
 def conjoin(formula: CnfFormula, h: ParityHash, native_xor: bool = True) -> CnfFormula:
@@ -693,9 +680,9 @@ def _check_assignment(formula: CnfFormula, bits: int) -> bool:
 def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
     """Write the instance, run the solver command, parse the s/v protocol.
 
-    A timeout, a command that cannot be started, and output without an s
-    line or with a bad v line are `unknown`, with stats["reason"] saying
-    which."""
+    A timeout, a command that cannot be started, an s line answering
+    neither SATISFIABLE nor UNSATISFIABLE, and output without an s line or
+    with a bad v line are `unknown`, with stats["reason"] saying which."""
     t0 = time.monotonic()
     with tempfile.NamedTemporaryFile(
         "w", suffix=".cnf", prefix="xorcount_", delete=False
@@ -729,6 +716,9 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
                     answer = "sat"
                 elif tag == "UNSATISFIABLE":
                     answer = "unsat"
+                else:
+                    reason = "solver answered %s" % tag
+                    break
             elif line.startswith("v "):
                 try:
                     lits = [int(tok) for tok in line[2:].split()]

@@ -455,6 +455,10 @@ class TestOneLineErrors:
          "bad solver settings: budget_s"),
         (["bound", "{good}", "lb", "--solver", "solve {{in}}", "--budget-s", "-1"],
          "bad solver settings: budget_s"),
+        (["solve", "{repeated}"], "bad DIMACS file {repeated}: repeated header"),
+        (["count-models", "{repeated}"],
+         "bad DIMACS file {repeated}: repeated header"),
+        (["bound", "{repeated}", "lb"], "bad DIMACS file {repeated}: repeated header"),
     ])
     def test_bad_input_is_a_one_line_error(self, tmp_path, argv, prefix):
         paths = {"missing": tmp_path / "nope.cnf",
@@ -462,12 +466,14 @@ class TestOneLineErrors:
                  "bad_literal": tmp_path / "literal.cnf",
                  "negative": tmp_path / "negative.cnf",
                  "too_wide": tmp_path / "wide.cnf",
+                 "repeated": tmp_path / "repeated.cnf",
                  "good": tmp_path / "good.cnf"}
         paths["good"].write_text("p cnf 3 1\n1 2 0\n")
         paths["bad_token"].write_text("p cnf 2 1\n1 x 0\n")
         paths["bad_literal"].write_text("p cnf 2 1\n1 3 0\n")
         paths["negative"].write_text("p cnf -1 0\n")
         paths["too_wide"].write_text("p cnf 27 1\n1 0\n")
+        paths["repeated"].write_text("p cnf 1 1\n1 0\np cnf 5 1\n5 0\n")
         with pytest.raises(SystemExit) as exc:
             main([a.format(**paths) for a in argv])
         msg = str(exc.value.code)

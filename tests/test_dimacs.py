@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +55,13 @@ class TestParse:
     def test_unterminated_clause(self):
         with pytest.raises(ParseError):
             parse("p cnf 2 1\n1 2\n")
+
+    def test_repeated_header(self):
+        # a second header once re-ranged the clauses read before it:
+        # this text parsed as a 5-variable formula [[1], [5]]
+        with pytest.raises(ParseError) as exc:
+            parse("p cnf 1 1\n1 0\np cnf 5 1\n5 0\n")
+        assert str(exc.value) == "repeated header: 'p cnf 5 1'"
 
     def test_langford_header_shape(self):
         # header shape of a 576-variable, 13584-clause instance
@@ -128,8 +136,9 @@ class TestEmit:
         assert text == "p cnf 1000000 1\n1 -2 0\n"
         assert peak < 1 << 20
 
-    # each bad formula raises what validate() names first, clauses before
-    # x-lines; messages recorded before emit checked clauses as it wrote them
+    # each bad formula raises, when it is built, the fault named first,
+    # clauses before x-lines, so emit never sees it; messages recorded when
+    # emit checked the formula it was handed
     @pytest.mark.parametrize("clauses,xors,message", [
         ([[1, 2], [0, -5], [4]], [], "literal 0 out of range"),
         ([[1, 4], [0]], [], "literal 4 out of range"),
@@ -145,11 +154,53 @@ class TestEmit:
         ([[1, 2]], [([1, 2], 2)], "xor rhs must be 0 or 1"),
         ([[1, 2]], [([], 2)], "xor rhs must be 0 or 1"),
         ([[1, 2]], [([1, 2], 1), ([3, 9], 2)], "xor rhs must be 0 or 1"),
+        # a literal must be a plain int: emit once wrote np.int64(1), True
+        # and 1.0 as 1, and refused 2.5 only when it came to write it
+        ([[1, 2.5]], [], "literal 2.5 is not an integer"),
+        ([[np.int64(1)]], [], "literal np.int64(1) is not an integer"),
+        ([[True]], [], "literal True is not an integer"),
+        ([[1], [True]], [], "literal True is not an integer"),  # True == 1
+        ([[1.0, 0]], [], "literal 1.0 is not an integer"),
+        ([[0, 2.5]], [], "literal 0 out of range"),
+        ([[1], [], [2.5]], [], "zero-width clause"),
+        ([[2.5]], [([9], 1)], "literal 2.5 is not an integer"),
+        ([[1]], [([1, 2.5], 1)], "xor variable 2.5 is not an integer"),
+        ([[1]], [([np.int64(2)], 0)], "xor variable np.int64(2) is not an integer"),
+        ([[1]], [([True], 0)], "xor variable True is not an integer"),
+        ([[1]], [([2.5], 2)], "xor rhs must be 0 or 1"),
     ])
     def test_bad_formula_names_the_first_fault(self, clauses, xors, message):
         with pytest.raises(ParseError) as exc:
-            emit(CnfFormula(3, clauses, xors))
+            CnfFormula(3, clauses, xors)
         assert str(exc.value) == message
+
+
+class TestCheckedWhenBuilt:
+    @pytest.mark.parametrize("clauses,message", [
+        ([[0]], "literal 0 out of range"),
+        ([[5]], "literal 5 out of range"),
+    ])
+    def test_in_process_backends_never_see_a_bad_formula(self, clauses, message):
+        # the exhaustive backend once counted these as 4 models (literal 0
+        # read variable 3) and 0 models: the fault is now refused when built
+        from xorcount.oracle import count_models
+
+        with pytest.raises(ParseError) as exc:
+            count_models(CnfFormula(3, clauses, []))
+        assert str(exc.value) == message
+
+    def test_formulas_built_from_parts_are_not_checked_again(self, monkeypatch):
+        from xorcount.gf2hash import HashParams, sample_hash
+
+        f = CnfFormula(6, [[1, -2], [3, 4, -6]], [([2, 5], 0)])
+        calls = []
+        real = CnfFormula.__init__
+        monkeypatch.setattr(CnfFormula, "__init__",
+                            lambda self, *a: calls.append(a) or real(self, *a))
+        conj = conjoin(f, sample_hash(HashParams(6, 3, 0.5, seed=2)))
+        expanded = expand_xors(conj, chunk=3)
+        assert expanded.clauses[:2] == f.clauses
+        assert calls == []
 
 
 class TestEncodingDigests:

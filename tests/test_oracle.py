@@ -799,6 +799,19 @@ class TestRunExternal:
         assert v.answer == "unknown"
         assert v.stats["reason"] == "no solution line"
 
+    def test_unknown_answer_is_named(self, tmp_path):
+        # an s line that is neither SATISFIABLE nor UNSATISFIABLE was once
+        # reported as "no solution line"
+        import sys
+        script = tmp_path / "shrug.py"
+        script.write_text("import sys\nprint('c thinking')\nprint('s UNKNOWN')\n"
+                          "sys.stderr.write('gave up\\n')\n")
+        profile = SolverProfile("%s %s {in}" % (sys.executable, script))
+        v = run_external("p cnf 1 1\n1 0\n", profile)
+        assert v.answer == "unknown"
+        assert v.stats["reason"] == "solver answered UNKNOWN"
+        assert v.stats["stderr"] == "gave up\n"
+
     def test_template_needs_placeholder(self):
         with pytest.raises(ParameterError):
             run_external("p cnf 1 1\n1 0\n", SolverProfile("solver"))
