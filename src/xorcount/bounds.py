@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .comb import upper_bound_threshold
 from .errors import OracleUnknownError, ParameterError
-from .gf2hash import HashParams, derive_seed, sample_hash
+from .gf2hash import HashParams, _check_density, derive_seed, sample_hash
 from .oracle import CountingProblem, SolverProfile, has_survivors
 
 __all__ = [
@@ -363,8 +363,7 @@ def sparse_count(problem: CountingProblem, config: SparseCountConfig,
     max_i = config.max_i if config.max_i is not None else n
     for i in range(0, max_i + 1):
         f_i = config.density_schedule(i)
-        if not 0.0 <= f_i <= 0.5:
-            raise ParameterError("schedule density %r out of [0, 1/2]" % (f_i,))
+        _check_density(f_i)
         if not _majority_survives(problem, i, f_i, T, seed, solver):  # median < 1
             if i == 0:
                 return SparseCountResult(None, 0, False, T, n, seed)

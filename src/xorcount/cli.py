@@ -7,6 +7,10 @@ Subcommands:
   sweep    — bound-vs-density tradeoff CSV over a list of f values
   table    — exact contingency-table count (pruned enumeration)
   solve    — exhaustive DIMACS solver (debug oracle; speaks the s/v protocol)
+  count-models — exact model count of a DIMACS file (exhaustive)
+
+`bound` and `sweep` reach `bounds` through one driver, `_certify`; `sweep`
+checks all its densities before the first oracle call.
 
 Instance files are sniffed by content: a DIMACS header, a "rows r cols c"
 table spec, or one 0/1 assignment string per line (explicit set).
@@ -27,7 +31,8 @@ from pathlib import Path
 
 from . import bounds as bd
 from . import comb, dimacs, tables
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, ParseError
+from .gf2hash import _check_density
 from .oracle import (CountingProblem, SolverProfile, _explicit_from_lines,
                      _model_blocks, count_models)
 
@@ -51,7 +56,7 @@ def _load_table_spec(path: str, text: str) -> tables.ContingencyTableSpec:
 def _load_dimacs(path: str, text: str) -> dimacs.CnfFormula:
     try:
         return dimacs.parse(text)
-    except ValueError as exc:  # a ParseError, or a token that is no integer
+    except ParseError as exc:
         raise SystemExit("bad DIMACS file %s: %s" % (path, exc)) from None
 
 
@@ -138,69 +143,63 @@ def cmd_fstar(args) -> int:
     return 0
 
 
-def _start_m(problem, args, solver, f: float) -> int:
-    """Where both bounds at density f start: --m, else the pre-scan's pick."""
-    if args.m is not None:
-        return args.m
-    T = 24 if args.T is None else args.T
-    return bd.pick_promising_m(problem, f, coarse_T=max(3, T // 4),
-                               seed=args.seed, solver=solver)
+def _certify(problem, args, solver, f: float, modes) -> list:
+    """The certificates `modes` asks for at density f, in that order.
+
+    ["count"] runs SPARSE-COUNT.  "lb" and "ub" check their flags, then
+    share one start level m0: --m, else one pre-scan.  lb takes the best of
+    the window m0 +- 2, ub walks up from m0, at most 8 levels, until its
+    event fires; with --m both ask at m0 alone."""
+    try:
+        if modes == ["count"]:
+            cfg = bd.SparseCountConfig(delta=args.delta, alpha=args.alpha,
+                                       density_schedule=f, T=args.T,
+                                       use_ln_n=not args.no_ln_n)
+            return [bd.sparse_count(problem, cfg, seed=args.seed, solver=solver)]
+        if "lb" in modes:
+            bd.check_parameters(T=args.T, kappa=args.kappa, c=args.c_threshold)
+        if "ub" in modes:
+            bd.check_parameters(delta=args.delta)
+        T = 24 if args.T is None else args.T  # lb's trials; ub sets its own
+        m0 = args.m if args.m is not None else bd.pick_promising_m(
+            problem, f, coarse_T=max(3, T // 4), seed=args.seed, solver=solver)
+        certs = []
+        if "lb" in modes:
+            window = ([m0] if args.m is not None
+                      else range(max(1, m0 - 2), min(problem.n, m0 + 2) + 1))
+            certs.append(bd.best_lower_bound(
+                problem, f, window, T=T, kappa=args.kappa, c=args.c_threshold,
+                seed=args.seed, bonferroni=args.bonferroni, solver=solver))
+        if "ub" in modes:
+            top = m0 if args.m is not None else min(problem.n, m0 + 8)
+            for m in range(m0, top + 1):
+                cert = bd.upper_bound(problem, m, f, args.delta, seed=args.seed,
+                                      T=args.T, solver=solver)
+                if cert.event_fired:
+                    break
+            certs.append(cert)
+        return certs
+    except ParameterError as exc:
+        raise SystemExit("bad bound parameters: %s" % exc) from None
 
 
-def _run_lb(problem, args, solver, f: float, m0: int):
-    # --m alone, else the window m0 +- 2 around the pre-scan's pick
-    m_range = ([m0] if args.m is not None
-               else range(max(1, m0 - 2), min(problem.n, m0 + 2) + 1))
-    return bd.best_lower_bound(
-        problem, f, m_range, T=24 if args.T is None else args.T, kappa=args.kappa,
-        c=args.c_threshold, seed=args.seed, bonferroni=args.bonferroni,
-        solver=solver,
-    )
-
-
-def _run_ub(problem, args, solver, f: float, m0: int):
-    # without --m, walk upward from m0, at most 8 levels, until the event fires
-    top = m0 if args.m is not None else min(problem.n, m0 + 8)
-    for m in range(m0, top + 1):
-        cert = bd.upper_bound(problem, m, f, args.delta, seed=args.seed,
-                              T=args.T, solver=solver)
-        if cert.event_fired:
-            break
-    return cert
-
-
-def _bound_once(problem, args, solver) -> dict:
-    """Run one mode at --f, print its summary and return its certificate JSON."""
-    if args.mode == "count":
-        cfg = bd.SparseCountConfig(delta=args.delta, alpha=args.alpha,
-                                   density_schedule=args.f, T=args.T,
-                                   use_ln_n=not args.no_ln_n)
-        res = bd.sparse_count(problem, cfg, seed=args.seed, solver=solver)
-        if res.log2_estimate is None:
+def _print_summary(mode: str, cert):
+    if mode == "count":
+        if cert.log2_estimate is None:
             print("fewer than one solution witnessed (broke at i=0)")
         else:
-            _print_scales("sparse-count estimate", res.log2_estimate)
-        if res.exhausted:
-            print("warning: level loop exhausted at i=%d" % res.break_i)
-        return res.to_json()
-    # refuse bad flags before the pre-scan spends oracle calls
-    if args.mode == "lb":
-        bd.check_parameters(T=args.T, kappa=args.kappa, c=args.c_threshold)
-    else:
-        bd.check_parameters(delta=args.delta)
-    m0 = _start_m(problem, args, solver, args.f)
-    if args.mode == "lb":
-        cert = _run_lb(problem, args, solver, args.f, m0)
+            _print_scales("sparse-count estimate", cert.log2_estimate)
+        if cert.exhausted:
+            print("warning: level loop exhausted at i=%d" % cert.break_i)
+    elif mode == "lb":
         _print_scales("lower bound", cert.bound_log2)
         print("confidence %.4f (m=%d, c=%g, kappa=%g, T=%d, p_est=%.4f)"
               % (cert.confidence, cert.m, cert.c, cert.kappa, cert.T, cert.p_est))
-        return cert.to_json()
-    cert = _run_ub(problem, args, solver, args.f, m0)
-    _print_scales("upper bound", cert.verdict_log2)
-    print("event %s (m=%d, T=%d, empty %d/%d, Delta=%g)"
-          % ("fired" if cert.event_fired else "did not fire; sentinel",
-             cert.m, cert.T, cert.empty_count, cert.T, cert.delta))
-    return cert.to_json()
+    else:
+        _print_scales("upper bound", cert.verdict_log2)
+        print("event %s (m=%d, T=%d, empty %d/%d, Delta=%g)"
+              % ("fired" if cert.event_fired else "did not fire; sentinel",
+                 cert.m, cert.T, cert.empty_count, cert.T, cert.delta))
 
 
 def cmd_bound(args) -> int:
@@ -215,12 +214,13 @@ def cmd_bound(args) -> int:
                    "alpha": args.alpha, "bonferroni": args.bonferroni},
     }
     try:
-        report["certificates"] = [_bound_once(problem, args, solver)]
-    except ParameterError as exc:
-        raise SystemExit("bad bound parameters: %s" % exc) from None
+        [cert] = _certify(problem, args, solver, args.f, [args.mode])
     except bd.OracleUnknownError as exc:
         report.update(certificates=[], inconclusive=str(exc))
         print("inconclusive: %s" % exc, file=sys.stderr)
+    else:
+        _print_summary(args.mode, cert)
+        report["certificates"] = [cert.to_json()]
     report["wall_time_s"] = time.monotonic() - t0
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
@@ -230,7 +230,9 @@ def cmd_bound(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         f_list = [float(t) for t in args.f_list.split(",")]
-    except ValueError as exc:  # a density that is not a number
+        for f in f_list:  # every density, before any oracle call
+            _check_density(f)
+    except ValueError as exc:  # not a number, or out of [0, 1/2]
         raise SystemExit("bad bound parameters: %s in %r" % (exc, args.f_list)) from None
     problem = _load_problem(args.input)
     solver = _solver_profile(args)
@@ -243,22 +245,17 @@ def cmd_sweep(args) -> int:
         row = {"f": f, "lb_log2": "", "ub_log2": "", "wall_time_s": "",
                "certificates_path": ""}
         try:
-            bd.check_parameters(T=args.T, kappa=args.kappa, c=args.c_threshold,
-                                delta=args.delta)
-            m0 = _start_m(problem, args, solver, f)
-            lb = _run_lb(problem, args, solver, f, m0)
-            ub = _run_ub(problem, args, solver, f, m0)
+            lb, ub = _certify(problem, args, solver, f, ["lb", "ub"])
+        except bd.OracleUnknownError as exc:
+            print("f=%g inconclusive: %s" % (f, exc), file=sys.stderr)
+            inconclusive = True
+        else:
             row["lb_log2"] = "" if lb.bound_log2 is None else "%.6g" % lb.bound_log2
             row["ub_log2"] = "%.6g" % ub.verdict_log2
             if out_dir:
                 p = out_dir / ("certs_f%s.json" % ("%g" % f).replace(".", "p"))
                 p.write_text(json.dumps([lb.to_json(), ub.to_json()], indent=2) + "\n")
                 row["certificates_path"] = str(p)
-        except ParameterError as exc:
-            raise SystemExit("bad bound parameters: %s" % exc) from None
-        except bd.OracleUnknownError as exc:
-            print("f=%g inconclusive: %s" % (f, exc), file=sys.stderr)
-            inconclusive = True
         row["wall_time_s"] = "%.4f" % (time.monotonic() - t0)
         rows.append(row)
         print("f=%g  lb_log2=%s  ub_log2=%s  (%ss)"
@@ -316,15 +313,11 @@ def cmd_count_models(args) -> int:
 
 def _add_common_bound_flags(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--f", type=float, default=0.5, help="constraint density")
     p.add_argument("--m", type=int, default=None, help="constraint count")
     p.add_argument("--T", type=int, default=None, help="trials per estimate")
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--kappa", type=float, default=1.0)
     p.add_argument("--c-threshold", dest="c_threshold", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=0.04)
-    p.add_argument("--no-ln-n", dest="no_ln_n", action="store_true",
-                   help="drop the ln(n) factor from the trial-count formula")
     p.add_argument("--solver", default=None,
                    help='external solver command, e.g. "cryptominisat {in}"')
     p.add_argument("--budget-s", dest="budget_s", type=float, default=None)
@@ -356,7 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="run a bound pipeline on an instance")
     p.add_argument("input")
     p.add_argument("mode", choices=["lb", "ub", "count"])
+    p.add_argument("--f", type=float, default=0.5, help="constraint density")
     _add_common_bound_flags(p)
+    p.add_argument("--alpha", type=float, default=0.04)
+    p.add_argument("--no-ln-n", dest="no_ln_n", action="store_true",
+                   help="drop the ln(n) factor from the trial-count formula")
     p.add_argument("--json", default=None, help="write the run report here")
     p.set_defaults(func=cmd_bound)
 

@@ -20,8 +20,9 @@ class CnfFormula:
     """A CNF over variables 1..num_vars plus native parity rows, checked
     once, when it is built.
 
-    The constructor raises the ParseError naming the first fault, clauses
-    before parity rows: a clause with no literals, a literal that is not an
+    The constructor raises the ParseError naming the first fault, num_vars
+    first, then clauses, then parity rows: a num_vars that is not a
+    non-negative int, a clause with no literals, a literal that is not an
     int or not one of ±1..±num_vars, a right-hand side other than 0 or 1,
     or a row variable outside 1..num_vars.  So every formula is well
     formed, and nothing that reads one checks it again.
@@ -37,6 +38,9 @@ class CnfFormula:
 
     def __init__(self, num_vars: int, clauses: list, xors: list = None):
         xors = [] if xors is None else xors
+        if type(num_vars) is not int or num_vars < 0:
+            raise ParseError("num_vars %r is not a non-negative integer"
+                             % (num_vars,))
         for cl in clauses:
             if not cl:
                 raise ParseError("zero-width clause")
@@ -127,7 +131,7 @@ def parse(text: str) -> CnfFormula:
         if num_vars is None:
             raise ParseError("clause before header")
         if line.startswith("x"):
-            lits = [int(t) for t in line[1:].split()]
+            lits = _integers(line[1:].split())
             if not lits or lits[-1] != 0:
                 raise ParseError("x-line not 0-terminated: %r" % line)
             lits = lits[:-1]
@@ -141,7 +145,7 @@ def parse(text: str) -> CnfFormula:
                 raise ParseError("only the first x-line literal may be negated")
             xors.append((lits, rhs))
             continue
-        lits = [int(t) for t in line.split()]
+        lits = _integers(line.split())
         if not lits or lits[-1] != 0:
             raise ParseError("clause not 0-terminated: %r" % line)
         lits = lits[:-1]
@@ -155,6 +159,17 @@ def parse(text: str) -> CnfFormula:
             "header declares %d clauses, found %d" % (declared_clauses, len(clauses))
         )
     return CnfFormula(num_vars, clauses, xors)
+
+
+def _integers(tokens: list) -> list:
+    """The tokens as ints; ParseError names the first that is not one."""
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ParseError("token %r is not an integer" % tok) from None
+    return out
 
 
 def emit(formula: CnfFormula) -> str:

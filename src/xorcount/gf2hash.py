@@ -58,6 +58,12 @@ class _Generator(threading.local):
 _generator = _Generator()
 
 
+def _check_density(f: float):
+    """Refuse a constraint density outside [0, 1/2], nan included."""
+    if not 0.0 <= f <= 0.5:
+        raise ParameterError("density f must lie in [0, 1/2], got %r" % (f,))
+
+
 @dataclass(frozen=True)
 class HashParams:
     """Parameters of the hash family: n variables, m constraints, density f."""
@@ -72,8 +78,7 @@ class HashParams:
             raise ParameterError("n and m must be positive, got n=%d m=%d" % (self.n, self.m))
         if self.m > self.n:
             raise ParameterError("m=%d exceeds n=%d" % (self.m, self.n))
-        if not 0.0 <= self.f <= 0.5:
-            raise ParameterError("density f must lie in [0, 1/2], got %r" % (self.f,))
+        _check_density(self.f)
         if not isinstance(self.seed, int):
             raise ParameterError("seed must be an int, got %r" % (self.seed,))
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import random
@@ -227,6 +228,8 @@ class TestBoundCmd:
         ["bound", "{set}", "ub", "--delta", "1.5"],
         ["sweep", "{set}", "0.3", "--T", "0"],
         ["sweep", "{set}", "0.3", "--delta", "0"],
+        ["sweep", "{set}", "0.3,0.7"],
+        ["sweep", "{set}", "0.3,nan"],
     ])
     def test_bad_flags_are_refused_before_the_prescan(self, tmp_path,
                                                       monkeypatch, argv):
@@ -241,10 +244,14 @@ class TestBoundCmd:
         monkeypatch.setattr(bounds, "estimate_survival", counting_estimate)
         f = tmp_path / "set.txt"
         write_explicit(f, range(0, 1 << 12, 37), 12)
+        certs = tmp_path / "certs"
+        if argv[0] == "sweep":
+            argv = argv + ["--certs-dir", str(certs)]
         with pytest.raises(SystemExit) as exc:
             main([a.format(set=f) for a in argv])
         assert str(exc.value.code).startswith("bad bound parameters: ")
         assert calls == []
+        assert not list(certs.glob("*"))
 
     def test_mixed_width_set_is_a_one_line_error(self, tmp_path):
         f = tmp_path / "mixed.txt"
@@ -301,6 +308,19 @@ class TestSweepCmd:
         assert [(r["f"], r["lb_log2"], r["ub_log2"]) for r in rows] == [
             ("0.3", "", ""), ("0.5", "", "")]
         assert capsys.readouterr().err.count("inconclusive") == 2
+
+    @pytest.mark.parametrize("flag", [["--f", "0.1"], ["--alpha", "9"],
+                                      ["--no-ln-n"]])
+    def test_bound_only_flags_are_refused(self, tmp_path, capsys, flag):
+        # sweep runs lb and ub at its listed densities, so a density, an
+        # alpha or the ln(n) switch would be read by nothing
+        f = tmp_path / "set.txt"
+        write_explicit(f, range(0, 1 << 12, 37), 12)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(f), "0.3"] + flag)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: unrecognized arguments: %s\n" % " ".join(flag) in err
 
     def test_one_prescan_per_density(self, tmp_path, monkeypatch):
         # each certificate file holds what `bound lb` and `bound ub` write at
@@ -559,3 +579,48 @@ class TestExplicitLoader:
         with pytest.raises(SystemExit) as exc:
             main(["bound", str(f), "lb"])
         assert str(exc.value.code) == message.format(f=f)
+
+
+# the cases `bound` and `sweep` must keep answering byte for byte: every
+# mode on its default, `--m` and `--f`/`--T` paths, on each kind of input
+GOLDEN_INPUTS = {
+    "set.txt": "".join(Assignment(b, 12).to_string() + "\n"
+                       for b in range(0, 1 << 12, 37)),
+    "f.cnf": "p cnf 10 6\n1 2 -3 0\n-1 4 0\n2 -5 6 0\n-7 8 0\n9 -10 3 0\n"
+             "-2 -6 7 0\n",
+    "t.spec": "rows 2 cols 2\nR: 1 1\nC: 1 1\nbinary: 1\n",
+}
+GOLDEN_SHA256 = "bd9644ac3d78e8da2c39ac5d32cd785b13b98318710ac4a990b645ad492a3a32"
+
+
+def _untimed(text):
+    return re.sub(r'("wall_time_s": )[^,\n}]+', r"\g<1>0", text)
+
+
+def test_bound_and_sweep_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in GOLDEN_INPUTS.items():
+        Path(name).write_text(text)
+    runs = [["bound", name, mode] + flags
+            for name in GOLDEN_INPUTS
+            for mode in ("lb", "ub", "count")
+            for flags in ([], ["--m", "3"], ["--f", "0.2", "--T", "12"])]
+    runs.append(["sweep", "set.txt", "0.3,0.5", "--T", "12", "--seed", "4",
+                 "--csv", "s.csv", "--certs-dir", "certs"])
+    record = []
+    for k, argv in enumerate(runs):
+        if argv[0] == "bound":
+            argv = argv + ["--seed", str(k), "--json", "r%d.json" % k]
+        rc = main(argv)
+        out = re.sub(r"  \(\d+\.\d+s\)$", "", capsys.readouterr().out, flags=re.M)
+        entry = {"argv": argv, "rc": rc, "stdout": out}
+        if argv[0] == "bound":
+            entry["report"] = _untimed(Path(argv[-1]).read_text())
+        else:
+            with open("s.csv", newline="") as fh:
+                entry["csv"] = strip_timing(list(csv.DictReader(fh)))
+            entry["certs"] = {p.name: _untimed(p.read_text())
+                              for p in sorted(Path("certs").iterdir())}
+        record.append(entry)
+    blob = json.dumps(record, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256

@@ -63,6 +63,19 @@ class TestParse:
             parse("p cnf 1 1\n1 0\np cnf 5 1\n5 0\n")
         assert str(exc.value) == "repeated header: 'p cnf 5 1'"
 
+    @pytest.mark.parametrize("text,token", [
+        ("p cnf 2 1\n1 x 0\n", "x"),
+        ("p cnf 2 1\n1 2 0.5\n", "0.5"),
+        ("p cnf 2 0\nx1 y 0\n", "y"),
+        ("p cnf 2 0\nx-1 2 z0\n", "z0"),
+    ])
+    def test_token_that_is_not_an_integer(self, text, token):
+        # int() once raised a plain ValueError here, which a caller catching
+        # ParseError missed
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == "token %r is not an integer" % token
+
     def test_langford_header_shape(self):
         # header shape of a 576-variable, 13584-clause instance
         lines = ["p cnf 576 13584"]
@@ -188,6 +201,27 @@ class TestCheckedWhenBuilt:
         with pytest.raises(ParseError) as exc:
             count_models(CnfFormula(3, clauses, []))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("num_vars", [-1, 2.0, True, np.int64(2), None])
+    def test_num_vars_is_checked(self, num_vars):
+        with pytest.raises(ParseError) as exc:
+            CnfFormula(num_vars, [[1]], [])
+        assert str(exc.value) == ("num_vars %r is not a non-negative integer"
+                                  % (num_vars,))
+
+    def test_negative_num_vars_is_never_emitted(self):
+        # emit once wrote "p cnf -1 0", a header parse refuses
+        with pytest.raises(ParseError, match="num_vars -1"):
+            emit(CnfFormula(-1, [], []))
+
+    @pytest.mark.parametrize("num_vars", [-1, 2.0])
+    def test_bad_num_vars_never_reaches_the_counter(self, num_vars):
+        # count_models once raised "negative shift count" at -1 and a
+        # TypeError at 2.0
+        from xorcount.oracle import count_models
+
+        with pytest.raises(ParseError, match="num_vars"):
+            count_models(CnfFormula(num_vars, [], []))
 
     def test_formulas_built_from_parts_are_not_checked_again(self, monkeypatch):
         from xorcount.gf2hash import HashParams, sample_hash
