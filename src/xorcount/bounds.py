@@ -193,9 +193,10 @@ def estimate_survival(problem: CountingProblem, m: int, f: float, T: int,
 
     Trial k's hash is drawn from derive_seed(derive_seed(seed, m), k); m = 0
     asks whether S is non-empty.  All T questions go to the oracle in one
-    call: in process they are answered in one pass, and with an external
-    solver its profile's budget_s and jobs apply (jobs does nothing without
-    a solver).  Outcomes are kept in trial order either way.
+    call: in process they are answered in one pass; with an external solver
+    up to the profile's jobs calls run at once (by default one per usable
+    CPU), each limited to budget_s.  Outcomes are kept in trial order
+    either way.
     """
     check_parameters(T=T)
     outcomes = _ask(problem, _trial_hashes(problem.n, m, f, seed, range(T)),

@@ -143,6 +143,32 @@ def cmd_fstar(args) -> int:
     return 0
 
 
+# bound's flags that some mode never reads, with their defaults, and the
+# ones each mode never reads; the solver settings are read only with a solver
+_DEFAULTS = {"m": None, "delta": 0.05, "kappa": 1.0, "c_threshold": None,
+             "budget_s": None, "native_xor": False, "chunk": 6,
+             "bonferroni": False, "jobs": None, "alpha": 0.04, "no_ln_n": False}
+_UNREAD = {"count": {"m", "kappa", "c_threshold", "bonferroni"},
+           "lb": {"delta", "alpha", "no_ln_n"},
+           "ub": {"kappa", "c_threshold", "bonferroni", "alpha", "no_ln_n"}}
+_SOLVER_ONLY = {"budget_s", "native_xor", "chunk", "jobs"}
+
+
+def _warn_unread(args, solver, modes):
+    """One stderr line naming each flag set away from its default that a
+    run of `modes` never reads; the run goes on as if it were unset."""
+    def named(dests):
+        return ", ".join("--" + dest.replace("_", "-")
+                         for dest, default in _DEFAULTS.items()
+                         if dest in dests and getattr(args, dest, default) != default)
+    parts = [named(set.intersection(*(_UNREAD[mode] for mode in modes))),
+             named(_SOLVER_ONLY) if solver is None else ""]
+    why = ["not read by %s" % "/".join(modes), "no solver is set"]
+    text = "; ".join("%s (%s)" % pair for pair in zip(parts, why) if pair[0])
+    if text:
+        print("warning: ignoring " + text, file=sys.stderr)
+
+
 def _certify(problem, args, solver, f: float, modes) -> list:
     """The certificates `modes` asks for at density f, in that order.
 
@@ -205,6 +231,7 @@ def _print_summary(mode: str, cert):
 def cmd_bound(args) -> int:
     problem = _load_problem(args.input)
     solver = _solver_profile(args)
+    _warn_unread(args, solver, [args.mode])
     t0 = time.monotonic()
     report = {
         "command": "bound", "input": args.input, "mode": args.mode,
@@ -236,6 +263,7 @@ def cmd_sweep(args) -> int:
         raise SystemExit("bad bound parameters: %s in %r" % (exc, args.f_list)) from None
     problem = _load_problem(args.input)
     solver = _solver_profile(args)
+    _warn_unread(args, solver, ["lb", "ub"])
     out_dir = Path(args.certs_dir) if args.certs_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -312,20 +340,24 @@ def cmd_count_models(args) -> int:
 
 
 def _add_common_bound_flags(p):
+    d = _DEFAULTS
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=None, help="constraint count")
+    p.add_argument("--m", type=int, default=d["m"], help="constraint count")
     p.add_argument("--T", type=int, default=None, help="trials per estimate")
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--kappa", type=float, default=1.0)
-    p.add_argument("--c-threshold", dest="c_threshold", type=float, default=None)
+    p.add_argument("--delta", type=float, default=d["delta"])
+    p.add_argument("--kappa", type=float, default=d["kappa"])
+    p.add_argument("--c-threshold", dest="c_threshold", type=float,
+                   default=d["c_threshold"])
     p.add_argument("--solver", default=None,
                    help='external solver command, e.g. "cryptominisat {in}"')
-    p.add_argument("--budget-s", dest="budget_s", type=float, default=None)
+    p.add_argument("--budget-s", dest="budget_s", type=float, default=d["budget_s"],
+                   help="wall-clock limit of each solver call, in seconds")
     p.add_argument("--native-xor", dest="native_xor", action="store_true")
-    p.add_argument("--chunk", type=int, default=6)
+    p.add_argument("--chunk", type=int, default=d["chunk"])
     p.add_argument("--bonferroni", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="external-solver calls run at once within an estimate")
+    p.add_argument("--jobs", type=int, default=d["jobs"],
+                   help="solver calls run at once within an estimate "
+                        "(default: the CPUs this process may run on)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["lb", "ub", "count"])
     p.add_argument("--f", type=float, default=0.5, help="constraint density")
     _add_common_bound_flags(p)
-    p.add_argument("--alpha", type=float, default=0.04)
+    p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"])
     p.add_argument("--no-ln-n", dest="no_ln_n", action="store_true",
                    help="drop the ln(n) factor from the trial-count formula")
     p.add_argument("--json", default=None, help="write the run report here")

@@ -29,7 +29,8 @@ in which its last trial finds one; a CNF's models past that block are not
 enumerated until a question reads them.  `has_survivor` is `has_survivors`
 with T = 1.  In-process answers carry no witness: only the external backend
 returns one, its model rechecked in process.  External solvers get one
-call per hash, and one in all for an estimate at m = 0.
+call per hash, up to solver.jobs of them at once, and one in all for an
+estimate at m = 0.
 
 A hash of None asks m = 0, "is S non-empty?", on every backend.
 """
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import shlex
 import subprocess
 import tempfile
@@ -101,21 +103,22 @@ class SolverProfile:
     """Every setting of the external solver, checked once here.
 
     `template` is the command, with an {in} placeholder for the instance
-    path; `budget_s` is the per-call timeout in seconds, positive and
-    finite (None: no limit); `native_xor` sends parity rows as x-lines,
-    else they are expanded into CNF with sub-XORs of arity `chunk`; `jobs`
-    is how many solver calls of one estimate run at once.  The CLI fills
-    these from --solver, --budget-s, --native-xor, --chunk and --jobs.
-    Without a profile every question is answered in process, so neither
-    `budget_s` nor `jobs` has any effect.  `argv` is the template split
-    once, shell-style, here.
+    path; `budget_s` is the per-call wall-clock timeout in seconds,
+    positive and finite (None: no limit); `native_xor` sends parity rows as
+    x-lines, else they are expanded into CNF with sub-XORs of arity
+    `chunk`; `jobs` is how many solver calls of one estimate run at once,
+    by default (None) the number of CPUs this process may run on.  The CLI
+    fills these from --solver, --budget-s, --native-xor, --chunk and
+    --jobs.  Without a profile every question is answered in process, so
+    neither `budget_s` nor `jobs` has any effect.  `argv` is the template
+    split once, shell-style, here.
     """
 
     template: str
     budget_s: float | None = None
     native_xor: bool = False
     chunk: int = 6
-    jobs: int = 1
+    jobs: int | None = None
     argv: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -129,8 +132,17 @@ class SolverProfile:
             raise ParameterError("budget_s must be positive and finite, or None")
         if self.chunk < 2:
             raise ParameterError("chunk must be at least 2")
+        if self.jobs is None:
+            object.__setattr__(self, "jobs", _usable_cpus())
         if self.jobs < 1:
             raise ParameterError("jobs must be at least 1")
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class CountingProblem:
@@ -796,8 +808,11 @@ def has_survivors(problem: CountingProblem, hashes,
     In-process problems answer all of them in one pass of the survival
     kernel.  External solvers get one has_survivor call per hash, except at
     m = 0, where the one question "is S non-empty?" is asked once and its
-    answer repeated; solver.jobs > 1 runs the calls on a thread pool (each
-    owns its own subprocess and temp file), and answers stay in hash order.
+    answer repeated.  The calls run on a pool of min(solver.jobs, T)
+    threads (each call owns its own subprocess and temp file), and answers
+    stay in hash order.  A call that raises (a witness failing its recheck,
+    an interrupt) cancels every call not yet started, and the first such
+    error in hash order is raised once the started calls have returned.
     """
     _check_hashes(problem, hashes)
     if problem.kind == "explicit" or solver is None:
@@ -809,9 +824,14 @@ def has_survivors(problem: CountingProblem, hashes,
 
     if hashes and hashes[0] is None:
         return [ask(None)] * len(hashes)
-    if solver.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here: it loads `logging`, which neither the in-process
+    # backends nor a `xorcount solve` child need
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
-        with ThreadPoolExecutor(max_workers=solver.jobs) as pool:
-            return list(pool.map(ask, hashes))
-    return [ask(h) for h in hashes]
+    pool = ThreadPoolExecutor(max_workers=min(solver.jobs, len(hashes)) or 1)
+    calls = [pool.submit(ask, h) for h in hashes]
+    try:
+        wait(calls, return_when=FIRST_EXCEPTION)
+    finally:  # calls start in hash order, so none cancelled precedes a failure
+        pool.shutdown(cancel_futures=True)
+    return [call.result() for call in calls]

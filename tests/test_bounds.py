@@ -74,9 +74,10 @@ class TestEstimateSurvival:
         clauses = [[rng.choice([v, -v]) for v in rng.sample(range(1, 13), 3)]
                    for _ in range(10)]
         formula = CnfFormula(12, clauses, [])
+        serial_solver = dataclasses.replace(exhaustive_solver, jobs=1)
         parallel_solver = dataclasses.replace(exhaustive_solver, jobs=4)
         serial = estimate_survival(CountingProblem.from_cnf(formula), 5, 0.3,
-                                   16, seed=2, solver=exhaustive_solver)
+                                   16, seed=2, solver=serial_solver)
         parallel = estimate_survival(CountingProblem.from_cnf(formula), 5, 0.3,
                                      16, seed=2, solver=parallel_solver)
         assert serial == parallel

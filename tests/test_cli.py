@@ -185,6 +185,73 @@ class TestBoundCmd:
             docs.append(strip_timing(json.loads(report.read_text())))
         assert docs[0] == docs[1]
 
+    @pytest.mark.parametrize("mode,m", [("lb", "3"), ("ub", "7")])
+    @pytest.mark.parametrize("transport", [["--chunk", "6"], ["--native-xor"]])
+    def test_omitted_jobs_match_one_job(self, tmp_path, mode, m, transport):
+        # without --jobs an estimate's solver calls run concurrently, one
+        # per usable CPU, and the report is the one --jobs 1 writes
+        rng = random.Random(8)
+        lines = ["p cnf 10 14"]
+        for _ in range(14):
+            lines.append(" ".join(str(rng.choice([v, -v]))
+                                  for v in rng.sample(range(1, 11), 3)) + " 0")
+        cnf = tmp_path / "t.cnf"
+        cnf.write_text("\n".join(lines) + "\n")
+        solver = "%s -m xorcount.cli solve {in}" % sys.executable
+        docs = []
+        for jobs in (["--jobs", "1"], []):
+            report = tmp_path / ("jobs%d.json" % len(jobs))
+            rc = main(["bound", str(cnf), mode, "--T", "4", "--m", m,
+                       "--delta", "0.85", "--f", "0.3", "--seed", "3",
+                       "--solver", solver, "--json", str(report)]
+                      + transport + jobs)
+            assert rc == 0
+            docs.append(strip_timing(json.loads(report.read_text())))
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("mode,extra,named", [
+        ("ub", ["--kappa", "5", "--c-threshold", "0.2", "--bonferroni",
+                "--alpha", "9", "--no-ln-n"],
+         "--kappa, --c-threshold, --bonferroni, --alpha, --no-ln-n (not read by ub)"),
+        ("count", ["--m", "5", "--kappa", "5", "--bonferroni"],
+         "--m, --kappa, --bonferroni (not read by count)"),
+        ("lb", ["--delta", "0.1", "--jobs", "2", "--budget-s", "3", "--chunk", "4",
+                "--native-xor"],
+         "--delta (not read by lb); --budget-s, --native-xor, --chunk, --jobs"
+         " (no solver is set)"),
+    ])
+    def test_unread_flags_are_named(self, tmp_path, capsys, mode, extra, named):
+        # a flag the run never reads is named once on stderr, and the run
+        # prints what it prints without it
+        path = tmp_path / "s.txt"
+        write_explicit(path, random.Random(3).sample(range(1 << 12), 111), 12)
+        outs = []
+        for flags in (extra, []):
+            assert main(["bound", str(path), mode, "--seed", "3"] + flags) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0].err == "warning: ignoring %s\n" % named
+        assert outs[1].err == ""
+        assert outs[0].out == outs[1].out
+
+    def test_read_and_default_flags_are_not_named(self, tmp_path, capsys):
+        path = tmp_path / "s.txt"
+        write_explicit(path, range(0, 200, 3), 8)
+        solver = "%s -m xorcount.cli solve {in}" % sys.executable
+        for argv in (["lb", "--kappa", "2", "--m", "2", "--bonferroni",
+                      "--c-threshold", "0.3", "--chunk", "6"],
+                     ["ub", "--delta", "0.2", "--m", "2", "--kappa", "1"],
+                     ["count", "--delta", "0.2", "--alpha", "0.1", "--no-ln-n"],
+                     ["lb", "--m", "2", "--T", "2", "--solver", solver,
+                      "--jobs", "2", "--chunk", "3", "--budget-s", "30"]):
+            assert main(["bound", str(path)] + argv) == 0
+            assert capsys.readouterr().err == ""
+        assert main(["sweep", str(path), "0.5", "--kappa", "2", "--delta", "0.2",
+                     "--T", "6"]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["sweep", str(path), "0.5", "--T", "6", "--jobs", "1"]) == 0
+        assert capsys.readouterr().err == ("warning: ignoring --jobs "
+                                           "(no solver is set)\n")
+
     @pytest.mark.parametrize("flags", [["--solver", "solver"],
                                        ["--solver", "solver {in}", "--chunk", "1"],
                                        ["--solver", "solver {in}", "--jobs", "0"],

@@ -1,5 +1,9 @@
 import hashlib
+import os
 import random
+import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -443,6 +447,58 @@ class TestSolverQuestion:
         # the template's {in} check: TestRunExternal.test_template_needs_placeholder
         with pytest.raises(ParameterError):
             SolverProfile(**{"template": "solver {in}", **kwargs})
+
+    def test_jobs_default_to_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert SolverProfile("solver {in}").jobs == 3
+        assert SolverProfile("solver {in}", jobs=1).jobs == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert SolverProfile("solver {in}").jobs == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert SolverProfile("solver {in}").jobs == 1
+
+    def test_failure_stops_queued_calls(self, tmp_path):
+        # the first question's call is slow; the second's witness fails its
+        # recheck, so the calls queued behind them never start
+        log = tmp_path / "calls.log"
+        script = tmp_path / "slow_liar.py"
+        script.write_text(textwrap.dedent("""\
+            import sys, time
+            text = open(sys.argv[1]).read()
+            with open(%r, "a") as fh:
+                fh.write("call\\n")
+            if "x-4 0" in text:
+                time.sleep(1.5)
+            print("s SATISFIABLE")
+            print("v -1 -2 -3 -4 0")
+        """ % str(log)))
+        solver = SolverProfile("%s %s {in}" % (sys.executable, script),
+                               native_xor=True, jobs=2)
+        problem = CountingProblem.from_cnf(CnfFormula(4, [[1]], []))
+        params = HashParams(4, 1, 0.5)
+        hashes = ([ParityHash((0b1000,), 0, params)]
+                  + [ParityHash((0b0001,), 0, params)] * 15)
+        with pytest.raises(IntegrityError):
+            has_survivors(problem, hashes, solver=solver)
+        assert len(log.read_text().splitlines()) < 16
+
+    def test_interrupt_stops_queued_calls(self, monkeypatch):
+        from xorcount import oracle
+        calls = []
+
+        def interrupted(problem, h, solver):
+            calls.append(h)
+            time.sleep(0.05)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(oracle, "has_survivor", interrupted)
+        problem = CountingProblem.from_cnf(CnfFormula(4, [[1]], []))
+        hashes = [sample_hash(HashParams(4, 2, 0.5, seed=k)) for k in range(16)]
+        with pytest.raises(KeyboardInterrupt):
+            has_survivors(problem, hashes, solver=SolverProfile("s {in}", jobs=2))
+        assert len(calls) < 16
 
 
 class TestCountModels:
