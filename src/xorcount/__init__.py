@@ -1,18 +1,8 @@
-"""Probabilistic model-count bounds from sparse XOR (parity) constraints."""
+"""Probabilistic model-count bounds from sparse XOR (parity) constraints.
 
-from .bounds import (LowerBoundCertificate, SparseCountConfig,
-                     SparseCountResult, SurvivalEstimate,
-                     UpperBoundCertificate, best_lower_bound,
-                     estimate_survival, lower_bound, pick_promising_m,
-                     sparse_count, upper_bound)
-from .comb import (DensityCertificate, EpsilonInputs, LogNum,
-                   asymptotic_density, epsilon, log_binomial,
-                   min_density_fstar, upper_bound_threshold,
-                   variance_bound_v, w_star)
-from .gf2hash import (Assignment, HashParams, ParityHash, apply_hash,
-                      count_survivors, exact_survival_probability,
-                      sample_hash)
-from .oracle import (CountingProblem, OracleVerdict, SolverProfile, conjoin,
-                     count_models, has_survivor, run_external, xor_to_cnf)
+Import names from their modules (`xorcount.bounds`, `xorcount.oracle`, ...):
+the package itself loads none of them, so a process pays only for the
+modules it uses.
+"""
 
 __version__ = "0.1.0"

@@ -15,6 +15,15 @@ checks all its densities before the first oracle call.
 Instance files are sniffed by content: a DIMACS header, a "rows r cols c"
 table spec, or one 0/1 assignment string per line (explicit set).
 All log-scale outputs are printed in both natural log and log2.
+
+Start-up: at module level this imports only the stdlib, `errors` and
+`dimacs`; each subcommand imports the modules it runs.  `epsilon` and
+`fstar` never load numpy, and `solve` and `count-models` (the solver child
+an external-solver estimate starts once per question) load only `dimacs`
+and `oracle`.  The program entry `run` defaults OPENBLAS_NUM_THREADS to 1
+before numpy can load: xorcount does no linear algebra, and starting the
+OpenBLAS worker threads numpy would otherwise start, one per further CPU,
+is most of numpy's import time.
 """
 
 from __future__ import annotations
@@ -29,12 +38,15 @@ import time
 from contextlib import nullcontext
 from pathlib import Path
 
-from . import bounds as bd
-from . import comb, dimacs, tables
-from .errors import CapacityError, ParameterError, ParseError
-from .gf2hash import _check_density
-from .oracle import (CountingProblem, SolverProfile, _explicit_from_lines,
-                     _model_blocks, count_models)
+from . import dimacs
+from .errors import CapacityError, OracleUnknownError, ParameterError, ParseError
+
+# names for the annotations only, read by type checkers; the commands import
+# what they run (a constant, not `typing.TYPE_CHECKING`: typing is another import)
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from . import tables
+    from .oracle import CountingProblem, SolverProfile
 
 LN2 = math.log(2.0)
 
@@ -47,6 +59,7 @@ def _read_input(path: str) -> str:
 
 
 def _load_table_spec(path: str, text: str) -> tables.ContingencyTableSpec:
+    from . import tables
     try:
         return tables.parse_table_spec(text)
     except ValueError as exc:
@@ -61,6 +74,7 @@ def _load_dimacs(path: str, text: str) -> dimacs.CnfFormula:
 
 
 def _load_problem(path: str) -> CountingProblem:
+    from .oracle import CountingProblem, _explicit_from_lines
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -74,6 +88,7 @@ def _load_problem(path: str) -> CountingProblem:
         if line.split()[:2] == ["p", "cnf"]:
             return CountingProblem.from_cnf(_load_dimacs(path, text))
         if line.startswith("rows"):
+            from . import tables
             problem, _ = tables.encode_to_cnf(_load_table_spec(path, text))
             return problem
         break
@@ -90,6 +105,7 @@ def _solver_profile(args) -> SolverProfile | None:
     template = args.solver or os.environ.get("XORCOUNT_SOLVER")
     if not template:
         return None
+    from .oracle import SolverProfile
     try:
         return SolverProfile(template, budget_s=args.budget_s,
                              native_xor=args.native_xor, chunk=args.chunk,
@@ -111,6 +127,7 @@ def _print_scales(label: str, log2_value):
 
 
 def cmd_epsilon(args) -> int:
+    from . import comb
     try:
         eps = comb.epsilon(comb.EpsilonInputs(args.n, args.m, args.q, args.f))
         v = comb.variance_bound_v(args.q, args.n, args.m, args.f)
@@ -123,6 +140,7 @@ def cmd_epsilon(args) -> int:
 
 
 def cmd_fstar(args) -> int:
+    from . import comb
     try:
         if args.m + args.c < 1:
             raise ParameterError("need m + c >= 1 (q = 2^(m+c) >= 2), got %d"
@@ -143,10 +161,11 @@ def cmd_fstar(args) -> int:
     return 0
 
 
-# bound's flags that some mode never reads, with their defaults, and the
-# ones each mode never reads; the solver settings are read only with a solver
+# bound's flags that some run never reads, with their defaults, and the
+# ones each mode never reads; the solver settings are read only with a
+# solver, and an explicit set reads neither them nor --solver
 _DEFAULTS = {"m": None, "delta": 0.05, "kappa": 1.0, "c_threshold": None,
-             "budget_s": None, "native_xor": False, "chunk": 6,
+             "solver": None, "budget_s": None, "native_xor": False, "chunk": 6,
              "bonferroni": False, "jobs": None, "alpha": 0.04, "no_ln_n": False}
 _UNREAD = {"count": {"m", "kappa", "c_threshold", "bonferroni"},
            "lb": {"delta", "alpha", "no_ln_n"},
@@ -154,17 +173,22 @@ _UNREAD = {"count": {"m", "kappa", "c_threshold", "bonferroni"},
 _SOLVER_ONLY = {"budget_s", "native_xor", "chunk", "jobs"}
 
 
-def _warn_unread(args, solver, modes):
+def _warn_unread(args, problem, solver, modes):
     """One stderr line naming each flag set away from its default that a
-    run of `modes` never reads; the run goes on as if it were unset."""
+    run of `modes` on `problem` never reads; the run goes on as if it were
+    unset."""
     def named(dests):
         return ", ".join("--" + dest.replace("_", "-")
                          for dest, default in _DEFAULTS.items()
                          if dest in dests and getattr(args, dest, default) != default)
-    parts = [named(set.intersection(*(_UNREAD[mode] for mode in modes))),
-             named(_SOLVER_ONLY) if solver is None else ""]
-    why = ["not read by %s" % "/".join(modes), "no solver is set"]
-    text = "; ".join("%s (%s)" % pair for pair in zip(parts, why) if pair[0])
+    parts = [(named(set.intersection(*(_UNREAD[mode] for mode in modes))),
+              "not read by %s" % "/".join(modes))]
+    if problem.kind == "explicit":
+        parts.append((named(_SOLVER_ONLY | {"solver"}),
+                      "explicit sets are answered in process"))
+    elif solver is None:
+        parts.append((named(_SOLVER_ONLY), "no solver is set"))
+    text = "; ".join("%s (%s)" % pair for pair in parts if pair[0])
     if text:
         print("warning: ignoring " + text, file=sys.stderr)
 
@@ -176,6 +200,7 @@ def _certify(problem, args, solver, f: float, modes) -> list:
     share one start level m0: --m, else one pre-scan.  lb takes the best of
     the window m0 +- 2, ub walks up from m0, at most 8 levels, until its
     event fires; with --m both ask at m0 alone."""
+    from . import bounds as bd
     try:
         if modes == ["count"]:
             cfg = bd.SparseCountConfig(delta=args.delta, alpha=args.alpha,
@@ -231,7 +256,7 @@ def _print_summary(mode: str, cert):
 def cmd_bound(args) -> int:
     problem = _load_problem(args.input)
     solver = _solver_profile(args)
-    _warn_unread(args, solver, [args.mode])
+    _warn_unread(args, problem, solver, [args.mode])
     t0 = time.monotonic()
     report = {
         "command": "bound", "input": args.input, "mode": args.mode,
@@ -242,7 +267,7 @@ def cmd_bound(args) -> int:
     }
     try:
         [cert] = _certify(problem, args, solver, args.f, [args.mode])
-    except bd.OracleUnknownError as exc:
+    except OracleUnknownError as exc:
         report.update(certificates=[], inconclusive=str(exc))
         print("inconclusive: %s" % exc, file=sys.stderr)
     else:
@@ -255,6 +280,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .gf2hash import _check_density
     try:
         f_list = [float(t) for t in args.f_list.split(",")]
         for f in f_list:  # every density, before any oracle call
@@ -263,7 +289,7 @@ def cmd_sweep(args) -> int:
         raise SystemExit("bad bound parameters: %s in %r" % (exc, args.f_list)) from None
     problem = _load_problem(args.input)
     solver = _solver_profile(args)
-    _warn_unread(args, solver, ["lb", "ub"])
+    _warn_unread(args, problem, solver, ["lb", "ub"])
     out_dir = Path(args.certs_dir) if args.certs_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -274,7 +300,7 @@ def cmd_sweep(args) -> int:
                "certificates_path": ""}
         try:
             lb, ub = _certify(problem, args, solver, f, ["lb", "ub"])
-        except bd.OracleUnknownError as exc:
+        except OracleUnknownError as exc:
             print("f=%g inconclusive: %s" % (f, exc), file=sys.stderr)
             inconclusive = True
         else:
@@ -298,6 +324,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from . import tables
     spec = _load_table_spec(args.input, _read_input(args.input))
     try:
         count = tables.brute_force_count(spec, force=args.force)
@@ -312,6 +339,7 @@ def cmd_table(args) -> int:
 
 def cmd_solve(args) -> int:
     """Exhaustive DIMACS solver speaking the standard s/v protocol."""
+    from .oracle import _model_blocks
     formula = _load_dimacs(args.input, _read_input(args.input))
     try:
         block = next(_model_blocks(formula), None)
@@ -328,6 +356,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_count_models(args) -> int:
+    from .oracle import count_models
     formula = _load_dimacs(args.input, _read_input(args.input))
     try:
         n = count_models(formula)
@@ -348,7 +377,7 @@ def _add_common_bound_flags(p):
     p.add_argument("--kappa", type=float, default=d["kappa"])
     p.add_argument("--c-threshold", dest="c_threshold", type=float,
                    default=d["c_threshold"])
-    p.add_argument("--solver", default=None,
+    p.add_argument("--solver", default=d["solver"],
                    help='external solver command, e.g. "cryptominisat {in}"')
     p.add_argument("--budget-s", dest="budget_s", type=float, default=d["budget_s"],
                    help="wall-clock limit of each solver call, in seconds")
@@ -419,5 +448,14 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def run(argv=None) -> int:
+    """The program entry: `main` with OPENBLAS_NUM_THREADS defaulting to 1.
+
+    Set here, not in `main`, so that an in-process caller's environment is
+    left alone; a solver child started by this process inherits it."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -2,8 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -218,37 +220,58 @@ class TestBoundCmd:
         ("lb", ["--delta", "0.1", "--jobs", "2", "--budget-s", "3", "--chunk", "4",
                 "--native-xor"],
          "--delta (not read by lb); --budget-s, --native-xor, --chunk, --jobs"
-         " (no solver is set)"),
+         " (explicit sets are answered in process)"),
+        # the explicit backend answers every question in process, so a
+        # solver is never started, however it is set
+        ("lb", ["--solver", "/nonexistent/solver {in}", "--jobs", "3"],
+         "--solver, --jobs (explicit sets are answered in process)"),
+        ("count", ["--solver", "solver {in}", "--bonferroni", "--chunk", "2"],
+         "--bonferroni (not read by count); --solver, --chunk"
+         " (explicit sets are answered in process)"),
     ])
     def test_unread_flags_are_named(self, tmp_path, capsys, mode, extra, named):
         # a flag the run never reads is named once on stderr, and the run
-        # prints what it prints without it
+        # prints and certifies what it does without it
         path = tmp_path / "s.txt"
         write_explicit(path, random.Random(3).sample(range(1 << 12), 111), 12)
-        outs = []
+        outs, certs = [], []
         for flags in (extra, []):
-            assert main(["bound", str(path), mode, "--seed", "3"] + flags) == 0
+            report = tmp_path / ("r%d.json" % len(flags))
+            assert main(["bound", str(path), mode, "--seed", "3",
+                         "--json", str(report)] + flags) == 0
             outs.append(capsys.readouterr())
+            doc = json.loads(report.read_text())
+            certs.append(strip_timing(doc["certificates"]))
         assert outs[0].err == "warning: ignoring %s\n" % named
         assert outs[1].err == ""
         assert outs[0].out == outs[1].out
+        assert certs[0] == certs[1]
 
     def test_read_and_default_flags_are_not_named(self, tmp_path, capsys):
         path = tmp_path / "s.txt"
         write_explicit(path, range(0, 200, 3), 8)
+        cnf = tmp_path / "t.cnf"
+        cnf.write_text("p cnf 4 1\n1 2 0\n")
         solver = "%s -m xorcount.cli solve {in}" % sys.executable
         for argv in (["lb", "--kappa", "2", "--m", "2", "--bonferroni",
                       "--c-threshold", "0.3", "--chunk", "6"],
                      ["ub", "--delta", "0.2", "--m", "2", "--kappa", "1"],
-                     ["count", "--delta", "0.2", "--alpha", "0.1", "--no-ln-n"],
-                     ["lb", "--m", "2", "--T", "2", "--solver", solver,
-                      "--jobs", "2", "--chunk", "3", "--budget-s", "30"]):
+                     ["count", "--delta", "0.2", "--alpha", "0.1", "--no-ln-n"]):
             assert main(["bound", str(path)] + argv) == 0
             assert capsys.readouterr().err == ""
+        assert main(["bound", str(cnf), "lb", "--m", "1", "--T", "2",
+                     "--solver", solver, "--jobs", "2", "--chunk", "3",
+                     "--budget-s", "30"]) == 0
+        assert capsys.readouterr().err == ""
         assert main(["sweep", str(path), "0.5", "--kappa", "2", "--delta", "0.2",
                      "--T", "6"]) == 0
         assert capsys.readouterr().err == ""
-        assert main(["sweep", str(path), "0.5", "--T", "6", "--jobs", "1"]) == 0
+        assert main(["sweep", str(path), "0.5", "--T", "6", "--jobs", "1",
+                     "--solver", solver]) == 0
+        assert capsys.readouterr().err == ("warning: ignoring --solver, --jobs "
+                                           "(explicit sets are answered in process)\n")
+        assert main(["sweep", str(cnf), "0.5", "--T", "2", "--m", "1",
+                     "--jobs", "1"]) == 0
         assert capsys.readouterr().err == ("warning: ignoring --jobs "
                                            "(no solver is set)\n")
 
@@ -502,6 +525,68 @@ class TestCountModelsCmd:
         cnf.write_text("p cnf 3 1\n1 0\n")
         assert main(["count-models", str(cnf)]) == 0
         assert "models: 4" in capsys.readouterr().out
+
+
+def _child(args, **env):
+    """Run `python <args>` with env overlaid on this process's environment,
+    minus OPENBLAS_NUM_THREADS; return the completed process."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable] + args, env=dict(base, **env),
+                          capture_output=True, text=True, timeout=60)
+
+
+def _imported(stderr):
+    """The modules a `python -X importtime` run imported, by name."""
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:") and "|" in line} - {"imported package"}
+
+
+class TestStartup:
+    """What an `xorcount` process imports, and the environment its entry
+    point sets: each solver question starts one such process."""
+
+    def test_package_import_loads_no_module(self):
+        code = ("import sys, xorcount; print(sorted(m for m in sys.modules "
+                "if m.startswith(('xorcount.', 'numpy'))))")
+        assert _child(["-c", code]).stdout == "[]\n"
+
+    def test_cli_import_loads_no_numpy(self):
+        code = ("import sys, xorcount.cli; print(sorted(m for m in sys.modules "
+                "if m.startswith(('xorcount.', 'numpy'))))")
+        assert _child(["-c", code]).stdout == (
+            "['xorcount.cli', 'xorcount.dimacs', 'xorcount.errors']\n")
+
+    def test_fstar_never_imports_numpy(self):
+        proc = _child(["-X", "importtime", "-m", "xorcount.cli", "fstar", "204", "56"])
+        assert proc.returncode == 0 and proc.stdout.startswith("f* = ")
+        names = _imported(proc.stderr)
+        assert "xorcount.comb" in names
+        assert not {n for n in names if n.split(".")[0] == "numpy"}
+
+    def test_solve_imports_only_what_it_runs(self, tmp_path):
+        cnf = tmp_path / "t.cnf"
+        cnf.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
+        proc = _child(["-X", "importtime", "-m", "xorcount.cli", "solve", str(cnf)])
+        assert proc.returncode == 10 and proc.stdout.startswith("s SATISFIABLE")
+        names = _imported(proc.stderr)
+        assert {"xorcount.dimacs", "xorcount.oracle"} <= names
+        assert not names & {"xorcount.bounds", "xorcount.comb", "xorcount.tables"}
+
+    @pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
+    def test_run_defaults_openblas_threads(self, preset, want):
+        code = ("import os; from xorcount import cli; "
+                "rc = cli.run(['fstar', '204', '56']); "
+                "print(rc, os.environ.get('OPENBLAS_NUM_THREADS'))")
+        env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+        proc = _child(["-c", code], **env)
+        assert proc.stdout.splitlines()[-1] == "0 %s" % want
+
+    def test_main_leaves_the_environment_alone(self):
+        code = ("import os; from xorcount import cli; before = dict(os.environ); "
+                "rc = cli.main(['fstar', '204', '56']); "
+                "print(rc, dict(os.environ) == before, "
+                "'OPENBLAS_NUM_THREADS' in os.environ)")
+        assert _child(["-c", code]).stdout.splitlines()[-1] == "0 True False"
 
 
 class TestOneLineErrors:
