@@ -258,9 +258,10 @@ def _lb_confidence(kappa: float, c: float, T: int) -> float:
     return 1.0 - math.exp(-kappa * kappa * c * T / ((1.0 + kappa) * (2.0 + kappa)))
 
 
-def lower_bound(est: SurvivalEstimate, kappa: float, c: float = None,
-                n: int = None, wall_time_s: float = 0.0) -> LowerBoundCertificate:
-    """Certificate |S| >= 2^m c/(1+kappa), issued iff p_est >= c.
+def lower_bound(est: SurvivalEstimate, kappa: float, c: float = None, *,
+                n: int, wall_time_s: float = 0.0) -> LowerBoundCertificate:
+    """Certificate |S| >= 2^m c/(1+kappa), issued iff p_est >= c, for a
+    problem of width n.
 
     c=None picks the data-chosen threshold p_est itself (already on the 1/T
     grid); the certificate records that choice.
@@ -274,7 +275,7 @@ def lower_bound(est: SurvivalEstimate, kappa: float, c: float = None,
     issued = est.p_est >= c
     bound_log2 = est.m + math.log2(c) - math.log2(1.0 + kappa) if issued else None
     return LowerBoundCertificate(
-        n=n if n is not None else est.m, m=est.m, f=est.f, T=est.trials_T,
+        n=n, m=est.m, f=est.f, T=est.trials_T,
         kappa=kappa, c=c, bound_log2=bound_log2, confidence=confidence,
         p_est=est.p_est, seed=est.seed, c_data_chosen=data_chosen,
         outcomes=est.outcomes, wall_time_s=wall_time_s,
@@ -319,9 +320,10 @@ def upper_bound(problem: CountingProblem, m: int, f: float, delta: float,
     """Certificate |S| <= U(n,m,f) when a strict majority of T trials find
     the cell empty; otherwise the vacuous sentinel 2^n.
 
-    T defaults to ceil(24 ln(1/Delta)) and is never allowed below it.
+    T defaults to ceil(24 ln(1/Delta)) and is never allowed below it; a
+    given T below 1 is refused.
     """
-    check_parameters(delta=delta)
+    check_parameters(T=T, delta=delta)
     if not 1 <= m <= problem.n:
         raise ParameterError("m must lie within [1, n], got m=%d n=%d" % (m, problem.n))
     t_min = math.ceil(24.0 * math.log(1.0 / delta))

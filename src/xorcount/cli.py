@@ -196,12 +196,15 @@ def _warn_unread(args, problem, solver, modes):
 def _certify(problem, args, solver, f: float, modes) -> list:
     """The certificates `modes` asks for at density f, in that order.
 
-    ["count"] runs SPARSE-COUNT.  "lb" and "ub" check their flags, then
-    share one start level m0: --m, else one pre-scan.  lb takes the best of
-    the window m0 +- 2, ub walks up from m0, at most 8 levels, until its
-    event fires; with --m both ask at m0 alone."""
+    A problem of width n = 0 is refused first, in every mode.  ["count"]
+    runs SPARSE-COUNT.  "lb" and "ub" check their flags, then share one
+    start level m0: --m, else one pre-scan.  lb takes the best of the
+    window m0 +- 2, ub walks up from m0, at most 8 levels, until its event
+    fires; with --m both ask at m0 alone."""
     from . import bounds as bd
     try:
+        if problem.n == 0:
+            raise ParameterError("the problem has width n = 0; bounds need n >= 1")
         if modes == ["count"]:
             cfg = bd.SparseCountConfig(delta=args.delta, alpha=args.alpha,
                                        density_schedule=f, T=args.T,
@@ -210,7 +213,7 @@ def _certify(problem, args, solver, f: float, modes) -> list:
         if "lb" in modes:
             bd.check_parameters(T=args.T, kappa=args.kappa, c=args.c_threshold)
         if "ub" in modes:
-            bd.check_parameters(delta=args.delta)
+            bd.check_parameters(T=args.T, delta=args.delta)
         T = 24 if args.T is None else args.T  # lb's trials; ub sets its own
         m0 = args.m if args.m is not None else bd.pick_promising_m(
             problem, f, coarse_T=max(3, T // 4), seed=args.seed, solver=solver)

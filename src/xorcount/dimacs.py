@@ -30,7 +30,8 @@ class CnfFormula:
     A formula is not changed once it is constructed, nor are its clause
     lists: `oracle.conjoin` and `oracle.expand_xors` build formulas that
     open with this one's clauses and share its clause lists (only the outer
-    list is new, and only built when `clauses` is first read), and `emit`
+    list is new, built when `clauses` is first read, and the clauses they
+    add are kept as text and read back from it then), and `emit`
     keeps the text of the clauses on the formula, computed on its first
     call and reused by every formula built from it.  Neither shows in `==`
     or `repr`, which compare and print num_vars, clauses and xors.
@@ -61,24 +62,24 @@ class CnfFormula:
         self._clauses = clauses  # list[list[int]], nonempty, no literal 0
         self.xors = xors  # list[(list[int] of vars, rhs 0/1)]
         self._base = None  # the formula whose clauses open this one's
-        self._tail = None  # (count, text, build) of the clauses after them
+        self._tail = None  # (count, text) of the clauses after them
         self._text = None  # (count, text) of every clause line, once written
 
-    def _extend(self, num_vars: int, xors: list, count: int = 0, text: str = "",
-                build=list) -> "CnfFormula":
+    def _extend(self, num_vars: int, xors: list, count: int = 0,
+                text: str = "") -> "CnfFormula":
         """A formula over num_vars variables with these parity rows whose
-        clauses are this one's, then the `count` clauses written as `text`
-        that `build()` returns when the clause lists are read.  Its parts
-        are well formed by construction, so it is not checked again."""
+        clauses are this one's, then the `count` clauses written as `text`,
+        read back from it when the clause lists are read.  Its parts are
+        well formed by construction, so it is not checked again."""
         out = CnfFormula.__new__(CnfFormula)
         out.num_vars, out._clauses, out.xors = num_vars, None, xors
-        out._base, out._tail, out._text = self, (count, text, build), None
+        out._base, out._tail, out._text = self, (count, text), None
         return out
 
     @property
     def clauses(self) -> list:
         if self._clauses is None:
-            self._clauses = self._base.clauses + self._tail[2]()
+            self._clauses = self._base.clauses + _clause_lists(self._tail[1])
         return self._clauses
 
     def __eq__(self, other):
@@ -99,7 +100,7 @@ class CnfFormula:
             if self._base is None:
                 self._text = len(self._clauses), _write(self._clauses)
             else:
-                count, tail, _ = self._tail
+                count, tail = self._tail
                 base_count, base = self._base._clause_text()
                 self._text = base_count + count, base + tail
         return self._text
@@ -170,6 +171,11 @@ def _integers(tokens: list) -> list:
         except ValueError:
             raise ParseError("token %r is not an integer" % tok) from None
     return out
+
+
+def _clause_lists(text: str) -> list:
+    """The int lists of clause lines "l1 ... lk 0", one a line."""
+    return [_integers(line.split())[:-1] for line in text.splitlines()]
 
 
 def emit(formula: CnfFormula) -> str:

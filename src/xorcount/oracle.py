@@ -27,8 +27,8 @@ of every trial in the chunk at once.  A trial needs one survivor, so the
 members are read in blocks, and the scan of a chunk stops after the block
 in which its last trial finds one; a CNF's models past that block are not
 enumerated until a question reads them.  `has_survivor` is `has_survivors`
-with T = 1.  In-process answers carry no witness: only the external backend
-returns one, its model rechecked in process.  External solvers get one
+with T = 1.  In-process verdicts carry no model: only an external SAT
+verdict does, in its stats, rechecked in process.  External solvers get one
 call per hash, up to solver.jobs of them at once, and one in all for an
 estimate at m = 0.
 
@@ -46,15 +46,14 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .dimacs import CnfFormula, emit
+from .dimacs import CnfFormula, _clause_lists, emit
 from .errors import DimensionError, IntegrityError, ParameterError
-from .gf2hash import Assignment, ParityHash
+from .gf2hash import ParityHash
 
 __all__ = [
     "CountingProblem",
@@ -89,8 +88,12 @@ _FOLD = 64
 
 @dataclass(frozen=True)
 class OracleVerdict:
+    """One question's answer.  An external solver's stats hold its time,
+    exit code and any unknown's reason, and on SAT its model as two ints:
+    "model_bits" (bit v - 1 set where variable v is true) and
+    "assigned_bits" (where a v line set variable v)."""
+
     answer: str  # "sat" | "unsat" | "unknown"
-    witness: Assignment | None = None
     stats: dict = field(default_factory=dict)
 
     @property
@@ -222,7 +225,7 @@ def xor_to_cnf(support, rhs: int, chunk: int = 6, fresh=None):
     subs = _sub_xors(support, rhs, chunk, fresh)
     if not subs:
         return [[]] if rhs else []
-    return _clauses_of(subs)
+    return _clause_lists(_text_of(subs))
 
 
 def _sub_xors(support, rhs: int, chunk: int, fresh):
@@ -252,42 +255,24 @@ def _sub_xors(support, rhs: int, chunk: int, fresh):
 
 
 @functools.cache
-def _sign_patterns(s: int, rhs: int):
-    """The signs of the 2^(s-1) clauses ruling out wrong-parity assignments
-    of s variables, as an array: pattern p forbids the assignment where
-    variable i takes bit i of p, so its clause negates exactly those
-    variables."""
-    return np.array([
-        [-1 if (p >> i) & 1 else 1 for i in range(s)]
-        for p in range(1 << s) if p.bit_count() & 1 != rhs
-    ])
-
-
-@functools.cache
 def _line_template(s: int, rhs: int):
-    """The clause lines of `_sign_patterns(s, rhs)` as a getter of tokens:
-    given a sub-XOR's tokens, its variables' names and then their
-    negations, each with a trailing space, then "0\\n", it returns the
-    tokens of its DIMACS lines in order."""
+    """The 2^(s-1) clause lines ruling out wrong-parity assignments of s
+    variables, as a getter of tokens: given a sub-XOR's tokens, its
+    variables' names and then their negations, each with a trailing space,
+    then "0\\n", it returns the tokens of its DIMACS lines in order.
+    Pattern p forbids the assignment where variable i takes bit i of p, so
+    its clause negates exactly those variables."""
     picks = []
-    for signs in _sign_patterns(s, rhs).tolist():
-        picks += [i if sign > 0 else s + i for i, sign in enumerate(signs)]
-        picks.append(2 * s)
+    for p in range(1 << s):
+        if p.bit_count() & 1 != rhs:
+            picks += [s + i if p >> i & 1 else i for i in range(s)]
+            picks.append(2 * s)
     return itemgetter(*picks)
 
 
-def _clauses_of(subs) -> list:
-    """The clauses of sub-XORs, in order; each run of one (arity, rhs) is
-    one numpy product of its variables with the run's sign patterns."""
-    clauses = []
-    for (s, rhs), run in groupby(subs, key=lambda sub: (len(sub[0]), sub[1])):
-        groups = np.array([vars_ for vars_, _ in run])
-        clauses += (groups[:, None, :] * _sign_patterns(s, rhs)).reshape(-1, s).tolist()
-    return clauses
-
-
 def _text_of(subs) -> str:
-    """The DIMACS lines of `_clauses_of(subs)`, from the line templates."""
+    """The DIMACS lines of the clauses of sub-XORs, in order, from the line
+    templates."""
     tokens = []
     for vars_, rhs in subs:
         names = [str(v) + " " for v in vars_]
@@ -301,7 +286,8 @@ def expand_xors(formula: CnfFormula, chunk: int = 6) -> CnfFormula:
 
     The result opens with the formula's own clauses (their lists are
     shared, not copied) and writes the new ones from line templates; their
-    int lists are built only when its `clauses` are read."""
+    int lists are read back from those lines only when its `clauses` are
+    read."""
     counter = [formula.num_vars]
 
     def fresh():
@@ -317,8 +303,7 @@ def expand_xors(formula: CnfFormula, chunk: int = 6) -> CnfFormula:
             row = [([v], 1), ([v], 0)]
         subs += row
     count = sum(1 << len(vars_) - 1 for vars_, _ in subs)
-    return formula._extend(counter[0], [], count, _text_of(subs),
-                           functools.partial(_clauses_of, subs))
+    return formula._extend(counter[0], [], count, _text_of(subs))
 
 
 def conjoin(formula: CnfFormula, h: ParityHash, native_xor: bool = True) -> CnfFormula:
@@ -719,7 +704,7 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
             )
         stats = {"solver_time_s": time.monotonic() - t0, "exit_code": proc.returncode}
         answer = reason = None
-        model_bits = {}
+        bits = assigned = 0  # the model, and which variables the v lines set
         for line in proc.stdout.splitlines():
             line = line.strip()
             if line.startswith("s "):
@@ -738,21 +723,17 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
                     reason = "bad model line"
                     break
                 for lit in lits:
-                    if lit:
-                        model_bits[abs(lit)] = 1 if lit > 0 else 0
+                    if lit:  # a later literal of a variable overrides
+                        bit = 1 << abs(lit) - 1
+                        assigned |= bit
+                        bits = bits | bit if lit > 0 else bits & ~bit
         if answer is None and reason is None:
             reason = "no solution line"
         if reason is not None:
             stats.update(reason=reason, stderr=proc.stderr[-2000:])
             return OracleVerdict("unknown", stats=stats)
-        if answer == "sat" and model_bits:
-            bits = assigned = 0
-            for var, val in model_bits.items():
-                assigned |= 1 << (var - 1)
-                if val:
-                    bits |= 1 << (var - 1)
-            stats["model_bits"] = bits
-            stats["assigned_bits"] = assigned  # which variables the v lines set
+        if answer == "sat" and assigned:
+            stats.update(model_bits=bits, assigned_bits=assigned)
         return OracleVerdict(answer, stats=stats)
     finally:
         Path(path).unlink(missing_ok=True)
@@ -773,11 +754,12 @@ def has_survivor(problem: CountingProblem, h: ParityHash = None,
 
     Explicit problems, and CNF problems without a solver profile, are
     answered in process by `has_survivors` with T = 1, and the verdict
-    carries no witness.  CNF problems with a profile go to the external
-    solver, whose verdict carries the rechecked witness: the hash rows are
-    conjoined once as native XORs; that one formula is the witness's
-    recheck, and it is sent as x-lines or, without solver.native_xor, as
-    its `expand_xors` at solver.chunk.  External SAT
+    carries no model.  CNF problems with a profile go to the external
+    solver, and its verdict is returned as `run_external` parsed it, its
+    model in stats["model_bits"], once that model passes the recheck: the
+    hash rows are conjoined once as native XORs; that one formula is the
+    model's recheck, and it is sent as x-lines or, without
+    solver.native_xor, as its `expand_xors` at solver.chunk.  External SAT
     answers must carry a model over every formula variable, else the
     verdict is unknown ("no model"); a model failing the recheck is a hard
     integrity error, never silently accepted.
@@ -796,8 +778,7 @@ def has_survivor(problem: CountingProblem, h: ParityHash = None,
     bits = verdict.stats.get("model_bits", 0)
     if not _check_assignment(conj, bits):
         raise IntegrityError("solver witness fails in-process recheck")
-    wit = Assignment(bits & ((1 << problem.n) - 1), problem.n)
-    return OracleVerdict("sat", witness=wit, stats=verdict.stats)
+    return verdict
 
 
 def has_survivors(problem: CountingProblem, hashes,

@@ -157,24 +157,24 @@ class TestLowerBound:
         return SurvivalEstimate(m, 0.5, T, Y, seed=0, outcomes=outcomes)
 
     def test_confidence_formula(self):
-        cert = lower_bound(self._est(5, 24, 24), kappa=1.0, c=0.5)
+        cert = lower_bound(self._est(5, 24, 24), kappa=1.0, c=0.5, n=16)
         assert cert.confidence == pytest.approx(1 - math.exp(-2))
 
     def test_bound_arithmetic(self):
-        cert = lower_bound(self._est(13, 100, 60), kappa=0.1, c=0.5)
+        cert = lower_bound(self._est(13, 100, 60), kappa=0.1, c=0.5, n=16)
         assert cert.issued
         assert cert.bound_log2 == pytest.approx(13 - 1 - math.log2(1.1))
         assert cert.bound_log2 == pytest.approx(11.86, abs=0.01)
 
     def test_vacuous_when_p_est_below_c(self):
-        cert = lower_bound(self._est(5, 20, 5), kappa=1.0, c=0.5)
+        cert = lower_bound(self._est(5, 20, 5), kappa=1.0, c=0.5, n=16)
         assert not cert.issued
         assert cert.bound_log2 is None
         assert cert.confidence == pytest.approx(
             1 - math.exp(-0.5 * 20 / 6))  # confidence unchanged by the branch
 
     def test_data_chosen_c(self):
-        cert = lower_bound(self._est(6, 40, 30), kappa=1.0)
+        cert = lower_bound(self._est(6, 40, 30), kappa=1.0, n=16)
         assert cert.c_data_chosen
         assert cert.c == pytest.approx(0.75)
         assert cert.issued
@@ -182,7 +182,7 @@ class TestLowerBound:
     def test_confidence_monotone_in_T(self):
         prev = 0.0
         for T in (10, 50, 100, 500):
-            cert = lower_bound(self._est(4, T, T), kappa=1.0, c=0.5)
+            cert = lower_bound(self._est(4, T, T), kappa=1.0, c=0.5, n=16)
             assert cert.confidence > prev
             prev = cert.confidence
 
@@ -191,21 +191,22 @@ class TestLowerBound:
         outcomes = [1] * 12 + [0] * 8
         rng.shuffle(outcomes)
         est = SurvivalEstimate(5, 0.5, 20, sum(outcomes), 0, tuple(outcomes))
-        cert = lower_bound(est, kappa=1.0, c=0.5)
-        ref = lower_bound(self._est(5, 20, 12), kappa=1.0, c=0.5)
+        cert = lower_bound(est, kappa=1.0, c=0.5, n=16)
+        ref = lower_bound(self._est(5, 20, 12), kappa=1.0, c=0.5, n=16)
         assert cert.bound_log2 == ref.bound_log2
         assert cert.confidence == ref.confidence
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            lower_bound(self._est(4, 10, 5), kappa=0.0, c=0.5)
+            lower_bound(self._est(4, 10, 5), kappa=0.0, c=0.5, n=16)
         with pytest.raises(ValueError):
-            lower_bound(self._est(4, 10, 5), kappa=1.0, c=1.5)
+            lower_bound(self._est(4, 10, 5), kappa=1.0, c=1.5, n=16)
 
     def test_json_serialization(self):
-        cert = lower_bound(self._est(5, 8, 6), kappa=1.0, c=0.5)
+        cert = lower_bound(self._est(5, 8, 6), kappa=1.0, c=0.5, n=16)
         doc = cert.to_json()
         assert doc["kind"] == "lower_bound"
+        assert (doc["n"], doc["m"]) == (16, 5)
         assert doc["bound_ln"] == pytest.approx(doc["bound_log2"] * math.log(2))
         assert doc["trial_outcomes"] == [1] * 6 + [0] * 2
 
@@ -279,6 +280,12 @@ class TestUpperBound:
         problem = CountingProblem.from_explicit([Assignment(0, 8)], 8)
         cert = upper_bound(problem, 6, 0.5, delta=0.05, seed=0, T=10)
         assert cert.T == 72
+
+    @pytest.mark.parametrize("T", [0, -3])
+    def test_given_T_below_one_is_refused(self, T):
+        problem = CountingProblem.from_explicit([Assignment(0, 8)], 8)
+        with pytest.raises(ValueError, match="T must be at least 1"):
+            upper_bound(problem, 6, 0.5, delta=0.05, seed=0, T=T)
 
     def test_full_cube_never_fires(self):
         problem = full_cube_problem(8)

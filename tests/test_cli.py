@@ -320,6 +320,7 @@ class TestBoundCmd:
         ["sweep", "{set}", "0.3", "--delta", "0"],
         ["sweep", "{set}", "0.3,0.7"],
         ["sweep", "{set}", "0.3,nan"],
+        ["bound", "{set}", "ub", "--T", "0"],
     ])
     def test_bad_flags_are_refused_before_the_prescan(self, tmp_path,
                                                       monkeypatch, argv):
@@ -342,6 +343,30 @@ class TestBoundCmd:
         assert str(exc.value.code).startswith("bad bound parameters: ")
         assert calls == []
         assert not list(certs.glob("*"))
+
+    @pytest.mark.parametrize("text", ["p cnf 0 0\n", "rows 1 cols 1\nR: 0\nC: 0\n"])
+    @pytest.mark.parametrize("argv", [["bound", "lb"], ["bound", "ub"],
+                                      ["bound", "count"], ["sweep", "0.3"]])
+    def test_width_zero_is_refused_before_any_question(self, tmp_path,
+                                                       monkeypatch, text, argv):
+        from xorcount import bounds
+        calls = []
+        real = bounds.has_survivors
+
+        def counting_survivors(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # every question of every mode goes through bounds._ask
+        monkeypatch.setattr(bounds, "has_survivors", counting_survivors)
+        f = tmp_path / ("zero.cnf" if text.startswith("p") else "zero.spec")
+        f.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], str(f), *argv[1:]])
+        msg = str(exc.value.code)
+        assert msg.startswith("bad bound parameters: ") and "\n" not in msg
+        assert "n = 0" in msg
+        assert calls == []
 
     def test_mixed_width_set_is_a_one_line_error(self, tmp_path):
         f = tmp_path / "mixed.txt"
