@@ -35,7 +35,7 @@ import math
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import dimacs
@@ -56,6 +56,17 @@ def _read_input(path: str) -> str:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit("cannot read %s: %s" % (path, exc)) from None
+
+
+@contextmanager
+def _writing(path):
+    """An OSError raised while the body writes `path` ends the run with one
+    `cannot write PATH: REASON` line (exit 1)."""
+    try:
+        yield
+    except OSError as exc:
+        raise SystemExit("cannot write %s: %s"
+                         % (path, exc.strerror or exc)) from None
 
 
 def _load_table_spec(path: str, text: str) -> tables.ContingencyTableSpec:
@@ -278,7 +289,8 @@ def cmd_bound(args) -> int:
         report["certificates"] = [cert.to_json()]
     report["wall_time_s"] = time.monotonic() - t0
     if args.json:
-        Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
+        with _writing(args.json):
+            Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
     return 2 if "inconclusive" in report else 0
 
 
@@ -295,7 +307,8 @@ def cmd_sweep(args) -> int:
     _warn_unread(args, problem, solver, ["lb", "ub"])
     out_dir = Path(args.certs_dir) if args.certs_dir else None
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        with _writing(out_dir):
+            out_dir.mkdir(parents=True, exist_ok=True)
     rows, inconclusive = [], False
     for f in f_list:
         t0 = time.monotonic()
@@ -311,7 +324,9 @@ def cmd_sweep(args) -> int:
             row["ub_log2"] = "%.6g" % ub.verdict_log2
             if out_dir:
                 p = out_dir / ("certs_f%s.json" % ("%g" % f).replace(".", "p"))
-                p.write_text(json.dumps([lb.to_json(), ub.to_json()], indent=2) + "\n")
+                with _writing(p):
+                    p.write_text(json.dumps([lb.to_json(), ub.to_json()],
+                                            indent=2) + "\n")
                 row["certificates_path"] = str(p)
         row["wall_time_s"] = "%.4f" % (time.monotonic() - t0)
         rows.append(row)
@@ -319,7 +334,9 @@ def cmd_sweep(args) -> int:
               % (f, row["lb_log2"] or "-", row["ub_log2"] or "-",
                  row["wall_time_s"]))
     fieldnames = ["f", "lb_log2", "ub_log2", "wall_time_s", "certificates_path"]
-    with open(args.csv, "w", newline="") if args.csv else nullcontext(sys.stdout) as out:
+    with _writing(args.csv or "stdout"), (
+            open(args.csv, "w", newline="") if args.csv
+            else nullcontext(sys.stdout)) as out:
         writer = csv.DictWriter(out, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)

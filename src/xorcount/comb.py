@@ -290,11 +290,16 @@ def min_density_fstar(
 ) -> DensityCertificate:
     """Smallest f with eps(n,m,q,f) <= (mu/(delta-1) + mu - 1)/(q-1).
 
-    eps is nonincreasing in f, so a plain bisection over [0, 1/2] applies.
-    When even f = 1/2 fails, f_star = 1/2 is returned flagged unmet.
+    eps is nonincreasing in f, so a plain bisection over [0, 1/2] applies;
+    it stops once the bracket is at most `tol` wide or no float lies
+    strictly inside it.  When even f = 1/2 fails, f_star = 1/2 is returned
+    flagged unmet.  delta must be finite and above 2, and tol positive.
     """
-    if delta <= 2.0:
-        raise ParameterError("delta must exceed 2")
+    if not 2.0 < delta < math.inf:
+        raise ParameterError("delta must be finite and exceed 2, not %r"
+                             % (delta,))
+    if not tol > 0:
+        raise ParameterError("tol must be positive, not %r" % (tol,))
     log_mu = math.log(q) - m * LN2
     if log_mu < 0:
         warnings.warn("q < 2^m (mu < 1): the sufficiency condition is weak here")
@@ -313,6 +318,8 @@ def min_density_fstar(
     lo, hi = 0.0, 0.5
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if ok(mid):
             hi = mid
         else:

@@ -15,6 +15,7 @@ over cell bits only.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -196,6 +197,17 @@ def brute_force_count(spec: ContingencyTableSpec, force: bool = False) -> int:
 # ---------------------------------------------------------------------------
 # CNF lowering
 
+# op -> (its truth function, the Tseitin clauses tying out to `a op b`)
+_GATES = {
+    "xor": (operator.xor, lambda a, b, out: [[-a, -b, -out], [a, b, -out],
+                                             [a, -b, out], [-a, b, out]]),
+    "and": (operator.and_, lambda a, b, out: [[-a, -b, out], [a, -out],
+                                              [b, -out]]),
+    "or": (operator.or_, lambda a, b, out: [[a, b, -out], [-a, out],
+                                            [-b, out]]),
+}
+
+
 class _CircuitBuilder:
     """Tseitin-encoded gate circuit; bits are bool constants or int literals."""
 
@@ -208,45 +220,22 @@ class _CircuitBuilder:
         self.num_vars += 1
         return self.num_vars
 
-    def _gate(self, op, a, b) -> int:
+    def gate(self, op, a, b):
+        """`a op b` for an op of _GATES.  A constant input folds the gate
+        into a constant or a literal of the other input; only two literal
+        inputs add a variable, its clauses and its `gates` entry."""
+        truth, clauses = _GATES[op]
+        if isinstance(a, bool) and isinstance(b, bool):
+            return truth(a, b)
+        if isinstance(a, bool):
+            a, b = b, a
+        if isinstance(b, bool):
+            lo, hi = truth(False, b), truth(True, b)
+            return lo if lo == hi else a if hi else -a
         out = self.new_var()
-        if op == "xor":
-            self.clauses += [[-a, -b, -out], [a, b, -out], [a, -b, out], [-a, b, out]]
-        elif op == "and":
-            self.clauses += [[-a, -b, out], [a, -out], [b, -out]]
-        elif op == "or":
-            self.clauses += [[a, b, -out], [-a, out], [-b, out]]
-        else:
-            raise ValueError(op)
+        self.clauses += clauses(a, b, out)
         self.gates.append((op, a, b, out))
         return out
-
-    def xor(self, a, b):
-        if isinstance(a, bool) and isinstance(b, bool):
-            return a != b
-        if isinstance(a, bool):
-            a, b = b, a
-        if isinstance(b, bool):
-            return -a if b else a
-        return self._gate("xor", a, b)
-
-    def and_(self, a, b):
-        if isinstance(a, bool) and isinstance(b, bool):
-            return a and b
-        if isinstance(a, bool):
-            a, b = b, a
-        if isinstance(b, bool):
-            return a if b else False
-        return self._gate("and", a, b)
-
-    def or_(self, a, b):
-        if isinstance(a, bool) and isinstance(b, bool):
-            return a or b
-        if isinstance(a, bool):
-            a, b = b, a
-        if isinstance(b, bool):
-            return True if b else a
-        return self._gate("or", a, b)
 
     def add(self, xs, ys):
         """Ripple-carry sum of two little-endian bit lists."""
@@ -256,9 +245,10 @@ class _CircuitBuilder:
         out = []
         carry = False
         for a, b in zip(xs, ys):
-            axb = self.xor(a, b)
-            out.append(self.xor(axb, carry))
-            carry = self.or_(self.and_(a, b), self.and_(carry, axb))
+            axb = self.gate("xor", a, b)
+            out.append(self.gate("xor", axb, carry))
+            carry = self.gate("or", self.gate("and", a, b),
+                              self.gate("and", carry, axb))
         while len(out) > 1 and out[-1] is False:
             out.pop()
         return out
@@ -292,19 +282,16 @@ class _CircuitBuilder:
         for i, bit in enumerate(bits):
             if isinstance(bit, bool) or (bound >> i) & 1:
                 continue
+            # violated only when the higher bits match the bound exactly,
+            # so a constant higher bit that differs from it drops the clause
             clause = [-bit]
             for j in range(i + 1, len(bits)):
-                bj = bits[j]
-                if isinstance(bj, bool):
-                    continue
-                clause.append(-bj if (bound >> j) & 1 else bj)
-            # violated only when the higher bits match the bound exactly
-            for j in range(i + 1, len(bits)):
-                bj = bits[j]
-                if isinstance(bj, bool) and int(bj) != (bound >> j) & 1:
-                    clause = None
+                bj, want = bits[j], (bound >> j) & 1
+                if not isinstance(bj, bool):
+                    clause.append(-bj if want else bj)
+                elif bj != want:
                     break
-            if clause is not None:
+            else:
                 self.clauses.append(clause)
 
 
@@ -335,32 +322,21 @@ class CellEncoding:
         evaluating the adder gates forward."""
         bits = cell_assignment
 
-        def val(lit):
-            if isinstance(lit, bool):
-                return int(lit)
+        def val(lit):  # a gate's inputs are literals, never constants
             v = (bits >> (abs(lit) - 1)) & 1
             return v if lit > 0 else 1 - v
 
         for op, a, b, out in self.gates:
-            x, y = val(a), val(b)
-            r = (x ^ y) if op == "xor" else (x & y) if op == "and" else (x | y)
-            if r:
+            if _GATES[op][0](val(a), val(b)):
                 bits |= 1 << (out - 1)
         return bits
 
     def decode_table(self, cell_assignment: int):
-        out = []
-        for i in range(self.spec.rows):
-            row = []
-            for j in range(self.spec.cols):
-                w = self.widths[(i, j)]
-                if w == 0:
-                    row.append(0)
-                else:
-                    start = self.var_start[(i, j)]
-                    row.append((cell_assignment >> (start - 1)) & ((1 << w) - 1))
-            out.append(tuple(row))
-        return tuple(out)
+        out = [[0] * self.spec.cols for _ in range(self.spec.rows)]
+        for i, j, shift in self._cell_shifts:
+            mask = (1 << self.widths[(i, j)]) - 1
+            out[i][j] = (cell_assignment >> shift) & mask
+        return tuple(map(tuple, out))
 
     def encode_table(self, table) -> int:
         return sum(table[i][j] << shift for i, j, shift in self._cell_shifts)
@@ -441,13 +417,18 @@ def parse_table_spec(text: str) -> ContingencyTableSpec:
         try:
             if line.startswith("rows"):
                 parts = line.split()
+                if len(parts) != 4 or parts[::2] != ["rows", "cols"]:
+                    raise ValueError("expected 'rows R cols C'")
                 rows, cols = int(parts[1]), int(parts[3])
             elif line.startswith("R:"):
                 rmarg = tuple(int(t) for t in line[2:].split())
             elif line.startswith("C:"):
                 cmarg = tuple(int(t) for t in line[2:].split())
             elif line.startswith("binary:"):
-                binary = bool(int(line.split(":", 1)[1]))
+                flag = line.split(":", 1)[1].strip()
+                if flag not in ("0", "1"):
+                    raise ValueError("binary takes 0 or 1")
+                binary = flag == "1"
             elif line.startswith("Z:"):
                 i, j = (int(t) for t in line[2:].split())
                 zeros.add((i, j))

@@ -656,6 +656,14 @@ class TestOneLineErrors:
         (["count-models", "{repeated}"],
          "bad DIMACS file {repeated}: repeated header"),
         (["bound", "{repeated}", "lb"], "bad DIMACS file {repeated}: repeated header"),
+        (["bound", "{good}", "lb", "--m", "1", "--json", "{no_dir}/r.json"],
+         "cannot write {no_dir}/r.json: No such file or directory"),
+        (["sweep", "{good}", "0.5", "--m", "1", "--csv", "{no_dir}/x.csv"],
+         "cannot write {no_dir}/x.csv: No such file or directory"),
+        (["sweep", "{good}", "0.5", "--m", "1", "--certs-dir", "{good}/sub"],
+         "cannot write {good}/sub: Not a directory"),
+        (["fstar", "204", "56", "--delta", "nan"], "bad parameters: delta must"),
+        (["fstar", "204", "56", "--delta", "inf"], "bad parameters: delta must"),
     ])
     def test_bad_input_is_a_one_line_error(self, tmp_path, argv, prefix):
         paths = {"missing": tmp_path / "nope.cnf",
@@ -664,7 +672,8 @@ class TestOneLineErrors:
                  "negative": tmp_path / "negative.cnf",
                  "too_wide": tmp_path / "wide.cnf",
                  "repeated": tmp_path / "repeated.cnf",
-                 "good": tmp_path / "good.cnf"}
+                 "good": tmp_path / "good.cnf",
+                 "no_dir": tmp_path / "no_dir"}
         paths["good"].write_text("p cnf 3 1\n1 2 0\n")
         paths["bad_token"].write_text("p cnf 2 1\n1 x 0\n")
         paths["bad_literal"].write_text("p cnf 2 1\n1 3 0\n")

@@ -226,6 +226,22 @@ class TestMinDensityFstar:
         with pytest.raises(ParameterError):
             min_density_fstar(20, 4, 64, 2.0)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_non_finite_delta_is_refused(self, delta):
+        with pytest.raises(ParameterError, match="delta"):
+            min_density_fstar(20, 4, 64, delta)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+    def test_tolerance_validation(self, tol):
+        with pytest.raises(ParameterError, match="tol"):
+            min_density_fstar(204, 56, 1 << 58, 2.25, tol=tol)
+
+    def test_tolerance_below_float_spacing_still_ends(self):
+        # the bracket stops shrinking once no float lies strictly inside it
+        cert = min_density_fstar(204, 56, 1 << 58, 2.25, tol=1e-300)
+        lo, hi = cert.bracket_lo, cert.bracket_hi
+        assert lo < cert.f_star == hi and not lo < 0.5 * (lo + hi) < hi
+
     def test_mu_below_one_warns(self):
         with pytest.warns(UserWarning):
             min_density_fstar(20, 6, 32, 2.25)

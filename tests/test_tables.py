@@ -266,6 +266,32 @@ class TestEncoding:
                 found.add(enc.decode_table(cells))
         assert found == set(enumerate_tables(spec))
 
+    # sha256 over what encode_to_cnf gives for 60 seeded random specs,
+    # synth_8..synth_20, a larger integer spec and one whose marginals
+    # disagree: n, num_vars, the clauses, the gates, and complete and
+    # decode_table at five cell assignments each
+    ENCODER_SHA256 = ("43ca6a06ce3633cc1ec1d14ad015be4d"
+                      "c7af6b2b43c2165a0f56d8410760003a")
+
+    def test_encoder_output_is_pinned(self):
+        rng = random.Random(2025)
+        specs = [random_table_spec(rng, max_cell_bits=24) for _ in range(60)]
+        specs += [synth_spec(n) for n in range(8, 21)]
+        specs.append(ContingencyTableSpec(3, 3, (5, 6, 7), (6, 6, 6),
+                                          structural_zeros={(0, 2)}))
+        with pytest.warns(UserWarning):
+            specs.append(ContingencyTableSpec(2, 2, (1, 0), (0, 0)))
+        digest = hashlib.sha256()
+        for spec in specs:
+            problem, enc = encode_to_cnf(spec)
+            cells = [0, (1 << enc.num_cell_bits) - 1] + [
+                rng.getrandbits(enc.num_cell_bits) for _ in range(3)]
+            digest.update(repr((
+                problem.n, enc.num_vars, problem.formula.clauses, enc.gates,
+                [enc.complete(c) for c in cells],
+                [enc.decode_table(c) for c in cells])).encode())
+        assert digest.hexdigest() == self.ENCODER_SHA256
+
     def test_cell_bits_precede_auxiliaries(self):
         spec = synth_spec(5)
         problem, enc = encode_to_cnf(spec)
@@ -323,3 +349,15 @@ class TestSpecFiles:
     def test_parse_unknown_line(self):
         with pytest.raises(ValueError):
             parse_table_spec("rows 1 cols 1\nR: 0\nC: 0\nQ: what\n")
+
+    @pytest.mark.parametrize("line", [
+        "binary: 7", "binary: -1", "rows 1 foo 1", "rows 1 cols 1 junk",
+    ])
+    def test_malformed_header_or_binary_line_is_refused(self, line):
+        lines = ["rows 1 cols 1", "R: 1", "C: 1"]
+        if line.startswith("rows"):
+            lines[0] = line
+        else:
+            lines.append(line)
+        with pytest.raises(ValueError, match="bad table-spec line"):
+            parse_table_spec("\n".join(lines) + "\n")
