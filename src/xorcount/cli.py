@@ -10,7 +10,8 @@ Subcommands:
   count-models — exact model count of a DIMACS file (exhaustive)
 
 `bound` and `sweep` reach `bounds` through one driver, `_certify`; `sweep`
-checks all its densities before the first oracle call.
+checks all its densities, and both check that their output paths can be
+written, before the first oracle call.
 
 Instance files are sniffed by content: a DIMACS header, a "rows r cols c"
 table spec, or one 0/1 assignment string per line (explicit set).
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -67,6 +69,25 @@ def _writing(path):
     except OSError as exc:
         raise SystemExit("cannot write %s: %s"
                          % (path, exc.strerror or exc)) from None
+
+
+def _check_writable(path, *, directory=False):
+    """End the run with the `cannot write PATH: REASON` line that writing
+    would end on, unless the directory the file `path` goes into (with
+    `directory`, `path` itself) exists and is writable: called before the
+    first oracle call, so a bad output path costs no run's work."""
+    folder = Path(path) if directory else Path(path).parent
+    if not folder.exists():
+        code = errno.ENOENT
+    elif not folder.is_dir():
+        code = errno.ENOTDIR
+    elif not directory and Path(path).is_dir():
+        code = errno.EISDIR
+    elif not os.access(folder, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise SystemExit("cannot write %s: %s" % (path, os.strerror(code)))
 
 
 def _load_table_spec(path: str, text: str) -> tables.ContingencyTableSpec:
@@ -271,6 +292,8 @@ def cmd_bound(args) -> int:
     problem = _load_problem(args.input)
     solver = _solver_profile(args)
     _warn_unread(args, problem, solver, [args.mode])
+    if args.json:
+        _check_writable(args.json)
     t0 = time.monotonic()
     report = {
         "command": "bound", "input": args.input, "mode": args.mode,
@@ -305,10 +328,13 @@ def cmd_sweep(args) -> int:
     problem = _load_problem(args.input)
     solver = _solver_profile(args)
     _warn_unread(args, problem, solver, ["lb", "ub"])
+    if args.csv:
+        _check_writable(args.csv)
     out_dir = Path(args.certs_dir) if args.certs_dir else None
     if out_dir:
         with _writing(out_dir):
             out_dir.mkdir(parents=True, exist_ok=True)
+        _check_writable(out_dir, directory=True)
     rows, inconclusive = [], False
     for f in f_list:
         t0 = time.monotonic()

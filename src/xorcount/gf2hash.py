@@ -9,14 +9,16 @@ Draw contract: a hash is a function of (n, m, f, seed) alone, the seed an
 int (`HashParams` refuses any other type).  It is the one that
 `random.Random(seed)` gives by comparing one `random()` per entry of A,
 row-major, against f, then one per bit of b against 1/2.  `sample_hash`
-does not build that generator: each thread keeps one Mersenne Twister (the
-C base of `random.Random`) and reseeds it per hash, which for an int seed
-gives the state `random.Random(seed)` starts from (abs(seed)'s 32-bit
-words through `init_by_array`).  It reads all the uniforms from a single
-`getrandbits` call and rebuilds the comparisons exactly, so the per-entry
-loop is never run.  This relies on CPython's `getrandbits` filling its
-result with the same 32-bit outputs, lowest word first, that `random()`
-reads two at a time.
+does not build that generator, and reads all k = m*n + m uniforms at once
+from one of two Mersenne Twisters that each thread keeps and reseeds per
+hash with abs(seed)'s 32-bit words through `init_by_array`, the state
+`random.Random(seed)` starts from.  Below `_WIDE_K` uniforms it is CPython's
+(the C base of `random.Random`): one `getrandbits` call, whose 32-bit
+outputs, lowest word first, are the ones `random()` reads two at a time,
+and the comparisons rebuilt exactly from them.  From `_WIDE_K` on it is
+numpy's legacy `RandomState`, whose `random_sample` makes each double from
+two outputs as `random()` does; NEP 19 freezes that stream.  Neither runs
+the per-entry loop, and only wide draws import numpy.random.
 """
 
 from __future__ import annotations
@@ -46,13 +48,26 @@ EXACT_ENUM_BITS = 24
 
 _WORDS = struct.Struct("<II")  # the two 32-bit outputs behind one random()
 
+# Draws of at least this many uniforms (k = m*n + m) take `_draw_wide`,
+# whose first draw in a process imports numpy.random.  Measured on a
+# 2-vCPU x86 VM (Python 3.11, numpy 2.4), in processes that had loaded
+# cli, oracle and bounds: the import took 9.4-14 ms, and a wide draw saved
+# about 20 ns per uniform over a narrow one (37-52 us at k = 2,500, f =
+# 1/2).  The ~170 draws of one default `xorcount bound lb` win the import
+# back from k of about 3,500; at 2,500 they win back half of it or more,
+# and a process that runs several estimates (a `sweep`, a library caller)
+# all of it.
+_WIDE_K = 2_500
+
 
 class _Generator(threading.local):
-    """Each thread's Mersenne Twister (the C base of `random.Random`),
-    reseeded for every hash."""
+    """Each thread's Mersenne Twisters, reseeded for every hash: CPython's
+    (the C base of `random.Random`), and numpy's legacy `RandomState` for
+    wide draws, made at the thread's first one."""
 
     def __init__(self):
         self.rng = _random.Random()
+        self.wide = None
 
 
 _generator = _Generator()
@@ -154,11 +169,22 @@ def _below(raw: bytes, tops: bytes, t: int) -> bytes:
 def sample_hash(params: HashParams) -> ParityHash:
     """Draw h_{A,b} from the f-sparse family.
 
-    The RNG is this thread's Mersenne Twister reseeded with params.seed;
-    the draw order is row-major over A (one uniform per entry, compared
+    The draw order is row-major over A (one uniform per entry, compared
     against f), then one fair coin per entry of b.  Equal params give
     identical output, the same hash that k = m*n + m calls of
-    `random.Random(params.seed).random()` would give.
+    `random.Random(params.seed).random()` would give.  A draw of fewer
+    than `_WIDE_K` uniforms reads them from this thread's CPython Mersenne
+    Twister (`_draw_narrow`), a wider one from its numpy `RandomState`
+    (`_draw_wide`); both reseed their generator with params.seed.
+    """
+    n, m = params.n, params.m
+    draw = _draw_wide if m * n + m >= _WIDE_K else _draw_narrow
+    rows, b_bits = draw(n, m, params.f, params.seed)
+    return ParityHash(rows, b_bits, params)
+
+
+def _draw_narrow(n: int, m: int, f: float, seed: int):
+    """(rows, b_bits) of `sample_hash` from CPython's Mersenne Twister.
 
     All k uniforms come from one `getrandbits(64*k)` call, which consumes
     the same 2k 32-bit outputs, in the same order, as k `random()` calls.
@@ -169,22 +195,52 @@ def sample_hash(params: HashParams) -> ParityHash:
     translate table decides every entry whose top byte differs from the
     threshold's, and the ~1/256 that tie are compared in full.  The m*n
     entries of A become one int, entry (i, j) at bit i*n + j, and row i is
-    cut from it by shift and mask.
+    cut from it by shift and mask, which costs time quadratic in m; draws
+    that wide take `_draw_wide`.
     """
-    n, m = params.n, params.m
     mn = m * n
     k = mn + m
     rng = _generator.rng
-    rng.seed(params.seed)
+    rng.seed(seed)
     raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
     tops = raw[3::8]
-    a = int(_below(raw, tops[:mn], math.ceil(params.f * 2.0**53))[::-1], 2)
+    a = int(_below(raw, tops[:mn], math.ceil(f * 2.0**53))[::-1], 2)
     mask = (1 << n) - 1
     # a list, not a generator: tuple(genexpr) raised peak RSS by 2 MB over
     # 60k draws at n = 16, where tuple(list) raised it by nothing
     rows = tuple([a >> i & mask for i in range(0, mn, n)])
     b_bits = int(_below(raw[8 * mn :], tops[mn:], 1 << 52)[::-1], 2)
-    return ParityHash(rows, b_bits, params)
+    return rows, b_bits
+
+
+def _draw_wide(n: int, m: int, f: float, seed: int):
+    """(rows, b_bits) of `sample_hash` from numpy's legacy Mersenne Twister.
+
+    `RandomState.seed` given a list of 32-bit words runs the same
+    `init_by_array` as `random.Random(seed)` does on abs(seed)'s words
+    (given an int, or an ndarray it can squeeze to one, it runs
+    `init_genrand` instead, a different stream), and `random_sample`
+    returns the doubles ((a >> 5) * 2^26 + (b >> 6)) / 2^53 that
+    `random()` does.  NEP 19 freezes that stream.  Each row is packed to
+    bytes, bit j at bit j, and read as one int.
+    """
+    import numpy.random  # only draws this wide load it (see _WIDE_K)
+
+    rs = _generator.wide
+    if rs is None:
+        rs = _generator.wide = numpy.random.RandomState()
+    s = abs(seed)
+    rs.seed([s >> i & 0xFFFFFFFF for i in range(0, s.bit_length() or 1, 32)])
+    mn = m * n
+    u = rs.random_sample(mn + m)
+    packed = numpy.packbits((u[:mn] < f).reshape(m, n), axis=1,
+                            bitorder="little").tobytes()
+    w = (n + 7) >> 3
+    rows = tuple([int.from_bytes(packed[i : i + w], "little")
+                  for i in range(0, m * w, w)])
+    b_bits = int.from_bytes(numpy.packbits(u[mn:] < 0.5, bitorder="little").tobytes(),
+                            "little")
+    return rows, b_bits
 
 
 def apply_hash(h: ParityHash, x: Assignment) -> int:

@@ -278,21 +278,13 @@ class _CircuitBuilder:
                 self.clauses.append([bit] if want else [-bit])
 
     def assert_le_constant(self, bits, bound: int):
-        """Forbid bit-vector values above `bound` (one clause per zero bit)."""
+        """Forbid values of the variables `bits` above `bound`: for each zero
+        bit i of the bound, bit i is 0 or a higher bit differs from the
+        bound's."""
         for i, bit in enumerate(bits):
-            if isinstance(bit, bool) or (bound >> i) & 1:
-                continue
-            # violated only when the higher bits match the bound exactly,
-            # so a constant higher bit that differs from it drops the clause
-            clause = [-bit]
-            for j in range(i + 1, len(bits)):
-                bj, want = bits[j], (bound >> j) & 1
-                if not isinstance(bj, bool):
-                    clause.append(-bj if want else bj)
-                elif bj != want:
-                    break
-            else:
-                self.clauses.append(clause)
+            if not (bound >> i) & 1:
+                self.clauses.append([-bit] + [-bj if (bound >> j) & 1 else bj
+                                              for j, bj in enumerate(bits[i + 1:], i + 1)])
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -595,7 +596,27 @@ class TestStartup:
         assert proc.returncode == 10 and proc.stdout.startswith("s SATISFIABLE")
         names = _imported(proc.stderr)
         assert {"xorcount.dimacs", "xorcount.oracle"} <= names
-        assert not names & {"xorcount.bounds", "xorcount.comb", "xorcount.tables"}
+        assert not names & {"xorcount.bounds", "xorcount.comb", "xorcount.tables",
+                            "numpy.random"}
+
+    def test_narrow_bound_never_imports_numpy_random(self, tmp_path):
+        # only hash draws of k >= gf2hash._WIDE_K uniforms load numpy.random
+        rng = random.Random(3)
+        path = tmp_path / "s.txt"
+        path.write_text("".join(Assignment(b, 16).to_string() + "\n"
+                                for b in rng.sample(range(1 << 16), 64)))
+        proc = _child(["-X", "importtime", "-m", "xorcount.cli", "bound", str(path), "lb"])
+        assert proc.returncode == 0 and proc.stdout.startswith("lower bound: ")
+        names = _imported(proc.stderr)
+        assert "xorcount.bounds" in names and "numpy.random" not in names
+
+    def test_a_wide_draw_imports_numpy_random(self):
+        code = ("import sys; from xorcount.gf2hash import HashParams, sample_hash, _WIDE_K; "
+                "sample_hash(HashParams(_WIDE_K - 2, 1, 0.5)); "  # k = n + 1
+                "before = 'numpy.random' in sys.modules; "
+                "sample_hash(HashParams(_WIDE_K - 1, 1, 0.5)); "
+                "print(before, 'numpy.random' in sys.modules)")
+        assert _child(["-c", code]).stdout == "False True\n"
 
     @pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
     def test_run_defaults_openblas_threads(self, preset, want):
@@ -684,6 +705,66 @@ class TestOneLineErrors:
             main([a.format(**paths) for a in argv])
         msg = str(exc.value.code)
         assert msg.startswith(prefix.format(**paths)) and "\n" not in msg
+
+
+class TestOutputPathsCheckedFirst:
+    """An output path that cannot be written ends a `bound` or `sweep` run
+    before its first hash draw, with the line a failed write gives."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        from xorcount import bounds
+        calls, real = [], bounds.sample_hash
+        monkeypatch.setattr(bounds, "sample_hash", lambda p: calls.append(p) or real(p))
+        return calls
+
+    @pytest.fixture
+    def cnf(self, tmp_path):
+        path = tmp_path / "good.cnf"
+        path.write_text("p cnf 3 1\n1 2 0\n")
+        return path
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["bound", "{cnf}", "lb", "--json", "{tmp}/no_dir/r.json"], "No such file or directory"),
+        (["bound", "{cnf}", "ub", "--json", "{cnf}/r.json"], "Not a directory"),
+        (["bound", "{cnf}", "count", "--json", "{tmp}"], "Is a directory"),
+        (["sweep", "{cnf}", "0.5", "--csv", "{tmp}/no_dir/x.csv"], "No such file or directory"),
+        (["sweep", "{cnf}", "0.5", "--csv", "{tmp}"], "Is a directory"),
+        (["sweep", "{cnf}", "0.5", "--certs-dir", "{cnf}/sub"], "Not a directory"),
+    ])
+    def test_bad_path_fails_before_any_draw(self, tmp_path, cnf, draws, argv, reason):
+        argv = [a.format(cnf=cnf, tmp=tmp_path) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == "cannot write %s: %s" % (argv[-1], reason)
+        assert draws == []
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "{cnf}", "lb", "--json", "{tmp}/r.json"],
+        ["sweep", "{cnf}", "0.5", "--csv", "{tmp}/x.csv"],
+        ["sweep", "{cnf}", "0.5", "--certs-dir", "{tmp}/certs"],
+    ])
+    def test_unwritable_directory_fails_before_any_draw(self, tmp_path, cnf, draws,
+                                                        monkeypatch, argv):
+        # os.access stands in for a directory without write permission,
+        # which a root user could write into all the same
+        monkeypatch.setattr(os, "access", lambda *args, **kw: False)
+        argv = [a.format(cnf=cnf, tmp=tmp_path) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == "cannot write %s: Permission denied" % argv[-1]
+        assert draws == []
+
+    def test_failed_write_after_the_run_keeps_its_line(self, tmp_path, cnf, draws,
+                                                       monkeypatch):
+        def full(self, *args, **kw):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(Path, "write_text", full)
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", str(cnf), "lb", "--m", "1", "--T", "5", "--json", str(out)])
+        assert exc.value.code == "cannot write %s: No space left on device" % out
+        assert len(draws) == 5
 
 
 class TestDimacsSniffing:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from xorcount import gf2hash
 from xorcount.gf2hash import (Assignment, CapacityError, DimensionError,
                               HashParams, ParameterError, ParityHash,
                               apply_hash, count_survivors, derive_seed,
@@ -84,13 +85,19 @@ def draw_grid():
                     yield HashParams(n, m, f, seed=seed)
 
 
+def draws_of_each_path(p):
+    """(rows, b_bits) of sample_hash(p), then of each draw path forced."""
+    h = sample_hash(p)
+    return [(h.rows, h.b_bits)] + [draw(p.n, p.m, p.f, p.seed) for draw in
+                                   (gf2hash._draw_narrow, gf2hash._draw_wide)]
+
+
 class TestSampleHashDrawContract:
     @pytest.mark.parametrize("n", DRAW_NS)
     def test_matches_per_entry_reference(self, n):
         for p in draw_grid():
             if p.n == n:
-                h = sample_hash(p)
-                assert (h.rows, h.b_bits) == reference_sample_hash(p), p
+                assert draws_of_each_path(p) == [reference_sample_hash(p)] * 3, p
 
     def test_matches_reference_on_random_params(self):
         rng = random.Random(2014)
@@ -109,6 +116,39 @@ class TestSampleHashDrawContract:
             digest.update(repr((h.rows, h.b_bits)).encode())
         assert digest.hexdigest() == (
             "251653224e1998317106abb11a282d8cd0dd01b048a2c824d8091d798ce44739")
+
+
+def _shape_of(k):
+    """(n, m) with m*n + m == k and m <= n, m as large as it can be."""
+    for m in range(math.isqrt(k), 0, -1):
+        if k % m == 0 and k // m - 1 >= m:
+            return k // m - 1, m
+
+
+class TestTwoDrawPaths:
+    # a draw of k = m*n + m >= _WIDE_K uniforms reads them from numpy's
+    # RandomState, a narrower one from CPython's generator
+    @pytest.mark.parametrize("k", [gf2hash._WIDE_K - 1, gf2hash._WIDE_K])
+    def test_each_path_matches_reference_at_the_cut(self, k):
+        # DRAW_SEEDS holds one-word seeds (0, 1, 2^32 - 1): numpy seeds an
+        # int, or an array it can squeeze to one, through init_genrand,
+        # which draws other hashes for them than init_by_array does
+        n, m = _shape_of(k)
+        for f in DRAW_FS:
+            for seed in DRAW_SEEDS:
+                p = HashParams(n, m, f, seed=seed)
+                assert draws_of_each_path(p) == [reference_sample_hash(p)] * 3, p
+
+    def test_sample_hash_goes_wide_from_wide_k(self, monkeypatch):
+        taken = []
+        for name in ("_draw_narrow", "_draw_wide"):
+            draw = getattr(gf2hash, name)
+            monkeypatch.setattr(gf2hash, name,
+                                lambda *a, name=name, draw=draw: taken.append(name) or draw(*a))
+        for k in (gf2hash._WIDE_K - 1, gf2hash._WIDE_K):
+            n, m = _shape_of(k)
+            sample_hash(HashParams(n, m, 0.3, seed=k))
+        assert taken == ["_draw_narrow", "_draw_wide"]
 
 
 class TestApplyHash:
