@@ -8,9 +8,12 @@ Upper bound: with T >= 24 ln(1/Delta) trials, a strict majority of empty
 cells certifies |S| <= U(n,m,f) with probability 1 - Delta.
 
 SPARSE-COUNT: grow m until the median survival indicator drops below 1;
-the break index brackets log2 |S| within a constant factor.  Each level asks
-its trials in order only until that median test is decided; the bound
-certificates and the pre-scan ask all T.
+the break index brackets log2 |S| within a constant factor.
+
+Every trial is asked through one loop, `_trials`: the bound certificates and
+the pre-scan ask all T at once, and each SPARSE-COUNT level asks its trials
+in order only until its median test is decided.  The loop is also the one
+place where m = 0 is asked once for all T trials.
 """
 
 from __future__ import annotations
@@ -191,67 +194,44 @@ def estimate_survival(problem: CountingProblem, m: int, f: float, T: int,
                       seed: int, solver: SolverProfile = None) -> SurvivalEstimate:
     """Run T independent trials at m constraints; refuse on any unknown.
 
-    Trial k's hash is drawn from derive_seed(derive_seed(seed, m), k); m = 0
-    asks whether S is non-empty.  All T questions go to the oracle in one
-    call: in process they are answered in one pass; with an external solver
-    up to the profile's jobs calls run at once (by default one per usable
-    CPU), each limited to budget_s.  Outcomes are kept in trial order
-    either way.
+    All T questions go to the oracle in one call: in process they are
+    answered in one pass; with an external solver up to the profile's jobs
+    calls run at once (by default one per usable CPU), each limited to
+    budget_s.  Outcomes are kept in trial order either way.
     """
-    check_parameters(T=T)
-    outcomes = _ask(problem, _trial_hashes(problem.n, m, f, seed, range(T)),
-                    T, solver)
+    outcomes = _trials(problem, m, f, T, seed, solver)
     return SurvivalEstimate(m, f, T, sum(outcomes), seed, outcomes)
 
 
-def _trial_hashes(n: int, m: int, f: float, seed: int, trials) -> list:
-    """The hashes of the given trial indices of the estimate at (m, f, seed):
-    trial k's from derive_seed(derive_seed(seed, m), k), None at m = 0."""
-    stream = derive_seed(seed, m)
-    return [sample_hash(HashParams(n, m, f, seed=derive_seed(stream, k)))
-            if m else None
-            for k in trials]
+def _trials(problem: CountingProblem, m: int, f: float, T: int, seed: int,
+            solver: SolverProfile, more=None) -> tuple:
+    """The 0/1 outcomes of the trials asked at (m, f, seed), in trial order.
 
-
-def _ask(problem: CountingProblem, hashes: list, asked: int,
-         solver: SolverProfile) -> tuple:
-    """0/1 outcomes of the questions `hashes`, in order; any unknown
-    raises OracleUnknownError against the `asked` trials so far."""
-    answers = has_survivors(problem, hashes, solver=solver)
-    unknown = answers.count("unknown")
-    if unknown:
-        raise OracleUnknownError(unknown, asked)
-    return tuple(1 if a == "sat" else 0 for a in answers)
-
-
-def _majority_survives(problem: CountingProblem, m: int, f: float, T: int,
-                       seed: int, solver: SolverProfile = None) -> bool:
-    """Whether a strict majority of estimate_survival(problem, m, f, T,
-    seed)'s trials see a survivor, asking them in trial order only until
-    that is decided.
-
-    Each wave asks the fewest further trials that could decide it, so all
-    T are asked only when the answers split close to even.  m = 0 is one
-    question, whose answer every trial shares.  An unknown raises
-    OracleUnknownError(unknown, asked) at the first wave that holds one.
-    A trial never asked cannot be unknown, so an unknown that asking all T
-    would have met in a skipped trial does not refuse the test.
+    Trial k's hash is drawn from derive_seed(derive_seed(seed, m), k).
+    more(ones, zeros) is how many further trials to ask, 0 once the
+    caller's test is decided; None asks all T in one has_survivors call.
+    m = 0 asks "is S non-empty?" once and every one of the T trials shares
+    its answer.  An unknown raises OracleUnknownError(unknown, asked so
+    far); a trial never asked cannot be unknown.
     """
     check_parameters(T=T)
-    if not m:
-        return _ask(problem, [None], 1, solver) == (1,)
-    need = T // 2 + 1  # survivors for a strict majority
-    spare = T - need + 1  # empties that rule it out
-    ones = zeros = 0
-    while ones < need and zeros < spare:
-        asked = ones + zeros
-        wave = min(need - ones, spare - zeros)
-        got = sum(_ask(problem, _trial_hashes(problem.n, m, f, seed,
-                                              range(asked, asked + wave)),
-                       asked + wave, solver))
-        ones += got
-        zeros += wave - got
-    return ones >= need
+    stream = derive_seed(seed, m)
+    outcomes = ()
+    wave = T if more is None else more(0, 0)
+    while wave:
+        asked = len(outcomes)
+        hashes = [sample_hash(HashParams(problem.n, m, f, seed=derive_seed(stream, k)))
+                  for k in range(asked, asked + wave)] if m else [None]
+        answers = has_survivors(problem, hashes, solver=solver)
+        unknown = answers.count("unknown")
+        if unknown:
+            raise OracleUnknownError(unknown, asked + len(hashes))
+        outcomes += tuple(1 if a == "sat" else 0 for a in answers)
+        if not m:
+            return outcomes * T
+        ones = sum(outcomes)
+        wave = 0 if more is None else more(ones, len(outcomes) - ones)
+    return outcomes
 
 
 def _lb_confidence(kappa: float, c: float, T: int) -> float:
@@ -353,7 +333,8 @@ def sparse_count(problem: CountingProblem, config: SparseCountConfig,
 
     Median < 1 means at most half the trials saw a survivor.  A break at
     i = 0 reports "fewer than one solution witnessed" (estimate None);
-    running out of levels returns n flagged exhausted.
+    running out of levels returns n flagged exhausted.  A max_i outside
+    [0, n] is refused before any question.
 
     Level i's trials are those of estimate_survival(problem, i, f_i, T,
     seed), asked in trial order only until the median test is decided (at
@@ -364,10 +345,18 @@ def sparse_count(problem: CountingProblem, config: SparseCountConfig,
     n = problem.n
     T = config.trials(n)
     max_i = config.max_i if config.max_i is not None else n
+    if not 0 <= max_i <= n:
+        raise ParameterError("max_i must lie within [0, n], got max_i=%d n=%d"
+                             % (max_i, n))
+    need = T // 2 + 1  # survivors for a strict majority
+
+    def majority(ones, zeros):  # the fewest further trials that could decide it
+        return max(0, min(need - ones, T - need + 1 - zeros))
+
     for i in range(0, max_i + 1):
         f_i = config.density_schedule(i)
         _check_density(f_i)
-        if not _majority_survives(problem, i, f_i, T, seed, solver):  # median < 1
+        if sum(_trials(problem, i, f_i, T, seed, solver, majority)) < need:  # median < 1
             if i == 0:
                 return SparseCountResult(None, 0, False, T, n, seed)
             return SparseCountResult(float(i - 1), i, False, T, n, seed)

@@ -231,8 +231,8 @@ def _certify(problem, args, solver, f: float, modes) -> list:
     A problem of width n = 0 is refused first, in every mode.  ["count"]
     runs SPARSE-COUNT.  "lb" and "ub" check their flags, then share one
     start level m0: --m, else one pre-scan.  lb takes the best of the
-    window m0 +- 2, ub walks up from m0, at most 8 levels, until its event
-    fires; with --m both ask at m0 alone."""
+    window m0 +- 2, ub walks up from m0 through at most m0 + 8 (up to 9
+    estimates) until its event fires; with --m both ask at m0 alone."""
     from . import bounds as bd
     try:
         if problem.n == 0:

@@ -29,10 +29,10 @@ in which its last trial finds one; a CNF's models past that block are not
 enumerated until a question reads them.  `has_survivor` is `has_survivors`
 with T = 1.  In-process verdicts carry no model: only an external SAT
 verdict does, in its stats, rechecked in process.  External solvers get one
-call per hash, up to solver.jobs of them at once, and one in all for an
-estimate at m = 0.
+call per hash, up to solver.jobs of them at once.
 
-A hash of None asks m = 0, "is S non-empty?", on every backend.
+A hash of None asks m = 0, "is S non-empty?", on every backend; an estimate
+at m = 0 asks it once (`bounds._trials`), not once per trial.
 """
 
 from __future__ import annotations
@@ -787,11 +787,11 @@ def has_survivors(problem: CountingProblem, hashes,
     for every h in `hashes`, which share m (None for all asks m = 0).
 
     In-process problems answer all of them in one pass of the survival
-    kernel.  External solvers get one has_survivor call per hash, except at
-    m = 0, where the one question "is S non-empty?" is asked once and its
-    answer repeated.  The calls run on a pool of min(solver.jobs, T)
-    threads (each call owns its own subprocess and temp file), and answers
-    stay in hash order.  A call that raises (a witness failing its recheck,
+    kernel.  External solvers get one has_survivor call per hash, None
+    included (an estimate asks m = 0 once, in bounds._trials, and shares
+    its answer among its trials).  The calls run on a pool of
+    min(solver.jobs, T) threads (each call owns its own subprocess and
+    temp file), and answers stay in hash order.  A call that raises (a witness failing its recheck,
     an interrupt) cancels every call not yet started, and the first such
     error in hash order is raised once the started calls have returned.
     """
@@ -803,8 +803,6 @@ def has_survivors(problem: CountingProblem, hashes,
     def ask(h):
         return has_survivor(problem, h, solver=solver).answer
 
-    if hashes and hashes[0] is None:
-        return [ask(None)] * len(hashes)
     # imported here: it loads `logging`, which neither the in-process
     # backends nor a `xorcount solve` child need
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait

@@ -15,6 +15,7 @@ from xorcount.bounds import (LowerBoundCertificate, OracleUnknownError,
 from xorcount.gf2hash import (Assignment, HashParams, count_survivors,
                               derive_seed, sample_hash)
 from xorcount.dimacs import CnfFormula
+from xorcount.errors import ParameterError
 from xorcount.oracle import CountingProblem
 from conftest import random_subset_problem
 
@@ -149,6 +150,45 @@ def scan_outcomes(members, n, m, f, T, seed):
         h = sample_hash(HashParams(n, m, f, seed=derive_seed(stream, k)))
         out.append(int(count_survivors(h, members) > 0))
     return tuple(out)
+
+
+def batching(answer):
+    """A stand-in for bounds.has_survivors that answers every question
+    `answer` and records each call's hashes."""
+    batches = []
+
+    def has_survivors(problem, hashes, solver=None):
+        batches.append(list(hashes))
+        return [answer] * len(hashes)
+    return has_survivors, batches
+
+
+class TestTrialLoop:
+    def test_all_t_trials_are_one_call(self, monkeypatch):
+        stub, batches = batching("sat")
+        monkeypatch.setattr(bounds, "has_survivors", stub)
+        est = estimate_survival(full_cube_problem(6), 2, 0.5, 24, seed=4)
+        assert [len(b) for b in batches] == [24]
+        assert est.outcomes == (1,) * 24
+        stream = derive_seed(4, 2)
+        assert [h.params.seed for h in batches[0]] == [derive_seed(stream, k)
+                                                       for k in range(24)]
+
+    @pytest.mark.parametrize("answer,y", [("sat", 1), ("unsat", 0)])
+    def test_m_zero_is_one_question_for_all_trials(self, monkeypatch, answer, y):
+        stub, batches = batching(answer)
+        monkeypatch.setattr(bounds, "has_survivors", stub)
+        est = estimate_survival(full_cube_problem(6), 0, 0.5, 9, seed=4)
+        assert batches == [[None]]
+        assert est.outcomes == (y,) * 9 and est.successes_Y == 9 * y
+
+    def test_unknown_at_m_zero_counts_one_question(self, monkeypatch):
+        stub, batches = batching("unknown")
+        monkeypatch.setattr(bounds, "has_survivors", stub)
+        with pytest.raises(OracleUnknownError) as err:
+            estimate_survival(full_cube_problem(6), 0, 0.5, 9, seed=4)
+        assert (err.value.unknown, err.value.total) == (1, 1)
+        assert batches == [[None]]
 
 
 class TestLowerBound:
@@ -556,6 +596,15 @@ class TestSparseCount:
         assert res.exhausted
         assert res.log2_estimate == 6.0
 
+
+    @pytest.mark.parametrize("max_i", [-1, 7])
+    def test_max_i_outside_zero_to_n_is_refused(self, monkeypatch, max_i):
+        stub, batches = batching("sat")
+        monkeypatch.setattr(bounds, "has_survivors", stub)
+        cfg = SparseCountConfig(delta=0.2, alpha=0.5, max_i=max_i)
+        with pytest.raises(ParameterError, match="max_i"):
+            sparse_count(full_cube_problem(4), cfg, seed=1)
+        assert batches == []
 
 class TestPickPromisingM:
     def test_singleton_falls_back_to_one(self):

@@ -358,7 +358,7 @@ class TestBoundCmd:
             calls.append(args)
             return real(*args, **kwargs)
 
-        # every question of every mode goes through bounds._ask
+        # every question of every mode goes through bounds._trials
         monkeypatch.setattr(bounds, "has_survivors", counting_survivors)
         f = tmp_path / ("zero.cnf" if text.startswith("p") else "zero.spec")
         f.write_text(text)
