@@ -37,6 +37,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
@@ -165,7 +166,7 @@ def cmd_epsilon(args) -> int:
         v = comb.variance_bound_v(args.q, args.n, args.m, args.f)
     except ParameterError as exc:
         raise SystemExit("bad parameters: %s" % exc) from None
-    _print_scales("epsilon(n=%d,m=%d,q=%d,f=%g)" % (args.n, args.m, args.q, args.f),
+    _print_scales("epsilon(n=%d,m=%d,q=%d,f=%r)" % (args.n, args.m, args.q, args.f),
                   eps.log2_value)
     _print_scales("v(q)", v.log2_value if not v.is_zero() else None)
     return 0
@@ -183,7 +184,7 @@ def cmd_fstar(args) -> int:
         raise SystemExit("bad parameters: %s" % exc) from None
     print("f* = %.5f  (bracket [%.5f, %.5f], tolerance %g)"
           % (cert.f_star, cert.bracket_lo, cert.bracket_hi, cert.tolerance))
-    print("n=%d m=%d c=%g delta=%g q=2^%d" % (cert.n, cert.m, cert.c,
+    print("n=%d m=%d c=%g delta=%r q=2^%d" % (cert.n, cert.m, cert.c,
                                               cert.delta, args.m + args.c))
     _print_scales("epsilon at f*", cert.condition_value.log2_value)
     _print_scales("threshold", cert.threshold_log / LN2)
@@ -489,9 +490,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print("warning: %s" % message, file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # a library warning is one `warning: MESSAGE` line, like every other
+    # diagnostic; the filters stay as they are, so `-W error` still raises
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        return args.func(args)
 
 
 def run(argv=None) -> int:

@@ -18,8 +18,6 @@ __all__ = [
     "LogNum",
     "EpsilonInputs",
     "DensityCertificate",
-    "log_binomial",
-    "w_star",
     "epsilon",
     "variance_bound_v",
     "upper_bound_threshold",
@@ -48,52 +46,12 @@ class LogNum:
     def one(cls) -> "LogNum":
         return cls(0.0)
 
-    @classmethod
-    def from_linear(cls, x) -> "LogNum":
-        if x < 0:
-            raise ValueError("LogNum holds nonnegative reals, got %r" % (x,))
-        if x == 0:
-            return cls.zero()
-        return cls(math.log(x))
-
-    def to_linear(self) -> float:
-        if self.is_zero():
-            return 0.0
-        return math.exp(self.log_value)
-
     def is_zero(self) -> bool:
         return math.isinf(self.log_value) and self.log_value < 0
 
     @property
     def log2_value(self) -> float:
         return self.log_value / LN2
-
-    def __add__(self, other: "LogNum") -> "LogNum":
-        a, b = self.log_value, other.log_value
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        hi, lo = (a, b) if a >= b else (b, a)
-        return LogNum(hi + math.log1p(math.exp(lo - hi)))
-
-    def __mul__(self, other: "LogNum") -> "LogNum":
-        if self.is_zero() or other.is_zero():
-            return LogNum.zero()
-        return LogNum(self.log_value + other.log_value)
-
-    def __truediv__(self, other: "LogNum") -> "LogNum":
-        if other.is_zero():
-            raise ZeroDivisionError("LogNum division by zero")
-        if self.is_zero():
-            return LogNum.zero()
-        return LogNum(self.log_value - other.log_value)
-
-    def __le__(self, other: "LogNum") -> bool:
-        return self.log_value <= other.log_value
-
-    def __lt__(self, other: "LogNum") -> bool:
-        return self.log_value < other.log_value
 
 
 @dataclass(frozen=True)
@@ -135,34 +93,6 @@ class DensityCertificate:
     def c(self) -> float:
         """Slack exponent: q = 2^(m+c)."""
         return math.log2(self.q) - self.m
-
-
-def log_binomial(n: int, w: int) -> LogNum:
-    """ln C(n, w); exact big-int path below n=60, log-gamma above."""
-    if w < 0 or w > n:
-        raise ParameterError("need 0 <= w <= n, got n=%d w=%d" % (n, w))
-    if n <= 60:
-        return LogNum.from_linear(math.comb(n, w))
-    return LogNum(
-        math.lgamma(n + 1) - math.lgamma(w + 1) - math.lgamma(n - w + 1)
-    )
-
-
-def w_star(n: int, q: int) -> int:
-    """Largest w with sum_{j=1..w} C(n,j) <= q-1; 0 when even w=1 fails."""
-    if q < 2:
-        raise ParameterError("q must be at least 2")
-    target = q - 1
-    prefix = 0
-    binom = 1
-    w = 0
-    while w < n:
-        binom = binom * (n - w) // (w + 1)
-        if prefix + binom > target:
-            break
-        prefix += binom
-        w += 1
-    return w
 
 
 def epsilon(inputs: EpsilonInputs) -> LogNum:
@@ -227,7 +157,7 @@ def variance_bound_v(q: int, n: int, m: int, f: float) -> LogNum:
     else:
         eps = epsilon(EpsilonInputs(n, m, q, f))
         big = eps.log_value + math.log(q - 1)
-        pos = max(0.0, big) + math.log1p(math.exp(-abs(big))) if not eps.is_zero() else 0.0
+        pos = max(0.0, big) + math.log1p(math.exp(-abs(big)))  # ln(1 + e^big)
         inner = _log_sub(pos, log_mu)
     if inner == float("-inf"):
         warnings.warn("variance bound bracket non-positive; clamped to 0")
@@ -308,14 +238,8 @@ def min_density_fstar(
     def ok(f: float) -> bool:
         return epsilon(EpsilonInputs(n, m, q, f)).log_value <= thr
 
-    if not ok(0.5):
-        return DensityCertificate(
-            f_star=0.5, n=n, m=m, q=q, delta=delta,
-            condition_value=epsilon(EpsilonInputs(n, m, q, 0.5)),
-            threshold_log=thr, tolerance=tol,
-            bracket_lo=0.5, bracket_hi=0.5, met_at_half=False,
-        )
-    lo, hi = 0.0, 0.5
+    met = ok(0.5)
+    lo, hi = (0.0, 0.5) if met else (0.5, 0.5)  # unmet: the bracket [1/2, 1/2]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -328,7 +252,7 @@ def min_density_fstar(
         f_star=hi, n=n, m=m, q=q, delta=delta,
         condition_value=epsilon(EpsilonInputs(n, m, q, hi)),
         threshold_log=thr, tolerance=tol,
-        bracket_lo=lo, bracket_hi=hi, met_at_half=True,
+        bracket_lo=lo, bracket_hi=hi, met_at_half=met,
     )
 
 

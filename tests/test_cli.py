@@ -49,6 +49,11 @@ class TestEpsilonCmd:
         want = math.log2(exact_epsilon(20, 5, 64, 0.25))
         assert got == pytest.approx(want, rel=1e-5)
 
+    @pytest.mark.parametrize("f", ["0.1234567", "0.1"])
+    def test_printed_density_round_trips(self, capsys, f):
+        main(["epsilon", "10", "3", "1024", f])
+        assert "epsilon(n=10,m=3,q=1024,f=%s):" % f in capsys.readouterr().out
+
 
 class TestFstarCmd:
     def test_df_shape(self, capsys):
@@ -67,6 +72,11 @@ class TestFstarCmd:
         # delta huge makes the threshold dip below the f = 1/2 floor 2^-m
         assert main(["fstar", "20", "5", "--delta", "100"]) == 1
         assert "unmet" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("delta", ["2.0000000000001", "2.25"])
+    def test_printed_delta_round_trips(self, capsys, delta):
+        assert main(["fstar", "204", "56", "--delta", delta]) == 0
+        assert " delta=%s " % delta in capsys.readouterr().out
 
 
 class TestBoundCmd:
@@ -705,6 +715,34 @@ class TestOneLineErrors:
             main([a.format(**paths) for a in argv])
         msg = str(exc.value.code)
         assert msg.startswith(prefix.format(**paths)) and "\n" not in msg
+
+
+class TestOneLineWarnings:
+    """A warning the library raises reaches the user as one `warning: ...`
+    line on stderr, not as Python's file-and-source-line pair."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["bound", "{short}", "count", "--seed", "1"], 0),
+        (["count-models", "{short}"], 0),
+        (["table", "{disagree}"], 0),
+        (["fstar", "204", "56", "--c", "-1"], 1),
+    ])
+    def test_library_warning_is_one_line(self, tmp_path, argv, code):
+        paths = {"short": tmp_path / "short.cnf",
+                 "disagree": tmp_path / "disagree.txt"}
+        paths["short"].write_text("p cnf 3 5\n1 -2 0\n2 3 0\n")
+        paths["disagree"].write_text("rows 2 cols 2\nR: 1 0\nC: 0 0\n")
+        proc = _child(["-m", "xorcount.cli"] + [a.format(**paths) for a in argv])
+        assert proc.returncode == code
+        lines = proc.stderr.splitlines()
+        assert lines and all(line.startswith("warning: ") for line in lines)
+        assert ".py" not in proc.stderr
+
+    def test_warning_filters_still_apply(self):
+        proc = _child(["-W", "error", "-m", "xorcount.cli",
+                       "fstar", "204", "56", "--c", "-1"])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines()[-1].startswith("UserWarning: q < 2^m")
 
 
 class TestOutputPathsCheckedFirst:
