@@ -189,7 +189,7 @@ def cmd_fstar(args) -> int:
     _print_scales("epsilon at f*", cert.condition_value.log2_value)
     _print_scales("threshold", cert.threshold_log / LN2)
     if not cert.met_at_half:
-        print("warning: condition unmet even at f = 1/2")
+        print("warning: condition unmet even at f = 1/2", file=sys.stderr)
         return 1
     return 0
 
@@ -277,7 +277,8 @@ def _print_summary(mode: str, cert):
         else:
             _print_scales("sparse-count estimate", cert.log2_estimate)
         if cert.exhausted:
-            print("warning: level loop exhausted at i=%d" % cert.break_i)
+            print("warning: level loop exhausted at i=%d" % cert.break_i,
+                  file=sys.stderr)
     elif mode == "lb":
         _print_scales("lower bound", cert.bound_log2)
         print("confidence %.4f (m=%d, c=%g, kappa=%g, T=%d, p_est=%.4f)"

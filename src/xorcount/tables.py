@@ -6,7 +6,10 @@ whose search stays within MAX_SEARCH_WORK are counted exactly by
 enumeration: rows are filled top to bottom, and each cell's lower bound is
 what its column still needs beyond what the rows below can supply, so the
 search never builds a row that leaves a column short and then has to
-discard it; the tables come out in increasing lexicographic order.  Any
+discard it; the tables come out in increasing lexicographic order.  The
+rows below depend only on the row index and the columns' demands left, so
+each such state's rows are built once per enumeration and replayed on
+every later visit.  Any
 spec lowers to a CNF whose models over the cell bits are exactly the
 admissible tables, so the hashing bounds apply.  Cell bits come first in the
 variable order and adder auxiliaries after, so parity constraints range
@@ -37,9 +40,11 @@ __all__ = [
     "format_table_spec",
 ]
 
-# the search's work, counted as c + 8 per row of c columns built (a row took
-# about 0.65 * (c + 6) us on a 2-vCPU x86 VM, 2 <= c <= 100): past this much,
-# about a second, `enumerate_tables` refuses unless forced
+# the search's work, counted as c + 8 per row of c columns visited, built or
+# replayed: past this much, `enumerate_tables` refuses unless forced.  On a
+# 2-vCPU x86 VM the cap took 0.04 s of search on the 8 x 8 permutation spec,
+# whose rows are nearly all replayed, and 0.1-0.55 s on 3- and 4-row specs
+# of 2 to 100 columns, whose rows are mostly built
 MAX_SEARCH_WORK = 1_500_000
 
 
@@ -137,6 +142,12 @@ def _rows_within(total, lo, hi):
         j += 1
 
 
+def _children(caps, rows):
+    """Yield (row, the demands `caps` leave after it) for each row."""
+    for row in rows:
+        yield row, tuple(map(operator.sub, caps, row))
+
+
 def enumerate_tables(spec: ContingencyTableSpec, force: bool = False):
     """Yield every admissible table as a tuple of row tuples, in increasing
     lexicographic order.
@@ -149,9 +160,17 @@ def enumerate_tables(spec: ContingencyTableSpec, force: bool = False):
     so every row it builds leaves each column a demand the rows below can
     still meet, and none is built and then thrown away.
 
-    Every step of the search goes to building a row, so its work is
-    counted per row built, weighted by the row's width; past
-    MAX_SEARCH_WORK it raises CapacityError unless `force` is set.
+    A search state is a row index i with the columns' demands left; the
+    tables below it depend on nothing else.  The first time a state's
+    subtree is fully walked, its (row, demands left) children are kept, and
+    every later visit replays them instead of building the rows again.
+    The memo lives in this call alone, and once it holds MAX_SEARCH_WORK
+    worth of rows, new states are walked without being kept.
+
+    Replaying walks the same tree in the same order as building, so the
+    work is counted per row visited, built or replayed, weighted by the
+    row's width; past MAX_SEARCH_WORK it raises CapacityError unless
+    `force` is set.
     """
     if sum(spec.row_marginals) != sum(spec.col_marginals):
         return
@@ -165,19 +184,28 @@ def enumerate_tables(spec: ContingencyTableSpec, force: bool = False):
     for cap_row in reversed(row_cap):
         supply.append([s + c for s, c in zip(supply[-1], cap_row)])
     supply.reverse()
-    # depth first without recursion: stack[i] = (demand left, row i's choices)
-    table, stack, caps = [()] * spec.rows, [], list(spec.col_marginals)
-    work, row_work = 0, spec.cols + 8
+    # memo[i]: demands left -> row i's children, as (row, demands left after)
+    memo = [{} for _ in range(spec.rows)]
+    # depth first without recursion: stack[i] = [demands left, row i's
+    # children, the children walked so far if they are to be kept]
+    table, stack, caps = [()] * spec.rows, [], spec.col_marginals
+    work, held, row_work = 0, 0, spec.cols + 8
     while True:
         i = len(stack)
         if i == spec.rows:
             yield tuple(table)
+        elif (known := memo[i].get(caps)) is not None:
+            stack.append([caps, iter(known), None])
         else:
             lo = [max(0, c - s) for c, s in zip(caps, supply[i + 1])]
             hi = [min(c, u) for c, u in zip(caps, row_cap[i])]
-            stack.append((caps, _rows_within(spec.row_marginals[i], lo, hi)))
-        while stack and (row := next(stack[-1][1], None)) is None:
-            stack.pop()
+            rows = _rows_within(spec.row_marginals[i], lo, hi)
+            stack.append([caps, _children(caps, rows),
+                          [] if held < MAX_SEARCH_WORK else None])
+        while stack and (child := next(stack[-1][1], None)) is None:
+            caps, _, walked = stack.pop()
+            if walked is not None:
+                memo[len(stack)][caps] = walked
         if not stack:
             return
         work += row_work
@@ -185,8 +213,14 @@ def enumerate_tables(spec: ContingencyTableSpec, force: bool = False):
             raise CapacityError(
                 "enumeration built %d rows without finishing (pass force=True "
                 "to count without a cap)" % (work // row_work))
-        table[len(stack) - 1] = row
-        caps = [c - v for c, v in zip(stack[-1][0], row)]
+        top = stack[-1]
+        if top[2] is not None:
+            if held < MAX_SEARCH_WORK:
+                top[2].append(child)
+                held += row_work
+            else:
+                top[2] = None
+        table[len(stack) - 1], caps = child
 
 
 def brute_force_count(spec: ContingencyTableSpec, force: bool = False) -> int:
@@ -384,13 +418,26 @@ def hash_over_cells(problem: CountingProblem, m: int, f: float,
 def explicit_problem(spec: ContingencyTableSpec, enc: CellEncoding = None,
                      force: bool = False) -> CountingProblem:
     """Enumerate the tables and pack them as an explicit set over the cell
-    bits; handy for running pipelines when the count is small."""
+    bits; handy for running pipelines when the count is small.
+
+    A table's cell bits are the sum of its rows' bits, and the search
+    yields the same few rows again and again, so each (i, row) is packed
+    once."""
     if enc is None:
         _, enc = encode_to_cnf(spec)
-    members = [
-        Assignment(enc.encode_table(t), enc.num_cell_bits)
-        for t in enumerate_tables(spec, force=force)
-    ]
+    shifts = [[] for _ in range(spec.rows)]  # shifts[i]: (j, shift) of row i
+    for i, j, shift in enc._cell_shifts:
+        shifts[i].append((j, shift))
+    packed = [{} for _ in range(spec.rows)]  # packed[i]: row -> its bits
+    members = []
+    for t in enumerate_tables(spec, force=force):
+        bits = 0
+        for row, cells, seen in zip(t, shifts, packed):
+            value = seen.get(row)
+            if value is None:
+                value = seen[row] = sum(row[j] << shift for j, shift in cells)
+            bits += value
+        members.append(Assignment(bits, enc.num_cell_bits))
     return CountingProblem.from_explicit(members, enc.num_cell_bits)
 
 

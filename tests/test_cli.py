@@ -71,7 +71,7 @@ class TestFstarCmd:
     def test_unmet_condition_exit_code(self, capsys):
         # delta huge makes the threshold dip below the f = 1/2 floor 2^-m
         assert main(["fstar", "20", "5", "--delta", "100"]) == 1
-        assert "unmet" in capsys.readouterr().out
+        assert "unmet" in capsys.readouterr().err
 
     @pytest.mark.parametrize("delta", ["2.0000000000001", "2.25"])
     def test_printed_delta_round_trips(self, capsys, delta):
@@ -113,6 +113,16 @@ class TestBoundCmd:
         doc = json.loads(report.read_text())
         est = doc["certificates"][0]["bound_log2"]
         assert est is not None and 2.0 <= est <= 10.0
+
+    def test_exhausted_level_loop_warns_on_stderr(self, tmp_path, capsys):
+        # every 2-bit string: each level keeps a survivor, up to i = n
+        f = tmp_path / "cube.txt"
+        write_explicit(f, range(4), 2)
+        assert main(["bound", str(f), "count", "--seed", "0"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("sparse-count estimate: log2 = 2,")
+        assert "warning" not in out
+        assert err == "warning: level loop exhausted at i=2\n"
 
     def test_inconclusive_exit_code(self, tmp_path, sleepy_solver):
         cnf = tmp_path / "tiny.cnf"

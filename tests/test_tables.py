@@ -7,7 +7,8 @@ import warnings
 import pytest
 
 from xorcount import tables
-from xorcount.oracle import _check_assignment
+from xorcount.gf2hash import Assignment
+from xorcount.oracle import CountingProblem, _check_assignment
 from xorcount.tables import (CapacityError, ContingencyTableSpec,
                              brute_force_count, encode_to_cnf,
                              enumerate_tables, explicit_problem,
@@ -230,6 +231,117 @@ class TestEnumerationOrder:
         # one row per level of the search; a recursive walk dies near 1,000
         spec = ContingencyTableSpec(1200, 1, (0,) * 1200, (0,))
         assert brute_force_count(spec, force=True) == 1
+
+
+def reference_enumerate_tables(spec, force=False):
+    """enumerate_tables as it was before search states were kept: every
+    visit to a state builds its rows again with the row odometer."""
+    if sum(spec.row_marginals) != sum(spec.col_marginals):
+        return
+    row_cap = [
+        [0 if (k, j) in spec.structural_zeros else min(r, 1) if spec.binary else r
+         for j in range(spec.cols)]
+        for k, r in enumerate(spec.row_marginals)
+    ]
+    supply = [[0] * spec.cols]
+    for cap_row in reversed(row_cap):
+        supply.append([s + c for s, c in zip(supply[-1], cap_row)])
+    supply.reverse()
+    table, stack, caps = [()] * spec.rows, [], list(spec.col_marginals)
+    work, row_work = 0, spec.cols + 8
+    while True:
+        i = len(stack)
+        if i == spec.rows:
+            yield tuple(table)
+        else:
+            lo = [max(0, c - s) for c, s in zip(caps, supply[i + 1])]
+            hi = [min(c, u) for c, u in zip(caps, row_cap[i])]
+            stack.append((caps, tables._rows_within(spec.row_marginals[i], lo, hi)))
+        while stack and (row := next(stack[-1][1], None)) is None:
+            stack.pop()
+        if not stack:
+            return
+        work += row_work
+        if work > tables.MAX_SEARCH_WORK and not force:
+            raise CapacityError(
+                "enumeration built %d rows without finishing (pass force=True "
+                "to count without a cap)" % (work // row_work))
+        table[len(stack) - 1] = row
+        caps = [c - v for c, v in zip(stack[-1][0], row)]
+
+
+def _outcome(enumerate_, spec, force=False):
+    """The tables yielded, then the CapacityError's message if one ends
+    the search."""
+    out = []
+    try:
+        out.extend(enumerate_(spec, force=force))
+    except CapacityError as exc:
+        out.append(str(exc))
+    return out
+
+
+def _search_spec(rng):
+    """Random spec of up to 6 x 6 cells: binary or integer cells,
+    structural zeros, sometimes marginals that disagree.  Larger than
+    `_order_spec`'s, so that a search forced past a lowered cap fills the
+    memo before it finishes."""
+    r, c = rng.randint(1, 6), rng.randint(1, 6)
+    binary = rng.random() < 0.5
+    zeros = frozenset((i, j) for i in range(r) for j in range(c)
+                      if rng.random() < 0.15)
+    table = [[0 if (i, j) in zeros else rng.randint(0, 1 if binary else 2)
+              for j in range(c)] for i in range(r)]
+    rmarg = [sum(row) for row in table]
+    cmarg = [sum(col) for col in zip(*table)]
+    if rng.random() < 0.15:
+        cmarg[0] += 1 if cmarg[0] < r or not binary else -1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return ContingencyTableSpec(r, c, rmarg, cmarg, binary, zeros)
+
+
+class TestKeptSearchStates:
+    def test_matches_the_rebuilding_search(self, monkeypatch):
+        # the same tables in the same order, then the same refusal, at
+        # lowered caps; forced past a lowered cap, the memo stops keeping
+        # states and the walk still matches
+        rng = random.Random(31)
+        seen = {"binary": 0, "integer": 0, "zeros": 0, "mismatched": 0,
+                "refused": 0, "forced past the cap": 0}
+        for _ in range(300):
+            spec = _search_spec(rng)
+            seen["binary" if spec.binary else "integer"] += 1
+            seen["zeros"] += bool(spec.structural_zeros)
+            seen["mismatched"] += (sum(spec.row_marginals)
+                                   != sum(spec.col_marginals))
+            cap = rng.choice((60, 400, 3000))
+            monkeypatch.setattr(tables, "MAX_SEARCH_WORK", cap)
+            want = _outcome(reference_enumerate_tables, spec)
+            assert _outcome(enumerate_tables, spec) == want, (spec, cap)
+            refused = bool(want) and isinstance(want[-1], str)
+            seen["refused"] += refused
+            monkeypatch.setattr(tables, "MAX_SEARCH_WORK", 30000)
+            whole = _outcome(reference_enumerate_tables, spec)
+            assert _outcome(enumerate_tables, spec) == whole, spec
+            if refused and not (whole and isinstance(whole[-1], str)):
+                monkeypatch.setattr(tables, "MAX_SEARCH_WORK", cap)
+                assert _outcome(enumerate_tables, spec, force=True) == whole, spec
+                seen["forced past the cap"] += 1
+        assert all(seen.values()), seen
+
+    def test_explicit_members_are_the_encoded_tables(self):
+        rng = random.Random(37)
+        specs = [_order_spec(rng) for _ in range(60)] + [synth_spec(12)]
+        for spec in specs:
+            _, enc = encode_to_cnf(spec)
+            want = CountingProblem.from_explicit(
+                [Assignment(enc.encode_table(t), enc.num_cell_bits)
+                 for t in enumerate_tables(spec)], enc.num_cell_bits)
+            got = explicit_problem(spec, enc)
+            assert got.n == want.n == enc.num_cell_bits
+            assert ([b.tobytes() for b in got._blocks]
+                    == [b.tobytes() for b in want._blocks]), spec
 
 
 class TestEncoding:
