@@ -345,20 +345,20 @@ def cmd_sweep(args) -> int:
         try:
             lb, ub = _certify(problem, args, solver, f, ["lb", "ub"])
         except OracleUnknownError as exc:
-            print("f=%g inconclusive: %s" % (f, exc), file=sys.stderr)
+            print("f=%r inconclusive: %s" % (f, exc), file=sys.stderr)
             inconclusive = True
         else:
             row["lb_log2"] = "" if lb.bound_log2 is None else "%.6g" % lb.bound_log2
             row["ub_log2"] = "%.6g" % ub.verdict_log2
             if out_dir:
-                p = out_dir / ("certs_f%s.json" % ("%g" % f).replace(".", "p"))
+                p = out_dir / ("certs_f%s.json" % repr(f).replace(".", "p"))
                 with _writing(p):
                     p.write_text(json.dumps([lb.to_json(), ub.to_json()],
                                             indent=2) + "\n")
                 row["certificates_path"] = str(p)
         row["wall_time_s"] = "%.4f" % (time.monotonic() - t0)
         rows.append(row)
-        print("f=%g  lb_log2=%s  ub_log2=%s  (%ss)"
+        print("f=%r  lb_log2=%s  ub_log2=%s  (%ss)"
               % (f, row["lb_log2"] or "-", row["ub_log2"] or "-",
                  row["wall_time_s"]))
     fieldnames = ["f", "lb_log2", "ub_log2", "wall_time_s", "certificates_path"]

@@ -679,7 +679,9 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
 
     A timeout, a command that cannot be started, an s line answering
     neither SATISFIABLE nor UNSATISFIABLE, and output without an s line or
-    with a bad v line are `unknown`, with stats["reason"] saying which."""
+    with a bad v line are `unknown`, with stats["reason"] saying which.
+    Output bytes that do not decode are replaced: the s and v lines are
+    ASCII, so no answer depends on them."""
     t0 = time.monotonic()
     with tempfile.NamedTemporaryFile(
         "w", suffix=".cnf", prefix="xorcount_", delete=False
@@ -690,8 +692,8 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
         cmd = [part.replace("{in}", path) for part in profile.argv]
         try:
             proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=profile.budget_s
-            )
+                cmd, capture_output=True, text=True, errors="replace",
+                timeout=profile.budget_s)
         except subprocess.TimeoutExpired:
             return OracleVerdict(
                 "unknown", stats={"solver_time_s": time.monotonic() - t0,

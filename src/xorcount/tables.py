@@ -9,18 +9,23 @@ search never builds a row that leaves a column short and then has to
 discard it; the tables come out in increasing lexicographic order.  The
 rows below depend only on the row index and the columns' demands left, so
 each such state's rows are built once per enumeration and replayed on
-every later visit.  Any
-spec lowers to a CNF whose models over the cell bits are exactly the
-admissible tables, so the hashing bounds apply.  Cell bits come first in the
-variable order and adder auxiliaries after, so parity constraints range
-over cell bits only.
+every later visit.
+
+Each spec has one cell layout, `CellEncoding`, computed from the spec
+alone: every cell of nonzero width takes the next few variables in
+row-major order.  `explicit_problem` packs the enumerated tables by that
+layout, and `encode_to_cnf` lowers the spec to a CNF whose models over
+the cell bits are exactly the admissible tables, with adder auxiliaries
+after the cell bits, so parity hashes range over cell bits only and the
+hashing bounds apply.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dimacs import CnfFormula
 from .errors import CapacityError
@@ -211,7 +216,7 @@ def enumerate_tables(spec: ContingencyTableSpec, force: bool = False):
         work += row_work
         if work > MAX_SEARCH_WORK and not force:
             raise CapacityError(
-                "enumeration built %d rows without finishing (pass force=True "
+                "enumeration visited %d rows without finishing (pass force=True "
                 "to count without a cap)" % (work // row_work))
         top = stack[-1]
         if top[2] is not None:
@@ -272,20 +277,15 @@ class _CircuitBuilder:
         return out
 
     def add(self, xs, ys):
-        """Ripple-carry sum of two little-endian bit lists."""
-        width = max(len(xs), len(ys)) + 1
-        xs = list(xs) + [False] * (width - len(xs))
-        ys = list(ys) + [False] * (width - len(ys))
-        out = []
-        carry = False
-        for a, b in zip(xs, ys):
+        """Ripple-carry sum of two little-endian bit lists, one bit wider
+        than the longer."""
+        out, carry = [], False
+        for a, b in itertools.zip_longest(xs, ys, fillvalue=False):
             axb = self.gate("xor", a, b)
             out.append(self.gate("xor", axb, carry))
             carry = self.gate("or", self.gate("and", a, b),
                               self.gate("and", carry, axb))
-        while len(out) > 1 and out[-1] is False:
-            out.pop()
-        return out
+        return out + [carry]
 
     def sum_tree(self, vectors):
         if not vectors:
@@ -321,27 +321,32 @@ class _CircuitBuilder:
                                               for j, bj in enumerate(bits[i + 1:], i + 1)])
 
 
-@dataclass
 class CellEncoding:
-    spec: ContingencyTableSpec
-    widths: dict  # (i,j) -> bit width (0 for structural zeros)
-    var_start: dict  # (i,j) -> first variable index (1-based)
-    num_cell_bits: int
-    num_vars: int
-    gates: list = field(default_factory=list)
-    # (i, j, shift) of every cell of nonzero width, in row-major order
-    _cell_shifts: list = field(init=False, repr=False, compare=False)
+    """A spec's cell layout, from the spec alone: `cells` holds (i, j,
+    shift, width) for each cell of nonzero width in row-major order, its
+    value being the little-endian bits shift + 1 .. shift + width, wide
+    enough for `cell_max`.  The cells fill variables 1 .. num_cell_bits;
+    `encode_to_cnf` adds the adder `gates` and `num_vars` after them."""
 
-    def __post_init__(self):
-        self._cell_shifts = [
-            (i, j, self.var_start[(i, j)] - 1)
-            for i in range(self.spec.rows) for j in range(self.spec.cols)
-            if self.widths[(i, j)]
-        ]
+    def __init__(self, spec: ContingencyTableSpec):
+        self.spec = spec
+        self.cells = []
+        shift = 0
+        for i in range(spec.rows):
+            for j in range(spec.cols):
+                width = spec.cell_max(i, j).bit_length()
+                if width:
+                    self.cells.append((i, j, shift, width))
+                    shift += width
+        self.num_cell_bits = self.num_vars = shift
+        self.gates = []  # (op, lit_a, lit_b, out_var), in evaluation order
 
     def cell_bits(self, i: int, j: int):
-        start = self.var_start[(i, j)]
-        return list(range(start, start + self.widths[(i, j)]))
+        """Cell (i, j)'s variables, least significant first."""
+        for ci, cj, shift, width in self.cells:
+            if (ci, cj) == (i, j):
+                return list(range(shift + 1, shift + width + 1))
+        return []
 
     def complete(self, cell_assignment: int) -> int:
         """Extend an assignment of the cell bits to all variables by
@@ -359,13 +364,12 @@ class CellEncoding:
 
     def decode_table(self, cell_assignment: int):
         out = [[0] * self.spec.cols for _ in range(self.spec.rows)]
-        for i, j, shift in self._cell_shifts:
-            mask = (1 << self.widths[(i, j)]) - 1
-            out[i][j] = (cell_assignment >> shift) & mask
+        for i, j, shift, width in self.cells:
+            out[i][j] = (cell_assignment >> shift) & ((1 << width) - 1)
         return tuple(map(tuple, out))
 
     def encode_table(self, table) -> int:
-        return sum(table[i][j] << shift for i, j, shift in self._cell_shifts)
+        return sum(table[i][j] << shift for i, j, shift, _ in self.cells)
 
 
 def encode_to_cnf(spec: ContingencyTableSpec):
@@ -375,37 +379,21 @@ def encode_to_cnf(spec: ContingencyTableSpec):
     Returns (CountingProblem, CellEncoding); the problem's n is the number
     of cell bits, so hashes never touch adder auxiliaries.
     """
-    widths = {}
-    var_start = {}
-    nxt = 1
-    for i in range(spec.rows):
-        for j in range(spec.cols):
-            cap = spec.cell_max(i, j)
-            w = 0 if cap == 0 else max(1, cap.bit_length())
-            widths[(i, j)] = w
-            var_start[(i, j)] = nxt
-            nxt += w
-    num_cell_bits = nxt - 1
-    builder = _CircuitBuilder(num_cell_bits)
-
-    enc = CellEncoding(spec, widths, var_start, num_cell_bits, num_cell_bits)
-    for i in range(spec.rows):
-        for j in range(spec.cols):
-            w = widths[(i, j)]
-            if w:
-                builder.assert_le_constant(enc.cell_bits(i, j), spec.cell_max(i, j))
-
-    for i in range(spec.rows):
-        vectors = [enc.cell_bits(i, j) for j in range(spec.cols) if widths[(i, j)]]
-        builder.assert_equals(builder.sum_tree(vectors), spec.row_marginals[i])
-    for j in range(spec.cols):
-        vectors = [enc.cell_bits(i, j) for i in range(spec.rows) if widths[(i, j)]]
-        builder.assert_equals(builder.sum_tree(vectors), spec.col_marginals[j])
+    enc = CellEncoding(spec)
+    builder = _CircuitBuilder(enc.num_cell_bits)
+    lines = [[] for _ in range(spec.rows + spec.cols)]  # rows, then columns
+    for i, j, shift, width in enc.cells:
+        bits = list(range(shift + 1, shift + width + 1))
+        builder.assert_le_constant(bits, spec.cell_max(i, j))
+        lines[i].append(bits)
+        lines[spec.rows + j].append(bits)
+    for line, total in zip(lines, spec.row_marginals + spec.col_marginals):
+        builder.assert_equals(builder.sum_tree(line), total)
 
     enc.num_vars = builder.num_vars
     enc.gates = builder.gates
     formula = CnfFormula(builder.num_vars, builder.clauses, [])
-    problem = CountingProblem.from_cnf(formula, n=num_cell_bits)
+    problem = CountingProblem.from_cnf(formula, n=enc.num_cell_bits)
     return problem, enc
 
 
@@ -422,20 +410,23 @@ def explicit_problem(spec: ContingencyTableSpec, enc: CellEncoding = None,
 
     A table's cell bits are the sum of its rows' bits, and the search
     yields the same few rows again and again, so each (i, row) is packed
-    once."""
+    once.  Only the cell layout is read, so without `enc` no circuit is
+    built."""
     if enc is None:
-        _, enc = encode_to_cnf(spec)
-    shifts = [[] for _ in range(spec.rows)]  # shifts[i]: (j, shift) of row i
-    for i, j, shift in enc._cell_shifts:
-        shifts[i].append((j, shift))
-    packed = [{} for _ in range(spec.rows)]  # packed[i]: row -> its bits
+        enc = CellEncoding(spec)
+    # the row-major cells of each row that has any, one run per row
+    runs = [list(run) for _, run in
+            itertools.groupby(enc.cells, operator.itemgetter(0))]
+    packed = [{} for _ in runs]  # packed[k]: row -> its bits
     members = []
     for t in enumerate_tables(spec, force=force):
         bits = 0
-        for row, cells, seen in zip(t, shifts, packed):
+        for run, seen in zip(runs, packed):
+            row = t[run[0][0]]
             value = seen.get(row)
             if value is None:
-                value = seen[row] = sum(row[j] << shift for j, shift in cells)
+                value = seen[row] = sum(row[j] << shift
+                                        for _, j, shift, _ in run)
             bits += value
         members.append(Assignment(bits, enc.num_cell_bits))
     return CountingProblem.from_explicit(members, enc.num_cell_bits)

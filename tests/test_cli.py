@@ -487,6 +487,28 @@ class TestSweepCmd:
             path = tmp_path / "certs" / ("certs_f%s.json" % density.replace(".", "p"))
             assert strip_timing(json.loads(path.read_text())) == strip_timing(want)
 
+    def test_densities_printed_alike_get_their_own_files(self, tmp_path, capsys):
+        # %g printed 0.1234567 and 0.1234568 alike, so both densities were
+        # written to one certs_f0p123457.json and both CSV rows named it
+        f = tmp_path / "set.txt"
+        write_explicit(f, random.Random(12).sample(range(1 << 14), 256), 14)
+        densities = ["0.1234567", "0.1234568"]
+        assert main(["sweep", str(f), ",".join(densities), "--T", "12",
+                     "--seed", "6", "--csv", str(tmp_path / "s.csv"),
+                     "--certs-dir", str(tmp_path / "certs")]) == 0
+        out = capsys.readouterr().out
+        with open(tmp_path / "s.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        paths = sorted((tmp_path / "certs").iterdir())
+        assert [p.name for p in paths] == ["certs_f0p1234567.json",
+                                           "certs_f0p1234568.json"]
+        assert [r["certificates_path"] for r in rows] == [str(p) for p in paths]
+        for density, path in zip(densities, paths):
+            assert "f=%s  lb_log2=" % density in out
+            certs = json.loads(path.read_text())
+            assert [c["kind"] for c in certs] == ["lower_bound", "upper_bound"]
+            assert {c["f"] for c in certs} == {float(density)}
+
 
 class TestTableCmd:
     SYNTH_9 = "rows 9 cols 9\nR: 1 8 8 8 8 8 8 8 8\nC: 1 8 8 8 8 8 8 8 8\nbinary: 1\n"

@@ -855,6 +855,32 @@ class TestRunExternal:
         assert v.answer == "unknown"
         assert v.stats["reason"] == "no solution line"
 
+    def test_undecodable_output_bytes_are_replaced(self, tmp_path):
+        # a comment byte that is not UTF-8 once raised UnicodeDecodeError
+        # out of the solver call; the ASCII s and v lines after it are
+        # read, and the model rechecked, as for any other output
+        def solver(name, answer):
+            script = tmp_path / (name + ".py")
+            script.write_text(
+                "import sys\nsys.stdout.buffer.write(b'c caf\\xe9 \\xff\\n%s')\n"
+                "sys.stderr.buffer.write(b'\\x80\\n')\n" % answer)
+            return SolverProfile("%s %s {in}" % (sys.executable, script))
+
+        problem = CountingProblem.from_cnf(CnfFormula(2, [[1]], []))
+        h = ParityHash((1,), 1, HashParams(2, 1, 0.5))  # x1 = 1 survives
+        sat = solver("sat", "s SATISFIABLE\\nv 1 -2 0\\n")
+        v = has_survivor(problem, h, solver=sat)
+        assert v.answer == "sat" and v.stats["model_bits"] == 1
+        unsat = solver("unsat", "s UNSATISFIABLE\\n")
+        assert has_survivor(problem, h, solver=unsat).answer == "unsat"
+        assert has_survivors(problem, [h, h], solver=sat) == ["sat"] * 2
+        v = run_external("p cnf 2 1\n1 0\n", solver("garbage", ""))
+        assert v.answer == "unknown"
+        assert v.stats["reason"] == "no solution line"
+        assert v.stats["stderr"] == "\ufffd\n"
+        with pytest.raises(IntegrityError):
+            has_survivor(problem, h, solver=solver("liar", "s SATISFIABLE\\nv -1 -2 0\\n"))
+
     def test_unknown_answer_is_named(self, tmp_path):
         # an s line that is neither SATISFIABLE nor UNSATISFIABLE was once
         # reported as "no solution line"

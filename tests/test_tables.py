@@ -81,7 +81,7 @@ class TestBruteForce:
         # past the cap the search refuses, and force counts them all
         monkeypatch.setattr(tables, "MAX_SEARCH_WORK", 1956 * 15 - 1)
         spec = ContingencyTableSpec(6, 7, (1,) * 6, (1,) * 6 + (0,))
-        with pytest.raises(CapacityError, match="built 1956 rows"):
+        with pytest.raises(CapacityError, match="visited 1956 rows"):
             brute_force_count(spec)
         assert brute_force_count(spec, force=True) == math.factorial(6)
         monkeypatch.setattr(tables, "MAX_SEARCH_WORK", 1956 * 15)
@@ -264,7 +264,7 @@ def reference_enumerate_tables(spec, force=False):
         work += row_work
         if work > tables.MAX_SEARCH_WORK and not force:
             raise CapacityError(
-                "enumeration built %d rows without finishing (pass force=True "
+                "enumeration visited %d rows without finishing (pass force=True "
                 "to count without a cap)" % (work // row_work))
         table[len(stack) - 1] = row
         caps = [c - v for c, v in zip(stack[-1][0], row)]
@@ -340,6 +340,29 @@ class TestKeptSearchStates:
                  for t in enumerate_tables(spec)], enc.num_cell_bits)
             got = explicit_problem(spec, enc)
             assert got.n == want.n == enc.num_cell_bits
+            assert ([b.tobytes() for b in got._blocks]
+                    == [b.tobytes() for b in want._blocks]), spec
+
+
+class TestCellLayout:
+    def test_explicit_problem_builds_no_circuit(self, monkeypatch):
+        # the layout comes from the spec alone, so packing the tables
+        # needs no adder circuit; with one given, the packing is the same
+        rng = random.Random(41)
+        specs = [_order_spec(rng) for _ in range(60)]
+        specs += [synth_spec(n) for n in range(8, 21)]
+        wanted = []
+        for spec in specs:
+            _, enc = encode_to_cnf(spec)
+            wanted.append(explicit_problem(spec, enc, force=True))
+
+        def no_circuit(*args):
+            raise AssertionError("explicit_problem built a circuit")
+
+        monkeypatch.setattr(tables, "_CircuitBuilder", no_circuit)
+        for spec, want in zip(specs, wanted):
+            got = explicit_problem(spec, force=True)
+            assert got.n == want.n
             assert ([b.tobytes() for b in got._blocks]
                     == [b.tobytes() for b in want._blocks]), spec
 
