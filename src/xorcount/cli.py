@@ -24,7 +24,9 @@ an external-solver estimate starts once per question) load only `dimacs`
 and `oracle`.  The program entry `run` defaults OPENBLAS_NUM_THREADS to 1
 before numpy can load: xorcount does no linear algebra, and starting the
 OpenBLAS worker threads numpy would otherwise start, one per further CPU,
-is most of numpy's import time.
+is most of numpy's import time.  `main` builds only the parser of the
+command it runs, from the same `_COMMANDS` registry as the whole tree
+(`build_parser`), and hands the tree any argv that parser does not take.
 """
 
 from __future__ import annotations
@@ -437,25 +439,21 @@ def _add_common_bound_flags(p):
                         "(default: the CPUs this process may run on)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="xorcount")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("epsilon", help="evaluate the collision/variance bounds")
+def _epsilon_arguments(p):
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("q", type=int)
     p.add_argument("f", type=float)
-    p.set_defaults(func=cmd_epsilon)
 
-    p = sub.add_parser("fstar", help="minimum sufficient density certificate")
+
+def _fstar_arguments(p):
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("--c", type=int, default=2, help="slack exponent, q = 2^(m+c)")
     p.add_argument("--delta", type=float, default=2.25)
-    p.set_defaults(func=cmd_fstar)
 
-    p = sub.add_parser("bound", help="run a bound pipeline on an instance")
+
+def _bound_arguments(p):
     p.add_argument("input")
     p.add_argument("mode", choices=["lb", "ub", "count"])
     p.add_argument("--f", type=float, default=0.5, help="constraint density")
@@ -464,31 +462,71 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-ln-n", dest="no_ln_n", action="store_true",
                    help="drop the ln(n) factor from the trial-count formula")
     p.add_argument("--json", default=None, help="write the run report here")
-    p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("sweep", help="bound-vs-density CSV over several f")
+
+def _sweep_arguments(p):
     p.add_argument("input")
     p.add_argument("f_list", help="comma-separated densities, e.g. 0.05,0.1,0.5")
     _add_common_bound_flags(p)
     p.add_argument("--csv", default=None)
     p.add_argument("--certs-dir", dest="certs_dir", default=None)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("table", help="exact contingency-table count")
+
+def _table_arguments(p):
     p.add_argument("input")
     p.add_argument("--force", action="store_true",
                    help="count without the cap on rows the search builds")
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("solve", help="exhaustive DIMACS solver (debug oracle)")
+
+def _input_argument(p):
     p.add_argument("input")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("count-models", help="exact model count (exhaustive)")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_count_models)
 
+# each command: its help line, the function adding its arguments, and what
+# it runs; in this order in `xorcount -h`
+_COMMANDS = {
+    "epsilon": ("evaluate the collision/variance bounds", _epsilon_arguments,
+                cmd_epsilon),
+    "fstar": ("minimum sufficient density certificate", _fstar_arguments,
+              cmd_fstar),
+    "bound": ("run a bound pipeline on an instance", _bound_arguments, cmd_bound),
+    "sweep": ("bound-vs-density CSV over several f", _sweep_arguments, cmd_sweep),
+    "table": ("exact contingency-table count", _table_arguments, cmd_table),
+    "solve": ("exhaustive DIMACS solver (debug oracle)", _input_argument,
+              cmd_solve),
+    "count-models": ("exact model count (exhaustive)", _input_argument,
+                     cmd_count_models),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: `xorcount` with every command's parser under it."""
+    ap = argparse.ArgumentParser(prog="xorcount")
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    for name, (help_line, add_arguments, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return ap
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The Namespace `build_parser().parse_args(argv)` returns, from the
+    parser of argv[0]'s command alone where that parser takes all of argv:
+    it is one of the tree's eight parsers, and building the tree took
+    about half of an in-process `bound` on a 20-variable CNF.  Any other
+    argv (no command, `-h`, an unknown command, arguments the command does
+    not take) goes to the tree, which prints its own usage, error line and
+    exit code for it."""
+    if argv and argv[0] in _COMMANDS:
+        _, add_arguments, func = _COMMANDS[argv[0]]
+        p = argparse.ArgumentParser(prog="xorcount " + argv[0])
+        add_arguments(p)
+        p.set_defaults(cmd=argv[0], func=func)
+        args, extra = p.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -496,7 +534,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     # a library warning is one `warning: MESSAGE` line, like every other
     # diagnostic; the filters stay as they are, so `-W error` still raises
     with warnings.catch_warnings():

@@ -129,7 +129,7 @@ def epsilon(inputs: EpsilonInputs) -> LogNum:
     if r > 0:
         terms.append(math.log(r) + collide_log(ws + 1))
     hi = max(terms)
-    total = hi + math.log(sum(math.exp(t - hi) for t in terms))
+    total = hi + math.log(math.fsum(math.exp(t - hi) for t in terms))
     return LogNum(total - math.log(target))
 
 

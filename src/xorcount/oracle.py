@@ -41,10 +41,12 @@ import functools
 import math
 import os
 import shlex
+import signal
 import subprocess
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -674,6 +676,56 @@ def _check_assignment(formula: CnfFormula, bits: int) -> bool:
     return True
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    """Kill the solver and every process it started: it leads its own
+    session (`start_new_session`), so they share its process group."""
+    if proc.returncode is None:  # not reaped, so the pid is still its own
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except OSError:  # the whole group has exited
+            pass
+
+
+class _Batch:
+    """The solver processes one `has_survivors` call has running.  Once
+    stopped, it kills each of them, and each one that joins later."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._running = set()
+        self._stopped = False
+
+    @contextmanager
+    def holding(self, proc: subprocess.Popen):
+        """`proc` is in the batch while the body runs; on the way out its
+        group is killed unless it has exited (the budget ran out, or an
+        interrupt came)."""
+        with self._lock:
+            self._running.add(proc)
+            stopped = self._stopped
+        try:
+            if stopped:
+                _kill_group(proc)
+            yield
+        finally:
+            with self._lock:
+                self._running.discard(proc)
+            _kill_group(proc)
+
+    def stop(self) -> None:
+        with self._lock:
+            self._stopped = True
+            running = list(self._running)
+        for proc in running:
+            _kill_group(proc)
+
+
+# in a `has_survivors` pool thread, `.batch` is the call's `_Batch`: set
+# per thread, not passed, so `has_survivor` and `run_external` keep the
+# signatures that wrappers of them (perfbench's probe) and stand-ins call
+_worker = threading.local()
+
+
 def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
     """Write the instance, run the solver command, parse the s/v protocol.
 
@@ -681,7 +733,11 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
     neither SATISFIABLE nor UNSATISFIABLE, and output without an s line or
     with a bad v line are `unknown`, with stats["reason"] saying which.
     Output bytes that do not decode are replaced: the s and v lines are
-    ASCII, so no answer depends on them."""
+    ASCII, so no answer depends on them.  The solver runs in a session of
+    its own, and on a timeout or an interrupt its whole process group is
+    killed and reaped, so no process a wrapper script started outlives
+    the call.  Run for `has_survivors`, the call's solver is in that call's
+    `_Batch` too."""
     t0 = time.monotonic()
     with tempfile.NamedTemporaryFile(
         "w", suffix=".cnf", prefix="xorcount_", delete=False
@@ -691,23 +747,28 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
     try:
         cmd = [part.replace("{in}", path) for part in profile.argv]
         try:
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, errors="replace",
-                timeout=profile.budget_s)
-        except subprocess.TimeoutExpired:
-            return OracleVerdict(
-                "unknown", stats={"solver_time_s": time.monotonic() - t0,
-                                  "reason": "timeout"}
-            )
+            proc = subprocess.Popen(
+                cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                errors="replace", start_new_session=True)
         except OSError as exc:  # missing or not executable
             return OracleVerdict(
                 "unknown", stats={"solver_time_s": time.monotonic() - t0,
                                   "reason": "cannot start solver", "error": str(exc)}
             )
+        # leaving, `holding` kills the group first; then `proc` closes
+        # both pipes and reaps the solver
+        with proc, getattr(_worker, "batch", _Batch()).holding(proc):
+            try:
+                stdout, stderr = proc.communicate(timeout=profile.budget_s)
+            except subprocess.TimeoutExpired:
+                return OracleVerdict(
+                    "unknown", stats={"solver_time_s": time.monotonic() - t0,
+                                      "reason": "timeout"}
+                )
         stats = {"solver_time_s": time.monotonic() - t0, "exit_code": proc.returncode}
         answer = reason = None
         bits = assigned = 0  # the model, and which variables the v lines set
-        for line in proc.stdout.splitlines():
+        for line in stdout.splitlines():
             line = line.strip()
             if line.startswith("s "):
                 tag = line[2:].strip()
@@ -732,7 +793,7 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
         if answer is None and reason is None:
             reason = "no solution line"
         if reason is not None:
-            stats.update(reason=reason, stderr=proc.stderr[-2000:])
+            stats.update(reason=reason, stderr=stderr[-2000:])
             return OracleVerdict("unknown", stats=stats)
         if answer == "sat" and assigned:
             stats.update(model_bits=bits, assigned_bits=assigned)
@@ -793,16 +854,22 @@ def has_survivors(problem: CountingProblem, hashes,
     included (an estimate asks m = 0 once, in bounds._trials, and shares
     its answer among its trials).  The calls run on a pool of
     min(solver.jobs, T) threads (each call owns its own subprocess and
-    temp file), and answers stay in hash order.  A call that raises (a witness failing its recheck,
-    an interrupt) cancels every call not yet started, and the first such
-    error in hash order is raised once the started calls have returned.
+    temp file), and answers stay in hash order.  A call that raises (a
+    witness failing its recheck, an interrupt), or an interrupt while the
+    calls run, cancels every call not yet started and kills the solvers
+    of those running (in sessions of their own, they do not get the
+    terminal's Ctrl-C); the first error in hash order is raised once the
+    started calls have returned.
     """
     _check_hashes(problem, hashes)
     if problem.kind == "explicit" or solver is None:
         hits = _any_survivors(problem, hashes)
         return ["sat" if hit else "unsat" for hit in hits.tolist()]
 
+    batch = _Batch()
+
     def ask(h):
+        _worker.batch = batch
         return has_survivor(problem, h, solver=solver).answer
 
     # imported here: it loads `logging`, which neither the in-process
@@ -811,8 +878,12 @@ def has_survivors(problem: CountingProblem, hashes,
 
     pool = ThreadPoolExecutor(max_workers=min(solver.jobs, len(hashes)) or 1)
     calls = [pool.submit(ask, h) for h in hashes]
+    finished = False
     try:
-        wait(calls, return_when=FIRST_EXCEPTION)
-    finally:  # calls start in hash order, so none cancelled precedes a failure
+        finished = not wait(calls, return_when=FIRST_EXCEPTION).not_done
+    finally:
+        if not finished:  # a call raised, or an interrupt came
+            batch.stop()
+        # calls start in hash order, so none cancelled precedes a failure
         pool.shutdown(cancel_futures=True)
     return [call.result() for call in calls]

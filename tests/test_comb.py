@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import math
 import random
-import sys
 import warnings
 from fractions import Fraction
 
@@ -230,13 +229,10 @@ class TestAsymptoticDensity:
 
 
 class TestPinned:
-    # every value comb returns on a seeded grid, bit for bit; Python 3.12
-    # made sum() of floats compensated (Neumaier), which moves epsilon's
-    # shell sum by an ulp here and there, so 3.12 on has its own digest
-    OUTPUTS_SHA256 = {
-        False: "1499ddeb956dc85f6254e1f57cce19f3c3966074ed4e6a77bdaed963cf4028a3",
-        True: "aaed8b81e14d503689d06ae41618b70aed7061253a10512c794fbe89937e9b6a",
-    }
+    # every value comb returns on a seeded grid, bit for bit, on every
+    # Python: epsilon adds its shell terms with math.fsum, exactly rounded,
+    # where sum() of floats is compensated only from 3.12 on
+    OUTPUTS_SHA256 = "aaed8b81e14d503689d06ae41618b70aed7061253a10512c794fbe89937e9b6a"
 
     def test_outputs_are_pinned(self):
         rng = random.Random(28)
@@ -271,4 +267,4 @@ class TestPinned:
                                                   tol=1e-300)))
         with pytest.warns(UserWarning, match="mu < 1"):
             pin(dataclasses.astuple(min_density_fstar(204, 56, 1 << 55, 2.25)))
-        assert digest.hexdigest() == self.OUTPUTS_SHA256[sys.version_info >= (3, 12)]
+        assert digest.hexdigest() == self.OUTPUTS_SHA256

@@ -1,9 +1,13 @@
 import hashlib
 import os
 import random
+import shlex
+import signal
+import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -976,6 +980,103 @@ class TestRunExternal:
             v = has_survivor(problem, h, solver=exhaustive_solver)
             if v.is_sat:
                 assert _check_assignment(conjoin(f, h), v.stats["model_bits"])
+
+
+def _running(pid):
+    """Is `pid` a process that still runs?  A zombie waiting for its
+    reaper does not."""
+    try:
+        stat = Path("/proc/%d/stat" % pid).read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+def _ends_soon(pid, within_s=5.0):
+    deadline = time.monotonic() + within_s
+    while _running(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.02)
+    return True
+
+
+def _sleepers(pidfiles, liar_after=0):
+    """A wrapper script as a solver command: sh takes the first free pid
+    file, starts a `sleep 30` child, writes its pid there and waits.  With
+    `liar_after`, only an instance holding the x-line `x-4 0` does; any
+    other waits until the first `liar_after` pid files are written, then
+    answers SAT with a model that fails the recheck."""
+    script = ("for p in %s; do if mkdir \"$p.lock\" 2>/dev/null; then "
+              "sleep 30 & echo $! > \"$p\"; wait; exit; fi; done"
+              % " ".join(str(p) for p in pidfiles))
+    if liar_after:
+        ready = " && ".join("[ -s %s ]" % p for p in pidfiles[:liar_after])
+        script = ("if grep -q 'x-4 0' \"$1\"; then %s; fi; "
+                  "until %s; do sleep 0.02; done; "
+                  "echo 's SATISFIABLE'; echo 'v -1 -2 -3 -4 0'" % (script, ready))
+    return "sh -c %s solver {in}" % shlex.quote(script)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+class TestSolverProcessGroup:
+    """No process a solver command starts outlives its call: the solver
+    leads a session of its own, and its whole group is killed."""
+
+    def test_timeout_kills_the_solvers_children(self, tmp_path):
+        # subprocess.run's timeout once killed the sh alone, and its
+        # `sleep` ran on after the call had returned
+        pidfile = tmp_path / "sleeper.pid"
+        v = run_external("p cnf 1 1\n1 0\n",
+                         SolverProfile(_sleepers([pidfile]), budget_s=0.5))
+        assert v.answer == "unknown" and v.stats["reason"] == "timeout"
+        assert _ends_soon(int(pidfile.read_text()))
+
+    def test_failed_recheck_kills_every_sibling_solver(self, tmp_path):
+        # three calls sleep, then the fourth's witness fails its recheck;
+        # the sleepers are killed, not waited for, and so is each queued
+        # call's solver that a freed worker starts before the pool stops
+        # taking calls.  Four workers on fewer CPUs, switching often
+        pidfiles = [tmp_path / ("sleeper%d.pid" % k) for k in range(8)]
+        solver = SolverProfile(_sleepers(pidfiles, liar_after=3),
+                               native_xor=True, budget_s=10.0, jobs=4)
+        problem = CountingProblem.from_cnf(CnfFormula(4, [[1]], []))
+        params = HashParams(4, 1, 0.5)
+        sleep, lie = ParityHash((0b1000,), 0, params), ParityHash((0b0001,), 0, params)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(IntegrityError):
+                has_survivors(problem, [sleep] * 3 + [lie] + [sleep] * 4, solver=solver)
+            assert time.monotonic() - t0 < 5.0
+        finally:
+            sys.setswitchinterval(interval)
+        pids = [int(p.read_text()) for p in pidfiles if p.exists() and p.read_text()]
+        assert len(pids) >= 3 and all(_ends_soon(pid) for pid in pids)
+
+    def test_ctrl_c_kills_every_running_solvers_children(self, tmp_path):
+        # a solver in a session of its own does not get the terminal's
+        # SIGINT, so the interrupted estimate kills its group itself
+        cnf = tmp_path / "sat.cnf"
+        cnf.write_text("p cnf 2 1\n1 -2 0\n")
+        pidfiles = [tmp_path / ("sleeper%d.pid" % k) for k in range(2)]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "xorcount.cli", "bound", str(cnf), "lb",
+             "--m", "1", "--T", "2", "--jobs", "2", "--budget-s", "20",
+             "--solver", _sleepers(pidfiles)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 20.0
+            while not all(p.exists() and p.read_text() for p in pidfiles):
+                assert time.monotonic() < deadline and child.poll() is None
+                time.sleep(0.02)
+            child.send_signal(signal.SIGINT)
+            assert child.wait(timeout=10.0) != 0
+        finally:
+            child.kill()
+            child.wait()
+        assert all(_ends_soon(int(p.read_text())) for p in pidfiles)
 
 
 # The survival kernel, by table lookup.  The grid crosses widths around the
