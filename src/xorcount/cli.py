@@ -543,12 +543,19 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """The program entry: `main` with OPENBLAS_NUM_THREADS defaulting to 1.
+    """The program entry: `main` with OPENBLAS_NUM_THREADS defaulting to 1,
+    and a Ctrl-C ending the program as one `interrupted` line on stderr and
+    exit 130 (128 + SIGINT), like every other ending, not a traceback.
 
-    Set here, not in `main`, so that an in-process caller's environment is
-    left alone; a solver child started by this process inherits it."""
+    Both are here, not in `main`, so that an in-process caller's environment
+    is left alone and it still gets the KeyboardInterrupt; a solver child
+    started by this process inherits the environment."""
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    return main(argv)
+    try:
+        return main(argv)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -33,6 +33,17 @@ call per hash, up to solver.jobs of them at once.
 
 A hash of None asks m = 0, "is S non-empty?", on every backend; an estimate
 at m = 0 asks it once (`bounds._trials`), not once per trial.
+
+With an external solver, `has_survivors` answers "unsat" to a hash whose
+system Ax = b has no solution over GF(2) before the solver is asked: its
+cell is empty whatever S is, and sparse rows make such hashes common at
+small n (a row is all zero with probability (1-f)^n).  Gaussian
+elimination over the hash's rows (`_solvable`, a few microseconds) decides
+it, where the question would cost a solver process.  In-process questions
+skip the check: one kernel pass answers all the trials over one shared
+read of S, and sparing an unsolvable trial spares blocks only when every
+other trial finds its survivor early, a saving that comes and goes with
+the hashes drawn.
 """
 
 from __future__ import annotations
@@ -825,7 +836,9 @@ def has_survivor(problem: CountingProblem, h: ParityHash = None,
     solver.native_xor, as its `expand_xors` at solver.chunk.  External SAT
     answers must carry a model over every formula variable, else the
     verdict is unknown ("no model"); a model failing the recheck is a hard
-    integrity error, never silently accepted.
+    integrity error, never silently accepted.  This external branch is the
+    raw per-call worker that `has_survivors` runs on its pool: it asks the
+    solver whatever h is, so the GF(2) check is made once, by its caller.
     """
     if problem.kind == "explicit" or solver is None:
         return OracleVerdict(has_survivors(problem, [h])[0])
@@ -844,28 +857,67 @@ def has_survivor(problem: CountingProblem, h: ParityHash = None,
     return verdict
 
 
+def _solvable(h: ParityHash) -> bool:
+    """Has Ax = b a solution over GF(2)?  Gaussian elimination over h's rows
+    as Python ints, each shifted left by one with its bit of b below: a
+    reduced row is kept as the pivot of its top bit unless that bit has one,
+    which it is XORed with.  A row reducing to 1, the equation 0 = 1, has no
+    solution."""
+    pivots = {}
+    for i, row in enumerate(h.rows):
+        r = row << 1 | h.b_bits >> i & 1
+        while r > 1:
+            top = r.bit_length()
+            if top not in pivots:
+                pivots[top] = r
+                break
+            r ^= pivots[top]
+        else:
+            if r:
+                return False
+    return True
+
+
 def has_survivors(problem: CountingProblem, hashes,
                   solver: SolverProfile = None) -> list:
     """The answer ("sat", "unsat" or "unknown") of has_survivor(problem, h)
     for every h in `hashes`, which share m (None for all asks m = 0).
 
     In-process problems answer all of them in one pass of the survival
-    kernel.  External solvers get one has_survivor call per hash, None
-    included (an estimate asks m = 0 once, in bounds._trials, and shares
-    its answer among its trials).  The calls run on a pool of
-    min(solver.jobs, T) threads (each call owns its own subprocess and
-    temp file), and answers stay in hash order.  A call that raises (a
-    witness failing its recheck, an interrupt), or an interrupt while the
-    calls run, cancels every call not yet started and kills the solvers
-    of those running (in sessions of their own, they do not get the
-    terminal's Ctrl-C); the first error in hash order is raised once the
-    started calls have returned.
+    kernel, which shares one read of S among the trials, so they get no
+    other check (see the module docstring).  With an external solver, a
+    CNF problem first answers "unsat", in process, each hash whose system
+    Ax = b has no solution (`_solvable`): its cell is empty whatever S is,
+    and asking would cost a solver process.  Such a question never reaches
+    the solver; the rest (None among them) go to it in hash order.  If
+    none is left, no pool, thread or temp file is made.
+
+    The solver gets one has_survivor call per hash asked (an estimate asks
+    m = 0 once, in bounds._trials, and shares its answer among its
+    trials).  The calls run on a pool of min(solver.jobs, T) threads (each
+    call owns its own subprocess and temp file), and answers stay in hash
+    order.  A call that raises (a witness failing its recheck, an
+    interrupt), or an interrupt while the calls run, cancels every call not
+    yet started and kills the solvers of those running (in sessions of
+    their own, they do not get the terminal's Ctrl-C); the first error in
+    hash order is raised once the started calls have returned.
     """
     _check_hashes(problem, hashes)
     if problem.kind == "explicit" or solver is None:
         hits = _any_survivors(problem, hashes)
         return ["sat" if hit else "unsat" for hit in hits.tolist()]
+    answers = ["unsat"] * len(hashes)
+    asked = [i for i, h in enumerate(hashes) if h is None or _solvable(h)]
+    if asked:
+        got = _solve(problem, [hashes[i] for i in asked], solver)
+        for i, answer in zip(asked, got):
+            answers[i] = answer
+    return answers
 
+
+def _solve(problem: CountingProblem, hashes, solver: SolverProfile) -> list:
+    """`has_survivors` by the external solver: one has_survivor call per
+    hash, on a pool of min(solver.jobs, T) threads."""
     batch = _Batch()
 
     def ask(h):

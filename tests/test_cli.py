@@ -152,6 +152,20 @@ class TestBoundCmd:
         err = capsys.readouterr().err
         assert err.startswith("inconclusive: 2 of 2 trials unknown") and err.count("\n") == 1
 
+    def test_unsolvable_hashes_need_no_solver(self, tmp_path, capsys):
+        # at f = 0 every hash row is zero, and at seed 0 no trial's b is:
+        # no trial can have a survivor, so the failing solver is never
+        # asked.  `count` asks m = 0 first, which always reaches it
+        cnf = tmp_path / "wide.cnf"
+        cnf.write_text("p cnf 8 1\n1 -2 0\n")
+        rc = main(["bound", str(cnf), "lb", "--m", "8", "--T", "8", "--f", "0",
+                   "--seed", "0", "--solver", "false {in}"])
+        out, err = capsys.readouterr()
+        assert rc == 0 and out.startswith("lower bound: (vacuous)") and err == ""
+        rc = main(["bound", str(cnf), "count", "--seed", "0", "--solver", "false {in}"])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("inconclusive:") and err.count("\n") == 1
+
     def test_json_deterministic_given_seed(self, tmp_path):
         rng = random.Random(8)
         f = tmp_path / "set.txt"
@@ -670,6 +684,23 @@ class TestStartup:
         env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
         proc = _child(["-c", code], **env)
         assert proc.stdout.splitlines()[-1] == "0 %s" % want
+
+    def test_run_ends_an_interrupt_in_one_line(self, monkeypatch, capsys):
+        # `main` lets a Ctrl-C through to an in-process caller; `run`, the
+        # program, ends with one line and exit 130.  Caught here, so a
+        # `run` that let it through fails this test, not the whole session
+        def interrupted(argv):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_parse", interrupted)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # undone after the test
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["fstar", "204", "56"])
+        try:
+            rc = cli.run(["fstar", "204", "56"])
+        except KeyboardInterrupt:
+            rc = None
+        assert rc == 130 and capsys.readouterr().err == "interrupted\n"
 
     def test_main_leaves_the_environment_alone(self):
         code = ("import os; from xorcount import cli; before = dict(os.environ); "

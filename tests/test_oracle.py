@@ -18,7 +18,8 @@ from xorcount.oracle import (CountingProblem, IntegrityError, ParameterError,
                              SolverProfile, conjoin, count_models,
                              expand_xors, has_survivor, has_survivors,
                              run_external, xor_to_cnf, _check_assignment,
-                             _model_blocks, _pack, _stream, _table_scan)
+                             _model_blocks, _pack, _solvable, _stream,
+                             _table_scan)
 
 
 def parity_solutions(n, support, rhs):
@@ -503,6 +504,123 @@ class TestSolverQuestion:
         with pytest.raises(KeyboardInterrupt):
             has_survivors(problem, hashes, solver=SolverProfile("s {in}", jobs=2))
         assert len(calls) < 16
+
+
+class TestUnsolvableHashes:
+    """With an external solver, a question whose system Ax = b has no
+    solution over GF(2) is "unsat" without reaching the solver
+    (`_solvable`); in-process questions skip the check."""
+
+    @staticmethod
+    def brute_force(h):
+        """Does some x in {0,1}^n have Ax = b?"""
+        return survives(h, np.arange(1 << h.n, dtype=np.uint64))
+
+    def test_matches_brute_force(self):
+        rng = random.Random(31)
+        verdicts = []
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            m = rng.randint(1, n)
+            f = rng.choice((0.0, 0.05, 0.1, 0.3, 0.5))
+            h = sample_hash(HashParams(n, m, f, seed=rng.getrandbits(32)))
+            verdicts.append(self.brute_force(h))
+            assert _solvable(h) == verdicts[-1], h
+        assert 50 < verdicts.count(False) < 350
+
+    P = HashParams(4, 3, 0.5)
+
+    @pytest.mark.parametrize("rows,b_bits,want", [
+        ((0b0110, 0, 0b1001), 0b010, False),  # a zero row with rhs 1
+        ((0b0110, 0, 0b1001), 0b101, True),  # ... and with rhs 0
+        ((0b1011, 0b1011, 0b0001), 0b001, False),  # equal rows, different rhs
+        ((0b1011, 0b1011, 0b0001), 0b011, True),
+        ((0b1100, 0b0110, 0b1010), 0b001, False),  # row 3 = row 1 ^ row 2
+        ((0b1100, 0b0110, 0b1010), 0b101, True),  # consistent, rank 2
+        ((0b0001, 0b0010, 0b0100), 0b111, True),  # unit rows, full rank
+        ((0, 0, 0), 0, True),
+    ])
+    def test_edge_cases(self, rows, b_bits, want):
+        h = ParityHash(rows, b_bits, self.P)
+        assert self.brute_force(h) == want
+        assert _solvable(h) == want
+
+    @staticmethod
+    def stand_in(monkeypatch, sent):
+        """Put in `run_external`'s place a solver answering in process, with
+        the first model of the text it is sent; it logs each text."""
+        from xorcount import oracle
+        from xorcount.dimacs import parse
+
+        def solve(text, profile):
+            sent.append(text)
+            formula = parse(text)
+            models = next(_model_blocks(formula), None)
+            if models is None:
+                return oracle.OracleVerdict("unsat")
+            return oracle.OracleVerdict("sat", stats={
+                "model_bits": int(models[0]),
+                "assigned_bits": (1 << formula.num_vars) - 1})
+
+        monkeypatch.setattr(oracle, "run_external", solve)
+
+    SOLVER = SolverProfile("solver {in}", native_xor=True, jobs=2)
+
+    def test_grid_answers_unchanged_without_the_check(self, monkeypatch):
+        # the grid's formulas of at most 12 variables, so that the stand-in
+        # solver's enumerations stay short
+        from xorcount import oracle
+        self.stand_in(monkeypatch, [])
+        rng = random.Random(23)
+        cases = []
+        for formula in model_grid():
+            n = formula.num_vars
+            for m in sorted({1, (n + 1) // 2, n}) if 0 < n <= 12 else ():
+                cases.append((formula, [
+                    sample_hash(HashParams(n, m, f, seed=rng.getrandbits(32)))
+                    for f in (0.0, 0.1, 0.3) for _ in range(3)]))
+        assert not all(_solvable(h) for _, hashes in cases for h in hashes)
+        in_process = [has_survivors(CountingProblem.from_cnf(formula), hashes)
+                      for formula, hashes in cases]
+        checked = [has_survivors(CountingProblem.from_cnf(formula), hashes,
+                                 solver=self.SOLVER)
+                   for formula, hashes in cases]
+        monkeypatch.setattr(oracle, "_solvable", lambda h: True)
+        assert checked == in_process == [
+            has_survivors(CountingProblem.from_cnf(formula), hashes, solver=self.SOLVER)
+            for formula, hashes in cases]
+
+    def test_only_solvable_hashes_reach_the_solver(self, monkeypatch):
+        sent = []
+        self.stand_in(monkeypatch, sent)
+        formula = random_cnf(random.Random(5), 8, 10)
+        for m in (1, 3, 6):
+            hashes = [sample_hash(HashParams(8, m, f, seed=k))
+                      for f in (0.05, 0.1, 0.3) for k in range(6)]
+            sent.clear()
+            got = has_survivors(CountingProblem.from_cnf(formula), hashes,
+                                solver=self.SOLVER)
+            assert got == has_survivors(CountingProblem.from_cnf(formula), hashes)
+            asked = [emit(conjoin(formula, h)) for h in hashes if _solvable(h)]
+            assert sorted(sent) == sorted(asked) and len(asked) < len(hashes)
+            assert {"sat", "unsat"} <= set(got)
+
+    def test_unsolvable_estimate_asks_no_solver(self, monkeypatch):
+        # at f = 0 every row is zero, so a trial is solvable only if b = 0;
+        # at seed 0 none of the 8 is, and an estimate with a solver that
+        # always fails completes with no solver call, pool or temp file
+        import concurrent.futures
+        from xorcount import oracle
+        from xorcount.bounds import estimate_survival
+        calls = []
+        real = oracle.run_external
+        monkeypatch.setattr(oracle, "run_external",
+                            lambda text, profile: calls.append(text) or real(text, profile))
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", None)
+        problem = CountingProblem.from_cnf(CnfFormula(8, [[1, -2]], []))
+        est = estimate_survival(problem, 8, 0.0, 8, seed=0,
+                                solver=SolverProfile("false {in}"))
+        assert est.outcomes == (0,) * 8 and calls == []
 
 
 class TestCountModels:
@@ -1061,21 +1179,23 @@ class TestSolverProcessGroup:
         cnf = tmp_path / "sat.cnf"
         cnf.write_text("p cnf 2 1\n1 -2 0\n")
         pidfiles = [tmp_path / ("sleeper%d.pid" % k) for k in range(2)]
+        # the program ends with one `interrupted` line and exit 130
         child = subprocess.Popen(
             [sys.executable, "-m", "xorcount.cli", "bound", str(cnf), "lb",
              "--m", "1", "--T", "2", "--jobs", "2", "--budget-s", "20",
              "--solver", _sleepers(pidfiles)],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
         try:
             deadline = time.monotonic() + 20.0
             while not all(p.exists() and p.read_text() for p in pidfiles):
                 assert time.monotonic() < deadline and child.poll() is None
                 time.sleep(0.02)
             child.send_signal(signal.SIGINT)
-            assert child.wait(timeout=10.0) != 0
+            _, err = child.communicate(timeout=10.0)
+            assert child.returncode == 130 and err == "interrupted\n"
         finally:
             child.kill()
-            child.wait()
+            child.communicate()
         assert all(_ends_soon(int(p.read_text())) for p in pidfiles)
 
 
