@@ -44,7 +44,8 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import dimacs
-from .errors import CapacityError, OracleUnknownError, ParameterError, ParseError
+from .errors import (CapacityError, IntegrityError, OracleUnknownError,
+                     ParameterError, ParseError)
 
 # names for the annotations only, read by type checkers; the commands import
 # what they run (a constant, not `typing.TYPE_CHECKING`: typing is another import)
@@ -169,8 +170,8 @@ def cmd_epsilon(args) -> int:
     except ParameterError as exc:
         raise SystemExit("bad parameters: %s" % exc) from None
     _print_scales("epsilon(n=%d,m=%d,q=%d,f=%r)" % (args.n, args.m, args.q, args.f),
-                  eps.log2_value)
-    _print_scales("v(q)", v.log2_value if not v.is_zero() else None)
+                  eps / LN2)
+    _print_scales("v(q)", None if v == -math.inf else v / LN2)
     return 0
 
 
@@ -188,7 +189,7 @@ def cmd_fstar(args) -> int:
           % (cert.f_star, cert.bracket_lo, cert.bracket_hi, cert.tolerance))
     print("n=%d m=%d c=%g delta=%r q=2^%d" % (cert.n, cert.m, cert.c,
                                               cert.delta, args.m + args.c))
-    _print_scales("epsilon at f*", cert.condition_value.log2_value)
+    _print_scales("epsilon at f*", cert.condition_value / LN2)
     _print_scales("threshold", cert.threshold_log / LN2)
     if not cert.met_at_half:
         print("warning: condition unmet even at f = 1/2", file=sys.stderr)
@@ -235,7 +236,9 @@ def _certify(problem, args, solver, f: float, modes) -> list:
     runs SPARSE-COUNT.  "lb" and "ub" check their flags, then share one
     start level m0: --m, else one pre-scan.  lb takes the best of the
     window m0 +- 2, ub walks up from m0 through at most m0 + 8 (up to 9
-    estimates) until its event fires; with --m both ask at m0 alone."""
+    estimates) until its event fires; with --m both ask at m0 alone.  A
+    solver model that fails the in-process recheck ends the run with one
+    line, like a bad parameter."""
     from . import bounds as bd
     try:
         if problem.n == 0:
@@ -270,6 +273,8 @@ def _certify(problem, args, solver, f: float, modes) -> list:
         return certs
     except ParameterError as exc:
         raise SystemExit("bad bound parameters: %s" % exc) from None
+    except IntegrityError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _print_summary(mode: str, cert):

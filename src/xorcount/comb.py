@@ -1,9 +1,9 @@
 """Closed-form combinatorial quantities behind the hashing bounds.
 
-Everything probability-scale travels through LogNum (a nonnegative real
-stored as its natural log) because terms like C(576, 288) overflow binary64
-by hundreds of orders of magnitude.  Set-size hypotheses q are arbitrary
-Python ints, as are the prefix sums of binomials that define w*.
+Every probability-scale quantity is returned as its natural log, a plain
+float, -inf for an exact zero, because terms like C(576, 288) overflow
+binary64 by hundreds of orders of magnitude.  Set-size hypotheses q are
+arbitrary Python ints, as are the prefix sums of binomials that define w*.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import ParameterError
 
 __all__ = [
-    "LogNum",
     "EpsilonInputs",
     "DensityCertificate",
     "epsilon",
@@ -30,28 +29,6 @@ LN2 = math.log(2.0)
 # U-threshold predicate: 1/(1 + 2^(2m) v(z)/z^2) >= 3/4  <=>  ratio <= 1/3
 _LOG_ONE_THIRD = math.log(1.0 / 3.0)
 _PRED_SLACK = 1e-12  # absorbs log-domain rounding at exact boundaries
-
-
-@dataclass(frozen=True)
-class LogNum:
-    """Nonnegative real as natural log; -inf is the exact zero."""
-
-    log_value: float
-
-    @classmethod
-    def zero(cls) -> "LogNum":
-        return cls(float("-inf"))
-
-    @classmethod
-    def one(cls) -> "LogNum":
-        return cls(0.0)
-
-    def is_zero(self) -> bool:
-        return math.isinf(self.log_value) and self.log_value < 0
-
-    @property
-    def log2_value(self) -> float:
-        return self.log_value / LN2
 
 
 @dataclass(frozen=True)
@@ -82,7 +59,7 @@ class DensityCertificate:
     m: int
     q: int
     delta: float
-    condition_value: LogNum  # epsilon at f_star
+    condition_value: float  # ln epsilon at f_star
     threshold_log: float
     tolerance: float
     bracket_lo: float
@@ -95,8 +72,8 @@ class DensityCertificate:
         return math.log2(self.q) - self.m
 
 
-def epsilon(inputs: EpsilonInputs) -> LogNum:
-    """Worst-case average collision bound over sets of size q.
+def epsilon(inputs: EpsilonInputs) -> float:
+    """ln of the worst-case average collision bound over sets of size q.
 
     Two-part sum over Hamming weights: exact terms up to w*, plus the
     remainder r = q-1-prefix at weight w*+1, all divided by q-1.  Evaluated
@@ -104,9 +81,9 @@ def epsilon(inputs: EpsilonInputs) -> LogNum:
     """
     n, m, q, f = inputs.n, inputs.m, inputs.q, inputs.f
     if f == 0.0:
-        return LogNum.one()
+        return 0.0
     if f == 0.5:
-        return LogNum(-m * LN2)
+        return -m * LN2
 
     def collide_log(w: int) -> float:
         # ln( (1/2 + 1/2 (1-2f)^w)^m )
@@ -130,7 +107,7 @@ def epsilon(inputs: EpsilonInputs) -> LogNum:
         terms.append(math.log(r) + collide_log(ws + 1))
     hi = max(terms)
     total = hi + math.log(math.fsum(math.exp(t - hi) for t in terms))
-    return LogNum(total - math.log(target))
+    return total - math.log(target)
 
 
 def _log_sub(a: float, b: float) -> float:
@@ -143,11 +120,12 @@ def _log_sub(a: float, b: float) -> float:
     return a + math.log1p(-math.exp(d))
 
 
-def variance_bound_v(q: int, n: int, m: int, f: float) -> LogNum:
-    """Variance bound v(q) = (q/2^m) (1 + eps(n,m,q,f) (q-1) - q/2^m).
+def variance_bound_v(q: int, n: int, m: int, f: float) -> float:
+    """ln of the variance bound v(q) = (q/2^m) (1 + eps(n,m,q,f) (q-1) - q/2^m).
 
     q = 1 degenerates to the singleton Bernoulli variance; the inner bracket
-    is clamped to zero (with a warning) should rounding drive it negative.
+    is clamped to zero (with a warning), so v(q) to -inf, should rounding
+    drive it negative.
     """
     if q < 1:
         raise ParameterError("q must be positive")
@@ -156,21 +134,18 @@ def variance_bound_v(q: int, n: int, m: int, f: float) -> LogNum:
         inner = _log_sub(0.0, log_mu)
     else:
         eps = epsilon(EpsilonInputs(n, m, q, f))
-        big = eps.log_value + math.log(q - 1)
+        big = eps + math.log(q - 1)
         pos = max(0.0, big) + math.log1p(math.exp(-abs(big)))  # ln(1 + e^big)
         inner = _log_sub(pos, log_mu)
     if inner == float("-inf"):
         warnings.warn("variance bound bracket non-positive; clamped to 0")
-        return LogNum.zero()
-    return LogNum(log_mu + inner)
+    return log_mu + inner
 
 
 def _threshold_predicate(z: int, n: int, m: int, f: float) -> bool:
-    """1/(1 + 2^(2m) v(z)/z^2) >= 3/4, i.e. the ratio is at most 1/3."""
-    v = variance_bound_v(z, n, m, f)
-    if v.is_zero():
-        return True
-    ratio_log = v.log_value + 2 * m * LN2 - 2 * math.log(z)
+    """1/(1 + 2^(2m) v(z)/z^2) >= 3/4, i.e. the ratio is at most 1/3; a
+    clamped v(z) = 0 (-inf) meets it."""
+    ratio_log = variance_bound_v(z, n, m, f) + 2 * m * LN2 - 2 * math.log(z)
     return ratio_log <= _LOG_ONE_THIRD + _PRED_SLACK
 
 
@@ -236,7 +211,7 @@ def min_density_fstar(
     thr = _fstar_threshold_log(q, m, delta)
 
     def ok(f: float) -> bool:
-        return epsilon(EpsilonInputs(n, m, q, f)).log_value <= thr
+        return epsilon(EpsilonInputs(n, m, q, f)) <= thr
 
     met = ok(0.5)
     lo, hi = (0.0, 0.5) if met else (0.5, 0.5)  # unmet: the bracket [1/2, 1/2]

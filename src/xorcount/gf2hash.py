@@ -2,8 +2,8 @@
 
 A hash h_{A,b}(x) = Ax + b mod 2 maps {0,1}^n to {0,1}^m.  Rows of A are
 drawn entrywise Bernoulli(f) with f <= 1/2, b is a uniform m-bit vector.
-Rows and assignments are bit-packed into Python ints; the dot product is
-(row & x).bit_count() & 1, which is cheap even for n in the thousands.
+Rows and assignments are bit-packed into Python ints, bit j holding
+variable j + 1.
 
 Draw contract: a hash is a function of (n, m, f, seed) alone, the seed an
 int (`HashParams` refuses any other type).  It is the one that
@@ -28,9 +28,8 @@ import math
 import struct
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import CapacityError, DimensionError, ParameterError
+from .errors import DimensionError, ParameterError
 
 __all__ = [
     "HashParams",
@@ -38,13 +37,7 @@ __all__ = [
     "Assignment",
     "derive_seed",
     "sample_hash",
-    "apply_hash",
-    "count_survivors",
-    "exact_survival_probability",
 ]
-
-# enumeration ceiling for the exact brute-force oracle: 2^(m*n+m) hash draws
-EXACT_ENUM_BITS = 24
 
 _WORDS = struct.Struct("<II")  # the two 32-bit outputs behind one random()
 
@@ -241,67 +234,3 @@ def _draw_wide(n: int, m: int, f: float, seed: int):
     b_bits = int.from_bytes(numpy.packbits(u[mn:] < 0.5, bitorder="little").tobytes(),
                             "little")
     return rows, b_bits
-
-
-def apply_hash(h: ParityHash, x: Assignment) -> int:
-    """h(x) = Ax + b mod 2, packed into an int (bit i = output i)."""
-    if x.n != h.n:
-        raise DimensionError("assignment width %d != hash width %d" % (x.n, h.n))
-    out = h.b_bits
-    for i, row in enumerate(h.rows):
-        out ^= ((row & x.bits).bit_count() & 1) << i
-    return out
-
-
-def count_survivors(h: ParityHash, s) -> int:
-    """|S ∩ h^-1(0)| for an explicit iterable of Assignments."""
-    return sum(1 for x in s if apply_hash(h, x) == 0)
-
-
-def _as_exact_fraction(f: float) -> Fraction:
-    frac = Fraction(f)  # exact for any binary64
-    if frac.denominator > (1 << 20):
-        # need a short significand so the per-matrix weights stay small
-        raise ParameterError(
-            "f=%r needs more than 20 significand bits; pick a coarser grid value" % (f,)
-        )
-    return frac
-
-
-def exact_survival_probability(s, m: int, f: float) -> Fraction:
-    """Exact Pr[S(h) >= 1] by summing over every (A, b) pair.
-
-    Uses the identity S(h_{A,b}) >= 1  <=>  b in {Ax : x in S}, so only the
-    2^(m n) matrices are enumerated and each contributes |image|/2^m.  All
-    weights are exact rationals; requires m*n + m <= EXACT_ENUM_BITS.
-    """
-    xs = list(s)
-    if not xs:
-        return Fraction(0)
-    n = xs[0].n
-    if any(x.n != n for x in xs):
-        raise DimensionError("mixed assignment widths in S")
-    if m * n + m > EXACT_ENUM_BITS:
-        raise CapacityError(
-            "m*n+m = %d exceeds the enumeration cap %d" % (m * n + m, EXACT_ENUM_BITS)
-        )
-    frac = _as_exact_fraction(f)
-    p, den = frac.numerator, frac.denominator  # f = p / den, den = 2^s
-    q = den - p
-    mn = m * n
-    xbits = [x.bits for x in xs]
-    # numerator accumulated over matrices: p^ones * q^(mn-ones) * |image|
-    pow_p = [p**k for k in range(mn + 1)]
-    pow_q = [q**k for k in range(mn + 1)]
-    acc = 0
-    for amat in range(1 << mn):
-        ones = amat.bit_count()
-        rows = [(amat >> (i * n)) & ((1 << n) - 1) for i in range(m)]
-        image = set()
-        for xb in xbits:
-            y = 0
-            for i, row in enumerate(rows):
-                y |= ((row & xb).bit_count() & 1) << i
-            image.add(y)
-        acc += pow_p[ones] * pow_q[mn - ones] * len(image)
-    return Fraction(acc, den**mn * (1 << m))

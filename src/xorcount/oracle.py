@@ -26,10 +26,11 @@ one uint per group of up to 64 hash rows.  Each lookup gathers the entries
 of every trial in the chunk at once.  A trial needs one survivor, so the
 members are read in blocks, and the scan of a chunk stops after the block
 in which its last trial finds one; a CNF's models past that block are not
-enumerated until a question reads them.  `has_survivor` is `has_survivors`
-with T = 1.  In-process verdicts carry no model: only an external SAT
-verdict does, in its stats, rechecked in process.  External solvers get one
-call per hash, up to solver.jobs of them at once.
+enumerated until a question reads them.  In process, `has_survivor` is
+`has_survivors` with T = 1; with a solver, `has_survivors` runs
+`has_survivor` once per hash.  In-process verdicts carry no model: only an
+external SAT verdict does, in its stats, rechecked in process.  External
+solvers get one call per hash, up to solver.jobs of them at once.
 
 A hash of None asks m = 0, "is S non-empty?", on every backend; an estimate
 at m = 0 asks it once (`bounds._trials`), not once per trial.
@@ -64,7 +65,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dimacs import CnfFormula, _clause_lists, emit
+from .dimacs import CnfFormula, emit
 from .errors import DimensionError, IntegrityError, ParameterError
 from .gf2hash import ParityHash
 
@@ -74,7 +75,6 @@ __all__ = [
     "SolverProfile",
     "has_survivor",
     "has_survivors",
-    "xor_to_cnf",
     "expand_xors",
     "conjoin",
     "run_external",
@@ -108,10 +108,6 @@ class OracleVerdict:
 
     answer: str  # "sat" | "unsat" | "unknown"
     stats: dict = field(default_factory=dict)
-
-    @property
-    def is_sat(self) -> bool:
-        return self.answer == "sat"
 
 
 @dataclass(frozen=True)
@@ -217,33 +213,11 @@ class CountingProblem:
     def from_cnf(cls, formula: CnfFormula, n: int = None) -> "CountingProblem":
         return cls(n if n is not None else formula.num_vars, "cnf", formula=formula)
 
-    def __len__(self):
-        if self.kind != "explicit":
-            raise TypeError("only explicit problems have a known size")
-        return sum(map(len, self._blocks))
-
-
-def xor_to_cnf(support, rhs: int, chunk: int = 6, fresh=None):
-    """CNF clauses equivalent to XOR(support variables) = rhs.
-
-    Long constraints are chained into ceil((t-1)/(chunk-1)) sub-XORs of
-    arity <= chunk through fresh auxiliary variables; a sub-XOR of arity s
-    expands to 2^(s-1) clauses.  Empty support: rhs 1 gives the empty
-    clause (contradiction), rhs 0 gives no clauses.
-
-    Only the caller knows which variable numbers are free, so chaining
-    needs its `fresh` callable (one new variable per call); without one a
-    constraint longer than `chunk` is a ParameterError.
-    """
-    subs = _sub_xors(support, rhs, chunk, fresh)
-    if not subs:
-        return [[]] if rhs else []
-    return _clause_lists(_text_of(subs))
-
 
 def _sub_xors(support, rhs: int, chunk: int, fresh):
     """The chain of sub-XORs (vars, rhs), in clause order, that
-    `xor_to_cnf` expands XOR(support) = rhs into; none for empty support.
+    `expand_xors` expands XOR(support) = rhs into, each link variable a new
+    one from `fresh()`; none for empty support.
 
     Chaining needs arity-3 sub-XORs at minimum (two inputs + the link
     variable); chunk=2 still works for short constraints but long ones are
@@ -253,8 +227,6 @@ def _sub_xors(support, rhs: int, chunk: int, fresh):
     if chunk < 2:
         raise ParameterError("chunk must be at least 2")
     pending = list(support)
-    if fresh is None and len(pending) > chunk:
-        raise ParameterError("chaining a long XOR needs a fresh-variable allocator")
     if not pending:
         return []
     link = max(chunk, 3)
@@ -295,7 +267,13 @@ def _text_of(subs) -> str:
 
 
 def expand_xors(formula: CnfFormula, chunk: int = 6) -> CnfFormula:
-    """Replace native XOR rows with plain clauses over fresh auxiliaries.
+    """Replace native XOR rows with plain clauses over fresh auxiliaries,
+    numbered from num_vars + 1: the one lowering of XOR rows to CNF.
+
+    A row of t > chunk variables is chained into ceil((t-1)/(chunk-1))
+    sub-XORs of arity <= chunk (see `_sub_xors`), and a sub-XOR of arity s
+    expands to 2^(s-1) clauses.  An empty row with rhs 1 is a contradiction
+    written on a fresh variable, so that no clause is empty.
 
     The result opens with the formula's own clauses (their lists are
     shared, not copied) and writes the new ones from line templates; their

@@ -82,12 +82,6 @@ class ContingencyTableSpec:
         if sum(self.row_marginals) != sum(self.col_marginals):
             warnings.warn("row and column marginals disagree; the count is 0")
 
-    def transpose(self) -> "ContingencyTableSpec":
-        return ContingencyTableSpec(
-            self.cols, self.rows, self.col_marginals, self.row_marginals,
-            self.binary, frozenset((j, i) for i, j in self.structural_zeros),
-        )
-
     def cell_max(self, i: int, j: int) -> int:
         if (i, j) in self.structural_zeros:
             return 0

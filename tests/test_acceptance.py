@@ -16,12 +16,13 @@ from xorcount.bounds import (SparseCountConfig, best_lower_bound,
 from xorcount.comb import (EpsilonInputs, epsilon, min_density_fstar,
                            upper_bound_threshold, variance_bound_v)
 from xorcount.dimacs import CnfFormula
-from xorcount.gf2hash import Assignment, exact_survival_probability
-from xorcount.oracle import (CountingProblem, count_models, xor_to_cnf,
+from xorcount.gf2hash import Assignment
+from xorcount.oracle import (CountingProblem, count_models, expand_xors,
                              _check_assignment)
 from xorcount.tables import brute_force_count, encode_to_cnf, synth_spec
 from xorcount.cli import main as cli_main
-from conftest import random_subset_problem, random_table_spec
+from conftest import (exact_survival_probability, random_subset_problem,
+                      random_table_spec)
 
 LN2 = math.log(2.0)
 
@@ -53,9 +54,9 @@ def test_criterion_1_epsilon_closed_forms():
         n = rng.randint(1, 400)
         m = rng.randint(1, n)
         q = rng.randint(2, 1 << n)
-        at_half = epsilon(EpsilonInputs(n, m, q, 0.5)).log_value
+        at_half = epsilon(EpsilonInputs(n, m, q, 0.5))
         assert abs(at_half - (-m * LN2)) <= 1e-9 * abs(m * LN2)
-        assert epsilon(EpsilonInputs(n, m, q, 0.0)).log_value == 0.0
+        assert epsilon(EpsilonInputs(n, m, q, 0.0)) == 0.0
 
 
 @criterion(2, "variance ratio monotone")
@@ -68,7 +69,7 @@ def test_criterion_2_lemma2_monotonicity():
         prev = -math.inf
         for z in range(1, 10_001):
             v = variance_bound_v(z, n, m, f)
-            ratio_log = 2 * math.log(z) - v.log_value  # ln(z^2 / v(z))
+            ratio_log = 2 * math.log(z) - v  # ln(z^2 / v(z))
             assert ratio_log > prev - 1e-12, (n, m, f, z)
             prev = ratio_log
 
@@ -197,22 +198,16 @@ def test_criterion_10_encoding_fidelity():
                 count += 1
         assert count == brute_force_count(spec), spec
 
-    # xor_to_cnf projection equivalence, exhaustive for n <= 10
+    # expand_xors projection equivalence, exhaustive for n <= 10
     for chunk in range(2, 7):
         for trial in range(3):
             rng2 = random.Random(100 * chunk + trial)
             n = rng2.randint(3, 10)
             support = rng2.sample(range(1, n + 1), rng2.randint(1, n))
             rhs = rng2.randint(0, 1)
-            counter = [n]  # fresh auxiliaries must not shadow variables 1..n
-
-            def fresh():
-                counter[0] += 1
-                return counter[0]
-
-            clauses = xor_to_cnf(support, rhs, chunk=chunk, fresh=fresh)
-            nv = max([n] + [abs(l) for cl in clauses for l in cl])
-            g = CnfFormula(nv, clauses, [])
+            # auxiliaries are numbered from n + 1, past variables 1..n
+            g = expand_xors(CnfFormula(n, [], [(support, rhs)]), chunk)
+            nv = g.num_vars
             projected = {
                 bits & ((1 << n) - 1)
                 for bits in range(1 << nv)

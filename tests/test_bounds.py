@@ -12,12 +12,11 @@ from xorcount.bounds import (LowerBoundCertificate, OracleUnknownError,
                              SurvivalEstimate,
                              best_lower_bound, estimate_survival, lower_bound,
                              pick_promising_m, sparse_count, upper_bound)
-from xorcount.gf2hash import (Assignment, HashParams, count_survivors,
-                              derive_seed, sample_hash)
+from xorcount.gf2hash import Assignment, HashParams, derive_seed, sample_hash
 from xorcount.dimacs import CnfFormula
 from xorcount.errors import ParameterError
 from xorcount.oracle import CountingProblem
-from conftest import random_subset_problem
+from conftest import count_survivors, random_subset_problem
 
 
 def full_cube_problem(n):

@@ -56,6 +56,17 @@ class TestEpsilonCmd:
         main(["epsilon", "10", "3", "1024", f])
         assert "epsilon(n=10,m=3,q=1024,f=%s):" % f in capsys.readouterr().out
 
+    def test_clamped_variance_bound_is_vacuous(self):
+        # at q = 2^115 = 2^n / 2 the bracket 1 + eps (q-1) - q/2^m, taken
+        # as a difference of logs near ln(2^98), rounds to zero, so v(q) is
+        # clamped to 0 (ln -inf) with one warning
+        proc = _child(["-m", "xorcount.cli", "epsilon", "116", "17",
+                       str(2 ** 115), "0.5"])
+        assert proc.returncode == 0
+        assert "v(q): (vacuous)" in proc.stdout.splitlines()
+        assert proc.stderr == ("warning: variance bound bracket non-positive; "
+                               "clamped to 0\n")
+
 
 class TestFstarCmd:
     def test_df_shape(self, capsys):
@@ -165,6 +176,22 @@ class TestBoundCmd:
         rc = main(["bound", str(cnf), "count", "--seed", "0", "--solver", "false {in}"])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("inconclusive:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "{cnf}", "count", "--json", "{out}"],
+        ["sweep", "{cnf}", "0.5", "--csv", "{out}"],
+    ])
+    def test_lying_solver_is_a_one_line_error(self, tmp_path, capsys, argv):
+        # the model x1 = 0, x2 = 1 breaks the clause (1 -2); `count` asks
+        # m = 0 first, which always reaches the solver, and at seed 0
+        # `sweep`'s pre-scan draws hashes whose systems have solutions
+        paths = {"cnf": tmp_path / "sat.cnf", "out": tmp_path / "out"}
+        paths["cnf"].write_text("p cnf 2 1\n1 -2 0\n")
+        liar = "sh -c 'echo s SATISFIABLE; echo v -1 2 0' {in}"
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(**paths) for a in argv] + ["--solver", liar])
+        assert exc.value.code == "solver witness fails in-process recheck"
+        assert not paths["out"].exists()
 
     def test_json_deterministic_given_seed(self, tmp_path):
         rng = random.Random(8)
@@ -655,7 +682,7 @@ class TestStartup:
         names = _imported(proc.stderr)
         assert {"xorcount.dimacs", "xorcount.oracle"} <= names
         assert not names & {"xorcount.bounds", "xorcount.comb", "xorcount.tables",
-                            "numpy.random"}
+                            "numpy.random", "fractions"}
 
     def test_narrow_bound_never_imports_numpy_random(self, tmp_path):
         # only hash draws of k >= gf2hash._WIDE_K uniforms load numpy.random
@@ -1020,7 +1047,8 @@ class TestExplicitLoader:
             got = _load_problem(str(f))
             want = CountingProblem.from_explicit(
                 [Assignment(b, n) for b in members], n)
-            assert (got.kind, got.n, len(got)) == ("explicit", n, len(set(members)))
+            assert (got.kind, got.n, sum(map(len, got._blocks))) == (
+                "explicit", n, len(set(members)))
             block, expected = got._blocks[0], want._blocks[0]
             assert block.dtype == expected.dtype and block.shape == expected.shape
             assert (block == expected).all()

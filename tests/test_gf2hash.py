@@ -8,10 +8,11 @@ from fractions import Fraction
 import pytest
 
 from xorcount import gf2hash
-from xorcount.gf2hash import (Assignment, CapacityError, DimensionError,
-                              HashParams, ParameterError, ParityHash,
-                              apply_hash, count_survivors, derive_seed,
-                              exact_survival_probability, sample_hash)
+from xorcount.gf2hash import (Assignment, DimensionError, HashParams,
+                              ParameterError, ParityHash, derive_seed,
+                              sample_hash)
+from xorcount.errors import CapacityError
+from conftest import apply_hash, count_survivors, exact_survival_probability
 
 
 def full_cube(n):

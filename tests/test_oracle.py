@@ -17,9 +17,9 @@ from xorcount.gf2hash import Assignment, HashParams, ParityHash, sample_hash
 from xorcount.oracle import (CountingProblem, IntegrityError, ParameterError,
                              SolverProfile, conjoin, count_models,
                              expand_xors, has_survivor, has_survivors,
-                             run_external, xor_to_cnf, _check_assignment,
-                             _model_blocks, _pack, _solvable, _stream,
-                             _table_scan)
+                             run_external, _check_assignment, _model_blocks,
+                             _pack, _solvable, _stream, _table_scan)
+from conftest import apply_hash, count_survivors
 
 
 def parity_solutions(n, support, rhs):
@@ -52,28 +52,30 @@ def projected_models(formula, n):
 
 
 class TestXorToCnf:
+    """XOR(support) = rhs lowered alone, by `expand_xors` on a formula
+    holding just that row."""
+
+    @staticmethod
+    def lowered(n, support, rhs, chunk=6):
+        return expand_xors(CnfFormula(n, [], [(support, rhs)]), chunk)
+
     def test_empty_support_contradiction(self):
-        assert xor_to_cnf([], 1) == [[]]
-        assert xor_to_cnf([], 0) == []
+        # rhs 1 is unsatisfiable, written on a fresh variable with no empty
+        # clause; rhs 0 holds everywhere and adds nothing
+        assert self.lowered(2, [], 1).clauses == [[3], [-3]]
+        assert self.lowered(2, [], 0).clauses == []
 
     def test_equivalence_pair(self):
-        cls = xor_to_cnf([1, 2], 0)
+        cls = self.lowered(2, [1, 2], 0).clauses
         assert sorted(map(sorted, cls)) == [[-2, 1], [-1, 2]]
 
     def test_clause_count_no_chaining(self):
         for t in range(1, 6):
-            assert len(xor_to_cnf(list(range(1, t + 1)), 1, chunk=6)) == 1 << (t - 1)
-
-    def test_chaining_needs_an_allocator(self):
-        # 7 variables at chunk 6 must chain; only the caller knows which
-        # variable numbers are free
-        with pytest.raises(ParameterError):
-            xor_to_cnf(list(range(1, 8)), 0, chunk=6)
-        assert len(xor_to_cnf(list(range(1, 7)), 0, chunk=6)) == 32
+            assert len(self.lowered(t, list(range(1, t + 1)), 1).clauses) == 1 << (t - 1)
 
     def test_chunk_validation(self):
         with pytest.raises(ParameterError):
-            xor_to_cnf([1, 2, 3], 0, chunk=1)
+            self.lowered(3, [1, 2, 3], 0, chunk=1)
 
     @pytest.mark.parametrize("chunk", [2, 3, 4, 5, 6])
     def test_projection_equivalence(self, chunk):
@@ -83,26 +85,17 @@ class TestXorToCnf:
             t = rng.randint(1, n)
             support = rng.sample(range(1, n + 1), t)
             rhs = rng.randint(0, 1)
-            counter = [n]  # auxiliaries must start after all n variables
-
-            def fresh():
-                counter[0] += 1
-                return counter[0]
-
-            clauses = xor_to_cnf(support, rhs, chunk=chunk, fresh=fresh)
-            num_vars = max([n] + [abs(l) for cl in clauses for l in cl])
-            f = CnfFormula(num_vars, clauses, [])
+            # auxiliaries are numbered from n + 1, past all n variables
+            f = self.lowered(n, support, rhs, chunk)
             assert projected_models(f, n) == parity_solutions(n, support, rhs)
 
-
     @staticmethod
-    def reference_xor_to_cnf(support, rhs, chunk, fresh):
-        """xor_to_cnf as it was with one Python loop per sign pattern and
-        one per chained sub-XOR."""
+    def reference(support, rhs, chunk):
+        """(clauses, num_vars) of the lowering of a row over variables
+        1..200 as it was, with one Python loop per sign pattern and one per
+        chained sub-XOR."""
         if chunk < 2:
             raise ParameterError("chunk must be at least 2")
-        if fresh is None and len(support) > chunk:
-            raise ParameterError("chaining a long XOR needs a fresh-variable allocator")
 
         def direct(vars_, rhs):
             out = []
@@ -115,38 +108,36 @@ class TestXorToCnf:
         clauses = []
         pending = list(support)
         link = max(chunk, 3)
+        aux = 200
         while len(pending) > chunk:
-            aux = fresh()
+            aux += 1
             clauses.extend(direct(pending[: link - 1] + [aux], 0))
             pending = [aux] + pending[link - 1 :]
         clauses.extend(direct(pending, rhs))
-        return clauses
+        return clauses, aux
+
+    @classmethod
+    def expanded(cls, support, rhs, chunk):
+        lowered = cls.lowered(200, support, rhs, chunk)
+        return lowered.clauses, lowered.num_vars
 
     @staticmethod
-    def outcome(convert, support, rhs, chunk, chained):
-        """(clauses, fresh() calls) or the ParameterError's message."""
-        counter = [200]
-
-        def fresh():
-            counter[0] += 1
-            return counter[0]
+    def outcome(lower, support, rhs, chunk):
+        """lower's (clauses, num_vars) or its ParameterError's message."""
         try:
-            clauses = convert(support, rhs, chunk, fresh if chained else None)
+            return lower(support, rhs, chunk)
         except ParameterError as exc:
             return "ParameterError: %s" % exc
-        return clauses, counter[0] - 200
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_matches_the_per_pattern_loop(self, chunk):
         rng = random.Random(chunk)
-        for t in range(61):
+        for t in range(1, 61):  # an empty row: TestExpandXors
             support = rng.sample(range(1, 201), t)
             for rhs in (0, 1):
-                for chained in (True, False):
-                    got = self.outcome(xor_to_cnf, support, rhs, chunk, chained)
-                    want = self.outcome(self.reference_xor_to_cnf,
-                                        support, rhs, chunk, chained)
-                    assert got == want, (support, rhs, chunk, chained)
+                got = self.outcome(self.expanded, support, rhs, chunk)
+                want = self.outcome(self.reference, support, rhs, chunk)
+                assert got == want, (support, rhs, chunk)
 
 
 class TestExpandXors:
@@ -205,7 +196,6 @@ class TestConjoin:
         f = CnfFormula(n, clauses, [])
         models = [Assignment(b, n) for b in range(1 << n)
                   if _check_assignment(f, b)]
-        from xorcount.gf2hash import count_survivors
         for seed in range(5):
             h = sample_hash(HashParams(n, 3, 0.5, seed=seed))
             conj = expand_xors(conjoin(f, h))
@@ -231,17 +221,16 @@ class TestExplicitBackend:
         members = [Assignment(b, 6) for b in (5, 9, 33)]
         problem = CountingProblem.from_explicit(members, 6)
         h = ParityHash((0, 0), 0, HashParams(6, 2, 0.0))
-        assert has_survivor(problem, h).is_sat
+        assert has_survivor(problem, h).answer == "sat"
 
     def test_witness_actually_survives(self):
         rng = random.Random(3)
         members = [Assignment(b, 12) for b in rng.sample(range(1 << 12), 80)]
         problem = CountingProblem.from_explicit(members, 12)
-        from xorcount.gf2hash import apply_hash
         for seed in range(30):
             h = sample_hash(HashParams(12, 4, 0.3, seed=seed))
             v = has_survivor(problem, h)
-            assert v.is_sat == any(apply_hash(h, x) == 0 for x in members)
+            assert (v.answer == "sat") == any(apply_hash(h, x) == 0 for x in members)
 
     def test_wide_problem_two_words(self):
         # n > 64 packs two uint64 words per member
@@ -252,7 +241,8 @@ class TestExplicitBackend:
 
     def test_deduplication(self):
         members = [Assignment(3, 4)] * 5 + [Assignment(1, 4)]
-        assert len(CountingProblem.from_explicit(members, 4)) == 2
+        problem = CountingProblem.from_explicit(members, 4)
+        assert sum(map(len, problem._blocks)) == 2
 
     def test_mixed_widths_rejected(self):
         from xorcount.gf2hash import DimensionError
@@ -262,14 +252,13 @@ class TestExplicitBackend:
 
     @pytest.mark.parametrize("n", [12, 130])
     def test_witness_is_first_survivor(self, n):
-        from xorcount.gf2hash import apply_hash
         rng = random.Random(n)
         members = [Assignment(rng.getrandbits(n), n) for _ in range(60)]
         problem = CountingProblem.from_explicit(members, n)
         for seed in range(20):
             h = sample_hash(HashParams(n, 4, 0.3, seed=seed))
             survivors = [x.bits for x in members if apply_hash(h, x) == 0]
-            assert has_survivor(problem, h).is_sat == bool(survivors)
+            assert (has_survivor(problem, h).answer == "sat") == bool(survivors)
 
     def test_batch_checks_its_hashes(self):
         from xorcount.gf2hash import DimensionError
@@ -325,7 +314,6 @@ class TestModelSet:
     @pytest.mark.parametrize("seed", range(6))
     def test_agrees_with_brute_force(self, seed):
         # native xors in the formula, and projection onto n < num_vars
-        from xorcount.gf2hash import apply_hash
         rng = random.Random(seed)
         num_vars = rng.randint(6, 11)
         n = num_vars if seed % 2 else rng.randint(3, num_vars - 1)
@@ -339,7 +327,7 @@ class TestModelSet:
             h = sample_hash(HashParams(n, rng.randint(1, n), rng.random() / 2,
                                        seed=100 * seed + k))
             survivors = {x for x in S if apply_hash(h, Assignment(x, n)) == 0}
-            assert has_survivor(problem, h).is_sat == bool(survivors)
+            assert (has_survivor(problem, h).answer == "sat") == bool(survivors)
         assert sorted(packed_set(problem)[:, 0].tolist()) == sorted(S)
 
     def test_external_questions_never_build_it(self, exhaustive_solver):
@@ -355,11 +343,11 @@ class TestModelSet:
         sat = CountingProblem.from_cnf(CnfFormula(3, [[1, 2]], []))
         unsat = CountingProblem.from_cnf(CnfFormula(2, [[1], [-1]], []))
         for solver in (None, exhaustive_solver):
-            assert has_survivor(sat, solver=solver).is_sat
+            assert has_survivor(sat, solver=solver).answer == "sat"
             assert has_survivor(unsat, solver=solver).answer == "unsat"
         members = [Assignment(5, 70)]
         for n, xs in ((6, [Assignment(5, 6)]), (70, members)):
-            assert has_survivor(CountingProblem.from_explicit(xs, n)).is_sat
+            assert has_survivor(CountingProblem.from_explicit(xs, n)).answer == "sat"
             assert has_survivor(CountingProblem.from_explicit([], n)).answer == "unsat"
 
 
@@ -807,7 +795,6 @@ class TestModelStream:
         assert len(pulled) == 5
 
     def test_answers_over_the_grid_match_apply_hash(self):
-        from xorcount.gf2hash import apply_hash
         rng = random.Random(17)
         for formula in model_grid():
             blocks = list(_model_blocks(formula))
@@ -837,7 +824,7 @@ class TestModelStream:
         assert has_survivors(late, [None] * 3) == ["sat"] * 3
         assert pulled == [1 << 20] and len(late._blocks) == 1
         early = CountingProblem.from_cnf(criterion_11_cnf())
-        assert has_survivor(early).is_sat
+        assert has_survivor(early).answer == "sat"
         assert pulled[1:] == [6880]
         unsat = CountingProblem.from_cnf(CnfFormula(20, [[1], [-1]], []))
         assert has_survivors(unsat, [None] * 2) == ["unsat"] * 2
@@ -901,7 +888,7 @@ class TestProblemWidth:
             message = str(err.value)
             assert "\n" not in message and "n = %d" % n in message and "3" in message
         for n in (0, 2, 3):
-            assert has_survivor(CountingProblem.from_cnf(formula, n)).is_sat
+            assert has_survivor(CountingProblem.from_cnf(formula, n)).answer == "sat"
 
     def test_negative_explicit_width_refused(self):
         with pytest.raises(ParameterError, match="n = -1"):
@@ -1096,7 +1083,7 @@ class TestRunExternal:
         for seed in range(5):
             h = sample_hash(HashParams(n, 2, 0.5, seed=seed))
             v = has_survivor(problem, h, solver=exhaustive_solver)
-            if v.is_sat:
+            if v.answer == "sat":
                 assert _check_assignment(conjoin(f, h), v.stats["model_bits"])
 
 
@@ -1250,7 +1237,6 @@ def kernel_cases():
 
 class TestSurvivalKernels:
     def test_match_apply_hash(self):
-        from xorcount.gf2hash import apply_hash
         digest = hashlib.sha256()
         for n, m, members, hashes in kernel_cases():
             xs = [Assignment(x, n) for x in members]
@@ -1334,13 +1320,11 @@ class TestSurvivalKernels:
     @staticmethod
     def image(h, x):
         """Ax, so that b = Ax makes x survive h."""
-        from xorcount.gf2hash import apply_hash
         return apply_hash(ParityHash(h.rows, 0, h.params), x)
 
     @staticmethod
     def check(xs, hashes):
         """The kernel's answers, checked against apply_hash."""
-        from xorcount.gf2hash import apply_hash
         got = has_survivors(CountingProblem.from_explicit(xs, xs[0].n), hashes)
         want = [any(apply_hash(h, x) == 0 for x in xs) for h in hashes]
         assert got == ["sat" if w else "unsat" for w in want]
@@ -1370,7 +1354,6 @@ class TestSurvivalKernels:
     def test_tables_read_member_bytes_in_value_order(self, n):
         # a '>u8' array lays out its bytes as a big-endian host's native
         # uint64 does: the tables must still read byte p as bits 8p..8p+7
-        from xorcount.gf2hash import apply_hash
         rng = random.Random(n)
         words = -(-n // 64)
         members = sorted({rng.getrandbits(n) for _ in range(3000)})
