@@ -20,11 +20,12 @@ All log-scale outputs are printed in both natural log and log2.
 Start-up: at module level this imports only the stdlib, `errors` and
 `dimacs`; each subcommand imports the modules it runs.  `epsilon` and
 `fstar` never load numpy, and `solve` and `count-models` (the solver child
-an external-solver estimate starts once per question) load only `dimacs`
-and `oracle`.  The program entry `run` defaults OPENBLAS_NUM_THREADS to 1
-before numpy can load: xorcount does no linear algebra, and starting the
-OpenBLAS worker threads numpy would otherwise start, one per further CPU,
-is most of numpy's import time.  `main` builds only the parser of the
+an external-solver estimate starts once per question) load nothing more:
+`dimacs` evaluates models in Python ints.  The program entry `run`
+defaults OPENBLAS_NUM_THREADS to 1 before numpy can load: xorcount does
+no linear algebra, and starting the OpenBLAS worker threads numpy would
+otherwise start, one per further CPU, is most of numpy's import time.
+`main` builds only the parser of the
 command it runs, from the same `_COMMANDS` registry as the whole tree
 (`build_parser`), and hands the tree any argv that parser does not take.
 """
@@ -190,7 +191,12 @@ def cmd_fstar(args) -> int:
     print("n=%d m=%d c=%g delta=%r q=2^%d" % (cert.n, cert.m, cert.c,
                                               cert.delta, args.m + args.c))
     _print_scales("epsilon at f*", cert.condition_value / LN2)
-    _print_scales("threshold", cert.threshold_log / LN2)
+    if cert.threshold_log == -math.inf:  # no epsilon meets it
+        mu = 2.0 ** args.c
+        print("threshold: not positive, linear = %.6g"
+              % ((mu / (cert.delta - 1.0) + mu - 1.0) / (cert.q - 1)))
+    else:
+        _print_scales("threshold", cert.threshold_log / LN2)
     if not cert.met_at_half:
         print("warning: condition unmet even at f = 1/2", file=sys.stderr)
         return 1
@@ -393,17 +399,18 @@ def cmd_table(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    """Exhaustive DIMACS solver speaking the standard s/v protocol."""
-    from .oracle import _model_blocks
+    """Exhaustive DIMACS solver speaking the standard s/v protocol: the
+    lowest model, from the first sub-block that has one."""
     formula = _load_dimacs(args.input, _read_input(args.input))
     try:
-        block = next(_model_blocks(formula), None)
+        masks = dimacs._model_masks(formula)
     except ParameterError as exc:  # past the exhaustive backend's cap
         raise SystemExit("formula %s: %s" % (args.input, exc)) from None
-    if block is None:
+    start, mask = next(((s, mask) for s, mask in masks if mask), (0, 0))
+    if not mask:
         print("s UNSATISFIABLE")
         return 20
-    bits = int(block[0])
+    bits = start + (mask & -mask).bit_length() - 1
     lits = [(v if (bits >> (v - 1)) & 1 else -v) for v in range(1, formula.num_vars + 1)]
     print("s SATISFIABLE")
     print("v " + " ".join(str(l) for l in lits) + " 0")
@@ -411,10 +418,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_count_models(args) -> int:
-    from .oracle import count_models
     formula = _load_dimacs(args.input, _read_input(args.input))
     try:
-        n = count_models(formula)
+        n = dimacs.count_models(formula)
     except ParameterError as exc:  # past the exhaustive backend's cap
         raise SystemExit("formula %s: %s" % (args.input, exc)) from None
     print("models: %d" % n)

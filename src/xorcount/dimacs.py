@@ -1,5 +1,7 @@
-"""DIMACS CNF parsing and emission, with extended parity ("x") lines.
-Text only: `oracle.expand_xors` lowers parity rows to plain clauses.
+"""DIMACS CNF parsing and emission, with extended parity ("x") lines, and
+the exhaustive model evaluator (`_model_masks`, `count_models`), in
+Python ints alone: a `xorcount solve` child loads this module and not
+numpy.  `oracle.expand_xors` lowers parity rows to plain clauses.
 
 x-line convention (dialects disagree, so pinned here and in golden tests):
 "x1 2 0" asserts x1 XOR x2 = 1; a leading minus on the FIRST literal flips
@@ -8,12 +10,16 @@ the right-hand side to 0, i.e. "x-1 2 0" asserts x1 XOR x2 = 0.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from itertools import chain
 
-from .errors import ParseError
+from .errors import ParameterError, ParseError
 
-__all__ = ["CnfFormula", "ParseError", "parse", "emit"]
+__all__ = ["CnfFormula", "ParseError", "parse", "emit", "count_models"]
+
+EXHAUSTIVE_CAP_VARS = 26
+_SUB_VARS = 16  # a sub-block is 2^16 assignments, one Python int
 
 
 class CnfFormula:
@@ -212,3 +218,85 @@ def _write(rows, prefix: str = "") -> str:
     name = dict(zip(lits, map(str, lits))).__getitem__
     lines = [" ".join(map(name, row)) for row in rows]
     return prefix + (" 0\n" + prefix).join(lines) + " 0\n"
+
+
+@functools.cache
+def _slices(width: int) -> tuple:
+    """Variables 1..width across a sub-block of 2^width assignments,
+    variable j + 1 with bit l set where bit j of l is: 2^j zeros then 2^j
+    ones, repeated (`full // (2^(2^(j+1)) - 1)` has a 1 every 2^(j+1)
+    bits); then each one's negation."""
+    full = (1 << (1 << width)) - 1
+    pos = tuple(full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+                for j in range(width))
+    return pos, tuple(full ^ x for x in pos)
+
+
+def _model_masks(formula: CnfFormula):
+    """The formula's models as an iterator of (start, mask), one per
+    sub-block of 2^min(num_vars, 16) assignments in increasing order: bit l
+    of the int mask is set where assignment start + l is a model
+    (num_vars <= 26, checked here, before any sub-block is read).
+
+    Variables 1..16 are bit slices of the sub-block (`_slices`), and a
+    variable above them is a constant over it, bit v - 1 of start.  The
+    constraints are compiled once: a clause is the OR of its low literals'
+    slices, a parity row the XOR of its low variables' slices (inverted
+    for rhs 0), and those with no variable above 16 are ANDed into one
+    base mask.  Each sub-block then ANDs in only the rest, until its mask
+    is 0: a clause that a literal above 16 satisfies is skipped, and a row
+    is inverted when its variables above 16 are odd in start.  Only the
+    sub-blocks read are evaluated."""
+    nv = formula.num_vars
+    if nv > EXHAUSTIVE_CAP_VARS:
+        raise ParameterError(
+            "exhaustive backend capped at %d variables, formula has %d"
+            % (EXHAUSTIVE_CAP_VARS, nv))
+    width = min(nv, _SUB_VARS)
+    full = (1 << (1 << width)) - 1
+    pos, neg = _slices(width)
+    base, clauses, rows = full, [], []
+    for cl in formula.clauses:
+        low = above = unset = 0  # its slices; its variables above 16, set, unset
+        for lit in cl:
+            j = abs(lit) - 1
+            if j < width:
+                low |= pos[j] if lit > 0 else neg[j]
+            elif lit > 0:
+                above |= 1 << j
+            else:
+                unset |= 1 << j
+        if above | unset:
+            clauses.append((above, unset, low))
+        else:
+            base &= low
+    for sup, rhs in formula.xors:
+        low, above = 0 if rhs else full, 0
+        for v in sup:
+            if v <= width:
+                low ^= pos[v - 1]
+            else:
+                above ^= 1 << v - 1
+        if above:
+            rows.append((above, low))
+        else:
+            base &= low
+    if not base:  # no sub-block has a model
+        clauses = rows = []
+
+    def sweep():
+        for start in range(0, 1 << nv, 1 << width):
+            mask = base
+            for above, unset, low in clauses:
+                if mask and not (start & above or ~start & unset):
+                    mask &= low
+            for above, low in rows:
+                if mask:
+                    mask &= low ^ full if (start & above).bit_count() & 1 else low
+            yield start, mask
+    return sweep()
+
+
+def count_models(formula: CnfFormula) -> int:
+    """Exact model count by exhaustive enumeration (num_vars <= 26)."""
+    return sum(mask.bit_count() for _, mask in _model_masks(formula))

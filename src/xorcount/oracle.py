@@ -6,9 +6,10 @@ Three interchangeable backends answer the same question:
     models are enumerated lazily, one block of assignments at a time and
     only as far as the questions read them, projected onto the first n
     variables, packed and kept for later questions, at most 512 MB at the
-    cap.  Enumeration is bit-sliced: one uint64 word holds 64 assignments,
-    so a clause is a few word-wide ORs and a native XOR row a few XORs,
-    over blocks of 2^16 assignments doubling up to 2^20 (128 KB of words).
+    cap.  Each block of 2^16 assignments doubling up to 2^20 joins the
+    bit masks of its 2^16-assignment sub-blocks, which `dimacs._model_masks`
+    evaluates bit-sliced in Python ints: a clause is an OR of variable
+    slices, and a native XOR row an XOR.
   * external  — serialize the conjoined instance to DIMACS and invoke a
     solver subprocess; witnesses are always re-checked in process, and a
     SAT answer without a full model, or with a v line that is not all
@@ -60,12 +61,13 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .dimacs import CnfFormula, emit
+from .dimacs import _SUB_VARS, CnfFormula, _model_masks, count_models, emit
 from .errors import DimensionError, IntegrityError, ParameterError
 from .gf2hash import ParityHash
 
@@ -81,16 +83,9 @@ __all__ = [
     "count_models",
 ]
 
-EXHAUSTIVE_CAP_VARS = 26
 # model enumeration: blocks of 2^16 assignments, then blocks doubling up to
-# 2^20, 64 assignments per uint64 word; bit l of _LOW[j] is bit j of l,
-# variable j + 1's value across any word, and variables 7.._AXIS_VARS pick
-# a word along one contiguous axis of a block's words
-_FIRST_BLOCK_VARS = 16
+# 2^20, each the masks of its 2^16-assignment sub-blocks
 _BLOCK_VARS = 20
-_AXIS_VARS = 16
-_ALL = (1 << 64) - 1
-_LOW = tuple(sum(1 << l for l in range(64) if l >> j & 1) for j in range(6))
 # the survival kernel: a chunk of trials holds at most _TABLE_BYTES of
 # tables, a block of members at most _BLOCK_ELEMENTS (member, trial) pairs,
 # and `any` folds a block's pairs _FOLD members at a time
@@ -507,116 +502,29 @@ def _pairs(buffer, dtype, size: int, lanes: int):
 def _model_blocks(formula: CnfFormula):
     """The formula's models in increasing order, as an iterator of nonempty
     uint64 arrays, one per block of assignments (num_vars <= 26, checked
-    here, before any block is read).
+    by `dimacs._model_masks` before any block is read).
 
     The first block is [0, 2^16); then each block [2^w, 2^(w+1)) doubles
     up to 2^20 assignments, and the rest are 2^20 long, each aligned to its
-    own length; a formula of at most 16 variables is one block.  Only the
-    blocks read are enumerated.
+    own length; a formula of at most 16 variables is one block.  A block
+    is its sub-blocks' masks (`dimacs._model_masks`, 2^16 assignments
+    each) joined as bytes and unpacked once; only the sub-blocks of the
+    blocks read are evaluated.
     """
-    nv = formula.num_vars
-    if nv > EXHAUSTIVE_CAP_VARS:
-        raise ParameterError(
-            "exhaustive backend capped at %d variables, formula has %d"
-            % (EXHAUSTIVE_CAP_VARS, nv)
-        )
-    first = min(nv, _FIRST_BLOCK_VARS)
-    spans = [(0, first)] + [(1 << w, w) for w in range(first, min(nv, _BLOCK_VARS))]
-    spans += [(start, _BLOCK_VARS) for start in
-              range(1 << _BLOCK_VARS, 1 << nv, 1 << _BLOCK_VARS)]
-    blocks = (_block_models(formula, start, width) for start, width in spans)
-    return (models for models in blocks if models is not None)
+    masks = _model_masks(formula)
+    size = max(1, 1 << min(formula.num_vars, _SUB_VARS) >> 3)  # bytes a mask
 
-
-@functools.cache
-def _slices(width: int):
-    """Each variable j < width across a block of 2^width assignments,
-    bit-sliced (see `_block_models`), then each one's negation; the arrays
-    are shared by every block of that width, so they are read-only."""
-    if width > _AXIS_VARS:
-        pos, neg = _slices(_AXIS_VARS)
-        own = [np.array([0, _ALL], dtype=np.uint64).reshape(
-                   [2 if axis == width - 1 - j else 1
-                    for axis in range(width - _AXIS_VARS)] + [1])
-               for j in range(_AXIS_VARS, width)]
-    else:
-        pos = neg = ()
-        words = np.arange(1 << max(0, width - 6), dtype=np.uint64)
-        ones, zeros = np.uint64(_ALL), np.uint64(0)
-        own = [np.uint64(_LOW[j]) if j < 6 else
-               np.where(words >> np.uint64(j - 6) & np.uint64(1), ones, zeros)
-               for j in range(width)]
-    negated = [~x for x in own]
-    for x in own + negated:
-        if isinstance(x, np.ndarray):
-            x.setflags(write=False)
-    return pos + tuple(own), neg + tuple(negated)
-
-
-def _block_models(formula: CnfFormula, start: int, width: int):
-    """The models among assignments start..start + 2^width - 1, or None.
-
-    The block is bit-sliced, 64 assignments per word: bit l of word w
-    stands for assignment start + 64w + l.  Variable j < 6 is one fixed
-    word.  The words are laid out as a (2,) * (width - 16) + (2^10,) array
-    (or one axis of 2^(width - 6) words below 16 variables): variable
-    6 <= j < 16 is a pattern along the last axis, where word w is all ones
-    if bit j - 6 of w is set; variable 16 <= j < width is a [0, all-ones]
-    slice along axis width - 1 - j (numpy broadcasts both over the rest);
-    and a variable at or above the width is a constant over the block.
-    Each clause and parity row becomes one word array
-    (`_block_constraints`) ANDed into the block's mask.  The block is
-    dropped once its mask is all zero, as checked after constraints 1, 2,
-    4, 8, ... and the last, so a block that dies early costs at most twice
-    the constraints it needs.
-    """
-    # below 6 variables the block is one word, and only its low 2^width
-    # bits stand for assignments
-    valid = _ALL if width >= 6 else (1 << (1 << width)) - 1
-    words = 1 << max(0, min(width, _AXIS_VARS) - 6)
-    mask = np.full((2,) * max(0, width - _AXIS_VARS) + (words,), valid, dtype=np.uint64)
-    k = 0
-    for k, value in enumerate(_block_constraints(formula, _slices(width), start), 1):
-        mask &= value
-        if not k & k - 1 and not mask.any():
-            return None
-    if k & k - 1 and not mask.any():
-        return None
-    bits = np.unpackbits(mask.view(np.uint8), bitorder="little")
-    models = np.flatnonzero(bits.view(bool)).view(np.uint64)
-    models += np.uint64(start)
-    return models
-
-
-def _block_constraints(formula: CnfFormula, slices, start: int):
-    """For each clause, then each parity row, the words of the block at
-    `start` whose bits satisfy it; `slices` is each variable j + 1 across
-    the block, then each one's negation.  A clause is the OR of its
-    literals' slices (the zero word for an empty clause), and one that a
-    literal above the block satisfies is skipped; a parity row is the XOR
-    of its slices, inverted when the right-hand side is 0, and a variable
-    above the block set to 1 inverts it again."""
-    pos, neg = slices
-    width = len(pos)
-    for cl in formula.clauses:
-        value = None
-        for lit in cl:
-            j = abs(lit) - 1
-            if j < width:
-                sliced = pos[j] if lit > 0 else neg[j]
-                value = sliced if value is None else value | sliced
-            elif (start >> j & 1) == (lit > 0):
-                break
-        else:
-            yield np.uint64(0) if value is None else value
-    for sup, rhs in formula.xors:
-        value = np.uint64(0 if rhs else _ALL)
-        for v in sup:
-            if v <= width:
-                value = value ^ pos[v - 1]
-            elif start >> (v - 1) & 1:
-                value = ~value
-        yield value
+    def blocks():
+        read = 0  # a block takes as many sub-blocks as came before it, 1 to 16
+        while part := list(islice(masks, min(max(read, 1), 1 << _BLOCK_VARS - _SUB_VARS))):
+            read += len(part)
+            if any(mask for _, mask in part):
+                raw = b"".join(mask.to_bytes(size, "little") for _, mask in part)
+                bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+                models = np.flatnonzero(bits.view(bool)).view(np.uint64)
+                models += np.uint64(part[0][0])
+                yield models
+    return blocks()
 
 
 def _stream(problem: CountingProblem):
@@ -644,11 +552,6 @@ def _pull(problem: CountingProblem, i: int) -> bool:
             models = np.unique(models & np.uint64((1 << problem.n) - 1))
         problem._blocks.append(models.reshape(-1, 1))
         return True
-
-
-def count_models(formula: CnfFormula) -> int:
-    """Exact model count by exhaustive enumeration (num_vars <= 26)."""
-    return sum(len(block) for block in _model_blocks(formula))
 
 
 def _check_assignment(formula: CnfFormula, bits: int) -> bool:

@@ -86,6 +86,15 @@ class TestFstarCmd:
         assert main(["fstar", "20", "5", "--delta", "100"]) == 1
         assert "unmet" in capsys.readouterr().err
 
+    def test_negative_threshold_printed_as_not_positive(self, capsys):
+        # mu = 2^-3 and delta = 2.25: (mu/(delta-1) + mu - 1)/(q-1) with
+        # q = 4 is (0.1 + 0.125 - 1)/3, which no epsilon can meet
+        assert main(["fstar", "20", "5", "--c", "-3"]) == 1
+        captured = capsys.readouterr()
+        lines = [l for l in captured.out.splitlines() if l.startswith("threshold")]
+        assert lines == ["threshold: not positive, linear = -0.258333"]
+        assert "condition unmet" in captured.err
+
     @pytest.mark.parametrize("delta", ["2.0000000000001", "2.25"])
     def test_printed_delta_round_trips(self, capsys, delta):
         assert main(["fstar", "204", "56", "--delta", delta]) == 0
@@ -680,9 +689,21 @@ class TestStartup:
         proc = _child(["-X", "importtime", "-m", "xorcount.cli", "solve", str(cnf)])
         assert proc.returncode == 10 and proc.stdout.startswith("s SATISFIABLE")
         names = _imported(proc.stderr)
-        assert {"xorcount.dimacs", "xorcount.oracle"} <= names
-        assert not names & {"xorcount.bounds", "xorcount.comb", "xorcount.tables",
-                            "numpy.random", "fractions"}
+        assert "xorcount.dimacs" in names
+        assert not names & {"numpy", "xorcount.oracle", "xorcount.gf2hash",
+                            "xorcount.bounds", "xorcount.comb", "xorcount.tables",
+                            "fractions"}
+
+    def test_count_models_imports_only_what_it_runs(self, tmp_path):
+        cnf = tmp_path / "t.cnf"
+        cnf.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
+        proc = _child(["-X", "importtime", "-m", "xorcount.cli", "count-models", str(cnf)])
+        assert proc.returncode == 0 and proc.stdout.startswith("models: 4\n")
+        names = _imported(proc.stderr)
+        assert "xorcount.dimacs" in names
+        assert not names & {"numpy", "xorcount.oracle", "xorcount.gf2hash",
+                            "xorcount.bounds", "xorcount.comb", "xorcount.tables",
+                            "fractions"}
 
     def test_narrow_bound_never_imports_numpy_random(self, tmp_path):
         # only hash draws of k >= gf2hash._WIDE_K uniforms load numpy.random

@@ -720,6 +720,69 @@ class TestModelBlocks:
         assert digest.hexdigest() == MODEL_GRID_SHA256
 
 
+def edge_grid():
+    """Seeded formulas of 0-6 variables (clauses, then parity rows, some
+    with a repeated variable), and formulas of 17-21 variables whose
+    clauses and parity rows lie wholly, or partly, above variable 16, so
+    that they are constants over each 2^16-assignment sub-block."""
+    rng = random.Random(34)
+    for nv in range(7):
+        for _ in range(3):
+            clauses = [[rng.choice([v, -v]) for v in
+                        rng.choices(range(1, nv + 1), k=rng.randint(1, 3))]
+                       for _ in range(rng.randint(0, nv + 1))] if nv else []
+            rows = [(rng.choices(range(1, nv + 1), k=rng.randint(0, 4)) if nv else [],
+                     rng.randint(0, 1)) for _ in range(rng.randint(0, 2))]
+            yield CnfFormula(nv, clauses, rows)
+    for nv in (17, 18, 20, 21):
+        high = range(17, nv + 1)
+        for _ in range(2):
+            clauses = [[rng.choice([v, -v]) for v in rng.sample(high, min(2, len(high)))]
+                       for _ in range(2)]
+            rows = [(rng.sample(high, rng.randint(1, len(high))), rng.randint(0, 1))
+                    for _ in range(2)]
+            mixed = [([rng.randint(1, 16), rng.choice(high)], rng.randint(0, 1)),
+                     ([rng.randint(1, 16), rng.choice(high), rng.choice(high)], 1)]
+            yield CnfFormula(nv, clauses, rows)
+            yield CnfFormula(nv, clauses + [[1, -2, rng.choice(high)]], rows + mixed)
+
+
+class TestSubBlocks:
+    """`xorcount solve`, `count_models` and the model stream read one
+    evaluator, `dimacs._model_masks`, and agree on every formula."""
+
+    FORMULAS = list(model_grid()) + list(edge_grid())
+
+    @pytest.mark.parametrize("index", range(len(FORMULAS)))
+    def test_solve_count_and_stream_agree(self, index, tmp_path, capsys):
+        from xorcount.cli import main
+        formula = self.FORMULAS[index]
+        nv = formula.num_vars
+        blocks = list(_model_blocks(formula))
+        assert count_models(formula) == sum(len(b) for b in blocks)
+        path = tmp_path / "f.cnf"
+        path.write_text(emit(formula))
+        rc = main(["solve", str(path)])
+        out = capsys.readouterr().out.splitlines()
+        if not blocks:
+            assert rc == 20 and out == ["s UNSATISFIABLE"]
+            return
+        assert rc == 10 and out[0] == "s SATISFIABLE"
+        lits = [int(t) for t in out[1].split()[1:]]
+        assert lits[-1] == 0 and [abs(l) for l in lits[:-1]] == list(range(1, nv + 1))
+        first = sum(1 << (l - 1) for l in lits if l > 0)
+        assert first == int(blocks[0][0])
+        # projected onto n < nv, each block of the stream is its block's
+        # models masked and deduplicated, and solve's model is in the first
+        for n in sorted({0, nv // 2, nv - 1}) if nv else ():
+            held = list(_stream(CountingProblem.from_cnf(formula, n)))
+            mask = np.uint64((1 << n) - 1)
+            assert len(held) == len(blocks)
+            for got, block in zip(held, blocks):
+                assert np.array_equal(got.ravel(), np.unique(block & mask))
+            assert first & ((1 << n) - 1) in held[0].ravel().tolist()
+
+
 def criterion_11_cnf():
     """Criterion 11's random 3-CNF: 141,440 models of 20 variables, in
     stream blocks of 6,880, 6,880, 16,416, 32,000 and 79,264."""
@@ -831,21 +894,22 @@ class TestModelStream:
         assert len(pulled) == 2 and unsat._blocks == []
 
     def test_solve_reads_one_block(self, tmp_path, capsys, monkeypatch):
-        from xorcount import oracle
+        from xorcount import dimacs
         from xorcount.cli import main
         formula = CnfFormula(26, [[1, 26], [-2, 25], [3, -4]], [([5, 20, 26], 1)])
-        blocks = []
-        real = oracle._block_constraints
+        read = []
+        real = dimacs._model_masks
 
-        def counting(formula, slices, start):
-            blocks.append(start)
-            return real(formula, slices, start)
+        def counting(formula):
+            for start, mask in real(formula):
+                read.append(start)
+                yield start, mask
 
-        monkeypatch.setattr(oracle, "_block_constraints", counting)
+        monkeypatch.setattr(dimacs, "_model_masks", counting)
         path = tmp_path / "f26.cnf"
         path.write_text(emit(formula))
         assert main(["solve", str(path)]) == 10
-        assert blocks == [0]
+        assert read == [0]
         vline = capsys.readouterr().out.splitlines()[1]
         lits = [int(t) for t in vline.split()[1:-1]]
         assert _check_assignment(formula, sum(1 << (l - 1) for l in lits if l > 0))
