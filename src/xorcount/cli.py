@@ -18,24 +18,29 @@ table spec, or one 0/1 assignment string per line (explicit set).
 All log-scale outputs are printed in both natural log and log2.
 
 Start-up: at module level this imports only the stdlib, `errors` and
-`dimacs`; each subcommand imports the modules it runs.  `epsilon` and
-`fstar` never load numpy, and `solve` and `count-models` (the solver child
-an external-solver estimate starts once per question) load nothing more:
-`dimacs` evaluates models in Python ints.  The program entry `run`
-defaults OPENBLAS_NUM_THREADS to 1 before numpy can load: xorcount does
-no linear algebra, and starting the OpenBLAS worker threads numpy would
-otherwise start, one per further CPU, is most of numpy's import time.
-`main` builds only the parser of the
+`dimacs`; each subcommand imports the modules it runs (`csv` and `json`
+too, where it writes them).  `epsilon` and `fstar` never load numpy, and
+`solve` and `count-models` (the solver child an external-solver estimate
+starts once per question) load nothing more: `dimacs` evaluates models in
+Python ints.  The program entry `run` defaults OPENBLAS_NUM_THREADS to 1
+before numpy can load: xorcount does no linear algebra, and starting the
+OpenBLAS worker threads numpy would otherwise start, one per further CPU,
+is most of numpy's import time.  `main` builds only the parser of the
 command it runs, from the same `_COMMANDS` registry as the whole tree
 (`build_parser`), and hands the tree any argv that parser does not take.
+
+A run ends with exit 0; with one stderr line and exit 1 where it cannot
+go on (a bad argument, file or setting, an unwritable output path, a
+solver model that fails the recheck), each such line made from its error
+in one place, `_refusing`; with exit 2 where an oracle answer was
+unknown (`inconclusive`); or with exit 130 on Ctrl-C (`interrupted`).
+`solve` exits 10 (SAT) or 20 (UNSAT), and `fstar` 1 where unmet.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
-import json
 import math
 import os
 import sys
@@ -58,22 +63,21 @@ if TYPE_CHECKING:
 LN2 = math.log(2.0)
 
 
-def _read_input(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit("cannot read %s: %s" % (path, exc)) from None
-
-
 @contextmanager
-def _writing(path):
-    """An OSError raised while the body writes `path` ends the run with one
-    `cannot write PATH: REASON` line (exit 1)."""
+def _refusing(prefix: str, *errors, suffix: str = ""):
+    """An exception of `errors` raised in the body ends the run with exit 1
+    and one stderr line, PREFIX + REASON + SUFFIX: REASON is its `strerror`
+    where it has one (a file error names its path once), else its text."""
     try:
         yield
-    except OSError as exc:
-        raise SystemExit("cannot write %s: %s"
-                         % (path, exc.strerror or exc)) from None
+    except errors as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise SystemExit("%s%s%s" % (prefix, reason, suffix)) from None
+
+
+def _read_input(path: str, prefix: str = "") -> str:
+    with _refusing("%scannot read %s: " % (prefix, path), OSError, UnicodeDecodeError):
+        return Path(path).read_text()
 
 
 def _check_writable(path, *, directory=False):
@@ -97,26 +101,18 @@ def _check_writable(path, *, directory=False):
 
 def _load_table_spec(path: str, text: str) -> tables.ContingencyTableSpec:
     from . import tables
-    try:
+    with _refusing("bad table-spec file %s: " % path, ValueError):
         return tables.parse_table_spec(text)
-    except ValueError as exc:
-        raise SystemExit("bad table-spec file %s: %s" % (path, exc)) from None
 
 
 def _load_dimacs(path: str, text: str) -> dimacs.CnfFormula:
-    try:
+    with _refusing("bad DIMACS file %s: " % path, ParseError):
         return dimacs.parse(text)
-    except ParseError as exc:
-        raise SystemExit("bad DIMACS file %s: %s" % (path, exc)) from None
 
 
 def _load_problem(path: str) -> CountingProblem:
     from .oracle import CountingProblem, _explicit_from_lines
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SystemExit("bad bound parameters: cannot read %s: %s"
-                         % (path, exc)) from None
+    text = _read_input(path, "bad bound parameters: ")
     lines = [raw.strip() for raw in text.splitlines()]
     # comments and the header as `dimacs.parse` reads them
     for line in lines:
@@ -132,10 +128,9 @@ def _load_problem(path: str) -> CountingProblem:
     lines = [l for l in lines if l and not l.startswith("#")]
     if not lines:
         raise SystemExit("empty explicit-set file: %s" % path)
-    try:
+    # a bad character, or lines of mixed lengths
+    with _refusing("bad explicit-set file %s: " % path, ValueError):
         return _explicit_from_lines(lines)
-    except ValueError as exc:  # a bad character, or lines of mixed lengths
-        raise SystemExit("bad explicit-set file %s: %s" % (path, exc)) from None
 
 
 def _solver_profile(args) -> SolverProfile | None:
@@ -143,12 +138,10 @@ def _solver_profile(args) -> SolverProfile | None:
     if not template:
         return None
     from .oracle import SolverProfile
-    try:
+    with _refusing("bad solver settings: ", ParameterError):
         return SolverProfile(template, budget_s=args.budget_s,
                              native_xor=args.native_xor, chunk=args.chunk,
                              jobs=args.jobs)
-    except ParameterError as exc:
-        raise SystemExit("bad solver settings: %s" % exc) from None
 
 
 def _print_scales(label: str, log2_value):
@@ -165,11 +158,9 @@ def _print_scales(label: str, log2_value):
 
 def cmd_epsilon(args) -> int:
     from . import comb
-    try:
+    with _refusing("bad parameters: ", ParameterError):
         eps = comb.epsilon(comb.EpsilonInputs(args.n, args.m, args.q, args.f))
         v = comb.variance_bound_v(args.q, args.n, args.m, args.f)
-    except ParameterError as exc:
-        raise SystemExit("bad parameters: %s" % exc) from None
     _print_scales("epsilon(n=%d,m=%d,q=%d,f=%r)" % (args.n, args.m, args.q, args.f),
                   eps / LN2)
     _print_scales("v(q)", None if v == -math.inf else v / LN2)
@@ -178,14 +169,12 @@ def cmd_epsilon(args) -> int:
 
 def cmd_fstar(args) -> int:
     from . import comb
-    try:
+    with _refusing("bad parameters: ", ParameterError):
         if args.m + args.c < 1:
             raise ParameterError("need m + c >= 1 (q = 2^(m+c) >= 2), got %d"
                                  % (args.m + args.c))
         cert = comb.min_density_fstar(args.n, args.m, 1 << (args.m + args.c),
                                       args.delta)
-    except ParameterError as exc:
-        raise SystemExit("bad parameters: %s" % exc) from None
     print("f* = %.5f  (bracket [%.5f, %.5f], tolerance %g)"
           % (cert.f_star, cert.bracket_lo, cert.bracket_hi, cert.tolerance))
     print("n=%d m=%d c=%g delta=%r q=2^%d" % (cert.n, cert.m, cert.c,
@@ -246,7 +235,8 @@ def _certify(problem, args, solver, f: float, modes) -> list:
     solver model that fails the in-process recheck ends the run with one
     line, like a bad parameter."""
     from . import bounds as bd
-    try:
+    with (_refusing("bad bound parameters: ", ParameterError),
+          _refusing("", IntegrityError)):
         if problem.n == 0:
             raise ParameterError("the problem has width n = 0; bounds need n >= 1")
         if modes == ["count"]:
@@ -277,10 +267,6 @@ def _certify(problem, args, solver, f: float, modes) -> list:
                     break
             certs.append(cert)
         return certs
-    except ParameterError as exc:
-        raise SystemExit("bad bound parameters: %s" % exc) from None
-    except IntegrityError as exc:
-        raise SystemExit(str(exc)) from None
 
 
 def _print_summary(mode: str, cert):
@@ -304,6 +290,7 @@ def _print_summary(mode: str, cert):
 
 
 def cmd_bound(args) -> int:
+    import json
     problem = _load_problem(args.input)
     solver = _solver_profile(args)
     _warn_unread(args, problem, solver, [args.mode])
@@ -327,19 +314,19 @@ def cmd_bound(args) -> int:
         report["certificates"] = [cert.to_json()]
     report["wall_time_s"] = time.monotonic() - t0
     if args.json:
-        with _writing(args.json):
+        with _refusing("cannot write %s: " % args.json, OSError):
             Path(args.json).write_text(json.dumps(report, indent=2) + "\n")
     return 2 if "inconclusive" in report else 0
 
 
 def cmd_sweep(args) -> int:
+    import csv
+    import json
     from .gf2hash import _check_density
-    try:
-        f_list = [float(t) for t in args.f_list.split(",")]
-        for f in f_list:  # every density, before any oracle call
+    with _refusing("bad bound parameters: ", ValueError, suffix=" in %r" % args.f_list):
+        f_list = [float(t) for t in args.f_list.split(",")]  # not a number
+        for f in f_list:  # out of [0, 1/2]: every density, before any oracle call
             _check_density(f)
-    except ValueError as exc:  # not a number, or out of [0, 1/2]
-        raise SystemExit("bad bound parameters: %s in %r" % (exc, args.f_list)) from None
     problem = _load_problem(args.input)
     solver = _solver_profile(args)
     _warn_unread(args, problem, solver, ["lb", "ub"])
@@ -347,7 +334,7 @@ def cmd_sweep(args) -> int:
         _check_writable(args.csv)
     out_dir = Path(args.certs_dir) if args.certs_dir else None
     if out_dir:
-        with _writing(out_dir):
+        with _refusing("cannot write %s: " % out_dir, OSError):
             out_dir.mkdir(parents=True, exist_ok=True)
         _check_writable(out_dir, directory=True)
     rows, inconclusive = [], False
@@ -365,7 +352,7 @@ def cmd_sweep(args) -> int:
             row["ub_log2"] = "%.6g" % ub.verdict_log2
             if out_dir:
                 p = out_dir / ("certs_f%s.json" % repr(f).replace(".", "p"))
-                with _writing(p):
+                with _refusing("cannot write %s: " % p, OSError):
                     p.write_text(json.dumps([lb.to_json(), ub.to_json()],
                                             indent=2) + "\n")
                 row["certificates_path"] = str(p)
@@ -375,7 +362,7 @@ def cmd_sweep(args) -> int:
               % (f, row["lb_log2"] or "-", row["ub_log2"] or "-",
                  row["wall_time_s"]))
     fieldnames = ["f", "lb_log2", "ub_log2", "wall_time_s", "certificates_path"]
-    with _writing(args.csv or "stdout"), (
+    with _refusing("cannot write %s: " % (args.csv or "stdout"), OSError), (
             open(args.csv, "w", newline="") if args.csv
             else nullcontext(sys.stdout)) as out:
         writer = csv.DictWriter(out, fieldnames=fieldnames)
@@ -402,10 +389,8 @@ def cmd_solve(args) -> int:
     """Exhaustive DIMACS solver speaking the standard s/v protocol: the
     lowest model, from the first sub-block that has one."""
     formula = _load_dimacs(args.input, _read_input(args.input))
-    try:
+    with _refusing("formula %s: " % args.input, ParameterError):  # past the cap
         masks = dimacs._model_masks(formula)
-    except ParameterError as exc:  # past the exhaustive backend's cap
-        raise SystemExit("formula %s: %s" % (args.input, exc)) from None
     start, mask = next(((s, mask) for s, mask in masks if mask), (0, 0))
     if not mask:
         print("s UNSATISFIABLE")
@@ -419,10 +404,8 @@ def cmd_solve(args) -> int:
 
 def cmd_count_models(args) -> int:
     formula = _load_dimacs(args.input, _read_input(args.input))
-    try:
+    with _refusing("formula %s: " % args.input, ParameterError):  # past the cap
         n = dimacs.count_models(formula)
-    except ParameterError as exc:  # past the exhaustive backend's cap
-        raise SystemExit("formula %s: %s" % (args.input, exc)) from None
     print("models: %d" % n)
     if n:
         _print_scales("log2 models", math.log2(n))

@@ -692,7 +692,7 @@ class TestStartup:
         assert "xorcount.dimacs" in names
         assert not names & {"numpy", "xorcount.oracle", "xorcount.gf2hash",
                             "xorcount.bounds", "xorcount.comb", "xorcount.tables",
-                            "fractions"}
+                            "fractions", "csv", "json"}
 
     def test_count_models_imports_only_what_it_runs(self, tmp_path):
         cnf = tmp_path / "t.cnf"
@@ -703,7 +703,7 @@ class TestStartup:
         assert "xorcount.dimacs" in names
         assert not names & {"numpy", "xorcount.oracle", "xorcount.gf2hash",
                             "xorcount.bounds", "xorcount.comb", "xorcount.tables",
-                            "fractions"}
+                            "fractions", "csv", "json"}
 
     def test_narrow_bound_never_imports_numpy_random(self, tmp_path):
         # only hash draws of k >= gf2hash._WIDE_K uniforms load numpy.random
@@ -859,57 +859,111 @@ class TestCommandParser:
 
 
 class TestOneLineErrors:
-    @pytest.mark.parametrize("argv,prefix", [
-        (["table", "{missing}"], "cannot read {missing}: "),
-        (["solve", "{missing}"], "cannot read {missing}: "),
-        (["count-models", "{missing}"], "cannot read {missing}: "),
-        (["solve", "{bad_token}"], "bad DIMACS file {bad_token}: "),
-        (["count-models", "{bad_token}"], "bad DIMACS file {bad_token}: "),
-        (["solve", "{bad_literal}"], "bad DIMACS file {bad_literal}: literal 3"),
+    """Each refusal is the one whole line a run ends on: SystemExit with a
+    string is that line on stderr and exit 1."""
+
+    # a solver whose model x1 = 0, x2 = 1 breaks sat.cnf's clause (1 -2);
+    # braces doubled, since each argument is formatted with the paths
+    LIAR = "sh -c 'echo s SATISFIABLE; echo v -1 2 0' {{in}}"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["table", "{missing}"], "cannot read {missing}: No such file or directory"),
+        (["solve", "{missing}"], "cannot read {missing}: No such file or directory"),
+        (["count-models", "{missing}"],
+         "cannot read {missing}: No such file or directory"),
+        (["solve", "{bad_token}"],
+         "bad DIMACS file {bad_token}: token 'x' is not an integer"),
+        (["count-models", "{bad_token}"],
+         "bad DIMACS file {bad_token}: token 'x' is not an integer"),
+        (["solve", "{bad_literal}"], "bad DIMACS file {bad_literal}: literal 3 out of range"),
         (["count-models", "{bad_literal}"],
-         "bad DIMACS file {bad_literal}: literal 3"),
-        (["epsilon", "5", "10", "4", "0.3"], "bad parameters: need 1 <= m <= n"),
-        (["epsilon", "5", "3", "4", "0.9"], "bad parameters: density f"),
-        (["fstar", "10", "20"], "bad parameters: need 1 <= m <= n"),
-        (["fstar", "10", "5", "--delta", "1"], "bad parameters: delta must"),
-        (["bound", "{bad_token}", "lb"], "bad DIMACS file {bad_token}: "),
-        (["bound", "{bad_literal}", "lb"], "bad DIMACS file {bad_literal}: literal 3"),
-        (["fstar", "10", "5", "--c", "-10"], "bad parameters: need m + c >= 1"),
+         "bad DIMACS file {bad_literal}: literal 3 out of range"),
+        (["epsilon", "5", "10", "4", "0.3"],
+         "bad parameters: need 1 <= m <= n, got m=10 n=5"),
+        (["epsilon", "5", "3", "4", "0.9"], "bad parameters: density f must lie in [0, 1/2]"),
+        (["fstar", "10", "20"], "bad parameters: need 1 <= m <= n, got m=20 n=10"),
+        (["fstar", "10", "5", "--delta", "1"],
+         "bad parameters: delta must be finite and exceed 2, not 1.0"),
+        (["bound", "{bad_token}", "lb"],
+         "bad DIMACS file {bad_token}: token 'x' is not an integer"),
+        (["bound", "{bad_literal}", "lb"],
+         "bad DIMACS file {bad_literal}: literal 3 out of range"),
+        (["fstar", "10", "5", "--c", "-10"],
+         "bad parameters: need m + c >= 1 (q = 2^(m+c) >= 2), got -5"),
         (["solve", "{too_wide}"], "formula {too_wide}: exhaustive backend capped "
                                   "at 26 variables, formula has 27"),
         (["count-models", "{too_wide}"], "formula {too_wide}: exhaustive backend "
                                          "capped at 26 variables, formula has 27"),
-        (["solve", "{negative}"], "bad DIMACS file {negative}: malformed header"),
+        (["solve", "{negative}"],
+         "bad DIMACS file {negative}: malformed header: 'p cnf -1 0'"),
         (["count-models", "{negative}"],
-         "bad DIMACS file {negative}: malformed header"),
-        (["bound", "{negative}", "lb"], "bad DIMACS file {negative}: malformed header"),
-        (["bound", "{good}", "lb", "--kappa", "nan"], "bad bound parameters: kappa"),
-        (["bound", "{good}", "lb", "--kappa", "inf"], "bad bound parameters: kappa"),
-        (["sweep", "{good}", "0.5", "--kappa", "nan"], "bad bound parameters: kappa"),
-        (["bound", "{good}", "count", "--alpha", "nan"], "bad bound parameters: alpha"),
-        (["bound", "{good}", "count", "--alpha", "inf"], "bad bound parameters: alpha"),
+         "bad DIMACS file {negative}: malformed header: 'p cnf -1 0'"),
+        (["bound", "{negative}", "lb"],
+         "bad DIMACS file {negative}: malformed header: 'p cnf -1 0'"),
+        (["bound", "{good}", "lb", "--kappa", "nan"],
+         "bad bound parameters: kappa must be positive and finite"),
+        (["bound", "{good}", "lb", "--kappa", "inf"],
+         "bad bound parameters: kappa must be positive and finite"),
+        (["sweep", "{good}", "0.5", "--kappa", "nan"],
+         "bad bound parameters: kappa must be positive and finite"),
+        (["bound", "{good}", "count", "--alpha", "nan"],
+         "bad bound parameters: alpha must be positive and finite"),
+        (["bound", "{good}", "count", "--alpha", "inf"],
+         "bad bound parameters: alpha must be positive and finite"),
         (["bound", "{good}", "lb", "--solver", "solve {{in}}", "--budget-s", "nan"],
-         "bad solver settings: budget_s"),
+         "bad solver settings: budget_s must be positive and finite, or None"),
         (["bound", "{good}", "lb", "--solver", "solve {{in}}", "--budget-s", "inf"],
-         "bad solver settings: budget_s"),
+         "bad solver settings: budget_s must be positive and finite, or None"),
         (["bound", "{good}", "lb", "--solver", "solve {{in}}", "--budget-s", "0"],
-         "bad solver settings: budget_s"),
+         "bad solver settings: budget_s must be positive and finite, or None"),
         (["bound", "{good}", "lb", "--solver", "solve {{in}}", "--budget-s", "-1"],
-         "bad solver settings: budget_s"),
-        (["solve", "{repeated}"], "bad DIMACS file {repeated}: repeated header"),
+         "bad solver settings: budget_s must be positive and finite, or None"),
+        (["solve", "{repeated}"],
+         "bad DIMACS file {repeated}: repeated header: 'p cnf 5 1'"),
         (["count-models", "{repeated}"],
-         "bad DIMACS file {repeated}: repeated header"),
-        (["bound", "{repeated}", "lb"], "bad DIMACS file {repeated}: repeated header"),
+         "bad DIMACS file {repeated}: repeated header: 'p cnf 5 1'"),
+        (["bound", "{repeated}", "lb"],
+         "bad DIMACS file {repeated}: repeated header: 'p cnf 5 1'"),
         (["bound", "{good}", "lb", "--m", "1", "--json", "{no_dir}/r.json"],
          "cannot write {no_dir}/r.json: No such file or directory"),
         (["sweep", "{good}", "0.5", "--m", "1", "--csv", "{no_dir}/x.csv"],
          "cannot write {no_dir}/x.csv: No such file or directory"),
         (["sweep", "{good}", "0.5", "--m", "1", "--certs-dir", "{good}/sub"],
          "cannot write {good}/sub: Not a directory"),
-        (["fstar", "204", "56", "--delta", "nan"], "bad parameters: delta must"),
-        (["fstar", "204", "56", "--delta", "inf"], "bad parameters: delta must"),
+        (["fstar", "204", "56", "--delta", "nan"],
+         "bad parameters: delta must be finite and exceed 2, not nan"),
+        (["fstar", "204", "56", "--delta", "inf"],
+         "bad parameters: delta must be finite and exceed 2, not inf"),
+        (["sweep", "{good}", "0.1,abc"], "bad bound parameters: could not convert "
+                                         "string to float: 'abc' in '0.1,abc'"),
+        (["sweep", "{good}", "0.1,0.7"], "bad bound parameters: density f must lie "
+                                         "in [0, 1/2], got 0.7 in '0.1,0.7'"),
+        (["bound", "{missing}", "lb"],
+         "bad bound parameters: cannot read {missing}: No such file or directory"),
+        (["sweep", "{missing}", "0.5"],
+         "bad bound parameters: cannot read {missing}: No such file or directory"),
+        # a file that is not text has no OS reason: the decoder's is kept
+        (["solve", "{binary}"], "cannot read {binary}: 'utf-8' codec can't decode "
+                                "byte 0xff in position 10: invalid start byte"),
+        (["bound", "{binary}", "lb"], "bad bound parameters: cannot read {binary}: "
+                                      "'utf-8' codec can't decode byte 0xff in "
+                                      "position 10: invalid start byte"),
+        (["bound", "{bad_bit}", "lb"], "bad explicit-set file {bad_bit}: invalid bit 'x'"),
+        (["bound", "{mixed}", "lb"],
+         "bad explicit-set file {mixed}: member width 2 != problem width 4"),
+        (["bound", "{no_members}", "lb"], "empty explicit-set file: {no_members}"),
+        (["table", "{bad_spec}"], "bad table-spec file {bad_spec}: bad table-spec line "
+                                  "'C: 1 x': invalid literal for int() with base 10: 'x'"),
+        (["table", "{perm9}"], "table spec {perm9}: enumeration visited 88236 rows "
+                               "without finishing (pass --force to count without a cap)"),
+        (["bound", "{good}", "lb", "--solver", "solve {{in}}", "--jobs", "0"],
+         "bad solver settings: jobs must be at least 1"),
+        (["bound", "{sat}", "count", "--solver", LIAR],
+         "solver witness fails in-process recheck"),
+        (["sweep", "{sat}", "0.5", "--solver", LIAR],
+         "solver witness fails in-process recheck"),
     ])
-    def test_bad_input_is_a_one_line_error(self, tmp_path, argv, prefix):
+    def test_bad_input_is_a_one_line_error(self, tmp_path, argv, message):
         paths = {"missing": tmp_path / "nope.cnf",
                  "bad_token": tmp_path / "token.cnf",
                  "bad_literal": tmp_path / "literal.cnf",
@@ -917,17 +971,30 @@ class TestOneLineErrors:
                  "too_wide": tmp_path / "wide.cnf",
                  "repeated": tmp_path / "repeated.cnf",
                  "good": tmp_path / "good.cnf",
-                 "no_dir": tmp_path / "no_dir"}
+                 "no_dir": tmp_path / "no_dir",
+                 "sat": tmp_path / "sat.cnf",
+                 "binary": tmp_path / "binary.cnf",
+                 "bad_bit": tmp_path / "bit.txt",
+                 "mixed": tmp_path / "mixed.txt",
+                 "no_members": tmp_path / "no_members.txt",
+                 "bad_spec": tmp_path / "bad.spec",
+                 "perm9": tmp_path / "p9.spec"}
         paths["good"].write_text("p cnf 3 1\n1 2 0\n")
         paths["bad_token"].write_text("p cnf 2 1\n1 x 0\n")
         paths["bad_literal"].write_text("p cnf 2 1\n1 3 0\n")
         paths["negative"].write_text("p cnf -1 0\n")
         paths["too_wide"].write_text("p cnf 27 1\n1 0\n")
         paths["repeated"].write_text("p cnf 1 1\n1 0\np cnf 5 1\n5 0\n")
+        paths["sat"].write_text("p cnf 2 1\n1 -2 0\n")
+        paths["binary"].write_bytes(b"p cnf 1 1\n\xff 0\n")
+        paths["bad_bit"].write_text("0101\n01x1\n")
+        paths["mixed"].write_text("0101\n11\n000000\n")
+        paths["no_members"].write_text("# no members\n\n")
+        paths["bad_spec"].write_text("rows 1 cols 2\nR: 1\nC: 1 x\n")
+        paths["perm9"].write_text(TestTableCmd.PERM_9)
         with pytest.raises(SystemExit) as exc:
             main([a.format(**paths) for a in argv])
-        msg = str(exc.value.code)
-        assert msg.startswith(prefix.format(**paths)) and "\n" not in msg
+        assert exc.value.code == message.format(**paths)
 
 
 class TestOneLineWarnings:
