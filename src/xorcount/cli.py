@@ -173,6 +173,11 @@ def cmd_fstar(args) -> int:
         if args.m + args.c < 1:
             raise ParameterError("need m + c >= 1 (q = 2^(m+c) >= 2), got %d"
                                  % (args.m + args.c))
+        # refused as comb.EpsilonInputs would, before q = 2^(m+c) is built
+        if not 1 <= args.m <= args.n:
+            raise ParameterError("need 1 <= m <= n, got m=%d n=%d" % (args.m, args.n))
+        if args.m + args.c > args.n:
+            raise ParameterError("need 2 <= q <= 2^n")
         cert = comb.min_density_fstar(args.n, args.m, 1 << (args.m + args.c),
                                       args.delta)
     print("f* = %.5f  (bracket [%.5f, %.5f], tolerance %g)"

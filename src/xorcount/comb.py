@@ -44,7 +44,7 @@ class EpsilonInputs:
     def __post_init__(self):
         if not 1 <= self.m <= self.n:
             raise ParameterError("need 1 <= m <= n, got m=%d n=%d" % (self.m, self.n))
-        if not 2 <= self.q <= 1 << self.n:
+        if self.q < 2 or (self.q - 1).bit_length() > self.n:  # q <= 2^n, unbuilt
             raise ParameterError("need 2 <= q <= 2^n")
         if not 0.0 <= self.f <= 0.5:
             raise ParameterError("density f must lie in [0, 1/2]")

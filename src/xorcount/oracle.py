@@ -1,7 +1,8 @@
 """Membership oracles: does S have an element in the cell h^-1(0)?
 
 Three interchangeable backends answer the same question:
-  * explicit  — S is given outright and packed at construction.
+  * explicit  — S is given outright: one packed block, sorted and
+    deduplicated by `_distinct` whether it comes from members or a file.
   * exhaustive — S is the model set of a CNF of at most 26 variables.  Its
     models are enumerated lazily, one block of assignments at a time and
     only as far as the questions read them, projected onto the first n
@@ -18,7 +19,7 @@ Three interchangeable backends answer the same question:
 
 The first two are in process: S is a stream of (k, W) uint64 blocks, W =
 ceil(n/64) words per member (an explicit set is one block), and every
-question is answered against it.
+question is answered against it.  Only `_stream` adds a block to it.
 `has_survivors` takes a whole estimate's T hashes at once and answers them
 by table lookup (the "method of Four Russians"): per chunk of trials, one
 256-entry table per member byte holds the XOR of the columns of A that the
@@ -153,10 +154,11 @@ def _usable_cpus() -> int:
 
 
 class CountingProblem:
-    """The set S whose size is being bounded.
+    """The set S whose size is being bounded: the model set of `formula`,
+    or else the rows of `block`.
 
-    kind == "explicit": S is a set of n-bit assignments, deduplicated; a
-                        member of any other width is a DimensionError.
+    kind == "explicit": S is a set of n-bit assignments, one packed block
+                        sorted and deduplicated by `_distinct`.
     kind == "cnf":      S is the model set of `formula`, projected onto the
                         first n variables (n == num_vars unless the formula
                         carries auxiliary variables, as table encodings do).
@@ -165,48 +167,41 @@ class CountingProblem:
     reads S as a stream of packed blocks (`_stream`): (k, W) uint64 arrays,
     W = ceil(n/64), word k of a row holding bits 64k..64k+63 of the member.
     `_blocks` holds the blocks so far and `_source` what yields the rest.
-    An explicit set is one block, in increasing order, packed here (or by
-    `_explicit_from_lines`, straight from a file's lines).  A CNF
-    problem's blocks are its models, each block in increasing order,
-    enumerated by `_model_blocks` only when a question reads past the
-    blocks held; projected onto n < num_vars, a member may recur in later
-    blocks.  `_lock` lets one thread at a time extend the stream.
+    An explicit set is its one block, none when empty.  A CNF problem's
+    blocks are its models, each block in increasing order, enumerated by
+    `_model_blocks` only when a question reads past the blocks held;
+    projected onto n < num_vars, a member may recur in later blocks.
+    `_lock` lets one thread at a time extend the stream.
     """
 
-    def __init__(self, n: int, kind: str, members=None, formula: CnfFormula = None):
+    def __init__(self, n: int, formula: CnfFormula = None, block=None):
         self.n = n
-        self.kind = kind
+        self.kind = "explicit" if formula is None else "cnf"
         self.formula = formula
         self._lock = threading.Lock()
-        if kind == "explicit":
-            if n < 0:
-                raise ParameterError("problem width n = %d is negative" % n)
-            seen = set()
-            for x in members:
-                if x.n != n:
-                    raise DimensionError(
-                        "member width %d != problem width %d" % (x.n, n))
-                seen.add(x.bits)
-            self._blocks = [_pack(sorted(seen), _words(n))] if seen else []
-            self._source = iter(())
-        elif kind == "cnf":
-            if formula is None:
-                raise ParameterError("cnf problem needs a formula")
-            if not 0 <= n <= formula.num_vars:
-                raise ParameterError("problem width n = %d is outside 0..num_vars = %d"
-                                     % (n, formula.num_vars))
-            self._blocks = []
-            self._source = None  # `_model_blocks`, on the first read past _blocks
-        else:
-            raise ParameterError("unknown problem kind %r" % kind)
+        self._blocks = [block] if block is not None and len(block) else []
+        # `_model_blocks` for a CNF, on the first read past _blocks
+        self._source = iter(()) if formula is None else None
 
     @classmethod
     def from_explicit(cls, members, n: int) -> "CountingProblem":
-        return cls(n, "explicit", members=members)
+        """S = the distinct bits of `members`, Assignments of width n."""
+        if n < 0:
+            raise ParameterError("problem width n = %d is negative" % n)
+        values = []
+        for x in members:
+            if x.n != n:
+                raise DimensionError("member width %d != problem width %d" % (x.n, n))
+            values.append(x.bits)
+        return cls(n, block=_distinct(_pack(values, _words(n))))
 
     @classmethod
     def from_cnf(cls, formula: CnfFormula, n: int = None) -> "CountingProblem":
-        return cls(n if n is not None else formula.num_vars, "cnf", formula=formula)
+        n = formula.num_vars if n is None else n
+        if not 0 <= n <= formula.num_vars:
+            raise ParameterError("problem width n = %d is outside 0..num_vars = %d"
+                                 % (n, formula.num_vars))
+        return cls(n, formula=formula)
 
 
 def _sub_xors(support, rhs: int, chunk: int, fresh):
@@ -331,6 +326,15 @@ def _pack(values, words: int):
     return np.frombuffer(blob, dtype="<u8").reshape(-1, words)
 
 
+def _distinct(words):
+    """The rows of a (k, W) uint64 array in increasing order, each once:
+    how every explicit set is sorted and deduplicated."""
+    words = words[np.lexsort(words.T)]  # the top word is the primary key
+    fresh = np.ones(len(words), dtype=bool)
+    fresh[1:] = (words[1:] != words[:-1]).any(axis=1)
+    return words[fresh]
+
+
 def _explicit_from_lines(lines: list) -> CountingProblem:
     """The explicit problem whose members are `lines`, nonempty stripped 0/1
     strings, leftmost character = variable 1 (bit 0), as `from_explicit`
@@ -339,7 +343,7 @@ def _explicit_from_lines(lines: list) -> CountingProblem:
     A ValueError names the first character that is not 0 or 1, else a
     DimensionError the first line whose width differs from the first's.
     The lines are checked as one joined string, then its bytes become the
-    packed block in one numpy pass: sorted by value, duplicates dropped.
+    packed block in one numpy pass.
     """
     joined = "".join(lines)
     raw = joined.encode()
@@ -352,12 +356,7 @@ def _explicit_from_lines(lines: list) -> CountingProblem:
     bits = np.zeros((k, 64 * _words(n)), dtype=bool)
     bits[:, :n] = np.frombuffer(raw, dtype=np.uint8).reshape(k, n) == 49
     words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
-    words = words[np.lexsort(words.T)]  # the top word is the primary key
-    fresh = np.ones(k, dtype=bool)
-    fresh[1:] = (words[1:] != words[:-1]).any(axis=1)
-    problem = CountingProblem(n, "explicit", members=())
-    problem._blocks = [words[fresh]]
-    return problem
+    return CountingProblem(n, block=_distinct(words))
 
 
 def _any_survivors(problem: CountingProblem, hashes):
@@ -365,7 +364,7 @@ def _any_survivors(problem: CountingProblem, hashes):
     share m; None asks m = 0, which reads only S's first block."""
     count = len(hashes)
     m = hashes[0].m if count and hashes[0] is not None else 0
-    empty = not problem._blocks and not _pull(problem, 0)
+    empty = not problem._blocks and next(_stream(problem), None) is None
     if empty or not m:
         return np.full(count, not empty)
     rows = _pack([r for h in hashes for r in h.rows], _words(problem.n))
@@ -528,30 +527,26 @@ def _model_blocks(formula: CnfFormula):
 
 
 def _stream(problem: CountingProblem):
-    """S of an in-process problem as its packed blocks: those held, then
-    each further one as `_pull` adds it."""
+    """S of an in-process problem as its packed blocks: those held, read
+    without the lock, then each further one added under it.  A CNF
+    problem's next block of models is enumerated, projected onto the first
+    n variables (masked and deduplicated when n < num_vars), packed and
+    kept; an explicit problem has none."""
     blocks, i = problem._blocks, 0
-    while i < len(blocks) or _pull(problem, i):
+    while True:
+        if i == len(blocks):
+            with problem._lock:
+                if i == len(blocks):  # no other thread added it meanwhile
+                    if problem._source is None:
+                        problem._source = _model_blocks(problem.formula)
+                    models = next(problem._source, None)
+                    if models is None:
+                        return
+                    if problem.n < problem.formula.num_vars:
+                        models = np.unique(models & np.uint64((1 << problem.n) - 1))
+                    blocks.append(models.reshape(-1, 1))
         yield blocks[i]
         i += 1
-
-
-def _pull(problem: CountingProblem, i: int) -> bool:
-    """Is there a block i?  Under the problem's lock, a CNF problem's next
-    block of models is enumerated, projected onto the first n variables
-    (masked and deduplicated when n < num_vars), packed and kept."""
-    with problem._lock:
-        if i < len(problem._blocks):  # another thread added it
-            return True
-        if problem._source is None:
-            problem._source = _model_blocks(problem.formula)
-        models = next(problem._source, None)
-        if models is None:
-            return False
-        if problem.n < problem.formula.num_vars:
-            models = np.unique(models & np.uint64((1 << problem.n) - 1))
-        problem._blocks.append(models.reshape(-1, 1))
-        return True
 
 
 def _check_assignment(formula: CnfFormula, bits: int) -> bool:

@@ -101,6 +101,33 @@ class TestFstarCmd:
         assert " delta=%s " % delta in capsys.readouterr().out
 
 
+class TestOversizedArguments:
+    """A huge n or m costs what a normal run does: neither 2^n nor
+    2^(m+c) is built to check an argument against it."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["fstar", "20", "1000000000"],
+         "bad parameters: need 1 <= m <= n, got m=1000000000 n=20"),
+        (["fstar", "20", "5", "--c", "1000000000"],
+         "bad parameters: need 2 <= q <= 2^n"),
+        (["epsilon", "1000000000", "5", "64", "0.1"], 0),
+        (["fstar", "1000000000", "5"], 0),
+    ])
+    def test_peak_memory_is_bounded(self, capsys, argv, code):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            try:
+                got = main(argv)
+            except SystemExit as exc:
+                got = exc.code
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == code
+        assert peak < 4 << 20  # 2^(10^9) alone takes 125 MB
+
+
 class TestBoundCmd:
     def test_lb_on_explicit_set(self, tmp_path, capsys):
         rng = random.Random(2)

@@ -244,6 +244,20 @@ class TestExplicitBackend:
         problem = CountingProblem.from_explicit(members, 4)
         assert sum(map(len, problem._blocks)) == 2
 
+    @pytest.mark.parametrize("n", [0, 1, 12, 63, 64, 65, 130])
+    def test_block_is_the_sorted_distinct_members(self, n):
+        # one (|S|, W) uint64 block, rows in increasing order, each once:
+        # what packing sorted(set(bits)) row by row gives, whether the
+        # members come as a list or as a one-pass generator
+        rng = random.Random(n)
+        members = [Assignment(rng.getrandbits(n), n) for _ in range(40)]
+        members += members[::3]
+        want = _pack(sorted({x.bits for x in members}), max(1, -(-n // 64)))
+        for source in (members, (x for x in members)):
+            [block] = CountingProblem.from_explicit(source, n)._blocks
+            assert (block.dtype, block.shape) == (want.dtype, want.shape)
+            assert block.tobytes() == want.tobytes()
+
     def test_mixed_widths_rejected(self):
         from xorcount.gf2hash import DimensionError
         members = [Assignment.from_string(t) for t in ("0101", "11", "000000")]
@@ -942,6 +956,35 @@ class TestModelStream:
             assert errors == [] and answers == [serial, serial]
             assert [len(b) for b in problem._blocks] == [6880, 6880, 16416, 32000, 79264]
 
+    def test_four_readers_enumerate_each_block_once(self, monkeypatch):
+        # four threads ask the same questions of one fresh problem at once:
+        # the one that extends the stream takes the lock, the others read
+        # what it added, so each block of models is enumerated once
+        import threading
+        formula = criterion_11_cnf()
+        hashes = [sample_hash(HashParams(20, 12, 0.1, seed=s)) for s in range(9)]
+        serial = has_survivors(CountingProblem.from_cnf(formula), hashes)
+        pulled = spy_model_blocks(monkeypatch)
+        problem = CountingProblem.from_cnf(formula)
+        start = threading.Barrier(4)
+        answers, errors = [None] * 4, []
+
+        def ask(k):
+            try:
+                start.wait()
+                answers[k] = has_survivors(problem, hashes)
+            except Exception as exc:  # reported below, in the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=ask, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == [] and answers == [serial] * 4
+        assert pulled == [6880, 6880, 16416, 32000, 79264]
+        assert [len(b) for b in problem._blocks] == pulled
+
 
 class TestProblemWidth:
     def test_cnf_width_beyond_the_formula_refused(self):
@@ -953,6 +996,12 @@ class TestProblemWidth:
             assert "\n" not in message and "n = %d" % n in message and "3" in message
         for n in (0, 2, 3):
             assert has_survivor(CountingProblem.from_cnf(formula, n)).answer == "sat"
+
+    def test_kind_follows_formula_or_block(self):
+        formula = CnfFormula(3, [[1, 2]], [])
+        [block] = CountingProblem.from_explicit([Assignment(1, 3)], 3)._blocks
+        assert CountingProblem(3, formula=formula).kind == "cnf"
+        assert CountingProblem(3, block=block).kind == "explicit"
 
     def test_negative_explicit_width_refused(self):
         with pytest.raises(ParameterError, match="n = -1"):
