@@ -277,8 +277,11 @@ def best_lower_bound(problem: CountingProblem, f: float, m_range, T: int,
     of m values scanned (multiplicity correction, off by default).
     """
     m_list = sorted(set(m_range))
-    if not m_list or m_list[0] < 1 or m_list[-1] > problem.n:
-        raise ParameterError("m_range must lie within [1, n]")
+    if not m_list:
+        raise ParameterError("m_range is empty")
+    for m in m_list[0], m_list[-1]:
+        if not 1 <= m <= problem.n:
+            raise ParameterError("m must lie within [1, n], got m=%d n=%d" % (m, problem.n))
     best = None
     best_vacuous = None
     for m in m_list:

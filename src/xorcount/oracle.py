@@ -30,9 +30,11 @@ members are read in blocks, and the scan of a chunk stops after the block
 in which its last trial finds one; a CNF's models past that block are not
 enumerated until a question reads them.  In process, `has_survivor` is
 `has_survivors` with T = 1; with a solver, `has_survivors` runs
-`has_survivor` once per hash.  In-process verdicts carry no model: only an
-external SAT verdict does, in its stats, rechecked in process.  External
-solvers get one call per hash, up to solver.jobs of them at once.
+`has_survivor` once per hash, up to solver.jobs calls at once on a thread
+pool of its own, each pool thread given the call's `_Batch` of solver
+processes once, by the pool's initializer.  In-process verdicts carry no
+model: only an external SAT verdict does, in its stats, rechecked in
+process.
 
 A hash of None asks m = 0, "is S non-empty?", on every backend; an estimate
 at m = 0 asks it once (`bounds._trials`), not once per trial.
@@ -607,9 +609,10 @@ class _Batch:
             _kill_group(proc)
 
 
-# in a `has_survivors` pool thread, `.batch` is the call's `_Batch`: set
-# per thread, not passed, so `has_survivor` and `run_external` keep the
-# signatures that wrappers of them (perfbench's probe) and stand-ins call
+# in a `has_survivors` pool thread, `.batch` is that call's `_Batch`, set
+# once by the pool's initializer, not passed, so `has_survivor` and
+# `run_external` keep the signatures that wrappers of them (perfbench's
+# probe) and stand-ins call
 _worker = threading.local()
 
 
@@ -617,8 +620,9 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
     """Write the instance, run the solver command, parse the s/v protocol.
 
     A timeout, a command that cannot be started, an s line answering
-    neither SATISFIABLE nor UNSATISFIABLE, and output without an s line or
-    with a bad v line are `unknown`, with stats["reason"] saying which.
+    neither SATISFIABLE nor UNSATISFIABLE, and output without exactly one
+    s line or with a bad v line are `unknown`, with stats["reason"] saying
+    which.
     Output bytes that do not decode are replaced: the s and v lines are
     ASCII, so no answer depends on them.  The solver runs in a session of
     its own, and on a timeout or an interrupt its whole process group is
@@ -626,6 +630,11 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
     the call.  Run for `has_survivors`, the call's solver is in that call's
     `_Batch` too."""
     t0 = time.monotonic()
+
+    def unknown(reason: str, **stats) -> OracleVerdict:
+        return OracleVerdict("unknown", stats={
+            "solver_time_s": time.monotonic() - t0, **stats, "reason": reason})
+
     with tempfile.NamedTemporaryFile(
         "w", suffix=".cnf", prefix="xorcount_", delete=False
     ) as fh:
@@ -638,32 +647,25 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
                 cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                 errors="replace", start_new_session=True)
         except OSError as exc:  # missing or not executable
-            return OracleVerdict(
-                "unknown", stats={"solver_time_s": time.monotonic() - t0,
-                                  "reason": "cannot start solver", "error": str(exc)}
-            )
+            return unknown("cannot start solver", error=str(exc))
         # leaving, `holding` kills the group first; then `proc` closes
         # both pipes and reaps the solver
         with proc, getattr(_worker, "batch", _Batch()).holding(proc):
             try:
                 stdout, stderr = proc.communicate(timeout=profile.budget_s)
             except subprocess.TimeoutExpired:
-                return OracleVerdict(
-                    "unknown", stats={"solver_time_s": time.monotonic() - t0,
-                                      "reason": "timeout"}
-                )
-        stats = {"solver_time_s": time.monotonic() - t0, "exit_code": proc.returncode}
+                return unknown("timeout")
         answer = reason = None
         bits = assigned = 0  # the model, and which variables the v lines set
         for line in stdout.splitlines():
             line = line.strip()
             if line.startswith("s "):
                 tag = line[2:].strip()
-                if tag == "SATISFIABLE":
-                    answer = "sat"
-                elif tag == "UNSATISFIABLE":
-                    answer = "unsat"
-                else:
+                if answer is not None:
+                    reason = "more than one solution line"
+                    break
+                answer = {"SATISFIABLE": "sat", "UNSATISFIABLE": "unsat"}.get(tag)
+                if answer is None:
                     reason = "solver answered %s" % tag
                     break
             elif line.startswith("v "):
@@ -680,8 +682,8 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
         if answer is None and reason is None:
             reason = "no solution line"
         if reason is not None:
-            stats.update(reason=reason, stderr=stderr[-2000:])
-            return OracleVerdict("unknown", stats=stats)
+            return unknown(reason, exit_code=proc.returncode, stderr=stderr[-2000:])
+        stats = {"solver_time_s": time.monotonic() - t0, "exit_code": proc.returncode}
         if answer == "sat" and assigned:
             stats.update(model_bits=bits, assigned_bits=assigned)
         return OracleVerdict(answer, stats=stats)
@@ -770,9 +772,11 @@ def has_survivors(problem: CountingProblem, hashes,
 
     The solver gets one has_survivor call per hash asked (an estimate asks
     m = 0 once, in bounds._trials, and shares its answer among its
-    trials).  The calls run on a pool of min(solver.jobs, T) threads (each
-    call owns its own subprocess and temp file), and answers stay in hash
-    order.  A call that raises (a witness failing its recheck, an
+    trials).  This is the one place that runs them: on a pool of
+    min(solver.jobs, calls) threads, whose initializer hands each thread
+    this call's `_Batch` once, as `_worker.batch`.  Each call owns its own
+    subprocess and temp file, and its answer goes to its hash's slot.  A
+    call that raises (a witness failing its recheck, an
     interrupt), or an interrupt while the calls run, cancels every call not
     yet started and kills the solvers of those running (in sessions of
     their own, they do not get the terminal's Ctrl-C); the first error in
@@ -784,34 +788,25 @@ def has_survivors(problem: CountingProblem, hashes,
         return ["sat" if hit else "unsat" for hit in hits.tolist()]
     answers = ["unsat"] * len(hashes)
     asked = [i for i, h in enumerate(hashes) if h is None or _solvable(h)]
-    if asked:
-        got = _solve(problem, [hashes[i] for i in asked], solver)
-        for i, answer in zip(asked, got):
-            answers[i] = answer
-    return answers
-
-
-def _solve(problem: CountingProblem, hashes, solver: SolverProfile) -> list:
-    """`has_survivors` by the external solver: one has_survivor call per
-    hash, on a pool of min(solver.jobs, T) threads."""
-    batch = _Batch()
-
-    def ask(h):
-        _worker.batch = batch
-        return has_survivor(problem, h, solver=solver).answer
-
+    if not asked:
+        return answers
     # imported here: it loads `logging`, which neither the in-process
     # backends nor a `xorcount solve` child need
     from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 
-    pool = ThreadPoolExecutor(max_workers=min(solver.jobs, len(hashes)) or 1)
-    calls = [pool.submit(ask, h) for h in hashes]
+    batch = _Batch()
+    pool = ThreadPoolExecutor(max_workers=min(solver.jobs, len(asked)),
+                              initializer=setattr, initargs=(_worker, "batch", batch))
+    calls = {i: pool.submit(has_survivor, problem, hashes[i], solver=solver)
+             for i in asked}
     finished = False
     try:
-        finished = not wait(calls, return_when=FIRST_EXCEPTION).not_done
+        finished = not wait(calls.values(), return_when=FIRST_EXCEPTION).not_done
     finally:
         if not finished:  # a call raised, or an interrupt came
             batch.stop()
         # calls start in hash order, so none cancelled precedes a failure
         pool.shutdown(cancel_futures=True)
-    return [call.result() for call in calls]
+    for i, call in calls.items():
+        answers[i] = call.result().answer
+    return answers

@@ -163,6 +163,16 @@ class TestBoundCmd:
         est = doc["certificates"][0]["bound_log2"]
         assert est is not None and 2.0 <= est <= 10.0
 
+    def test_count_on_an_unsatisfiable_cnf(self, tmp_path, capsys):
+        cnf = tmp_path / "unsat.cnf"
+        cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
+        report = tmp_path / "rep.json"
+        assert main(["bound", str(cnf), "count", "--json", str(report)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "fewer than one solution witnessed (broke at i=0)\n" and err == ""
+        cert = json.loads(report.read_text())["certificates"][0]
+        assert cert["bound_log2"] is None and cert["break_i"] == 0
+
     def test_exhausted_level_loop_warns_on_stderr(self, tmp_path, capsys):
         # every 2-bit string: each level keeps a survivor, up to i = n
         f = tmp_path / "cube.txt"
@@ -198,6 +208,17 @@ class TestBoundCmd:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("inconclusive: 2 of 2 trials unknown") and err.count("\n") == 1
+
+    def test_two_solution_lines_are_inconclusive(self, tmp_path, capsys):
+        # S has 7 members; a trailing UNSATISFIABLE once overwrote each
+        # SAT answer, and the run certified |S| <= 3
+        cnf = tmp_path / "seven.cnf"
+        cnf.write_text("p cnf 3 1\n1 2 3 0\n")
+        rc = main(["bound", str(cnf), "ub", "--m", "1", "--seed", "0", "--solver",
+                   "sh -c 'echo s SATISFIABLE; echo v 1 2 3 0; echo s UNSATISFIABLE' {in}"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("inconclusive:") and err.count("\n") == 1
 
     def test_unsolvable_hashes_need_no_solver(self, tmp_path, capsys):
         # at f = 0 every hash row is zero, and at seed 0 no trial's b is:
@@ -989,6 +1010,21 @@ class TestOneLineErrors:
          "solver witness fails in-process recheck"),
         (["sweep", "{sat}", "0.5", "--solver", LIAR],
          "solver witness fails in-process recheck"),
+        (["bound", "{good}", "lb", "--m", "0"],
+         "bad bound parameters: m must lie within [1, n], got m=0 n=3"),
+        (["bound", "{good}", "lb", "--m", "40"],
+         "bad bound parameters: m must lie within [1, n], got m=40 n=3"),
+        (["sweep", "{good}", "0.5", "--m", "0"],
+         "bad bound parameters: m must lie within [1, n], got m=0 n=3"),
+        (["bound", "{x_open}", "lb"],
+         "bad DIMACS file {x_open}: x-line not 0-terminated: 'x1 2'"),
+        (["bound", "{x_empty}", "lb"], "bad DIMACS file {x_empty}: empty x-line"),
+        (["bound", "{x_negated}", "lb"],
+         "bad DIMACS file {x_negated}: only the first x-line literal may be negated"),
+        (["bound", "{zero_width}", "lb"], "bad DIMACS file {zero_width}: zero-width clause"),
+        (["solve", "{no_header}"], "bad DIMACS file {no_header}: missing header"),
+        (["count-models", "{odd_header}"],
+         "bad DIMACS file {odd_header}: malformed header: 'p cnf 2 one'"),
     ])
     def test_bad_input_is_a_one_line_error(self, tmp_path, argv, message):
         paths = {"missing": tmp_path / "nope.cnf",
@@ -1005,7 +1041,13 @@ class TestOneLineErrors:
                  "mixed": tmp_path / "mixed.txt",
                  "no_members": tmp_path / "no_members.txt",
                  "bad_spec": tmp_path / "bad.spec",
-                 "perm9": tmp_path / "p9.spec"}
+                 "perm9": tmp_path / "p9.spec",
+                 "x_open": tmp_path / "x_open.cnf",
+                 "x_empty": tmp_path / "x_empty.cnf",
+                 "x_negated": tmp_path / "x_negated.cnf",
+                 "zero_width": tmp_path / "zero_width.cnf",
+                 "no_header": tmp_path / "no_header.cnf",
+                 "odd_header": tmp_path / "odd_header.cnf"}
         paths["good"].write_text("p cnf 3 1\n1 2 0\n")
         paths["bad_token"].write_text("p cnf 2 1\n1 x 0\n")
         paths["bad_literal"].write_text("p cnf 2 1\n1 3 0\n")
@@ -1019,6 +1061,12 @@ class TestOneLineErrors:
         paths["no_members"].write_text("# no members\n\n")
         paths["bad_spec"].write_text("rows 1 cols 2\nR: 1\nC: 1 x\n")
         paths["perm9"].write_text(TestTableCmd.PERM_9)
+        paths["x_open"].write_text("p cnf 2 0\nx1 2\n")
+        paths["x_empty"].write_text("p cnf 2 0\nx0\n")
+        paths["x_negated"].write_text("p cnf 2 0\nx1 -2 0\n")
+        paths["zero_width"].write_text("p cnf 2 1\n0\n")
+        paths["no_header"].write_text("c no header\n")
+        paths["odd_header"].write_text("p cnf 2 one\n1 0\n")
         with pytest.raises(SystemExit) as exc:
             main([a.format(**paths) for a in argv])
         assert exc.value.code == message.format(**paths)

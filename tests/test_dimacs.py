@@ -76,6 +76,25 @@ class TestParse:
             parse(text)
         assert str(exc.value) == "token %r is not an integer" % token
 
+    @pytest.mark.parametrize("text,message", [
+        ("p cnf 2 0\nx1 2\n", "x-line not 0-terminated: 'x1 2'"),
+        ("p cnf 2 0\nx\n", "x-line not 0-terminated: 'x'"),
+        ("p cnf 2 0\nx0\n", "empty x-line"),
+        ("p cnf 2 0\nx-0\n", "empty x-line"),
+        ("p cnf 2 0\nx1 -2 0\n", "only the first x-line literal may be negated"),
+        ("p cnf 2 0\nx-1 -2 0\n", "only the first x-line literal may be negated"),
+        ("p cnf 2 1\n0\n", "zero-width clause"),
+        ("", "missing header"),
+        ("c only a comment\n\n", "missing header"),
+        ("1 0\n", "clause before header"),
+        ("p cnf 2 one\n1 0\n", "malformed header: 'p cnf 2 one'"),
+        ("p cnf 1.5 1\n1 0\n", "malformed header: 'p cnf 1.5 1'"),
+    ])
+    def test_refusal_is_named(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
     def test_langford_header_shape(self):
         # header shape of a 576-variable, 13584-clause instance
         lines = ["p cnf 576 13584"]

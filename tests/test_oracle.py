@@ -1116,6 +1116,25 @@ class TestRunExternal:
         assert v.stats["reason"] == "solver answered UNKNOWN"
         assert v.stats["stderr"] == "gave up\n"
 
+    @pytest.mark.parametrize("lines", [
+        "echo s SATISFIABLE; echo v 1 2 3 0; echo s UNSATISFIABLE",
+        "echo s UNSATISFIABLE; echo s SATISFIABLE; echo v 1 2 3 0",
+        "echo s SATISFIABLE; echo v 1 2 3 0; echo s SATISFIABLE",
+    ])
+    def test_more_than_one_solution_line_is_unknown(self, lines):
+        # a later s line once overwrote an earlier one's answer, so that a
+        # trailing UNSATISFIABLE made a false upper bound
+        profile = SolverProfile("sh -c %s solver {in}"
+                                % shlex.quote(lines + "; echo two answers >&2"))
+        v = run_external("p cnf 3 1\n1 2 3 0\n", profile)
+        assert v.answer == "unknown"
+        assert v.stats["reason"] == "more than one solution line"
+        assert v.stats["stderr"] == "two answers\n"
+        problem = CountingProblem.from_cnf(CnfFormula(3, [[1, 2, 3]], []))
+        h = ParityHash((0b001,), 1, HashParams(3, 1, 0.5))  # x1 = 1 survives
+        assert has_survivors(problem, [h, h], solver=profile) == ["unknown"] * 2
+        assert has_survivor(problem, solver=profile).answer == "unknown"
+
     def test_template_needs_placeholder(self):
         with pytest.raises(ParameterError):
             run_external("p cnf 1 1\n1 0\n", SolverProfile("solver"))
