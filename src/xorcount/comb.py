@@ -153,18 +153,17 @@ def upper_bound_threshold(n: int, m: int, f: float) -> int:
     """U(n,m,f): minimal z whose variance-to-mean ratio refutes |S| >= z.
 
     The predicate is monotone in z (z^2/v(z) is increasing), so an
-    exponential probe followed by binary search finds the minimum.  Returns
-    the sentinel 2^n when no z <= 2^n qualifies.
+    exponential probe up to 2^n followed by binary search above the last
+    failing probe finds the minimum, testing no z twice.  Returns the
+    sentinel 2^n when no z <= 2^n qualifies.
     """
     cap = 1 << n
     hi = 1
-    while hi <= cap and not _threshold_predicate(hi, n, m, f):
-        hi *= 2
-    if hi > cap:
-        if not _threshold_predicate(cap, n, m, f):
+    while not _threshold_predicate(hi, n, m, f):
+        if hi == cap:
             return cap
-        hi = cap
-    lo = max(1, hi // 2)
+        hi *= 2
+    lo = hi // 2 + 1  # hi // 2 failed, unless hi = 1
     while lo < hi:
         mid = (lo + hi) // 2
         if _threshold_predicate(mid, n, m, f):

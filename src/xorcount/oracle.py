@@ -14,8 +14,9 @@ Three interchangeable backends answer the same question:
   * external  — serialize the conjoined instance to DIMACS and invoke a
     solver subprocess; witnesses are always re-checked in process, and a
     SAT answer without a full model, or with a v line that is not all
-    integers, is `unknown`.  Solvers without x-lines get the parity rows
-    as plain clauses, lowered here by `expand_xors`.
+    integers or sets a variable the instance lacks, is `unknown`.  Solvers
+    without x-lines get the parity rows as plain clauses, lowered here by
+    `expand_xors`.
 
 The first two are in process: S is a stream of (k, W) uint64 blocks, W =
 ceil(n/64) words per member (an explicit set is one block), and every
@@ -206,31 +207,6 @@ class CountingProblem:
         return cls(n, formula=formula)
 
 
-def _sub_xors(support, rhs: int, chunk: int, fresh):
-    """The chain of sub-XORs (vars, rhs), in clause order, that
-    `expand_xors` expands XOR(support) = rhs into, each link variable a new
-    one from `fresh()`; none for empty support.
-
-    Chaining needs arity-3 sub-XORs at minimum (two inputs + the link
-    variable); chunk=2 still works for short constraints but long ones are
-    chained at arity 3.  Each link variable is the XOR of its group's
-    inputs, XOR(group + [aux]) = 0, and stands in for them in the rest.
-    """
-    if chunk < 2:
-        raise ParameterError("chunk must be at least 2")
-    pending = list(support)
-    if not pending:
-        return []
-    link = max(chunk, 3)
-    subs = []
-    while len(pending) > chunk:
-        aux = fresh()
-        subs.append((pending[: link - 1] + [aux], 0))
-        pending = [aux] + pending[link - 1 :]
-    subs.append((pending, rhs))
-    return subs
-
-
 @functools.cache
 def _line_template(s: int, rhs: int):
     """The 2^(s-1) clause lines ruling out wrong-parity assignments of s
@@ -247,46 +223,46 @@ def _line_template(s: int, rhs: int):
     return itemgetter(*picks)
 
 
-def _text_of(subs) -> str:
-    """The DIMACS lines of the clauses of sub-XORs, in order, from the line
-    templates."""
-    tokens = []
-    for vars_, rhs in subs:
-        names = [str(v) + " " for v in vars_]
-        tokens += _line_template(len(vars_), rhs)(
-            names + ["-" + name for name in names] + ["0\n"])
-    return "".join(tokens)
-
-
 def expand_xors(formula: CnfFormula, chunk: int = 6) -> CnfFormula:
     """Replace native XOR rows with plain clauses over fresh auxiliaries,
     numbered from num_vars + 1: the one lowering of XOR rows to CNF.
 
     A row of t > chunk variables is chained into ceil((t-1)/(chunk-1))
-    sub-XORs of arity <= chunk (see `_sub_xors`), and a sub-XOR of arity s
-    expands to 2^(s-1) clauses.  An empty row with rhs 1 is a contradiction
-    written on a fresh variable, so that no clause is empty.
+    sub-XORs of arity <= chunk, and a sub-XOR of arity s expands to
+    2^(s-1) clauses.  A link needs arity 3 at least (two inputs and the
+    link variable), so chunk=2 chains at arity 3: each link variable is the
+    XOR of its group's inputs, XOR(group + [aux]) = 0, and stands in for
+    them in the rest of the row.  An empty row with rhs 1 is a
+    contradiction written on a fresh variable, so that no clause is empty.
 
     The result opens with the formula's own clauses (their lists are
     shared, not copied) and writes the new ones from line templates; their
     int lists are read back from those lines only when its `clauses` are
     read."""
-    counter = [formula.num_vars]
-
-    def fresh():
-        counter[0] += 1
-        return counter[0]
-
-    subs = []
+    if chunk < 2:
+        raise ParameterError("chunk must be at least 2")
+    link = max(chunk, 3)
+    top, count, tokens = formula.num_vars, 0, []
     for sup, rhs in formula.xors:
-        row = _sub_xors(sup, rhs, chunk, fresh)
-        if not row and rhs:
-            # contradiction: encode on a fresh variable to stay DIMACS-legal
-            v = fresh()
-            row = [([v], 1), ([v], 0)]
-        subs += row
-    count = sum(1 << len(vars_) - 1 for vars_, _ in subs)
-    return formula._extend(counter[0], [], count, _text_of(subs))
+        if not sup:
+            if rhs:
+                top += 1
+                count += 2
+                tokens.append("%d 0\n-%d 0\n" % (top, top))
+            continue
+        pending = list(sup)
+        while pending:
+            if len(pending) > chunk:  # the group's XOR becomes variable `top`
+                top += 1
+                group, bit = pending[:link - 1] + [top], 0
+                pending = [top] + pending[link - 1:]
+            else:
+                group, bit, pending = pending, rhs, []
+            names = [str(v) + " " for v in group]
+            tokens += _line_template(len(group), bit)(
+                names + ["-" + name for name in names] + ["0\n"])
+            count += 1 << len(group) - 1
+    return formula._extend(top, [], count, "".join(tokens))
 
 
 def conjoin(formula: CnfFormula, h: ParityHash, native_xor: bool = True) -> CnfFormula:
@@ -621,8 +597,9 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
 
     A timeout, a command that cannot be started, an s line answering
     neither SATISFIABLE nor UNSATISFIABLE, and output without exactly one
-    s line or with a bad v line are `unknown`, with stats["reason"] saying
-    which.
+    s line or with a bad v line (a token that is not an integer, or a
+    literal past the N variables of the instance's "p cnf N M" header) are
+    `unknown`, with stats["reason"] saying which.
     Output bytes that do not decode are replaced: the s and v lines are
     ASCII, so no answer depends on them.  The solver runs in a session of
     its own, and on a timeout or an interrupt its whole process group is
@@ -630,6 +607,8 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
     the call.  Run for `has_survivors`, the call's solver is in that call's
     `_Batch` too."""
     t0 = time.monotonic()
+    # a v line may set only the variables of emit's header, "p cnf N M"
+    num_vars = int(instance_text[:instance_text.index("\n")].split()[2])
 
     def unknown(reason: str, **stats) -> OracleVerdict:
         return OracleVerdict("unknown", stats={
@@ -672,6 +651,8 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
                 try:
                     lits = [int(tok) for tok in line[2:].split()]
                 except ValueError:
+                    lits = None
+                if lits is None or max(map(abs, lits), default=0) > num_vars:
                     reason = "bad model line"
                     break
                 for lit in lits:

@@ -307,6 +307,10 @@ class TestBestLowerBound:
         with pytest.raises(ValueError):
             best_lower_bound(problem, 0.5, [7], T=10, kappa=1.0, seed=0)
 
+    def test_empty_m_range_is_refused(self):
+        with pytest.raises(ParameterError, match="^m_range is empty$"):
+            best_lower_bound(full_cube_problem(6), 0.5, [], T=10, kappa=1.0, seed=0)
+
 
 class TestUpperBound:
     def test_default_T_for_delta(self):
@@ -608,6 +612,11 @@ class TestSparseCount:
 class TestPickPromisingM:
     def test_singleton_falls_back_to_one(self):
         problem = CountingProblem.from_explicit([Assignment(0, 12)], 12)
+        assert pick_promising_m(problem, 0.5, coarse_T=10, seed=0) == 1
+
+    def test_empty_set_falls_back_to_one(self):
+        # no m clears 1/2 when nothing survives any hash
+        problem = CountingProblem.from_explicit([], 12)
         assert pick_promising_m(problem, 0.5, coarse_T=10, seed=0) == 1
 
     def test_full_cube_reaches_high_m(self):

@@ -95,6 +95,11 @@ class TestFstarCmd:
         assert lines == ["threshold: not positive, linear = -0.258333"]
         assert "condition unmet" in captured.err
 
+    def test_huge_mean_drops_the_minus_one(self, capsys):
+        # ln(mu) = 1100 ln 2 > 700: mu - 1 is taken as mu, not overflowed
+        assert main(["fstar", "2000", "5", "--c", "1100"]) == 0
+        assert capsys.readouterr().out.startswith("f* = 0.00402  ")
+
     @pytest.mark.parametrize("delta", ["2.0000000000001", "2.25"])
     def test_printed_delta_round_trips(self, capsys, delta):
         assert main(["fstar", "204", "56", "--delta", delta]) == 0
@@ -219,6 +224,26 @@ class TestBoundCmd:
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert err.startswith("inconclusive:") and err.count("\n") == 1
+
+    def test_literal_past_the_header_is_inconclusive(self, tmp_path, capsys):
+        # the v line's variables 2 and 400000000 once entered the model:
+        # level 0 was accepted, and the recheck then failed with exit 1
+        cnf = tmp_path / "sat.cnf"
+        cnf.write_text("p cnf 2 1\n1 -2 0\n")
+        rc = main(["bound", str(cnf), "count", "--solver",
+                   "sh -c 'echo s SATISFIABLE; echo v 1 2 400000000 0' {in}"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "inconclusive: 1 of 1 trials unknown; refusing to estimate\n"
+
+    def test_lb_falls_back_to_m_one(self, tmp_path, capsys):
+        # S is empty, so no m clears 1/2 in the coarse sweep
+        cnf = tmp_path / "unsat.cnf"
+        cnf.write_text("p cnf 1 2\n1 0\n-1 0\n")
+        assert main(["bound", str(cnf), "lb"]) == 0
+        out = capsys.readouterr().out
+        assert out == ("lower bound: (vacuous)\nconfidence 0.1535 (m=1, c=0.0416667, "
+                       "kappa=1, T=24, p_est=0.0000)\n")
 
     def test_unsolvable_hashes_need_no_solver(self, tmp_path, capsys):
         # at f = 0 every hash row is zero, and at seed 0 no trial's b is:
@@ -1025,6 +1050,14 @@ class TestOneLineErrors:
         (["solve", "{no_header}"], "bad DIMACS file {no_header}: missing header"),
         (["count-models", "{odd_header}"],
          "bad DIMACS file {odd_header}: malformed header: 'p cnf 2 one'"),
+        (["table", "{short_spec}"],
+         "bad table-spec file {short_spec}: marginal lengths must match the table shape"),
+        (["table", "{negative_spec}"],
+         "bad table-spec file {negative_spec}: marginals must be nonnegative"),
+        (["table", "{binary_spec}"], "bad table-spec file {binary_spec}: "
+                                     "binary column marginal exceeds row count"),
+        (["table", "{zero_spec}"],
+         "bad table-spec file {zero_spec}: structural zero (3,0) out of range"),
     ])
     def test_bad_input_is_a_one_line_error(self, tmp_path, argv, message):
         paths = {"missing": tmp_path / "nope.cnf",
@@ -1047,7 +1080,11 @@ class TestOneLineErrors:
                  "x_negated": tmp_path / "x_negated.cnf",
                  "zero_width": tmp_path / "zero_width.cnf",
                  "no_header": tmp_path / "no_header.cnf",
-                 "odd_header": tmp_path / "odd_header.cnf"}
+                 "odd_header": tmp_path / "odd_header.cnf",
+                 "short_spec": tmp_path / "short.spec",
+                 "negative_spec": tmp_path / "negative.spec",
+                 "binary_spec": tmp_path / "binary.spec",
+                 "zero_spec": tmp_path / "zero.spec"}
         paths["good"].write_text("p cnf 3 1\n1 2 0\n")
         paths["bad_token"].write_text("p cnf 2 1\n1 x 0\n")
         paths["bad_literal"].write_text("p cnf 2 1\n1 3 0\n")
@@ -1067,6 +1104,10 @@ class TestOneLineErrors:
         paths["zero_width"].write_text("p cnf 2 1\n0\n")
         paths["no_header"].write_text("c no header\n")
         paths["odd_header"].write_text("p cnf 2 one\n1 0\n")
+        paths["short_spec"].write_text("rows 2 cols 2\nR: 1\nC: 1 1\n")
+        paths["negative_spec"].write_text("rows 2 cols 2\nR: -1 2\nC: 1 0\n")
+        paths["binary_spec"].write_text("rows 2 cols 2\nR: 1 2\nC: 3 0\nbinary: 1\n")
+        paths["zero_spec"].write_text("rows 2 cols 2\nR: 1 1\nC: 1 1\nZ: 3 0\n")
         with pytest.raises(SystemExit) as exc:
             main([a.format(**paths) for a in argv])
         assert exc.value.code == message.format(**paths)

@@ -137,6 +137,27 @@ class TestUpperBoundThreshold:
         n, m = 3, 3
         assert upper_bound_threshold(n, m, 0.5) == 1 << n
 
+    @pytest.mark.parametrize("n,m,f", [(16, 8, 0.0), (3, 3, 0.5), (14, 5, 0.5),
+                                       (10, 3, 0.2), (12, 4, 0.35), (1, 1, 0.5)])
+    def test_no_z_is_evaluated_twice(self, monkeypatch, n, m, f):
+        # with no qualifying z, the probe's last point 2^n was once tested
+        # again before the sentinel was returned, and the binary search
+        # could test the last failing probe point again
+        from xorcount import comb
+        asked = []
+        predicate = comb._threshold_predicate
+
+        def counting(z, *args):
+            asked.append(z)
+            return predicate(z, *args)
+
+        monkeypatch.setattr(comb, "_threshold_predicate", counting)
+        got = upper_bound_threshold(n, m, f)
+        assert len(asked) == len(set(asked))
+        assert max(asked) <= 1 << n
+        assert got == next((z for z in range(1, (1 << n) + 1)
+                            if predicate(z, n, m, f)), 1 << n)
+
 
 class TestMinDensityFstar:
     def test_huge_slack_pushes_f_below_half(self):
@@ -215,6 +236,13 @@ class TestAsymptoticDensity:
             asymptotic_density("sublinear", 10, kappa=2.0, beta=1.0)
         with pytest.raises(ParameterError):
             asymptotic_density("parabolic", 10)
+
+    def test_refusals_are_named(self):
+        with pytest.raises(ParameterError, match="^m must be positive$"):
+            asymptotic_density("linear", 0, alpha=0.5)
+        for kappa in (None, 1.0, 0.5):
+            with pytest.raises(ParameterError, match="^sublinear regime needs kappa > 1$"):
+                asymptotic_density("sublinear", 10, kappa=kappa, beta=0.5)
 
 
 class TestPinned:

@@ -1135,6 +1135,33 @@ class TestRunExternal:
         assert has_survivors(problem, [h, h], solver=profile) == ["unknown"] * 2
         assert has_survivor(problem, solver=profile).answer == "unknown"
 
+    @staticmethod
+    def echo_solver(model):
+        return SolverProfile("sh -c %s solver {in}" % shlex.quote(
+            "echo s SATISFIABLE; echo v %s; echo past the header >&2" % model))
+
+    @pytest.mark.parametrize("model", ["1 2 0", "1 -2 0", "1 400000000 0"])
+    def test_literal_past_the_header_is_unknown(self, model):
+        # such a literal once entered the model: `v 1 2 0` made a 1-variable
+        # instance sat, and `v 1 400000000 0` built a 400-million-bit int
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            v = run_external("p cnf 1 1\n1 0\n", self.echo_solver(model))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.answer == "unknown"
+        assert v.stats["reason"] == "bad model line"
+        assert v.stats["stderr"] == "past the header\n"
+        assert peak < 4 << 20
+
+    def test_literals_within_the_header_are_a_model(self):
+        # a later literal of a variable still overrides an earlier one
+        v = run_external("p cnf 1 1\n1 0\n", self.echo_solver("-1 1 0"))
+        assert v.answer == "sat"
+        assert v.stats["model_bits"] == v.stats["assigned_bits"] == 1
+
     def test_template_needs_placeholder(self):
         with pytest.raises(ParameterError):
             run_external("p cnf 1 1\n1 0\n", SolverProfile("solver"))
