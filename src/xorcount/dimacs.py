@@ -137,28 +137,21 @@ def parse(text: str) -> CnfFormula:
             continue
         if num_vars is None:
             raise ParseError("clause before header")
-        if line.startswith("x"):
-            lits = _integers(line[1:].split())
-            if not lits or lits[-1] != 0:
-                raise ParseError("x-line not 0-terminated: %r" % line)
-            lits = lits[:-1]
-            if not lits:
-                raise ParseError("empty x-line")
-            rhs = 1
-            if lits[0] < 0:
-                rhs = 0
-                lits[0] = -lits[0]
-            if any(l <= 0 for l in lits):
-                raise ParseError("only the first x-line literal may be negated")
-            xors.append((lits, rhs))
-            continue
-        lits = _integers(line.split())
-        if not lits or lits[-1] != 0:
-            raise ParseError("clause not 0-terminated: %r" % line)
-        lits = lits[:-1]
+        xor = line.startswith("x")
+        lits = _integers((line[1:] if xor else line).split())
+        if not lits or lits.pop() != 0:
+            raise ParseError("%s not 0-terminated: %r"
+                             % ("x-line" if xor else "clause", line))
         if not lits:
-            raise ParseError("zero-width clause")
-        clauses.append(lits)
+            raise ParseError("empty x-line" if xor else "zero-width clause")
+        if not xor:
+            clauses.append(lits)
+            continue
+        rhs = int(lits[0] > 0)
+        lits[0] = abs(lits[0])
+        if any(l <= 0 for l in lits):
+            raise ParseError("only the first x-line literal may be negated")
+        xors.append((lits, rhs))
     if num_vars is None:
         raise ParseError("missing header")
     if declared_clauses != len(clauses):

@@ -15,7 +15,8 @@ class CapacityError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed DIMACS text or formula."""
+    """Malformed input: DIMACS text or a formula, a table spec, or the 0/1
+    members of an explicit set."""
 
 
 class IntegrityError(RuntimeError):

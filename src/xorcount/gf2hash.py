@@ -29,7 +29,7 @@ import struct
 import threading
 from dataclasses import dataclass
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, ParseError
 
 __all__ = [
     "HashParams",
@@ -110,7 +110,7 @@ class Assignment:
         """Parse a 0/1 string, leftmost character = variable 1 (bit 0)."""
         rest = s.translate(_NOT_BITS)
         if rest:
-            raise ValueError("invalid bit %r" % rest[0])
+            raise ParseError("invalid bit %r" % rest[0])
         return cls(int(s[::-1], 2) if s else 0, len(s))
 
     def to_string(self) -> str:

@@ -39,17 +39,6 @@ process.
 
 A hash of None asks m = 0, "is S non-empty?", on every backend; an estimate
 at m = 0 asks it once (`bounds._trials`), not once per trial.
-
-With an external solver, `has_survivors` answers "unsat" to a hash whose
-system Ax = b has no solution over GF(2) before the solver is asked: its
-cell is empty whatever S is, and sparse rows make such hashes common at
-small n (a row is all zero with probability (1-f)^n).  Gaussian
-elimination over the hash's rows (`_solvable`, a few microseconds) decides
-it, where the question would cost a solver process.  In-process questions
-skip the check: one kernel pass answers all the trials over one shared
-read of S, and sparing an unsolvable trial spares blocks only when every
-other trial finds its survivor early, a saving that comes and goes with
-the hashes drawn.
 """
 
 from __future__ import annotations
@@ -57,6 +46,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -72,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from .dimacs import _SUB_VARS, CnfFormula, _model_masks, count_models, emit
-from .errors import DimensionError, IntegrityError, ParameterError
+from .errors import DimensionError, IntegrityError, ParameterError, ParseError
 from .gf2hash import ParityHash
 
 __all__ = [
@@ -318,7 +308,7 @@ def _explicit_from_lines(lines: list) -> CountingProblem:
     strings, leftmost character = variable 1 (bit 0), as `from_explicit`
     would build it from `Assignment.from_string` of each line.
 
-    A ValueError names the first character that is not 0 or 1, else a
+    A ParseError names the first character that is not 0 or 1, else a
     DimensionError the first line whose width differs from the first's.
     The lines are checked as one joined string, then its bytes become the
     packed block in one numpy pass.
@@ -326,7 +316,7 @@ def _explicit_from_lines(lines: list) -> CountingProblem:
     joined = "".join(lines)
     raw = joined.encode()
     if raw.translate(None, b"01"):
-        raise ValueError("invalid bit %r" % joined.lstrip("01")[0])
+        raise ParseError("invalid bit %r" % joined.lstrip("01")[0])
     n, k = len(lines[0]), len(lines)
     if len(set(map(len, lines))) > 1:
         width = next(len(l) for l in lines if len(l) != n)
@@ -337,23 +327,7 @@ def _explicit_from_lines(lines: list) -> CountingProblem:
     return CountingProblem(n, block=_distinct(words))
 
 
-def _any_survivors(problem: CountingProblem, hashes):
-    """One bool per hash: does some member of S have h(x) = 0?  The hashes
-    share m; None asks m = 0, which reads only S's first block."""
-    count = len(hashes)
-    m = hashes[0].m if count and hashes[0] is not None else 0
-    empty = not problem._blocks and next(_stream(problem), None) is None
-    if empty or not m:
-        return np.full(count, not empty)
-    rows = _pack([r for h in hashes for r in h.rows], _words(problem.n))
-    # no block is longer than an explicit set, 2^20 models or 2^n members
-    most = (len(problem._blocks[0]) if problem.kind == "explicit"
-            else 1 << min(problem.n, _BLOCK_VARS))
-    return _table_scan(functools.partial(_stream, problem), hashes,
-                       rows.reshape(count, m, -1), problem.n, most)
-
-
-def _table_scan(blocks, hashes, rows, n: int, most: int):
+def _table_scan(blocks, hashes, rows, n: int):
     """The survival kernel by table lookup (the "method of Four Russians"):
     Ax is the XOR, over the member's bytes, of one 256-entry table per byte
     position, entry v holding the XOR of the columns of A that v selects.
@@ -361,12 +335,13 @@ def _table_scan(blocks, hashes, rows, n: int, most: int):
     a g-bit uint, bit i from the group's row i, and the group holds where
     its Ax equals its slice of b, so h(x) = 0 where every group holds.
 
-    `blocks()` iterates over S as packed (k, W) blocks, none longer than
-    `most`; each chunk of trials, as many as fit in _TABLE_BYTES of tables,
-    builds its tables once, then reads the blocks anew, in pieces of at
-    most _BLOCK_ELEMENTS (member, trial) pairs, and stops after the piece
-    in which its last trial finds a survivor.  The pieces' arrays are views
-    of buffers allocated here, once, no larger than the pieces need."""
+    `blocks()` iterates over S as packed (k, W) blocks, none if S is empty;
+    each chunk of trials, as many as fit in _TABLE_BYTES of tables, builds
+    its tables once, then reads the blocks anew, in pieces of `block`
+    members, at most _BLOCK_ELEMENTS (member, trial) pairs, and stops after
+    the piece in which its last trial finds a survivor.  The pieces' arrays
+    are views of buffers allocated here, once, for `block` members, a
+    multiple of _FOLD, so a piece padded to one fits."""
     count, m = rows.shape[:2]
     nb = -(-n // 8)
     row_bytes = rows.astype("<u8", copy=False).view(np.uint8)
@@ -381,8 +356,8 @@ def _table_scan(blocks, hashes, rows, n: int, most: int):
     step = max(1, min(count, _TABLE_BYTES // (256 * nb * sum(itemsizes))))
     lanes = _lanes(step, itemsizes[0])
     block = max(_FOLD, _BLOCK_ELEMENTS // max(lanes, nb) // _FOLD * _FOLD)
-    pairs = min(block, most + -most % _FOLD) * lanes
-    buffers = (np.empty((nb, min(block, most)), dtype=np.intp),  # rows of the tables
+    pairs = block * lanes
+    buffers = (np.empty((nb, block), dtype=np.intp),  # rows of the tables
                np.arange(nb)[:, None],
                [np.empty(pairs * k, dtype=np.uint8) for k in itemsizes],  # each Ax
                np.empty(pairs * itemsizes[0], dtype=np.uint8),  # a lookup, a comparison
@@ -599,7 +574,9 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
     neither SATISFIABLE nor UNSATISFIABLE, and output without exactly one
     s line or with a bad v line (a token that is not an integer, or a
     literal past the N variables of the instance's "p cnf N M" header) are
-    `unknown`, with stats["reason"] saying which.
+    `unknown`, with stats["reason"] saying which; text with no such header
+    is refused with the ParseError `dimacs.parse` gives, before any solver
+    runs.
     Output bytes that do not decode are replaced: the s and v lines are
     ASCII, so no answer depends on them.  The solver runs in a session of
     its own, and on a timeout or an interrupt its whole process group is
@@ -607,8 +584,11 @@ def run_external(instance_text: str, profile: SolverProfile) -> OracleVerdict:
     the call.  Run for `has_survivors`, the call's solver is in that call's
     `_Batch` too."""
     t0 = time.monotonic()
-    # a v line may set only the variables of emit's header, "p cnf N M"
-    num_vars = int(instance_text[:instance_text.index("\n")].split()[2])
+    # a v line may set only the variables of the "p cnf N M" header
+    header = re.search(r"^[ \t]*p[ \t]+cnf[ \t]+(\d+)", instance_text, re.MULTILINE)
+    if header is None:
+        raise ParseError("missing header")
+    num_vars = int(header[1])
 
     def unknown(reason: str, **stats) -> OracleVerdict:
         return OracleVerdict("unknown", stats={
@@ -742,14 +722,20 @@ def has_survivors(problem: CountingProblem, hashes,
     """The answer ("sat", "unsat" or "unknown") of has_survivor(problem, h)
     for every h in `hashes`, which share m (None for all asks m = 0).
 
-    In-process problems answer all of them in one pass of the survival
-    kernel, which shares one read of S among the trials, so they get no
-    other check (see the module docstring).  With an external solver, a
-    CNF problem first answers "unsat", in process, each hash whose system
-    Ax = b has no solution (`_solvable`): its cell is empty whatever S is,
-    and asking would cost a solver process.  Such a question never reaches
-    the solver; the rest (None among them) go to it in hash order.  If
-    none is left, no pool, thread or temp file is made.
+    In-process problems read S only through `_stream`: m = 0 reads its
+    first block, if any, and m >= 1 answers every trial in one pass of the
+    survival kernel (`_table_scan`) over one shared read of S, "unsat" to
+    each when S has no block.  They skip the GF(2) check below: sparing an
+    unsolvable trial spares blocks only when every other trial finds its
+    survivor early, a saving that comes and goes with the hashes drawn.
+
+    With an external solver, a CNF problem first answers "unsat", in
+    process, each hash whose system Ax = b has no solution over GF(2)
+    (`_solvable`, a few microseconds): its cell is empty whatever S is,
+    sparse rows make such hashes common at small n (a row is all zero with
+    probability (1-f)^n), and asking would cost a solver process.  Such a
+    question never reaches the solver; the rest (None among them) go to it
+    in hash order.  If none is left, no pool, thread or temp file is made.
 
     The solver gets one has_survivor call per hash asked (an estimate asks
     m = 0 once, in bounds._trials, and shares its answer among its
@@ -765,8 +751,14 @@ def has_survivors(problem: CountingProblem, hashes,
     """
     _check_hashes(problem, hashes)
     if problem.kind == "explicit" or solver is None:
-        hits = _any_survivors(problem, hashes)
-        return ["sat" if hit else "unsat" for hit in hits.tolist()]
+        if hashes and hashes[0] is not None:
+            rows = _pack([r for h in hashes for r in h.rows], _words(problem.n))
+            hits = _table_scan(functools.partial(_stream, problem), hashes,
+                               rows.reshape(len(hashes), hashes[0].m, -1),
+                               problem.n).tolist()
+        else:  # m = 0: is S's first block there?
+            hits = [next(_stream(problem), None) is not None] * len(hashes)
+        return ["sat" if hit else "unsat" for hit in hits]
     answers = ["unsat"] * len(hashes)
     asked = [i for i, h in enumerate(hashes) if h is None or _solvable(h)]
     if not asked:

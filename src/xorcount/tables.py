@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 from .dimacs import CnfFormula
-from .errors import CapacityError
+from .errors import CapacityError, ParameterError, ParseError
 from .gf2hash import Assignment, HashParams, ParityHash, sample_hash
 from .oracle import CountingProblem
 
@@ -68,17 +68,17 @@ class ContingencyTableSpec:
         object.__setattr__(self, "structural_zeros",
                            frozenset(self.structural_zeros))
         if len(self.row_marginals) != self.rows or len(self.col_marginals) != self.cols:
-            raise ValueError("marginal lengths must match the table shape")
+            raise ParameterError("marginal lengths must match the table shape")
         if any(x < 0 for x in self.row_marginals + self.col_marginals):
-            raise ValueError("marginals must be nonnegative")
+            raise ParameterError("marginals must be nonnegative")
         if self.binary:
             if any(x > self.cols for x in self.row_marginals):
-                raise ValueError("binary row marginal exceeds column count")
+                raise ParameterError("binary row marginal exceeds column count")
             if any(x > self.rows for x in self.col_marginals):
-                raise ValueError("binary column marginal exceeds row count")
+                raise ParameterError("binary column marginal exceeds row count")
         for (i, j) in self.structural_zeros:
             if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise ValueError("structural zero (%d,%d) out of range" % (i, j))
+                raise ParameterError("structural zero (%d,%d) out of range" % (i, j))
         if sum(self.row_marginals) != sum(self.col_marginals):
             warnings.warn("row and column marginals disagree; the count is 0")
 
@@ -442,7 +442,7 @@ def parse_table_spec(text: str) -> ContingencyTableSpec:
             if line.startswith("rows"):
                 parts = line.split()
                 if len(parts) != 4 or parts[::2] != ["rows", "cols"]:
-                    raise ValueError("expected 'rows R cols C'")
+                    raise ParseError("expected 'rows R cols C'")
                 rows, cols = int(parts[1]), int(parts[3])
             elif line.startswith("R:"):
                 rmarg = tuple(int(t) for t in line[2:].split())
@@ -451,17 +451,17 @@ def parse_table_spec(text: str) -> ContingencyTableSpec:
             elif line.startswith("binary:"):
                 flag = line.split(":", 1)[1].strip()
                 if flag not in ("0", "1"):
-                    raise ValueError("binary takes 0 or 1")
+                    raise ParseError("binary takes 0 or 1")
                 binary = flag == "1"
             elif line.startswith("Z:"):
                 i, j = (int(t) for t in line[2:].split())
                 zeros.add((i, j))
             else:
-                raise ValueError("unrecognized line")
+                raise ParseError("unrecognized line")
         except (ValueError, IndexError) as exc:
-            raise ValueError("bad table-spec line %r: %s" % (line, exc)) from None
+            raise ParseError("bad table-spec line %r: %s" % (line, exc)) from None
     if rows is None or rmarg is None or cmarg is None:
-        raise ValueError("table spec needs 'rows r cols c', 'R:' and 'C:' lines")
+        raise ParseError("table spec needs 'rows r cols c', 'R:' and 'C:' lines")
     return ContingencyTableSpec(rows, cols, rmarg, cmarg, binary, frozenset(zeros))
 
 

@@ -1257,6 +1257,14 @@ class TestExplicitLoader:
             assert block.dtype == expected.dtype and block.shape == expected.shape
             assert (block == expected).all()
 
+    def test_refusals_are_typed(self):
+        from xorcount.errors import DimensionError, ParseError
+        from xorcount.oracle import _explicit_from_lines
+        with pytest.raises(ParseError, match="^invalid bit 'x'$"):
+            _explicit_from_lines(["0101", "01x1"])
+        with pytest.raises(DimensionError):
+            _explicit_from_lines(["0101", "11"])
+
     @pytest.mark.parametrize("text,message", [
         ("", "empty explicit-set file: {f}"),
         ("\n# only comments\n  \n", "empty explicit-set file: {f}"),

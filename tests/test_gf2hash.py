@@ -11,7 +11,7 @@ from xorcount import gf2hash
 from xorcount.gf2hash import (Assignment, DimensionError, HashParams,
                               ParameterError, ParityHash, derive_seed,
                               sample_hash)
-from xorcount.errors import CapacityError
+from xorcount.errors import CapacityError, ParseError
 from conftest import apply_hash, count_survivors, exact_survival_probability
 
 
@@ -284,13 +284,13 @@ class TestAssignment:
             Assignment(4, 2)
 
     def test_bad_character(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             Assignment.from_string("10x")
 
     @pytest.mark.parametrize("s", ["01x", "0_1", "+1", " 01"])
     def test_rejects_what_int_would_accept(self, s):
         # int(s, 2) alone takes underscores, signs and surrounding spaces
-        with pytest.raises(ValueError, match="invalid bit"):
+        with pytest.raises(ParseError, match="invalid bit"):
             Assignment.from_string(s)
 
     def test_wide_and_empty_strings(self):

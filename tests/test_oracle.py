@@ -14,6 +14,7 @@ import pytest
 
 from xorcount.dimacs import CnfFormula, emit
 from xorcount.gf2hash import Assignment, HashParams, ParityHash, sample_hash
+from xorcount.errors import ParseError
 from xorcount.oracle import (CountingProblem, IntegrityError, ParameterError,
                              SolverProfile, conjoin, count_models,
                              expand_xors, has_survivor, has_survivors,
@@ -216,6 +217,11 @@ class TestExplicitBackend:
         problem = CountingProblem.from_explicit([], 6)
         h = sample_hash(HashParams(6, 2, 0.5, seed=0))
         assert has_survivor(problem, h).answer == "unsat"
+        # an empty S has no block: the kernel answers every trial "unsat",
+        # b = 0 and all-zero rows among them
+        hashes = [h, ParityHash((0, 0), 0, h.params), ParityHash(h.rows, 0, h.params)]
+        assert has_survivors(problem, hashes) == ["unsat"] * 3
+        assert has_survivors(problem, [None] * 3) == ["unsat"] * 3
 
     def test_zero_hash_sat_with_witness(self):
         members = [Assignment(b, 6) for b in (5, 9, 33)]
@@ -906,6 +912,12 @@ class TestModelStream:
         unsat = CountingProblem.from_cnf(CnfFormula(20, [[1], [-1]], []))
         assert has_survivors(unsat, [None] * 2) == ["unsat"] * 2
         assert len(pulled) == 2 and unsat._blocks == []
+        # m >= 1 on the same empty model set: every trial is "unsat", the
+        # one whose hash holds for every x too
+        hashes = [sample_hash(HashParams(20, 3, 0.5, seed=s)) for s in range(2)]
+        hashes.append(ParityHash((0,) * 3, 0, hashes[0].params))
+        assert has_survivors(unsat, hashes) == ["unsat"] * 3
+        assert len(pulled) == 2 and unsat._blocks == []
 
     def test_solve_reads_one_block(self, tmp_path, capsys, monkeypatch):
         from xorcount import dimacs
@@ -1061,6 +1073,21 @@ class TestRunExternal:
     def test_trivial_unsat(self, exhaustive_solver):
         v = run_external("p cnf 1 2\n1 0\n-1 0\n", exhaustive_solver)
         assert v.answer == "unsat"
+
+    def test_header_after_a_comment(self, exhaustive_solver):
+        # N is read from the "p cnf" line wherever it stands, not from the
+        # first line
+        v = run_external("c hi\np cnf 1 1\n1 0\n", exhaustive_solver)
+        assert v.answer == "sat" and v.stats["model_bits"] == 1
+
+    @pytest.mark.parametrize("text", ["", "c no header\n1 0\n"])
+    def test_text_without_a_header_is_refused(self, text, tmp_path):
+        # refused before the solver runs, as dimacs.parse refuses it
+        ran = tmp_path / "ran"
+        profile = SolverProfile("touch %s {in}" % ran)
+        with pytest.raises(ParseError, match="^missing header$"):
+            run_external(text, profile)
+        assert not ran.exists()
 
     def test_timeout_is_unknown(self, sleepy_solver):
         v = run_external("p cnf 1 1\n1 0\n", sleepy_solver)
@@ -1522,7 +1549,7 @@ class TestSurvivalKernels:
         xs = [Assignment(x, n) for x in members]
         want = [any(apply_hash(h, x) == 0 for x in xs) for h in hashes]
         blocks = lambda: [packed.astype(">u8")]  # noqa: E731
-        assert _table_scan(blocks, hashes, rows, n, len(members)).tolist() == want
+        assert _table_scan(blocks, hashes, rows, n).tolist() == want
         assert True in want and False in want
 
     def test_tables_are_built_per_trial_chunk(self):

@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 from xorcount import tables
+from xorcount.errors import ParameterError, ParseError
 from xorcount.gf2hash import Assignment
 from xorcount.oracle import CountingProblem, _check_assignment
 from xorcount.tables import (CapacityError, ContingencyTableSpec,
@@ -44,8 +45,18 @@ class TestBruteForce:
         assert brute_force_count(spec) == 1
 
     def test_1x1_binary_overflow(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="binary row marginal exceeds"):
             ContingencyTableSpec(1, 1, (2,), (2,), binary=True)
+
+    @pytest.mark.parametrize("args,message", [
+        ((2, 1, (1,), (1,)), "marginal lengths must match the table shape"),
+        ((1, 1, (-1,), (-1,)), "marginals must be nonnegative"),
+        ((1, 2, (2,), (2, 0), True), "binary column marginal exceeds row count"),
+        ((1, 1, (1,), (1,), False, {(0, 1)}), r"structural zero \(0,1\) out of range"),
+    ])
+    def test_out_of_range_values_are_parameter_errors(self, args, message):
+        with pytest.raises(ParameterError, match=message):
+            ContingencyTableSpec(*args)
 
     def test_mismatched_marginals_count_zero(self):
         with pytest.warns(UserWarning):
@@ -478,11 +489,11 @@ class TestSpecFiles:
         assert spec.rows == 2 and spec.binary
 
     def test_parse_missing_sections(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="table spec needs"):
             parse_table_spec("rows 2 cols 2\nR: 1 1\n")
 
     def test_parse_unknown_line(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="unrecognized line"):
             parse_table_spec("rows 1 cols 1\nR: 0\nC: 0\nQ: what\n")
 
     @pytest.mark.parametrize("line", [
@@ -494,5 +505,5 @@ class TestSpecFiles:
             lines[0] = line
         else:
             lines.append(line)
-        with pytest.raises(ValueError, match="bad table-spec line"):
+        with pytest.raises(ParseError, match="bad table-spec line"):
             parse_table_spec("\n".join(lines) + "\n")
