@@ -211,8 +211,8 @@ def _trials(problem: CountingProblem, m: int, f: float, T: int, seed: int,
     more(ones, zeros) is how many further trials to ask, 0 once the
     caller's test is decided; None asks all T in one has_survivors call.
     m = 0 asks "is S non-empty?" once and every one of the T trials shares
-    its answer.  With an external solver, a trial whose hash has no
-    solution of Ax = b is "unsat" without reaching the solver (see
+    its answer.  On a CNF problem, a trial whose hash has no solution of
+    Ax = b is "unsat" without reading S or reaching a solver (see
     `has_survivors`), so it is never unknown either.  An unknown raises
     OracleUnknownError(unknown, asked so far); a trial never asked cannot
     be unknown.

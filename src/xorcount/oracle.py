@@ -38,7 +38,10 @@ model: only an external SAT verdict does, in its stats, rechecked in
 process.
 
 A hash of None asks m = 0, "is S non-empty?", on every backend; an estimate
-at m = 0 asks it once (`bounds._trials`), not once per trial.
+at m = 0 asks it once (`bounds._trials`), not once per trial.  On a CNF
+problem, on either backend, a hash whose system Ax = b has no solution over
+GF(2) is "unsat" before S is read or a solver is asked (`_solvable`); an
+explicit set, whose one block is already in memory, skips that check.
 """
 
 from __future__ import annotations
@@ -722,20 +725,22 @@ def has_survivors(problem: CountingProblem, hashes,
     """The answer ("sat", "unsat" or "unknown") of has_survivor(problem, h)
     for every h in `hashes`, which share m (None for all asks m = 0).
 
-    In-process problems read S only through `_stream`: m = 0 reads its
-    first block, if any, and m >= 1 answers every trial in one pass of the
-    survival kernel (`_table_scan`) over one shared read of S, "unsat" to
-    each when S has no block.  They skip the GF(2) check below: sparing an
-    unsolvable trial spares blocks only when every other trial finds its
-    survivor early, a saving that comes and goes with the hashes drawn.
+    One rule for every CNF problem, on both backends: each hash whose
+    system Ax = b has no solution over GF(2) (`_solvable`, a few
+    microseconds) is answered "unsat" first, in process.  Its cell is empty
+    whatever S is, and sparse rows make such hashes common at small n (a
+    row is all zero with probability (1-f)^n); asked, it would cost a
+    solver process, or keep the survival kernel enumerating and reading
+    every block of the models.  The rest (None among them) are asked, in
+    hash order; if none is left, no block is read and no pool, thread or
+    temp file is made.  Explicit sets skip the check: their one block is
+    already in memory, so an unsolvable trial costs them only its lane of
+    the scan, less than the check would.
 
-    With an external solver, a CNF problem first answers "unsat", in
-    process, each hash whose system Ax = b has no solution over GF(2)
-    (`_solvable`, a few microseconds): its cell is empty whatever S is,
-    sparse rows make such hashes common at small n (a row is all zero with
-    probability (1-f)^n), and asking would cost a solver process.  Such a
-    question never reaches the solver; the rest (None among them) go to it
-    in hash order.  If none is left, no pool, thread or temp file is made.
+    In process, the questions asked read S only through `_stream`: m = 0
+    reads its first block, if any, and m >= 1 answers every asked trial in
+    one pass of the survival kernel (`_table_scan`) over one shared read of
+    S, "unsat" to each when S has no block.
 
     The solver gets one has_survivor call per hash asked (an estimate asks
     m = 0 once, in bounds._trials, and shares its answer among its
@@ -750,18 +755,22 @@ def has_survivors(problem: CountingProblem, hashes,
     hash order is raised once the started calls have returned.
     """
     _check_hashes(problem, hashes)
-    if problem.kind == "explicit" or solver is None:
-        if hashes and hashes[0] is not None:
-            rows = _pack([r for h in hashes for r in h.rows], _words(problem.n))
-            hits = _table_scan(functools.partial(_stream, problem), hashes,
-                               rows.reshape(len(hashes), hashes[0].m, -1),
+    answers = ["unsat"] * len(hashes)
+    asked = [i for i, h in enumerate(hashes)
+             if problem.formula is None or h is None or _solvable(h)]
+    if not asked:
+        return answers
+    if problem.formula is None or solver is None:
+        picked = [hashes[i] for i in asked]
+        if picked[0] is not None:
+            rows = _pack([r for h in picked for r in h.rows], _words(problem.n))
+            hits = _table_scan(functools.partial(_stream, problem), picked,
+                               rows.reshape(len(picked), picked[0].m, -1),
                                problem.n).tolist()
         else:  # m = 0: is S's first block there?
-            hits = [next(_stream(problem), None) is not None] * len(hashes)
-        return ["sat" if hit else "unsat" for hit in hits]
-    answers = ["unsat"] * len(hashes)
-    asked = [i for i, h in enumerate(hashes) if h is None or _solvable(h)]
-    if not asked:
+            hits = [next(_stream(problem), None) is not None] * len(picked)
+        for i, hit in zip(asked, hits):
+            answers[i] = "sat" if hit else "unsat"
         return answers
     # imported here: it loads `logging`, which neither the in-process
     # backends nor a `xorcount solve` child need

@@ -427,18 +427,25 @@ def explicit_problem(spec: ContingencyTableSpec, enc: CellEncoding = None,
 
 
 # ---------------------------------------------------------------------------
-# spec file format: "rows R cols C", "R: ...", "C: ...", "binary: 0|1", "Z: i j"
+# spec file format: "rows R cols C", "R: ...", "C: ...", "binary: 0|1", "Z: i j";
+# a repeated line is refused, except a Z: line, whose zeros are a set
 
 def parse_table_spec(text: str) -> ContingencyTableSpec:
     rows = cols = None
     rmarg = cmarg = None
     binary = False
     zeros = set()
+    seen = set()  # which of rows, R:, C: and binary: were read
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
+            key = next((k for k in ("rows", "R:", "C:", "binary:") if line.startswith(k)), None)
+            if key in seen:
+                raise ParseError("repeated %r line" % key)
+            if key:
+                seen.add(key)
             if line.startswith("rows"):
                 parts = line.split()
                 if len(parts) != 4 or parts[::2] != ["rows", "cols"]:

@@ -1058,6 +1058,8 @@ class TestOneLineErrors:
                                      "binary column marginal exceeds row count"),
         (["table", "{zero_spec}"],
          "bad table-spec file {zero_spec}: structural zero (3,0) out of range"),
+        (["table", "{twice_spec}"], "bad table-spec file {twice_spec}: bad table-spec "
+                                    "line 'R: 2 0': repeated 'R:' line"),
     ])
     def test_bad_input_is_a_one_line_error(self, tmp_path, argv, message):
         paths = {"missing": tmp_path / "nope.cnf",
@@ -1084,7 +1086,8 @@ class TestOneLineErrors:
                  "short_spec": tmp_path / "short.spec",
                  "negative_spec": tmp_path / "negative.spec",
                  "binary_spec": tmp_path / "binary.spec",
-                 "zero_spec": tmp_path / "zero.spec"}
+                 "zero_spec": tmp_path / "zero.spec",
+                 "twice_spec": tmp_path / "twice.spec"}
         paths["good"].write_text("p cnf 3 1\n1 2 0\n")
         paths["bad_token"].write_text("p cnf 2 1\n1 x 0\n")
         paths["bad_literal"].write_text("p cnf 2 1\n1 3 0\n")
@@ -1108,6 +1111,7 @@ class TestOneLineErrors:
         paths["negative_spec"].write_text("rows 2 cols 2\nR: -1 2\nC: 1 0\n")
         paths["binary_spec"].write_text("rows 2 cols 2\nR: 1 2\nC: 3 0\nbinary: 1\n")
         paths["zero_spec"].write_text("rows 2 cols 2\nR: 1 1\nC: 1 1\nZ: 3 0\n")
+        paths["twice_spec"].write_text("rows 2 cols 2\nR: 1 1\nC: 1 1\nR: 2 0\nC: 1 1\n")
         with pytest.raises(SystemExit) as exc:
             main([a.format(**paths) for a in argv])
         assert exc.value.code == message.format(**paths)

@@ -515,9 +515,9 @@ class TestSolverQuestion:
 
 
 class TestUnsolvableHashes:
-    """With an external solver, a question whose system Ax = b has no
-    solution over GF(2) is "unsat" without reaching the solver
-    (`_solvable`); in-process questions skip the check."""
+    """On a CNF problem, on both backends, a question whose system Ax = b
+    has no solution over GF(2) is "unsat" without reading S or reaching the
+    solver (`_solvable`); explicit sets skip the check."""
 
     @staticmethod
     def brute_force(h):
@@ -596,7 +596,33 @@ class TestUnsolvableHashes:
         monkeypatch.setattr(oracle, "_solvable", lambda h: True)
         assert checked == in_process == [
             has_survivors(CountingProblem.from_cnf(formula), hashes, solver=self.SOLVER)
+            for formula, hashes in cases] == [
+            has_survivors(CountingProblem.from_cnf(formula), hashes)
             for formula, hashes in cases]
+
+    def test_explicit_sets_skip_the_check(self, monkeypatch):
+        # an explicit set's one block is in memory, so its questions go
+        # straight to the kernel: with the check made to raise, the answers,
+        # unsolvable trials among them, are unchanged
+        from xorcount import oracle
+        rng = random.Random(41)
+        members = [Assignment(rng.getrandbits(10), 10) for _ in range(40)]
+        problem = CountingProblem.from_explicit(members, 10)
+        S = packed_set(problem)[:, 0]
+        hashes = [sample_hash(HashParams(10, m, f, seed=rng.getrandbits(32)))
+                  for m in (2, 5) for f in (0.0, 0.1, 0.5) for _ in range(4)]
+        batches = [[h for h in hashes if h.m == m] for m in (2, 5)]
+        assert not all(_solvable(h) for h in hashes)
+        want = [["sat" if survives(h, S) else "unsat" for h in batch]
+                for batch in batches]
+        assert {"sat", "unsat"} <= set(want[0] + want[1])
+
+        def refuse(h):
+            raise AssertionError("explicit sets skip the check")
+
+        monkeypatch.setattr(oracle, "_solvable", refuse)
+        assert [has_survivors(problem, batch) for batch in batches] == want
+        assert has_survivors(problem, [None]) == ["sat"]
 
     def test_only_solvable_hashes_reach_the_solver(self, monkeypatch):
         sent = []
@@ -870,12 +896,38 @@ class TestModelStream:
         assert pulled == [6880] and len(problem._blocks) == 1
         assert has_survivors(problem, [None]) == ["sat"]
         assert pulled == [6880]
-        # no survivor: every block is read, once
+        # an unsolvable hash (0 = 1) is "unsat" before any block is read
         none = ParityHash((0,) * 10, 1, hashes[0].params)
-        assert has_survivors(problem, [none, hashes[0]]) == ["unsat", "sat"]
+        assert has_survivors(problem, [none]) == ["unsat"]
+        assert pulled == [6880]
+        # a solvable hash with no survivor, found by brute force: every
+        # block is read, once
+        models = np.concatenate(list(_model_blocks(formula)))
+        empty = next(h for h in (sample_hash(HashParams(20, 10, 0.1, seed=s))
+                                 for s in range(100))
+                     if _solvable(h) and not survives(h, models))
+        assert has_survivors(problem, [empty, hashes[0]]) == ["unsat", "sat"]
         assert pulled == [6880, 6880, 16416, 32000, 79264]
         assert has_survivors(problem, [none]) == ["unsat"]
         assert len(pulled) == 5
+
+    def test_unsolvable_trials_read_no_block(self, monkeypatch):
+        # cnf20-exhaustive's f = 0.1 request in seed slot 7 (--seed 7000,
+        # --m 10, --T 7): six of its seven hashes have no solution of
+        # Ax = b, and the one that has finds its survivor in the first
+        # block, so one block of five is pulled
+        from xorcount.gf2hash import derive_seed
+        pulled = spy_model_blocks(monkeypatch)
+        formula = criterion_11_cnf()
+        stream = derive_seed(7000, 10)
+        hashes = [sample_hash(HashParams(20, 10, 0.1, seed=derive_seed(stream, k)))
+                  for k in range(7)]
+        assert [_solvable(h) for h in hashes] == [False] * 4 + [True] + [False] * 2
+        models = np.concatenate(list(_model_blocks(formula)))
+        want = ["unsat"] * 4 + ["sat"] + ["unsat"] * 2
+        assert ["sat" if survives(h, models) else "unsat" for h in hashes] == want
+        assert has_survivors(CountingProblem.from_cnf(formula), hashes) == want
+        assert pulled == [6880]
 
     def test_answers_over_the_grid_match_apply_hash(self):
         rng = random.Random(17)

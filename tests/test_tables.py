@@ -496,6 +496,23 @@ class TestSpecFiles:
         with pytest.raises(ParseError, match="unrecognized line"):
             parse_table_spec("rows 1 cols 1\nR: 0\nC: 0\nQ: what\n")
 
+    @pytest.mark.parametrize("key,text", [
+        ("rows", "rows 2 cols 2\nR: 1 1\nC: 1 1\nrows 2 cols 2\n"),
+        ("R:", "rows 2 cols 2\nR: 1 1\nC: 1 1\nR: 2 0\nC: 1 1\n"),
+        ("C:", "rows 2 cols 2\nC: 1 1\nR: 1 1\nC: 2 0\n"),
+        ("binary:", "rows 2 cols 2\nR: 1 1\nC: 1 1\nbinary: 1\nbinary: 0\n"),
+    ], ids=["rows", "R", "C", "binary"])
+    def test_repeated_line_is_refused(self, key, text):
+        # a second line of the kind would silently replace the first
+        repeated = [line for line in text.splitlines() if line.startswith(key)][1]
+        with pytest.raises(ParseError) as exc:
+            parse_table_spec(text)
+        assert str(exc.value) == "bad table-spec line %r: repeated %r line" % (repeated, key)
+
+    def test_repeated_zero_is_one_zero(self):
+        text = "rows 2 cols 2\nR: 1 1\nC: 1 1\nZ: 0 0\nZ: 0 0\n"
+        assert parse_table_spec(text).structural_zeros == frozenset({(0, 0)})
+
     @pytest.mark.parametrize("line", [
         "binary: 7", "binary: -1", "rows 1 foo 1", "rows 1 cols 1 junk",
     ])
