@@ -29,7 +29,12 @@ one uint per group of up to 64 hash rows.  Each lookup gathers the entries
 of every trial in the chunk at once.  A trial needs one survivor, so the
 members are read in blocks, and the scan of a chunk stops after the block
 in which its last trial finds one; a CNF's models past that block are not
-enumerated until a question reads them.  In process, `has_survivor` is
+enumerated until a question reads them.  On a CNF problem the kernel reads
+only S's first block for every trial: a trial left without a survivor
+there is decided on its cell (`_decide`), the formula evaluated bit-sliced
+over the solutions of Ax = b, so that it costs the same wherever in S its
+survivors lie; only a cell of more than 2^16 assignments has the kernel
+read on.  In process, `has_survivor` is
 `has_survivors` with T = 1; with a solver, `has_survivors` runs
 `has_survivor` once per hash, up to solver.jobs calls at once on a thread
 pool of its own, each pool thread given the call's `_Batch` of solver
@@ -64,7 +69,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dimacs import _SUB_VARS, CnfFormula, _model_masks, count_models, emit
+from .dimacs import _SUB_VARS, CnfFormula, _model_masks, _slices, count_models, emit
 from .errors import DimensionError, IntegrityError, ParameterError, ParseError
 from .gf2hash import ParityHash
 
@@ -699,11 +704,12 @@ def has_survivor(problem: CountingProblem, h: ParityHash = None,
     return verdict
 
 
-def _solvable(h: ParityHash) -> bool:
-    """Has Ax = b a solution over GF(2)?  Gaussian elimination over h's rows
-    as Python ints, each shifted left by one with its bit of b below: a
-    reduced row is kept as the pivot of its top bit unless that bit has one,
-    which it is XORed with.  A row reducing to 1, the equation 0 = 1, has no
+def _echelon(h: ParityHash):
+    """Gaussian elimination over h's rows as Python ints, each shifted left
+    by one with its bit of b below: a reduced row is kept as the pivot of
+    its top bit unless that bit has one, which it is XORed with.  The
+    pivots by top bit (variable top - 1 is bit top - 2 of a row), or None
+    when a row reduces to 1, the equation 0 = 1: then Ax = b has no
     solution."""
     pivots = {}
     for i, row in enumerate(h.rows):
@@ -716,8 +722,88 @@ def _solvable(h: ParityHash) -> bool:
             r ^= pivots[top]
         else:
             if r:
-                return False
+                return None
+    return pivots
+
+
+def _solvable(h: ParityHash) -> bool:
+    """Has Ax = b a solution over GF(2)?"""
+    return _echelon(h) is not None
+
+
+def _decide(formula: CnfFormula, h: ParityHash):
+    """Has the formula a model in h's cell?  None when the cell, over all
+    num_vars variables, holds more than 2^_SUB_VARS assignments.
+
+    The d free variables, those that top no pivot of `_echelon`, are the
+    bit slices of 2^d assignments (`dimacs._slices`), so each variable is
+    a mask over them.  A pivot's other variables all lie below its top, so
+    taken from the lowest top up, each pivot variable is its row's b XOR
+    masks already known.  The formula is then evaluated as
+    `dimacs._model_masks` evaluates a sub-block: a clause is the OR of its
+    literals' masks, a parity row the XOR of its variables' masks, and the
+    cell has a model where all of them hold."""
+    pivots = _echelon(h)
+    if pivots is None:
+        return False
+    d = formula.num_vars - len(pivots)
+    if d > _SUB_VARS:
+        return None
+    full = (1 << (1 << d)) - 1
+    slices = iter(_slices(d)[0])
+    value = [0 if v + 2 in pivots else next(slices) for v in range(formula.num_vars)]
+    for top in sorted(pivots):
+        r = pivots[top]
+        mask = full if r & 1 else 0
+        rest = r >> 1 ^ 1 << top - 2
+        while rest:
+            mask ^= value[(rest & -rest).bit_length() - 1]
+            rest &= rest - 1
+        value[top - 2] = mask
+    alive = full
+    for clause in formula.clauses:
+        held = 0
+        for lit in clause:
+            held |= value[lit - 1] if lit > 0 else value[-lit - 1] ^ full
+        alive &= held
+        if not alive:
+            return False
+    for sup, rhs in formula.xors:
+        parity = 0 if rhs else full
+        for v in sup:
+            parity ^= value[v - 1]
+        alive &= parity
+        if not alive:
+            return False
     return True
+
+
+def _survivors(problem: CountingProblem, hashes) -> list:
+    """In-process answers at m >= 1, one bool per hash: has S a member in
+    its cell?  The survival kernel (`_table_scan`) reads S's first block
+    for every trial.  That block is all of an explicit set, and S is empty
+    when it has none.  On a CNF problem, each trial it leaves is decided on
+    its cell (`_decide`), at a cost that does not depend on where in S its
+    survivors lie, when the cell has at most 2^_SUB_VARS assignments; the
+    kernel reads the rest of S for the others."""
+    n = problem.n
+    rows = _pack([r for h in hashes for r in h.rows], _words(n))
+    rows = rows.reshape(len(hashes), hashes[0].m, -1)
+    hit = _table_scan(lambda: islice(_stream(problem), 1), hashes, rows, n).tolist()
+    if problem.formula is None or not problem._blocks:
+        return hit
+    scanned = []
+    for k, got in enumerate(hit):
+        if not got:
+            hit[k] = _decide(problem.formula, hashes[k])
+            if hit[k] is None:
+                scanned.append(k)
+    if scanned:
+        got = _table_scan(lambda: islice(_stream(problem), 1, None),
+                          [hashes[k] for k in scanned], rows[scanned], n)
+        for k, g in zip(scanned, got.tolist()):
+            hit[k] = g
+    return hit
 
 
 def has_survivors(problem: CountingProblem, hashes,
@@ -737,10 +823,12 @@ def has_survivors(problem: CountingProblem, hashes,
     already in memory, so an unsolvable trial costs them only its lane of
     the scan, less than the check would.
 
-    In process, the questions asked read S only through `_stream`: m = 0
-    reads its first block, if any, and m >= 1 answers every asked trial in
-    one pass of the survival kernel (`_table_scan`) over one shared read of
-    S, "unsat" to each when S has no block.
+    In process, m = 0 reads S's first block, if any, through `_stream`, and
+    m >= 1 answers the asked trials in `_survivors`: one pass of the
+    survival kernel (`_table_scan`) over S's first block, "unsat" to each
+    trial when S has no block; then, on a CNF problem, each trial left is
+    decided on its cell (`_decide`), or, for a cell too large, by the
+    kernel reading the rest of S.
 
     The solver gets one has_survivor call per hash asked (an estimate asks
     m = 0 once, in bounds._trials, and shares its answer among its
@@ -763,10 +851,7 @@ def has_survivors(problem: CountingProblem, hashes,
     if problem.formula is None or solver is None:
         picked = [hashes[i] for i in asked]
         if picked[0] is not None:
-            rows = _pack([r for h in picked for r in h.rows], _words(problem.n))
-            hits = _table_scan(functools.partial(_stream, problem), picked,
-                               rows.reshape(len(picked), picked[0].m, -1),
-                               problem.n).tolist()
+            hits = _survivors(problem, picked)
         else:  # m = 0: is S's first block there?
             hits = [next(_stream(problem), None) is not None] * len(picked)
         for i, hit in zip(asked, hits):

@@ -18,8 +18,9 @@ from xorcount.errors import ParseError
 from xorcount.oracle import (CountingProblem, IntegrityError, ParameterError,
                              SolverProfile, conjoin, count_models,
                              expand_xors, has_survivor, has_survivors,
-                             run_external, _check_assignment, _model_blocks,
-                             _pack, _solvable, _stream, _table_scan)
+                             run_external, _check_assignment, _decide,
+                             _echelon, _model_blocks, _pack, _solvable, _stream,
+                             _table_scan)
 from conftest import apply_hash, count_survivors
 
 
@@ -602,8 +603,9 @@ class TestUnsolvableHashes:
 
     def test_explicit_sets_skip_the_check(self, monkeypatch):
         # an explicit set's one block is in memory, so its questions go
-        # straight to the kernel: with the check made to raise, the answers,
-        # unsolvable trials among them, are unchanged
+        # straight to the kernel, and that block is all of S: with the check
+        # and the cell decision made to raise, the answers, unsolvable
+        # trials among them, are unchanged
         from xorcount import oracle
         rng = random.Random(41)
         members = [Assignment(rng.getrandbits(10), 10) for _ in range(40)]
@@ -621,6 +623,7 @@ class TestUnsolvableHashes:
             raise AssertionError("explicit sets skip the check")
 
         monkeypatch.setattr(oracle, "_solvable", refuse)
+        monkeypatch.setattr(oracle, "_decide", refuse)
         assert [has_survivors(problem, batch) for batch in batches] == want
         assert has_survivors(problem, [None]) == ["sat"]
 
@@ -655,6 +658,34 @@ class TestUnsolvableHashes:
         est = estimate_survival(problem, 8, 0.0, 8, seed=0,
                                 solver=SolverProfile("false {in}"))
         assert est.outcomes == (0,) * 8 and calls == []
+
+
+class TestCellDecisions:
+    """A trial that a CNF problem's first block leaves without a survivor
+    is decided on its cell (`_decide`), the formula evaluated over the
+    cell's points, when the cell has at most 2^16 assignments of all
+    num_vars variables."""
+
+    def test_matches_the_model_set(self):
+        rng = random.Random(53)
+        seen = {False: 0, True: 0, None: 0}
+        for formula in model_grid():
+            nv = formula.num_vars
+            blocks = list(_model_blocks(formula))
+            models = np.concatenate(blocks) if blocks else np.empty(0, np.uint64)
+            for n in {nv, nv // 2}:
+                S = np.unique(models & np.uint64((1 << n) - 1))
+                for m in sorted({1, (n + 1) // 2, n}) if n else ():
+                    for f in (0.1, 0.3, 0.5):
+                        h = sample_hash(HashParams(n, m, f, seed=rng.getrandbits(32)))
+                        pivots = _echelon(h)
+                        got = _decide(formula, h)
+                        if pivots is not None and nv - len(pivots) > 16:
+                            assert got is None
+                        else:
+                            assert got == survives(h, S), (formula, n, h)
+                        seen[got] += 1
+        assert min(seen.values()) > 10, seen
 
 
 class TestCountModels:
@@ -867,6 +898,16 @@ def spy_model_blocks(monkeypatch):
     return pulled
 
 
+def late_hashes():
+    """An m = 1 batch on criterion 11's 3-CNF that reads its whole stream:
+    six sampled hashes, one with no solution (0 = 1), and x20 = 1, whose
+    cell of 2^19 assignments is too large for `_decide` and whose survivors
+    all lie in the last block."""
+    hashes = [sample_hash(HashParams(20, 1, 0.3, seed=s)) for s in range(6)]
+    params = hashes[0].params
+    return hashes + [ParityHash((0,), 1, params), ParityHash((1 << 19,), 1, params)]
+
+
 class TestModelStream:
     """In-process questions read a CNF's models only as far as they need."""
 
@@ -900,15 +941,21 @@ class TestModelStream:
         none = ParityHash((0,) * 10, 1, hashes[0].params)
         assert has_survivors(problem, [none]) == ["unsat"]
         assert pulled == [6880]
-        # a solvable hash with no survivor, found by brute force: every
-        # block is read, once
+        # a solvable hash with no survivor, found by brute force, is
+        # decided on its cell: no further block is read
         models = np.concatenate(list(_model_blocks(formula)))
         empty = next(h for h in (sample_hash(HashParams(20, 10, 0.1, seed=s))
                                  for s in range(100))
                      if _solvable(h) and not survives(h, models))
         assert has_survivors(problem, [empty, hashes[0]]) == ["unsat", "sat"]
+        assert pulled == [6880]
+        # x20 = 1, a cell too large to decide, reads to its first survivor
+        # in the last block: every block is read, once
+        late = late_hashes()[-1]
+        assert has_survivors(problem, [late]) == ["sat"]
         assert pulled == [6880, 6880, 16416, 32000, 79264]
         assert has_survivors(problem, [none]) == ["unsat"]
+        assert has_survivors(problem, [late]) == ["sat"]
         assert len(pulled) == 5
 
     def test_unsolvable_trials_read_no_block(self, monkeypatch):
@@ -926,6 +973,28 @@ class TestModelStream:
         models = np.concatenate(list(_model_blocks(formula)))
         want = ["unsat"] * 4 + ["sat"] + ["unsat"] * 2
         assert ["sat" if survives(h, models) else "unsat" for h in hashes] == want
+        assert has_survivors(CountingProblem.from_cnf(formula), hashes) == want
+        assert pulled == [6880]
+
+    def test_late_survivors_are_decided_on_their_cells(self, monkeypatch):
+        # cnf20-exhaustive's f = 0.1 request in seed slot 0 (--seed 0,
+        # --m 10, --T 7): of its three solvable hashes, one finds its
+        # survivor in the first block and two only in blocks 3 and 4.
+        # Those two are decided on their cells, so one block of five is
+        # pulled, where reading on to each first survivor pulled all five
+        from xorcount.gf2hash import derive_seed
+        pulled = spy_model_blocks(monkeypatch)
+        formula = criterion_11_cnf()
+        stream = derive_seed(0, 10)
+        hashes = [sample_hash(HashParams(20, 10, 0.1, seed=derive_seed(stream, k)))
+                  for k in range(7)]
+        blocks = list(_model_blocks(formula))
+        first = [next((i for i, b in enumerate(blocks) if survives(h, b)), None)
+                 for h in hashes if _solvable(h)]
+        assert first == [3, 0, 4]
+        want = ["unsat", "sat", "unsat", "sat", "unsat", "sat", "unsat"]
+        assert ["sat" if survives(h, np.concatenate(blocks)) else "unsat"
+                for h in hashes] == want
         assert has_survivors(CountingProblem.from_cnf(formula), hashes) == want
         assert pulled == [6880]
 
@@ -995,9 +1064,9 @@ class TestModelStream:
     def test_concurrent_first_questions(self):
         import threading
         formula = criterion_11_cnf()
-        # f = 0.1 at m = 12 leaves some trials without a survivor, so each
+        # x20 = 1 finds its first survivor in the last block, so each
         # question reads the whole stream
-        hashes = [sample_hash(HashParams(20, 12, 0.1, seed=s)) for s in range(9)]
+        hashes = late_hashes()
         serial = has_survivors(CountingProblem.from_cnf(formula), hashes)
         assert "sat" in serial and "unsat" in serial
         for _ in range(3):
@@ -1026,7 +1095,7 @@ class TestModelStream:
         # what it added, so each block of models is enumerated once
         import threading
         formula = criterion_11_cnf()
-        hashes = [sample_hash(HashParams(20, 12, 0.1, seed=s)) for s in range(9)]
+        hashes = late_hashes()
         serial = has_survivors(CountingProblem.from_cnf(formula), hashes)
         pulled = spy_model_blocks(monkeypatch)
         problem = CountingProblem.from_cnf(formula)
