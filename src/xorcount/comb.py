@@ -21,7 +21,6 @@ __all__ = [
     "variance_bound_v",
     "upper_bound_threshold",
     "min_density_fstar",
-    "asymptotic_density",
 ]
 
 LN2 = math.log(2.0)
@@ -229,30 +228,3 @@ def min_density_fstar(
         bracket_lo=lo, bracket_hi=hi, met_at_half=met,
     )
 
-
-def asymptotic_density(regime: str, m: int, kappa: float = None,
-                       alpha: float = None, beta: float = None) -> float:
-    """Asymptotic regime formulas for the minimum constraint density.
-
-    All logarithms are natural.  Regimes:
-      lower:     log(m) / (kappa m), the necessary density, kappa > 1
-      linear:    (3.6 - 5/4 log2 alpha) log(m)/m for m = alpha n, alpha in (0,1)
-      sublinear: kappa (1-beta)/(2 beta) log^2(m)/m for m = alpha n^beta
-    """
-    if m < 1:
-        raise ParameterError("m must be positive")
-    if regime == "lower":
-        if kappa is None or kappa <= 1.0:
-            raise ParameterError("lower regime needs kappa > 1")
-        return math.log(m) / (kappa * m)
-    if regime == "linear":
-        if alpha is None or not 0.0 < alpha <= 1.0:
-            raise ParameterError("linear regime needs alpha in (0, 1]")
-        return (3.6 - 1.25 * math.log2(alpha)) * math.log(m) / m
-    if regime == "sublinear":
-        if kappa is None or kappa <= 1.0:
-            raise ParameterError("sublinear regime needs kappa > 1")
-        if beta is None or not 0.0 < beta < 1.0:
-            raise ParameterError("sublinear regime needs beta in (0, 1)")
-        return kappa * (1.0 - beta) / (2.0 * beta) * math.log(m) ** 2 / m
-    raise ParameterError("unknown regime %r" % (regime,))

@@ -21,32 +21,39 @@ Three interchangeable backends answer the same question:
 The first two are in process: S is a stream of (k, W) uint64 blocks, W =
 ceil(n/64) words per member (an explicit set is one block), and every
 question is answered against it.  Only `_stream` adds a block to it.
-`has_survivors` takes a whole estimate's T hashes at once and answers them
-by table lookup (the "method of Four Russians"): per chunk of trials, one
-256-entry table per member byte holds the XOR of the columns of A that the
-byte selects, so Ax is ceil(n/8) lookups whatever m is, compared with b as
-one uint per group of up to 64 hash rows.  Each lookup gathers the entries
-of every trial in the chunk at once.  A trial needs one survivor, so the
-members are read in blocks, and the scan of a chunk stops after the block
-in which its last trial finds one; a CNF's models past that block are not
-enumerated until a question reads them.  On a CNF problem the kernel reads
-only S's first block for every trial: a trial left without a survivor
-there is decided on its cell (`_decide`), the formula evaluated bit-sliced
-over the solutions of Ax = b, so that it costs the same wherever in S its
-survivors lie; only a cell of more than 2^16 assignments has the kernel
-read on.  In process, `has_survivor` is
-`has_survivors` with T = 1; with a solver, `has_survivors` runs
-`has_survivor` once per hash, up to solver.jobs calls at once on a thread
-pool of its own, each pool thread given the call's `_Batch` of solver
-processes once, by the pool's initializer.  In-process verdicts carry no
-model: only an external SAT verdict does, in its stats, rechecked in
-process.
 
-A hash of None asks m = 0, "is S non-empty?", on every backend; an estimate
-at m = 0 asks it once (`bounds._trials`), not once per trial.  On a CNF
-problem, on either backend, a hash whose system Ax = b has no solution over
-GF(2) is "unsat" before S is read or a solver is asked (`_solvable`); an
-explicit set, whose one block is already in memory, skips that check.
+Every question goes through `has_survivors`, which takes a whole
+estimate's T hashes at once (a hash of None asks m = 0, "is S non-empty?",
+which an estimate asks once, in `bounds._trials`, not once per trial):
+  * On a CNF problem, each hash is eliminated once (`_echelon`), and one
+    whose system Ax = b has no solution over GF(2) is "unsat" before S is
+    read or a solver is asked: its cell is empty whatever S is, and sparse
+    rows make such hashes common (a row is all zero with probability
+    (1-f)^n).  An explicit set, whose one block is already in memory,
+    skips the elimination.
+  * In process, m = 0 reads S's first block, if any, and m >= 1 runs the
+    survival kernel (`_table_scan`) over S's first block for every trial
+    asked, by table lookup (the "method of Four Russians"): per chunk of
+    trials, one 256-entry table per member byte holds the XOR of the
+    columns of A that the byte selects, so Ax is ceil(n/8) lookups
+    whatever m is, compared with b as one uint per group of up to 64 hash
+    rows.  Each lookup gathers the entries of every trial in the chunk at
+    once.  That block is all of an explicit set, and S is empty when it
+    has none.
+  * On a CNF problem, a trial that first block leaves without a survivor
+    is decided on its cell (`_decide`) from its elimination's pivots: the
+    formula evaluated bit-sliced over the solutions of Ax = b, at a cost
+    that does not depend on where in S its survivors lie.
+  * Only a cell of more than 2^16 assignments has the kernel read the
+    rest of S.  A trial needs one survivor, so the kernel stops after the
+    block in which its last trial finds one, and a CNF's models past that
+    block are not enumerated until a question reads them.
+  * With a solver, each CNF hash asked is instead one `has_survivor` call,
+    up to solver.jobs calls at once on a thread pool of its own, each pool
+    thread given the call's `_Batch` of solver processes once, by the
+    pool's initializer.
+In-process verdicts carry no model: only an external SAT verdict does, in
+its stats, rechecked in process.
 """
 
 from __future__ import annotations
@@ -158,11 +165,11 @@ class CountingProblem:
     """The set S whose size is being bounded: the model set of `formula`,
     or else the rows of `block`.
 
-    kind == "explicit": S is a set of n-bit assignments, one packed block
-                        sorted and deduplicated by `_distinct`.
-    kind == "cnf":      S is the model set of `formula`, projected onto the
-                        first n variables (n == num_vars unless the formula
-                        carries auxiliary variables, as table encodings do).
+    kind == "explicit" (formula None): S is a set of n-bit assignments,
+        one packed block sorted and deduplicated by `_distinct`.
+    kind == "cnf": S is the model set of `formula`, projected onto the
+        first n variables (n == num_vars unless the formula carries
+        auxiliary variables, as table encodings do).
 
     Every in-process question (`has_survivors`, T hashes in one pass)
     reads S as a stream of packed blocks (`_stream`): (k, W) uint64 arrays,
@@ -177,12 +184,15 @@ class CountingProblem:
 
     def __init__(self, n: int, formula: CnfFormula = None, block=None):
         self.n = n
-        self.kind = "explicit" if formula is None else "cnf"
         self.formula = formula
         self._lock = threading.Lock()
         self._blocks = [block] if block is not None and len(block) else []
         # `_model_blocks` for a CNF, on the first read past _blocks
         self._source = iter(()) if formula is None else None
+
+    @property
+    def kind(self) -> str:
+        return "explicit" if self.formula is None else "cnf"
 
     @classmethod
     def from_explicit(cls, members, n: int) -> "CountingProblem":
@@ -668,28 +678,22 @@ def _check_hashes(problem: CountingProblem, hashes):
             raise DimensionError("hash width %d != problem width %d" % (h.n, problem.n))
 
 
-def has_survivor(problem: CountingProblem, h: ParityHash = None,
-                 solver: SolverProfile = None) -> OracleVerdict:
-    """sat iff some x in S has h(x) = 0; h=None (m = 0) asks whether S is
-    non-empty.
+def has_survivor(problem: CountingProblem, h: ParityHash = None, *,
+                 solver: SolverProfile) -> OracleVerdict:
+    """The solver's answer to "has S an x with h(x) = 0?" on a CNF problem;
+    h=None (m = 0) asks whether S is non-empty.
 
-    Explicit problems, and CNF problems without a solver profile, are
-    answered in process by `has_survivors` with T = 1, and the verdict
-    carries no model.  CNF problems with a profile go to the external
-    solver, and its verdict is returned as `run_external` parsed it, its
-    model in stats["model_bits"], once that model passes the recheck: the
-    hash rows are conjoined once as native XORs; that one formula is the
-    model's recheck, and it is sent as x-lines or, without
-    solver.native_xor, as its `expand_xors` at solver.chunk.  External SAT
-    answers must carry a model over every formula variable, else the
+    This is the raw per-call worker that `has_survivors` runs on its pool:
+    it asks the solver whatever h is, so the checks of h and its GF(2)
+    elimination are made once, by its caller.  The hash rows are conjoined
+    once as native XORs; that one formula is the model's recheck, and it
+    is sent as x-lines or, without solver.native_xor, as its `expand_xors`
+    at solver.chunk.  The verdict is returned as `run_external` parsed it,
+    its model in stats["model_bits"], once that model passes the recheck.
+    A SAT answer must carry a model over every formula variable, else the
     verdict is unknown ("no model"); a model failing the recheck is a hard
-    integrity error, never silently accepted.  This external branch is the
-    raw per-call worker that `has_survivors` runs on its pool: it asks the
-    solver whatever h is, so the GF(2) check is made once, by its caller.
+    integrity error, never silently accepted.
     """
-    if problem.kind == "explicit" or solver is None:
-        return OracleVerdict(has_survivors(problem, [h])[0])
-    _check_hashes(problem, [h])
     conj = problem.formula if h is None else conjoin(problem.formula, h)
     text = emit(conj if solver.native_xor else expand_xors(conj, chunk=solver.chunk))
     verdict = run_external(text, solver)
@@ -708,9 +712,10 @@ def _echelon(h: ParityHash):
     """Gaussian elimination over h's rows as Python ints, each shifted left
     by one with its bit of b below: a reduced row is kept as the pivot of
     its top bit unless that bit has one, which it is XORed with.  The
-    pivots by top bit (variable top - 1 is bit top - 2 of a row), or None
-    when a row reduces to 1, the equation 0 = 1: then Ax = b has no
-    solution."""
+    pivots as a tuple, each with a top bit of its own (variable top - 1 is
+    bit top - 2 of a row), or None when a row reduces to 1, the equation
+    0 = 1: then Ax = b has no solution.  A tuple, not the dict of the
+    elimination, since `has_survivors` keeps one per trial for `_decide`."""
     pivots = {}
     for i, row in enumerate(h.rows):
         r = row << 1 | h.b_bits >> i & 1
@@ -723,37 +728,31 @@ def _echelon(h: ParityHash):
         else:
             if r:
                 return None
-    return pivots
+    return tuple(pivots.values())
 
 
-def _solvable(h: ParityHash) -> bool:
-    """Has Ax = b a solution over GF(2)?"""
-    return _echelon(h) is not None
+def _decide(formula: CnfFormula, pivots: tuple):
+    """Has the formula a model in the cell of the hash whose `_echelon`
+    gave `pivots`?  None when the cell, over all num_vars variables, holds
+    more than 2^_SUB_VARS assignments.
 
-
-def _decide(formula: CnfFormula, h: ParityHash):
-    """Has the formula a model in h's cell?  None when the cell, over all
-    num_vars variables, holds more than 2^_SUB_VARS assignments.
-
-    The d free variables, those that top no pivot of `_echelon`, are the
-    bit slices of 2^d assignments (`dimacs._slices`), so each variable is
-    a mask over them.  A pivot's other variables all lie below its top, so
-    taken from the lowest top up, each pivot variable is its row's b XOR
-    masks already known.  The formula is then evaluated as
+    The d free variables, those that top no pivot, are the bit slices of
+    2^d assignments (`dimacs._slices`), so each variable is a mask over
+    them.  A pivot's other variables all lie below its top, so taken from
+    the lowest top up, each pivot variable is its row's b XOR masks already
+    known.  The formula is then evaluated as
     `dimacs._model_masks` evaluates a sub-block: a clause is the OR of its
     literals' masks, a parity row the XOR of its variables' masks, and the
     cell has a model where all of them hold."""
-    pivots = _echelon(h)
-    if pivots is None:
-        return False
     d = formula.num_vars - len(pivots)
     if d > _SUB_VARS:
         return None
     full = (1 << (1 << d)) - 1
     slices = iter(_slices(d)[0])
-    value = [0 if v + 2 in pivots else next(slices) for v in range(formula.num_vars)]
-    for top in sorted(pivots):
-        r = pivots[top]
+    tops = {r.bit_length() for r in pivots}
+    value = [0 if v + 2 in tops else next(slices) for v in range(formula.num_vars)]
+    for r in sorted(pivots):  # by top bit, the tops being distinct
+        top = r.bit_length()
         mask = full if r & 1 else 0
         rest = r >> 1 ^ 1 << top - 2
         while rest:
@@ -778,14 +777,11 @@ def _decide(formula: CnfFormula, h: ParityHash):
     return True
 
 
-def _survivors(problem: CountingProblem, hashes) -> list:
+def _survivors(problem: CountingProblem, hashes, pivots) -> list:
     """In-process answers at m >= 1, one bool per hash: has S a member in
-    its cell?  The survival kernel (`_table_scan`) reads S's first block
-    for every trial.  That block is all of an explicit set, and S is empty
-    when it has none.  On a CNF problem, each trial it leaves is decided on
-    its cell (`_decide`), at a cost that does not depend on where in S its
-    survivors lie, when the cell has at most 2^_SUB_VARS assignments; the
-    kernel reads the rest of S for the others."""
+    its cell?  The route is the module docstring's: the kernel over S's
+    first block, then, on a CNF problem, `_decide` on each trial's
+    `pivots`, and the kernel over the rest of S for a cell too large."""
     n = problem.n
     rows = _pack([r for h in hashes for r in h.rows], _words(n))
     rows = rows.reshape(len(hashes), hashes[0].m, -1)
@@ -795,7 +791,7 @@ def _survivors(problem: CountingProblem, hashes) -> list:
     scanned = []
     for k, got in enumerate(hit):
         if not got:
-            hit[k] = _decide(problem.formula, hashes[k])
+            hit[k] = _decide(problem.formula, pivots[k])
             if hit[k] is None:
                 scanned.append(k)
     if scanned:
@@ -808,50 +804,36 @@ def _survivors(problem: CountingProblem, hashes) -> list:
 
 def has_survivors(problem: CountingProblem, hashes,
                   solver: SolverProfile = None) -> list:
-    """The answer ("sat", "unsat" or "unknown") of has_survivor(problem, h)
-    for every h in `hashes`, which share m (None for all asks m = 0).
+    """The answer ("sat", "unsat" or "unknown") to "has S an x with
+    h(x) = 0?" for every h in `hashes`, which share m (None for all asks
+    m = 0), by the route of the module docstring.  The hashes that the
+    elimination leaves (None among them) are asked, in hash order; if none
+    is left, no block is read and no pool, thread or temp file is made.
 
-    One rule for every CNF problem, on both backends: each hash whose
-    system Ax = b has no solution over GF(2) (`_solvable`, a few
-    microseconds) is answered "unsat" first, in process.  Its cell is empty
-    whatever S is, and sparse rows make such hashes common at small n (a
-    row is all zero with probability (1-f)^n); asked, it would cost a
-    solver process, or keep the survival kernel enumerating and reading
-    every block of the models.  The rest (None among them) are asked, in
-    hash order; if none is left, no block is read and no pool, thread or
-    temp file is made.  Explicit sets skip the check: their one block is
-    already in memory, so an unsolvable trial costs them only its lane of
-    the scan, less than the check would.
-
-    In process, m = 0 reads S's first block, if any, through `_stream`, and
-    m >= 1 answers the asked trials in `_survivors`: one pass of the
-    survival kernel (`_table_scan`) over S's first block, "unsat" to each
-    trial when S has no block; then, on a CNF problem, each trial left is
-    decided on its cell (`_decide`), or, for a cell too large, by the
-    kernel reading the rest of S.
-
-    The solver gets one has_survivor call per hash asked (an estimate asks
-    m = 0 once, in bounds._trials, and shares its answer among its
-    trials).  This is the one place that runs them: on a pool of
-    min(solver.jobs, calls) threads, whose initializer hands each thread
-    this call's `_Batch` once, as `_worker.batch`.  Each call owns its own
-    subprocess and temp file, and its answer goes to its hash's slot.  A
-    call that raises (a witness failing its recheck, an
-    interrupt), or an interrupt while the calls run, cancels every call not
-    yet started and kills the solvers of those running (in sessions of
-    their own, they do not get the terminal's Ctrl-C); the first error in
-    hash order is raised once the started calls have returned.
+    The solver gets one `has_survivor` call per hash asked.  This is the
+    one place that runs them: on a pool of min(solver.jobs, calls)
+    threads, whose initializer hands each thread this call's `_Batch`
+    once, as `_worker.batch`.  Each call owns its own subprocess and temp
+    file, and its answer goes to its hash's slot.  A call that raises (a
+    witness failing its recheck, an interrupt), or an interrupt while the
+    calls run, cancels every call not yet started and kills the solvers of
+    those running (in sessions of their own, they do not get the
+    terminal's Ctrl-C); the first error in hash order is raised once the
+    started calls have returned.
     """
     _check_hashes(problem, hashes)
     answers = ["unsat"] * len(hashes)
-    asked = [i for i, h in enumerate(hashes)
-             if problem.formula is None or h is None or _solvable(h)]
+    # each CNF hash's pivots, None where Ax = b has no solution; m = 0 and
+    # an explicit set's hashes are not eliminated
+    cnf = problem.formula is not None
+    pivots = [_echelon(h) if cnf and h is not None else () for h in hashes]
+    asked = [i for i, p in enumerate(pivots) if p is not None]
     if not asked:
         return answers
-    if problem.formula is None or solver is None:
+    if not cnf or solver is None:
         picked = [hashes[i] for i in asked]
         if picked[0] is not None:
-            hits = _survivors(problem, picked)
+            hits = _survivors(problem, picked, [pivots[i] for i in asked])
         else:  # m = 0: is S's first block there?
             hits = [next(_stream(problem), None) is not None] * len(picked)
         for i, hit in zip(asked, hits):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from xorcount.comb import (DensityCertificate, EpsilonInputs, ParameterError,
-                           asymptotic_density, epsilon, min_density_fstar,
+                           epsilon, min_density_fstar,
                            upper_bound_threshold, variance_bound_v)
 from conftest import exact_epsilon
 
@@ -203,46 +203,6 @@ class TestMinDensityFstar:
     def test_mu_below_one_warns(self):
         with pytest.warns(UserWarning):
             min_density_fstar(20, 6, 32, 2.25)
-
-
-class TestAsymptoticDensity:
-    def test_lower_at_e(self):
-        assert asymptotic_density("lower", math.e, kappa=2.0) == pytest.approx(
-            1.0 / (2.0 * math.e))
-
-    def test_linear_alpha_one_coefficient(self):
-        m = 1000
-        want = 3.6 * math.log(m) / m
-        assert asymptotic_density("linear", m, alpha=1.0) == pytest.approx(want)
-
-    def test_sublinear_formula(self):
-        m = 500
-        want = 1.5 * (1 - 0.5) / (2 * 0.5) * math.log(m) ** 2 / m
-        got = asymptotic_density("sublinear", m, kappa=1.5, beta=0.5)
-        assert got == pytest.approx(want)
-
-    def test_sandwich_ordering(self):
-        m = 10_000
-        lo = asymptotic_density("lower", m, kappa=1.1)
-        hi = asymptotic_density("linear", m, alpha=0.5)
-        assert lo < hi  # necessary density below sufficient density
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            asymptotic_density("lower", 10, kappa=1.0)
-        with pytest.raises(ParameterError):
-            asymptotic_density("linear", 10, alpha=1.5)
-        with pytest.raises(ParameterError):
-            asymptotic_density("sublinear", 10, kappa=2.0, beta=1.0)
-        with pytest.raises(ParameterError):
-            asymptotic_density("parabolic", 10)
-
-    def test_refusals_are_named(self):
-        with pytest.raises(ParameterError, match="^m must be positive$"):
-            asymptotic_density("linear", 0, alpha=0.5)
-        for kappa in (None, 1.0, 0.5):
-            with pytest.raises(ParameterError, match="^sublinear regime needs kappa > 1$"):
-                asymptotic_density("sublinear", 10, kappa=kappa, beta=0.5)
 
 
 class TestPinned:

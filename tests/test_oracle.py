@@ -19,7 +19,7 @@ from xorcount.oracle import (CountingProblem, IntegrityError, ParameterError,
                              SolverProfile, conjoin, count_models,
                              expand_xors, has_survivor, has_survivors,
                              run_external, _check_assignment, _decide,
-                             _echelon, _model_blocks, _pack, _solvable, _stream,
+                             _echelon, _model_blocks, _pack, _stream,
                              _table_scan)
 from conftest import apply_hash, count_survivors
 
@@ -217,7 +217,7 @@ class TestExplicitBackend:
     def test_empty_set_unsat(self):
         problem = CountingProblem.from_explicit([], 6)
         h = sample_hash(HashParams(6, 2, 0.5, seed=0))
-        assert has_survivor(problem, h).answer == "unsat"
+        assert has_survivors(problem, [h]) == ["unsat"]
         # an empty S has no block: the kernel answers every trial "unsat",
         # b = 0 and all-zero rows among them
         hashes = [h, ParityHash((0, 0), 0, h.params), ParityHash(h.rows, 0, h.params)]
@@ -228,7 +228,7 @@ class TestExplicitBackend:
         members = [Assignment(b, 6) for b in (5, 9, 33)]
         problem = CountingProblem.from_explicit(members, 6)
         h = ParityHash((0, 0), 0, HashParams(6, 2, 0.0))
-        assert has_survivor(problem, h).answer == "sat"
+        assert has_survivors(problem, [h]) == ["sat"]
 
     def test_witness_actually_survives(self):
         rng = random.Random(3)
@@ -236,15 +236,15 @@ class TestExplicitBackend:
         problem = CountingProblem.from_explicit(members, 12)
         for seed in range(30):
             h = sample_hash(HashParams(12, 4, 0.3, seed=seed))
-            v = has_survivor(problem, h)
-            assert (v.answer == "sat") == any(apply_hash(h, x) == 0 for x in members)
+            [answer] = has_survivors(problem, [h])
+            assert (answer == "sat") == any(apply_hash(h, x) == 0 for x in members)
 
     def test_wide_problem_two_words(self):
         # n > 64 packs two uint64 words per member
         members = [Assignment(0, 70), Assignment((1 << 70) - 1, 70)]
         problem = CountingProblem.from_explicit(members, 70)
         h = ParityHash((0,), 1, HashParams(70, 1, 0.0))
-        assert has_survivor(problem, h).answer == "unsat"
+        assert has_survivors(problem, [h]) == ["unsat"]
 
     def test_deduplication(self):
         members = [Assignment(3, 4)] * 5 + [Assignment(1, 4)]
@@ -279,7 +279,7 @@ class TestExplicitBackend:
         for seed in range(20):
             h = sample_hash(HashParams(n, 4, 0.3, seed=seed))
             survivors = [x.bits for x in members if apply_hash(h, x) == 0]
-            assert (has_survivor(problem, h).answer == "sat") == bool(survivors)
+            assert (has_survivors(problem, [h])[0] == "sat") == bool(survivors)
 
     def test_batch_checks_its_hashes(self):
         from xorcount.gf2hash import DimensionError
@@ -308,8 +308,8 @@ class TestBackendAgreement:
         cnf = CountingProblem.from_cnf(formula)
         for seed in range(8):
             h = sample_hash(HashParams(n, 4, 0.4, seed=seed))
-            a = has_survivor(explicit, h).answer
-            b = has_survivor(cnf, h).answer
+            [a] = has_survivors(explicit, [h])
+            [b] = has_survivors(cnf, [h])
             c = has_survivor(cnf, h, solver=exhaustive_solver).answer
             assert a == b == c
 
@@ -320,7 +320,7 @@ class TestBackendAgreement:
         problem = CountingProblem.from_cnf(f)
         h = sample_hash(HashParams(30, 2, 0.5, seed=0))
         with pytest.raises(ParameterError):
-            has_survivor(problem, h)
+            has_survivors(problem, [h])
 
 
 def random_cnf(rng, num_vars, k, xors=0):
@@ -343,12 +343,12 @@ class TestModelSet:
         assert count_models(formula) == len(models)
         S = {b & ((1 << n) - 1) for b in models}
         problem = CountingProblem.from_cnf(formula, n)
-        assert has_survivor(problem).answer == ("sat" if S else "unsat")
+        assert has_survivors(problem, [None]) == ["sat" if S else "unsat"]
         for k in range(12):
             h = sample_hash(HashParams(n, rng.randint(1, n), rng.random() / 2,
                                        seed=100 * seed + k))
             survivors = {x for x in S if apply_hash(h, Assignment(x, n)) == 0}
-            assert (has_survivor(problem, h).answer == "sat") == bool(survivors)
+            assert (has_survivors(problem, [h])[0] == "sat") == bool(survivors)
         assert sorted(packed_set(problem)[:, 0].tolist()) == sorted(S)
 
     def test_external_questions_never_build_it(self, exhaustive_solver):
@@ -364,12 +364,12 @@ class TestModelSet:
         sat = CountingProblem.from_cnf(CnfFormula(3, [[1, 2]], []))
         unsat = CountingProblem.from_cnf(CnfFormula(2, [[1], [-1]], []))
         for solver in (None, exhaustive_solver):
-            assert has_survivor(sat, solver=solver).answer == "sat"
-            assert has_survivor(unsat, solver=solver).answer == "unsat"
+            assert has_survivors(sat, [None], solver=solver) == ["sat"]
+            assert has_survivors(unsat, [None], solver=solver) == ["unsat"]
         members = [Assignment(5, 70)]
         for n, xs in ((6, [Assignment(5, 6)]), (70, members)):
-            assert has_survivor(CountingProblem.from_explicit(xs, n)).answer == "sat"
-            assert has_survivor(CountingProblem.from_explicit([], n)).answer == "unsat"
+            assert has_survivors(CountingProblem.from_explicit(xs, n), [None]) == ["sat"]
+            assert has_survivors(CountingProblem.from_explicit([], n), [None]) == ["unsat"]
 
 
 class TestSolverQuestion:
@@ -515,10 +515,53 @@ class TestSolverQuestion:
         assert len(calls) < 16
 
 
+def load_probe(monkeypatch):
+    """perfbench/probe.py as a module, imported from its path without
+    writing bytecode next to it or entering it in sys.modules."""
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    return probe
+
+
+class TestBenchmarkBindings:
+    """The benchmark's probe wraps xorcount's functions by name, so a
+    rename in the package would break its traced runs."""
+
+    def test_every_traced_name_is_a_function_of_the_package(self, monkeypatch):
+        probe = load_probe(monkeypatch)
+        assert len(probe.TRACED) > 10
+        for mod, attr, _ in probe.TRACED:
+            assert mod.__name__.startswith("xorcount."), mod
+            assert callable(getattr(mod, attr, None)), (mod.__name__, attr)
+
+    def test_pool_calls_are_labelled_external(self, monkeypatch):
+        # has_survivors passes `solver` by keyword, which is how the probe
+        # tells an external call from an in-process one
+        from xorcount import oracle
+        probe = load_probe(monkeypatch)
+        labels = []
+
+        def labelled(*args, **kwargs):
+            labels.append(probe._has_survivor_label(args, kwargs))
+            return oracle.OracleVerdict("unsat")
+
+        monkeypatch.setattr(oracle, "has_survivor", labelled)
+        problem = CountingProblem.from_cnf(CnfFormula(4, [[1]], []))
+        hashes = [ParityHash((0b0001,), 0, HashParams(4, 1, 0.5))] * 3
+        solver = SolverProfile("solver {in}", jobs=2)
+        assert has_survivors(problem, hashes, solver=solver) == ["unsat"] * 3
+        assert has_survivors(problem, [None], solver=solver) == ["unsat"]
+        assert labels == ["oracle.external"] * 4
+
+
 class TestUnsolvableHashes:
     """On a CNF problem, on both backends, a question whose system Ax = b
     has no solution over GF(2) is "unsat" without reading S or reaching the
-    solver (`_solvable`); explicit sets skip the check."""
+    solver (`_echelon` gives None); explicit sets skip the check."""
 
     @staticmethod
     def brute_force(h):
@@ -534,7 +577,7 @@ class TestUnsolvableHashes:
             f = rng.choice((0.0, 0.05, 0.1, 0.3, 0.5))
             h = sample_hash(HashParams(n, m, f, seed=rng.getrandbits(32)))
             verdicts.append(self.brute_force(h))
-            assert _solvable(h) == verdicts[-1], h
+            assert (_echelon(h) is not None) == verdicts[-1], h
         assert 50 < verdicts.count(False) < 350
 
     P = HashParams(4, 3, 0.5)
@@ -552,7 +595,7 @@ class TestUnsolvableHashes:
     def test_edge_cases(self, rows, b_bits, want):
         h = ParityHash(rows, b_bits, self.P)
         assert self.brute_force(h) == want
-        assert _solvable(h) == want
+        assert (_echelon(h) is not None) == want
 
     @staticmethod
     def stand_in(monkeypatch, sent):
@@ -577,8 +620,9 @@ class TestUnsolvableHashes:
 
     def test_grid_answers_unchanged_without_the_check(self, monkeypatch):
         # the grid's formulas of at most 12 variables, so that the stand-in
-        # solver's enumerations stay short
-        from xorcount import oracle
+        # solver's enumerations stay short.  Both backends' answers, with
+        # the check, are those of brute force over the model set and those
+        # of the solver asked every hash, unsolvable ones among them
         self.stand_in(monkeypatch, [])
         rng = random.Random(23)
         cases = []
@@ -588,18 +632,21 @@ class TestUnsolvableHashes:
                 cases.append((formula, [
                     sample_hash(HashParams(n, m, f, seed=rng.getrandbits(32)))
                     for f in (0.0, 0.1, 0.3) for _ in range(3)]))
-        assert not all(_solvable(h) for _, hashes in cases for h in hashes)
+        assert not all(_echelon(h) is not None for _, hashes in cases for h in hashes)
         in_process = [has_survivors(CountingProblem.from_cnf(formula), hashes)
                       for formula, hashes in cases]
         checked = [has_survivors(CountingProblem.from_cnf(formula), hashes,
                                  solver=self.SOLVER)
                    for formula, hashes in cases]
-        monkeypatch.setattr(oracle, "_solvable", lambda h: True)
-        assert checked == in_process == [
-            has_survivors(CountingProblem.from_cnf(formula), hashes, solver=self.SOLVER)
-            for formula, hashes in cases] == [
-            has_survivors(CountingProblem.from_cnf(formula), hashes)
-            for formula, hashes in cases]
+        unchecked = [[has_survivor(CountingProblem.from_cnf(formula), h,
+                                   solver=self.SOLVER).answer for h in hashes]
+                     for formula, hashes in cases]
+        brute = []
+        for formula, hashes in cases:
+            blocks = list(_model_blocks(formula))
+            models = np.concatenate(blocks) if blocks else np.empty(0, np.uint64)
+            brute.append(["sat" if survives(h, models) else "unsat" for h in hashes])
+        assert checked == in_process == unchecked == brute
 
     def test_explicit_sets_skip_the_check(self, monkeypatch):
         # an explicit set's one block is in memory, so its questions go
@@ -614,15 +661,15 @@ class TestUnsolvableHashes:
         hashes = [sample_hash(HashParams(10, m, f, seed=rng.getrandbits(32)))
                   for m in (2, 5) for f in (0.0, 0.1, 0.5) for _ in range(4)]
         batches = [[h for h in hashes if h.m == m] for m in (2, 5)]
-        assert not all(_solvable(h) for h in hashes)
+        assert not all(_echelon(h) is not None for h in hashes)
         want = [["sat" if survives(h, S) else "unsat" for h in batch]
                 for batch in batches]
         assert {"sat", "unsat"} <= set(want[0] + want[1])
 
-        def refuse(h):
+        def refuse(*args):
             raise AssertionError("explicit sets skip the check")
 
-        monkeypatch.setattr(oracle, "_solvable", refuse)
+        monkeypatch.setattr(oracle, "_echelon", refuse)
         monkeypatch.setattr(oracle, "_decide", refuse)
         assert [has_survivors(problem, batch) for batch in batches] == want
         assert has_survivors(problem, [None]) == ["sat"]
@@ -638,7 +685,8 @@ class TestUnsolvableHashes:
             got = has_survivors(CountingProblem.from_cnf(formula), hashes,
                                 solver=self.SOLVER)
             assert got == has_survivors(CountingProblem.from_cnf(formula), hashes)
-            asked = [emit(conjoin(formula, h)) for h in hashes if _solvable(h)]
+            asked = [emit(conjoin(formula, h)) for h in hashes
+                     if _echelon(h) is not None]
             assert sorted(sent) == sorted(asked) and len(asked) < len(hashes)
             assert {"sat", "unsat"} <= set(got)
 
@@ -679,7 +727,7 @@ class TestCellDecisions:
                     for f in (0.1, 0.3, 0.5):
                         h = sample_hash(HashParams(n, m, f, seed=rng.getrandbits(32)))
                         pivots = _echelon(h)
-                        got = _decide(formula, h)
+                        got = False if pivots is None else _decide(formula, pivots)
                         if pivots is not None and nv - len(pivots) > 16:
                             assert got is None
                         else:
@@ -946,7 +994,7 @@ class TestModelStream:
         models = np.concatenate(list(_model_blocks(formula)))
         empty = next(h for h in (sample_hash(HashParams(20, 10, 0.1, seed=s))
                                  for s in range(100))
-                     if _solvable(h) and not survives(h, models))
+                     if _echelon(h) is not None and not survives(h, models))
         assert has_survivors(problem, [empty, hashes[0]]) == ["unsat", "sat"]
         assert pulled == [6880]
         # x20 = 1, a cell too large to decide, reads to its first survivor
@@ -969,7 +1017,7 @@ class TestModelStream:
         stream = derive_seed(7000, 10)
         hashes = [sample_hash(HashParams(20, 10, 0.1, seed=derive_seed(stream, k)))
                   for k in range(7)]
-        assert [_solvable(h) for h in hashes] == [False] * 4 + [True] + [False] * 2
+        assert [_echelon(h) is not None for h in hashes] == [False] * 4 + [True] + [False] * 2
         models = np.concatenate(list(_model_blocks(formula)))
         want = ["unsat"] * 4 + ["sat"] + ["unsat"] * 2
         assert ["sat" if survives(h, models) else "unsat" for h in hashes] == want
@@ -990,13 +1038,42 @@ class TestModelStream:
                   for k in range(7)]
         blocks = list(_model_blocks(formula))
         first = [next((i for i, b in enumerate(blocks) if survives(h, b)), None)
-                 for h in hashes if _solvable(h)]
+                 for h in hashes if _echelon(h) is not None]
         assert first == [3, 0, 4]
         want = ["unsat", "sat", "unsat", "sat", "unsat", "sat", "unsat"]
         assert ["sat" if survives(h, np.concatenate(blocks)) else "unsat"
                 for h in hashes] == want
         assert has_survivors(CountingProblem.from_cnf(formula), hashes) == want
         assert pulled == [6880]
+
+    def test_each_hash_is_eliminated_once(self, monkeypatch):
+        # the seed-0 f = 0.1 request above: its two trials left without a
+        # survivor by the first block are decided on the pivots of the one
+        # elimination that let them be asked, so `_echelon` runs once per
+        # hash; with a solver, too, each hash is eliminated once
+        from xorcount import oracle
+        from xorcount.gf2hash import derive_seed
+        stream = derive_seed(0, 10)
+        hashes = [sample_hash(HashParams(20, 10, 0.1, seed=derive_seed(stream, k)))
+                  for k in range(7)]
+        eliminated, decided = [], []
+        echelon, decide = oracle._echelon, oracle._decide
+        monkeypatch.setattr(oracle, "_echelon",
+                            lambda h: eliminated.append(h) or echelon(h))
+        monkeypatch.setattr(oracle, "_decide",
+                            lambda formula, pivots: decided.append(pivots)
+                            or decide(formula, pivots))
+        problem = CountingProblem.from_cnf(criterion_11_cnf())
+        want = ["unsat", "sat", "unsat", "sat", "unsat", "sat", "unsat"]
+        assert has_survivors(problem, hashes) == want
+        assert len(decided) == 2
+        assert [id(h) for h in eliminated] == [id(h) for h in hashes]
+        eliminated.clear()
+        monkeypatch.setattr(oracle, "run_external",
+                            lambda text, profile: oracle.OracleVerdict("unsat"))
+        solver = SolverProfile("solver {in}", jobs=1)
+        assert has_survivors(problem, hashes, solver=solver) == ["unsat"] * 7
+        assert [id(h) for h in eliminated] == [id(h) for h in hashes]
 
     def test_answers_over_the_grid_match_apply_hash(self):
         rng = random.Random(17)
@@ -1028,7 +1105,7 @@ class TestModelStream:
         assert has_survivors(late, [None] * 3) == ["sat"] * 3
         assert pulled == [1 << 20] and len(late._blocks) == 1
         early = CountingProblem.from_cnf(criterion_11_cnf())
-        assert has_survivor(early).answer == "sat"
+        assert has_survivors(early, [None]) == ["sat"]
         assert pulled[1:] == [6880]
         unsat = CountingProblem.from_cnf(CnfFormula(20, [[1], [-1]], []))
         assert has_survivors(unsat, [None] * 2) == ["unsat"] * 2
@@ -1128,13 +1205,17 @@ class TestProblemWidth:
             message = str(err.value)
             assert "\n" not in message and "n = %d" % n in message and "3" in message
         for n in (0, 2, 3):
-            assert has_survivor(CountingProblem.from_cnf(formula, n)).answer == "sat"
+            assert has_survivors(CountingProblem.from_cnf(formula, n), [None]) == ["sat"]
 
     def test_kind_follows_formula_or_block(self):
         formula = CnfFormula(3, [[1, 2]], [])
         [block] = CountingProblem.from_explicit([Assignment(1, 3)], 3)._blocks
         assert CountingProblem(3, formula=formula).kind == "cnf"
-        assert CountingProblem(3, block=block).kind == "explicit"
+        problem = CountingProblem(3, block=block)
+        assert problem.kind == "explicit"
+        # derived from `formula`, the one field that holds the backend
+        with pytest.raises(AttributeError):
+            problem.kind = "cnf"
 
     def test_negative_explicit_width_refused(self):
         with pytest.raises(ParameterError, match="n = -1"):
@@ -1676,7 +1757,8 @@ class TestSurvivalKernels:
     def test_tables_are_built_per_trial_chunk(self):
         # criterion 11's 3-CNF: 141,440 models of 20 variables.  Tables for
         # all 2,000 trials at once would take 256 * 3 * 2,000 * 4 bytes,
-        # 6 MB; one chunk at a time needs about 3 MB at peak
+        # 6 MB; one chunk at a time needs about 3.4 MB at peak, 1.1 MB of
+        # it the elimination's pivots that `has_survivors` keeps per trial
         import tracemalloc
         problem = CountingProblem.from_cnf(criterion_11_cnf())
         size = len(packed_set(problem))
