@@ -31,19 +31,22 @@ which an estimate asks once, in `bounds._trials`, not once per trial):
     rows make such hashes common (a row is all zero with probability
     (1-f)^n).  An explicit set, whose one block is already in memory,
     skips the elimination.
-  * In process, m = 0 reads S's first block, if any, and m >= 1 runs the
-    survival kernel (`_table_scan`) over S's first block for every trial
-    asked, by table lookup (the "method of Four Russians"): per chunk of
-    trials, one 256-entry table per member byte holds the XOR of the
-    columns of A that the byte selects, so Ax is ceil(n/8) lookups
-    whatever m is, compared with b as one uint per group of up to 64 hash
-    rows.  Each lookup gathers the entries of every trial in the chunk at
-    once.  That block is all of an explicit set, and S is empty when it
-    has none.
-  * On a CNF problem, a trial that first block leaves without a survivor
-    is decided on its cell (`_decide`) from its elimination's pivots: the
-    formula evaluated bit-sliced over the solutions of Ax = b, at a cost
-    that does not depend on where in S its survivors lie.
+  * In process, m = 0 reads S's first block, if any.  At m >= 1 a trial
+    of a CNF problem can be decided on its cell (`_decide`) from its
+    elimination's pivots: the formula evaluated bit-sliced over the
+    solutions of Ax = b, at a cost that does not depend on where in S its
+    survivors lie.  A CNF estimate whose asked cells hold at most 2^16
+    assignments in all, as many as S's first block, is decided so, trial
+    by trial, and reads no block of S.
+  * Every other estimate runs the survival kernel (`_table_scan`) over
+    S's first block for every trial asked, by table lookup (the "method
+    of Four Russians"): per chunk of trials, one 256-entry table per
+    member byte holds the XOR of the columns of A that the byte selects,
+    so Ax is ceil(n/8) lookups whatever m is, compared with b as one uint
+    per group of up to 64 hash rows.  Each lookup gathers the entries of
+    every trial in the chunk at once.  That block is all of an explicit
+    set, and S is empty when it has none.  On a CNF problem, a trial that
+    first block leaves without a survivor is then decided on its cell.
   * Only a cell of more than 2^16 assignments has the kernel read the
     rest of S.  A trial needs one survivor, so the kernel stops after the
     block in which its last trial finds one, and a CNF's models past that
@@ -692,8 +695,11 @@ def has_survivor(problem: CountingProblem, h: ParityHash = None, *,
     its model in stats["model_bits"], once that model passes the recheck.
     A SAT answer must carry a model over every formula variable, else the
     verdict is unknown ("no model"); a model failing the recheck is a hard
-    integrity error, never silently accepted.
+    integrity error, never silently accepted.  A problem with no formula
+    (an explicit set) is refused with a ParameterError.
     """
+    if problem.formula is None:
+        raise ParameterError("has_survivor asks a solver, so it needs a CNF problem")
     conj = problem.formula if h is None else conjoin(problem.formula, h)
     text = emit(conj if solver.native_xor else expand_xors(conj, chunk=solver.chunk))
     verdict = run_external(text, solver)
@@ -779,19 +785,26 @@ def _decide(formula: CnfFormula, pivots: tuple):
 
 def _survivors(problem: CountingProblem, hashes, pivots) -> list:
     """In-process answers at m >= 1, one bool per hash: has S a member in
-    its cell?  The route is the module docstring's: the kernel over S's
-    first block, then, on a CNF problem, `_decide` on each trial's
-    `pivots`, and the kernel over the rest of S for a cell too large."""
+    its cell?  The route is the module docstring's.  A CNF estimate whose
+    cells hold at most 2^_SUB_VARS assignments in all, the size of S's
+    first block, is `_decide` on each trial's `pivots` alone.  Any other
+    runs the kernel over S's first block, then, on a CNF problem, `_decide`
+    on the trials it leaves, and the kernel over the rest of S for a cell
+    too large."""
+    formula = problem.formula
+    if formula is not None and sum(
+            1 << formula.num_vars - len(p) for p in pivots) <= 1 << _SUB_VARS:
+        return [_decide(formula, p) for p in pivots]
     n = problem.n
     rows = _pack([r for h in hashes for r in h.rows], _words(n))
     rows = rows.reshape(len(hashes), hashes[0].m, -1)
     hit = _table_scan(lambda: islice(_stream(problem), 1), hashes, rows, n).tolist()
-    if problem.formula is None or not problem._blocks:
+    if formula is None or not problem._blocks:
         return hit
     scanned = []
     for k, got in enumerate(hit):
         if not got:
-            hit[k] = _decide(problem.formula, pivots[k])
+            hit[k] = _decide(formula, pivots[k])
             if hit[k] is None:
                 scanned.append(k)
     if scanned:

@@ -1338,3 +1338,45 @@ def test_bound_and_sweep_outputs_are_pinned(tmp_path, monkeypatch, capsys):
         record.append(entry)
     blob = json.dumps(record, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256
+
+
+def stream_cnf(seed, num_vars, k):
+    """A seeded random 3-CNF of `num_vars` variables and k clauses, as
+    DIMACS text."""
+    rng = random.Random(seed)
+    lines = ["p cnf %d %d\n" % (num_vars, k)]
+    for _ in range(k):
+        lits = [rng.choice([v, -v]) for v in rng.sample(range(1, num_vars + 1), 3)]
+        lines.append(" ".join(map(str, lits)) + " 0\n")
+    return "".join(lines)
+
+
+# random 3-CNFs of 24 and 26 variables, with 2,659 and 2,203 models: each
+# default lb, ub and count run asks some estimate whose cells hold more
+# assignments in all than S's first block, which the model stream answers.
+# STREAM_SHA256 was recorded when every in-process CNF estimate read that
+# block
+STREAM_INPUTS = {"f24.cnf": stream_cnf(24060, 24, 60),
+                 "f26.cnf": stream_cnf(26070, 26, 70)}
+STREAM_SHA256 = "dd6f3f4d26687ff89a9f94119901aa3966de4b9a96accb9ca283cbd4c335e09e"
+
+
+def test_stream_route_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    from xorcount import oracle
+    monkeypatch.chdir(tmp_path)
+    pulled = []
+    real = oracle._model_blocks
+    monkeypatch.setattr(oracle, "_model_blocks",
+                        lambda formula: (pulled.append(b) or b for b in real(formula)))
+    record = []
+    for name, text in STREAM_INPUTS.items():
+        Path(name).write_text(text)
+        for mode in ("lb", "ub", "count"):
+            pulled.clear()
+            rc = main(["bound", name, mode, "--seed", "1", "--json", "r.json"])
+            assert pulled, (name, mode)  # the run read S's model stream
+            record.append({"argv": [name, mode], "rc": rc,
+                           "stdout": capsys.readouterr().out,
+                           "report": _untimed(Path("r.json").read_text())})
+    blob = json.dumps(record, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == STREAM_SHA256

@@ -400,6 +400,17 @@ class TestSolverQuestion:
             assert sent[-1] == want
         assert len(sent) == 4
 
+    def test_refuses_an_explicit_problem(self, monkeypatch):
+        # an explicit set has no formula to send: refused up front, with a
+        # hash or without, and no solver is run
+        from xorcount import oracle
+        monkeypatch.setattr(oracle, "run_external", None)
+        problem = CountingProblem.from_explicit([Assignment(1, 4)], 4)
+        p = SolverProfile("solver {in}")
+        for h in (ParityHash((0b0001,), 0, HashParams(4, 1, 0.5)), None):
+            with pytest.raises(ParameterError, match="needs a CNF problem"):
+                has_survivor(problem, h, solver=p)
+
     # a formula with its own x-lines, one of them long enough to chain
     FORMULA = CnfFormula(8, [[1, -2, 3], [-4, 5], [2, 6, -7], [-1, 8]],
                          [([1, 3, 5, 7], 1), ([2, 4, 6, 8, 1, 3, 5], 0)])
@@ -709,10 +720,9 @@ class TestUnsolvableHashes:
 
 
 class TestCellDecisions:
-    """A trial that a CNF problem's first block leaves without a survivor
-    is decided on its cell (`_decide`), the formula evaluated over the
-    cell's points, when the cell has at most 2^16 assignments of all
-    num_vars variables."""
+    """A trial of a CNF problem is decided on its cell (`_decide`), the
+    formula evaluated over the cell's points, when the cell has at most
+    2^16 assignments of all num_vars variables."""
 
     def test_matches_the_model_set(self):
         rng = random.Random(53)
@@ -946,6 +956,17 @@ def spy_model_blocks(monkeypatch):
     return pulled
 
 
+def spy_decide(monkeypatch):
+    """The pivots of each cell `has_survivors` decides, in order."""
+    from xorcount import oracle
+    decided = []
+    real = oracle._decide
+    monkeypatch.setattr(oracle, "_decide",
+                        lambda formula, pivots: decided.append(pivots)
+                        or real(formula, pivots))
+    return decided
+
+
 def late_hashes():
     """An m = 1 batch on criterion 11's 3-CNF that reads its whole stream:
     six sampled hashes, one with no solution (0 = 1), and x20 = 1, whose
@@ -970,19 +991,27 @@ class TestModelStream:
         assert spans[-7:] == [(k, k) for k in range(1, 8)]
 
     def test_first_block_answers_leave_the_rest_unread(self, monkeypatch):
-        # every trial's survivor is the first model: one block is pulled of
-        # five, and later questions reread the blocks held
+        # every trial's survivor is the first model.  At m = 10, T = 7 the
+        # cells hold 7 * 2^10 assignments, within the budget of 2^16: each
+        # is decided and no block is pulled.  At m = 3 they hold 7 * 2^17:
+        # the kernel pulls one block of five, and answers every trial there
         pulled = spy_model_blocks(monkeypatch)
+        decided = spy_decide(monkeypatch)
         formula = criterion_11_cnf()
         first = int(next(_model_blocks(formula))[0])
         problem = CountingProblem.from_cnf(formula)
-        hashes = []
-        for seed in range(7):
-            h = sample_hash(HashParams(20, 10, 0.5, seed=seed))
-            image = TestSurvivalKernels.image(h, Assignment(first, 20))
-            hashes.append(ParityHash(h.rows, image, h.params))
+        hashes, wide = [], []
+        for m, batch in ((10, hashes), (3, wide)):
+            for seed in range(7):
+                h = sample_hash(HashParams(20, m, 0.5, seed=seed))
+                image = TestSurvivalKernels.image(h, Assignment(first, 20))
+                batch.append(ParityHash(h.rows, image, h.params))
         assert has_survivors(problem, hashes) == ["sat"] * 7
+        assert pulled == [] and len(decided) == 7
+        assert has_survivors(problem, wide) == ["sat"] * 7
         assert pulled == [6880] and len(problem._blocks) == 1
+        assert len(decided) == 7
+        # later questions reread the blocks held
         assert has_survivors(problem, [None]) == ["sat"]
         assert pulled == [6880]
         # an unsolvable hash (0 = 1) is "unsat" before any block is read
@@ -990,13 +1019,14 @@ class TestModelStream:
         assert has_survivors(problem, [none]) == ["unsat"]
         assert pulled == [6880]
         # a solvable hash with no survivor, found by brute force, is
-        # decided on its cell: no further block is read
+        # decided on its cell, as is the hash asked with it: no further
+        # block is read
         models = np.concatenate(list(_model_blocks(formula)))
         empty = next(h for h in (sample_hash(HashParams(20, 10, 0.1, seed=s))
                                  for s in range(100))
                      if _echelon(h) is not None and not survives(h, models))
         assert has_survivors(problem, [empty, hashes[0]]) == ["unsat", "sat"]
-        assert pulled == [6880]
+        assert pulled == [6880] and len(decided) == 9
         # x20 = 1, a cell too large to decide, reads to its first survivor
         # in the last block: every block is read, once
         late = late_hashes()[-1]
@@ -1009,10 +1039,11 @@ class TestModelStream:
     def test_unsolvable_trials_read_no_block(self, monkeypatch):
         # cnf20-exhaustive's f = 0.1 request in seed slot 7 (--seed 7000,
         # --m 10, --T 7): six of its seven hashes have no solution of
-        # Ax = b, and the one that has finds its survivor in the first
-        # block, so one block of five is pulled
+        # Ax = b, and the one that has is decided on its cell, within the
+        # budget, so no block is pulled
         from xorcount.gf2hash import derive_seed
         pulled = spy_model_blocks(monkeypatch)
+        decided = spy_decide(monkeypatch)
         formula = criterion_11_cnf()
         stream = derive_seed(7000, 10)
         hashes = [sample_hash(HashParams(20, 10, 0.1, seed=derive_seed(stream, k)))
@@ -1022,14 +1053,14 @@ class TestModelStream:
         want = ["unsat"] * 4 + ["sat"] + ["unsat"] * 2
         assert ["sat" if survives(h, models) else "unsat" for h in hashes] == want
         assert has_survivors(CountingProblem.from_cnf(formula), hashes) == want
-        assert pulled == [6880]
+        assert pulled == [] and len(decided) == 1
 
     def test_late_survivors_are_decided_on_their_cells(self, monkeypatch):
         # cnf20-exhaustive's f = 0.1 request in seed slot 0 (--seed 0,
-        # --m 10, --T 7): of its three solvable hashes, one finds its
-        # survivor in the first block and two only in blocks 3 and 4.
-        # Those two are decided on their cells, so one block of five is
-        # pulled, where reading on to each first survivor pulled all five
+        # --m 10, --T 7): of its three solvable hashes, one has its first
+        # survivor in the first block and two only in blocks 3 and 4.  All
+        # three are decided on their cells, within the budget, so no block
+        # is pulled, where reading on to each first survivor pulled all five
         from xorcount.gf2hash import derive_seed
         pulled = spy_model_blocks(monkeypatch)
         formula = criterion_11_cnf()
@@ -1043,30 +1074,29 @@ class TestModelStream:
         want = ["unsat", "sat", "unsat", "sat", "unsat", "sat", "unsat"]
         assert ["sat" if survives(h, np.concatenate(blocks)) else "unsat"
                 for h in hashes] == want
+        decided = spy_decide(monkeypatch)
         assert has_survivors(CountingProblem.from_cnf(formula), hashes) == want
-        assert pulled == [6880]
+        assert pulled == [] and len(decided) == 3
 
     def test_each_hash_is_eliminated_once(self, monkeypatch):
-        # the seed-0 f = 0.1 request above: its two trials left without a
-        # survivor by the first block are decided on the pivots of the one
-        # elimination that let them be asked, so `_echelon` runs once per
-        # hash; with a solver, too, each hash is eliminated once
+        # the seed-0 f = 0.1 request above: its three solvable trials are
+        # decided on the pivots of the one elimination that let them be
+        # asked, so `_echelon` runs once per hash; with a solver, too, each
+        # hash is eliminated once
         from xorcount import oracle
         from xorcount.gf2hash import derive_seed
         stream = derive_seed(0, 10)
         hashes = [sample_hash(HashParams(20, 10, 0.1, seed=derive_seed(stream, k)))
                   for k in range(7)]
-        eliminated, decided = [], []
-        echelon, decide = oracle._echelon, oracle._decide
+        eliminated = []
+        echelon = oracle._echelon
         monkeypatch.setattr(oracle, "_echelon",
                             lambda h: eliminated.append(h) or echelon(h))
-        monkeypatch.setattr(oracle, "_decide",
-                            lambda formula, pivots: decided.append(pivots)
-                            or decide(formula, pivots))
+        decided = spy_decide(monkeypatch)
         problem = CountingProblem.from_cnf(criterion_11_cnf())
         want = ["unsat", "sat", "unsat", "sat", "unsat", "sat", "unsat"]
         assert has_survivors(problem, hashes) == want
-        assert len(decided) == 2
+        assert decided == [echelon(h) for h in hashes if echelon(h) is not None]
         assert [id(h) for h in eliminated] == [id(h) for h in hashes]
         eliminated.clear()
         monkeypatch.setattr(oracle, "run_external",
@@ -1194,6 +1224,95 @@ class TestModelStream:
         assert errors == [] and answers == [serial] * 4
         assert pulled == [6880, 6880, 16416, 32000, 79264]
         assert [len(b) for b in problem._blocks] == pulled
+
+
+class TestDecisionBudget:
+    """A CNF estimate whose cells hold at most 2^16 assignments in all, the
+    size of S's first block, is decided on its cells and reads no block;
+    one trial more, or one cell twice as wide, sends it through the kernel,
+    which reads S's first block."""
+
+    BUDGET = 1 << 16
+
+    @staticmethod
+    def cell(formula, h):
+        """Assignments of the formula's variables in h's cell, 0 when Ax = b
+        has no solution."""
+        pivots = _echelon(h)
+        return 0 if pivots is None else 1 << formula.num_vars - len(pivots)
+
+    @classmethod
+    def at_budget(cls, formula, rng):
+        """Random hashes at m = max(1, nv - 13), so that a full-rank cell
+        holds at most 2^13 assignments, each kept while the cells' sum
+        stays within the budget, until it is the budget exactly (every cell
+        is a power of two of at least 2^(nv - m), which divides 2^16); and
+        the first full-rank hash the sum had no room for.  Some hashes have
+        no solution of Ax = b."""
+        nv = formula.num_vars
+        params = HashParams(nv, max(1, nv - 13), 0.5)
+        batch, total, spare = [], 0, None
+        while total < cls.BUDGET or spare is None:
+            h = ParityHash(tuple(rng.getrandbits(nv) for _ in range(params.m)),
+                           rng.getrandbits(params.m), params)
+            size = cls.cell(formula, h)
+            if total + size <= cls.BUDGET:
+                batch.append(h)
+                total += size
+            elif spare is None and size == 1 << nv - params.m:
+                spare = h
+        return batch, spare
+
+    @staticmethod
+    def widened(h):
+        """h of full rank with its last row and bit of b zeroed: rank m - 1,
+        so its cell holds twice the assignments."""
+        return ParityHash(h.rows[:-1] + (0,), h.b_bits & ~(1 << h.m - 1), h.params)
+
+    @classmethod
+    def batches(cls, formula, rng):
+        """The batch at the budget, it with one trial more, and it with one
+        full-rank cell widened."""
+        batch, spare = cls.at_budget(formula, rng)
+        full = next(k for k, h in enumerate(batch)
+                    if cls.cell(formula, h) == 1 << formula.num_vars - h.m)
+        wider = batch[:full] + [cls.widened(batch[full])] + batch[full + 1:]
+        # each over the budget by one full-rank cell
+        for over in (batch + [spare], wider):
+            assert sum(cls.cell(formula, h) for h in over) == (
+                cls.BUDGET + cls.cell(formula, batch[full]))
+        return batch, batch + [spare], wider
+
+    def test_read_order_at_the_boundary(self, monkeypatch):
+        pulled = spy_model_blocks(monkeypatch)
+        formula = criterion_11_cnf()
+        models = np.concatenate(list(_model_blocks(formula)))
+        batches = self.batches(formula, random.Random(61))
+        reads = []
+        for batch in batches:
+            pulled.clear()
+            want = ["sat" if survives(h, models) else "unsat" for h in batch]
+            assert has_survivors(CountingProblem.from_cnf(formula), batch) == want
+            reads.append(list(pulled))
+        assert reads == [[], [6880], [6880]]
+
+    def test_answers_at_the_boundary_match_brute_force(self):
+        rng = random.Random(67)
+        for formula in model_grid():
+            if not formula.num_vars:
+                continue
+            blocks = list(_model_blocks(formula))
+            models = np.concatenate(blocks) if blocks else np.empty(0, np.uint64)
+            brute = {}
+            for batch in self.batches(formula, rng):
+                want = []
+                for h in batch:
+                    key = (h.rows, h.b_bits)
+                    if key not in brute:
+                        brute[key] = "sat" if survives(h, models) else "unsat"
+                    want.append(brute[key])
+                got = has_survivors(CountingProblem.from_cnf(formula), batch)
+                assert got == want, formula
 
 
 class TestProblemWidth:
