@@ -36,8 +36,9 @@ which an estimate asks once, in `bounds._trials`, not once per trial):
     elimination's pivots: the formula evaluated bit-sliced over the
     solutions of Ax = b, at a cost that does not depend on where in S its
     survivors lie.  A CNF estimate whose asked cells hold at most 2^16
-    assignments in all, as many as S's first block, is decided so, trial
-    by trial, and reads no block of S.
+    assignments in all, as many as S's first block, each cell counted as
+    at least 2^8 (so at most 256 trials), is decided so, trial by trial,
+    and reads no block of S.
   * Every other estimate runs the survival kernel (`_table_scan`) over
     S's first block for every trial asked, by table lookup (the "method
     of Four Russians"): per chunk of trials, one 256-entry table per
@@ -104,6 +105,11 @@ _BLOCK_VARS = 20
 _TABLE_BYTES = 1 << 20
 _BLOCK_ELEMENTS = 1 << 16
 _FOLD = 64
+# the decision budget of `_survivors` counts a cell of fewer than
+# 2^_FLOOR_VARS assignments as 2^_FLOOR_VARS: `_decide`'s time on a small
+# cell is Python's cost per operation, not the masks' length, so past 256
+# trials the kernel's pass over S's first block is as fast or faster
+_FLOOR_VARS = 8
 
 
 @dataclass(frozen=True)
@@ -787,13 +793,14 @@ def _survivors(problem: CountingProblem, hashes, pivots) -> list:
     """In-process answers at m >= 1, one bool per hash: has S a member in
     its cell?  The route is the module docstring's.  A CNF estimate whose
     cells hold at most 2^_SUB_VARS assignments in all, the size of S's
-    first block, is `_decide` on each trial's `pivots` alone.  Any other
-    runs the kernel over S's first block, then, on a CNF problem, `_decide`
-    on the trials it leaves, and the kernel over the rest of S for a cell
-    too large."""
+    first block, each counted as at least 2^_FLOOR_VARS, is `_decide` on
+    each trial's `pivots` alone.  Any other runs the kernel over S's first
+    block, then, on a CNF problem, `_decide` on the trials it leaves, and
+    the kernel over the rest of S for a cell too large."""
     formula = problem.formula
     if formula is not None and sum(
-            1 << formula.num_vars - len(p) for p in pivots) <= 1 << _SUB_VARS:
+            1 << max(formula.num_vars - len(p), _FLOOR_VARS)
+            for p in pivots) <= 1 << _SUB_VARS:
         return [_decide(formula, p) for p in pivots]
     n = problem.n
     rows = _pack([r for h in hashes for r in h.rows], _words(n))

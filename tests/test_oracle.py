@@ -1228,38 +1228,40 @@ class TestModelStream:
 
 class TestDecisionBudget:
     """A CNF estimate whose cells hold at most 2^16 assignments in all, the
-    size of S's first block, is decided on its cells and reads no block;
-    one trial more, or one cell twice as wide, sends it through the kernel,
-    which reads S's first block."""
+    size of S's first block, each counted as at least 2^8, is decided on
+    its cells and reads no block; one trial more, or one cell of 2^8 or
+    more twice as wide, sends it through the kernel, which reads S's first
+    block.  A cell counts the assignments of all the formula's variables,
+    also when S is projected onto fewer."""
 
-    BUDGET = 1 << 16
-
-    @staticmethod
-    def cell(formula, h):
-        """Assignments of the formula's variables in h's cell, 0 when Ax = b
-        has no solution."""
-        pivots = _echelon(h)
-        return 0 if pivots is None else 1 << formula.num_vars - len(pivots)
+    BUDGET, FLOOR = 1 << 16, 1 << 8
 
     @classmethod
-    def at_budget(cls, formula, rng):
-        """Random hashes at m = max(1, nv - 13), so that a full-rank cell
-        holds at most 2^13 assignments, each kept while the cells' sum
-        stays within the budget, until it is the budget exactly (every cell
-        is a power of two of at least 2^(nv - m), which divides 2^16); and
-        the first full-rank hash the sum had no room for.  Some hashes have
-        no solution of Ax = b."""
-        nv = formula.num_vars
-        params = HashParams(nv, max(1, nv - 13), 0.5)
+    def charge(cls, formula, h):
+        """What the budget counts for h's cell: its assignments of the
+        formula's variables, at least FLOOR; 0 when Ax = b has no
+        solution."""
+        pivots = _echelon(h)
+        return 0 if pivots is None else max(1 << formula.num_vars - len(pivots), cls.FLOOR)
+
+    @classmethod
+    def at_budget(cls, formula, n, m, rng):
+        """Random hashes of width n and m rows, each kept while the charges'
+        sum stays within the budget, until it is the budget exactly (every
+        charge is a power of two of at least FLOOR, which divides 2^16);
+        and the first full-rank hash the sum had no room for.  Some hashes
+        have no solution of Ax = b."""
+        params = HashParams(n, m, 0.5)
+        full = max(1 << formula.num_vars - m, cls.FLOOR)
         batch, total, spare = [], 0, None
         while total < cls.BUDGET or spare is None:
-            h = ParityHash(tuple(rng.getrandbits(nv) for _ in range(params.m)),
-                           rng.getrandbits(params.m), params)
-            size = cls.cell(formula, h)
+            h = ParityHash(tuple(rng.getrandbits(n) for _ in range(m)),
+                           rng.getrandbits(m), params)
+            size = cls.charge(formula, h)
             if total + size <= cls.BUDGET:
                 batch.append(h)
                 total += size
-            elif spare is None and size == 1 << nv - params.m:
+            elif spare is None and size == full and len(_echelon(h)) == m:
                 spare = h
         return batch, spare
 
@@ -1270,49 +1272,66 @@ class TestDecisionBudget:
         return ParityHash(h.rows[:-1] + (0,), h.b_bits & ~(1 << h.m - 1), h.params)
 
     @classmethod
-    def batches(cls, formula, rng):
-        """The batch at the budget, it with one trial more, and it with one
-        full-rank cell widened."""
-        batch, spare = cls.at_budget(formula, rng)
-        full = next(k for k, h in enumerate(batch)
-                    if cls.cell(formula, h) == 1 << formula.num_vars - h.m)
-        wider = batch[:full] + [cls.widened(batch[full])] + batch[full + 1:]
+    def batches(cls, formula, n, rng, m=None):
+        """The batch at the budget and it with one trial more, both at m
+        rows (default max(1, nv - 13): a full-rank cell of at most 2^13
+        assignments); and, where a full-rank cell holds FLOOR or more, the
+        batch with one such cell widened."""
+        nv = formula.num_vars
+        m = max(1, nv - 13) if m is None else m
+        batch, spare = cls.at_budget(formula, n, m, rng)
+        out = [batch, batch + [spare]]
+        if 1 << nv - m >= cls.FLOOR:
+            full = next(k for k, h in enumerate(batch) if len(_echelon(h) or ()) == m)
+            out.append(batch[:full] + [cls.widened(batch[full])] + batch[full + 1:])
         # each over the budget by one full-rank cell
-        for over in (batch + [spare], wider):
-            assert sum(cls.cell(formula, h) for h in over) == (
-                cls.BUDGET + cls.cell(formula, batch[full]))
-        return batch, batch + [spare], wider
+        for over in out[1:]:
+            assert sum(cls.charge(formula, h) for h in over) == (
+                cls.BUDGET + cls.charge(formula, spare))
+        return out
 
     def test_read_order_at_the_boundary(self, monkeypatch):
+        # full-rank cells of 2^13 assignments, then of 2^6, counted as 2^8
         pulled = spy_model_blocks(monkeypatch)
         formula = criterion_11_cnf()
         models = np.concatenate(list(_model_blocks(formula)))
-        batches = self.batches(formula, random.Random(61))
+        rng = random.Random(61)
+        batches = self.batches(formula, 20, rng) + self.batches(formula, 20, rng, m=14)
         reads = []
         for batch in batches:
             pulled.clear()
             want = ["sat" if survives(h, models) else "unsat" for h in batch]
             assert has_survivors(CountingProblem.from_cnf(formula), batch) == want
             reads.append(list(pulled))
-        assert reads == [[], [6880], [6880]]
+        assert reads == [[], [6880], [6880], [], [6880]]
 
-    def test_answers_at_the_boundary_match_brute_force(self):
+    def test_answers_at_the_boundary_match_brute_force(self, monkeypatch):
+        # over S and over S projected onto nv // 2 variables; the batches
+        # past the budget run the kernel, over the stream's blocks
+        from xorcount import oracle
+        scans = []
+        real = oracle._table_scan
+        monkeypatch.setattr(oracle, "_table_scan",
+                            lambda *args: scans.append(1) or real(*args))
         rng = random.Random(67)
         for formula in model_grid():
-            if not formula.num_vars:
-                continue
+            nv = formula.num_vars
             blocks = list(_model_blocks(formula))
             models = np.concatenate(blocks) if blocks else np.empty(0, np.uint64)
-            brute = {}
-            for batch in self.batches(formula, rng):
-                want = []
-                for h in batch:
-                    key = (h.rows, h.b_bits)
-                    if key not in brute:
-                        brute[key] = "sat" if survives(h, models) else "unsat"
-                    want.append(brute[key])
-                got = has_survivors(CountingProblem.from_cnf(formula), batch)
-                assert got == want, formula
+            for n in {nv, nv // 2} - {0}:
+                members = np.unique(models & np.uint64((1 << n) - 1))
+                brute = {}
+                for over, batch in enumerate(self.batches(formula, n, rng)):
+                    want = []
+                    for h in batch:
+                        key = (h.rows, h.b_bits)
+                        if key not in brute:
+                            brute[key] = "sat" if survives(h, members) else "unsat"
+                        want.append(brute[key])
+                    scans.clear()
+                    got = has_survivors(CountingProblem.from_cnf(formula, n), batch)
+                    assert got == want, (formula, n)
+                    assert bool(scans) == bool(over), (formula, n)
 
 
 class TestProblemWidth:
@@ -1873,20 +1892,23 @@ class TestSurvivalKernels:
         assert _table_scan(blocks, hashes, rows, n).tolist() == want
         assert True in want and False in want
 
-    def test_tables_are_built_per_trial_chunk(self):
-        # criterion 11's 3-CNF: 141,440 models of 20 variables.  Tables for
-        # all 2,000 trials at once would take 256 * 3 * 2,000 * 4 bytes,
-        # 6 MB; one chunk at a time needs about 3.4 MB at peak, 1.1 MB of
-        # it the elimination's pivots that `has_survivors` keeps per trial
+    def test_tables_are_built_per_trial_chunk(self, monkeypatch):
+        # the 141,440 models of criterion 11's 3-CNF, as an explicit set of
+        # 20 variables (asked of the CNF, these cells are decided without
+        # the kernel).  Tables for all 2,000 trials at once would take
+        # 256 * 3 * 2,000 * 4 bytes, 6 MB; one chunk at a time needs about
+        # 2.2 MB at peak
         import tracemalloc
-        problem = CountingProblem.from_cnf(criterion_11_cnf())
-        size = len(packed_set(problem))
-        assert size == 141_440
+        members = packed_set(CountingProblem.from_cnf(criterion_11_cnf()))
+        assert len(members) == 141_440
+        problem = CountingProblem(20, block=members)
         hashes = [sample_hash(HashParams(20, 17, 0.3, seed=s)) for s in range(2000)]
+        chunks, _ = self.spy(monkeypatch)
         tracemalloc.start()
         try:
             has_survivors(problem, hashes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(chunks) > 1
         assert peak < 4 << 20
