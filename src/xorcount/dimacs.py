@@ -39,8 +39,11 @@ class CnfFormula:
     list is new, built when `clauses` is first read, and the clauses they
     add are kept as text and read back from it then), and `emit`
     keeps the text of the clauses on the formula, computed on its first
-    call and reused by every formula built from it.  Neither shows in `==`
-    or `repr`, which compare and print num_vars, clauses and xors.
+    call and reused by every formula built from it.  `_kept` is a dict
+    that other modules keep their own values in (`oracle.expand_xors` its
+    variables' tokens), shared by every formula built from this one.  None
+    of these shows in `==` or `repr`, which compare and print num_vars,
+    clauses and xors.
     """
 
     def __init__(self, num_vars: int, clauses: list, xors: list = None):
@@ -70,6 +73,7 @@ class CnfFormula:
         self._base = None  # the formula whose clauses open this one's
         self._tail = None  # (count, text) of the clauses after them
         self._text = None  # (count, text) of every clause line, once written
+        self._kept = {}  # other modules' values, shared with every formula built from it
 
     def _extend(self, num_vars: int, xors: list, count: int = 0,
                 text: str = "") -> "CnfFormula":
@@ -80,6 +84,7 @@ class CnfFormula:
         out = CnfFormula.__new__(CnfFormula)
         out.num_vars, out._clauses, out.xors = num_vars, None, xors
         out._base, out._tail, out._text = self, (count, text), None
+        out._kept = self._kept
         return out
 
     @property

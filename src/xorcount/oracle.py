@@ -16,7 +16,9 @@ Three interchangeable backends answer the same question:
     SAT answer without a full model, or with a v line that is not all
     integers or sets a variable the instance lacks, is `unknown`.  Solvers
     without x-lines get the parity rows as plain clauses, lowered here by
-    `expand_xors`.
+    `expand_xors`: each row is laid out once as its chain of sub-XORs, one
+    flat token list, and each sub-XOR's clause lines are one cached
+    getter over its window of that list.
 
 The first two are in process: S is a stream of (k, W) uint64 blocks, W =
 ceil(n/64) words per member (an explicit set is one block), and every
@@ -74,7 +76,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -123,20 +125,29 @@ class OracleVerdict:
     stats: dict = field(default_factory=dict)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """`value` must be an int (not a bool) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError("%s must be an integer, got %r" % (name, value))
+    if value < least:
+        raise ParameterError("%s must be at least %d" % (name, least))
+
+
 @dataclass(frozen=True)
 class SolverProfile:
     """Every setting of the external solver, checked once here.
 
     `template` is the command, with an {in} placeholder for the instance
-    path; `budget_s` is the per-call wall-clock timeout in seconds,
-    positive and finite (None: no limit); `native_xor` sends parity rows as
-    x-lines, else they are expanded into CNF with sub-XORs of arity
-    `chunk`; `jobs` is how many solver calls of one estimate run at once,
-    by default (None) the number of CPUs this process may run on.  The CLI
-    fills these from --solver, --budget-s, --native-xor, --chunk and
-    --jobs.  Without a profile every question is answered in process, so
-    neither `budget_s` nor `jobs` has any effect.  `argv` is the template
-    split once, shell-style, here.
+    path; `budget_s` is the per-call wall-clock timeout in seconds, a
+    positive and finite int or float, not a bool (None: no limit);
+    `native_xor` sends parity rows as x-lines, else they are expanded into
+    CNF with sub-XORs of arity `chunk`, an int of at least 2; `jobs`, an
+    int of at least 1, is how many solver calls of one estimate run at
+    once, by default (None) the number of CPUs this process may run on.
+    The CLI fills these from --solver, --budget-s, --native-xor, --chunk
+    and --jobs.  Without a profile every question is answered in process,
+    so neither `budget_s` nor `jobs` has any effect.  `argv` is the
+    template split once, shell-style, here.
     """
 
     template: str
@@ -153,14 +164,15 @@ class SolverProfile:
             object.__setattr__(self, "argv", tuple(shlex.split(self.template)))
         except ValueError as exc:  # unbalanced quotes
             raise ParameterError("solver template %r: %s" % (self.template, exc)) from None
-        if self.budget_s is not None and not 0.0 < self.budget_s < math.inf:
+        budget = self.budget_s
+        if budget is not None and (isinstance(budget, bool)
+                                   or not isinstance(budget, (int, float))
+                                   or not 0.0 < budget < math.inf):
             raise ParameterError("budget_s must be positive and finite, or None")
-        if self.chunk < 2:
-            raise ParameterError("chunk must be at least 2")
+        _check_count("chunk", self.chunk, 2)
         if self.jobs is None:
             object.__setattr__(self, "jobs", _usable_cpus())
-        if self.jobs < 1:
-            raise ParameterError("jobs must be at least 1")
+        _check_count("jobs", self.jobs, 1)
 
 
 def _usable_cpus() -> int:
@@ -224,19 +236,36 @@ class CountingProblem:
         return cls(n, formula=formula)
 
 
+class _Tokens(dict):
+    """Variable v -> its four DIMACS tokens, in the order `_lines` reads
+    them: "v ", "-v ", then their line-ending forms "v 0\\n" and "-v 0\\n",
+    written on the first lookup of v.  A base formula keeps one for all
+    the questions asked on it (see `expand_xors`), so it holds only the
+    variables their parity rows name: the hash's, and the auxiliaries,
+    numbered from the base's num_vars + 1 again in every question."""
+
+    def __missing__(self, v: int) -> tuple:
+        x = str(v)
+        self[v] = out = (x + " ", "-" + x + " ", x + " 0\n", "-" + x + " 0\n")
+        return out
+
+
 @functools.cache
-def _line_template(s: int, rhs: int):
+def _lines(s: int, rhs: int):
     """The 2^(s-1) clause lines ruling out wrong-parity assignments of s
-    variables, as a getter of tokens: given a sub-XOR's tokens, its
-    variables' names and then their negations, each with a trailing space,
-    then "0\\n", it returns the tokens of its DIMACS lines in order.
-    Pattern p forbids the assignment where variable i takes bit i of p, so
-    its clause negates exactly those variables."""
+    variables, as a getter of tokens: given a window's 4s tokens, the
+    `_Tokens` of each variable in turn, it returns the tokens of its DIMACS
+    lines in order.  Pattern p forbids the assignment where variable i takes bit i of p, so
+    its clause negates exactly those variables, and the last one ends the
+    line.  One variable has one line, picked as a slice, so that it too
+    comes back as a sequence."""
     picks = []
     for p in range(1 << s):
         if p.bit_count() & 1 != rhs:
-            picks += [s + i if p >> i & 1 else i for i in range(s)]
-            picks.append(2 * s)
+            picks += [4 * i + (p >> i & 1) for i in range(s - 1)]
+            picks.append(4 * s - 2 + (p >> s - 1 & 1))
+    if s == 1:
+        return itemgetter(slice(picks[0], picks[0] + 1))
     return itemgetter(*picks)
 
 
@@ -244,42 +273,59 @@ def expand_xors(formula: CnfFormula, chunk: int = 6) -> CnfFormula:
     """Replace native XOR rows with plain clauses over fresh auxiliaries,
     numbered from num_vars + 1: the one lowering of XOR rows to CNF.
 
-    A row of t > chunk variables is chained into ceil((t-1)/(chunk-1))
-    sub-XORs of arity <= chunk, and a sub-XOR of arity s expands to
-    2^(s-1) clauses.  A link needs arity 3 at least (two inputs and the
-    link variable), so chunk=2 chains at arity 3: each link variable is the
-    XOR of its group's inputs, XOR(group + [aux]) = 0, and stands in for
-    them in the rest of the row.  An empty row with rhs 1 is a
-    contradiction written on a fresh variable, so that no clause is empty.
+    A row of t > chunk variables is chained into 1 + ceil((t - chunk) /
+    (link - 2)) sub-XORs, link = max(chunk, 3), and a sub-XOR of arity s
+    expands to 2^(s-1) clauses.  A link needs arity 3 at least (two inputs
+    and the link variable), so chunk=2 chains at arity 3.  The row is laid
+    out once as its chain Q: its first link - 1 variables, auxiliary a1,
+    its next link - 2, a2, and so on.  Sub-XOR j is the window
+    Q[j(link-1) : j(link-1) + link], XOR(window) = 0, so each auxiliary is
+    the XOR of the variables before it and stands in for them in the next
+    window; the last window, what is left (at most chunk variables), takes
+    the row's rhs.  An empty row with rhs 1 is a contradiction written on
+    a fresh variable, so that no clause is empty.
 
+    Each row's chain is one flat list of its variables' `_Tokens`, read
+    from the table the formula keeps in `_kept`, which it shares with its
+    base and every formula built from that (so the questions on one base
+    write each variable's tokens once, as they share its kept text), and
+    each window's lines are one `_lines` getter over its slice.
     The result opens with the formula's own clauses (their lists are
-    shared, not copied) and writes the new ones from line templates; their
-    int lists are read back from those lines only when its `clauses` are
-    read."""
-    if chunk < 2:
-        raise ParameterError("chunk must be at least 2")
+    shared, not copied), and its new ones are kept as text, their int
+    lists read back from those lines only when its `clauses` are read."""
+    _check_count("chunk", chunk, 2)
     link = max(chunk, 3)
-    top, count, tokens = formula.num_vars, 0, []
+    step, span = 4 * link - 4, 4 * link  # a window's start and length in tokens
+    top, lines, out = formula.num_vars, 0, []
+    get = formula._kept.setdefault("tokens", _Tokens()).__getitem__
     for sup, rhs in formula.xors:
-        if not sup:
-            if rhs:
-                top += 1
-                count += 2
-                tokens.append("%d 0\n-%d 0\n" % (top, top))
-            continue
-        pending = list(sup)
-        while pending:
-            if len(pending) > chunk:  # the group's XOR becomes variable `top`
-                top += 1
-                group, bit = pending[:link - 1] + [top], 0
-                pending = [top] + pending[link - 1:]
-            else:
-                group, bit, pending = pending, rhs, []
-            names = [str(v) + " " for v in group]
-            tokens += _line_template(len(group), bit)(
-                names + ["-" + name for name in names] + ["0\n"])
-            count += 1 << len(group) - 1
-    return formula._extend(top, [], count, "".join(tokens))
+        t = len(sup)
+        if t > chunk:
+            aux = -(-(t - chunk) // (link - 2))
+            q, lo = list(sup[:link - 1]), link - 1
+            for a in range(top + 1, top + aux + 1):
+                q.append(a)
+                q += sup[lo:lo + link - 2]
+                lo += link - 2
+            q += sup[lo:]
+            top += aux
+            row, inner = list(chain.from_iterable(map(get, q))), _lines(link, 0)
+            for lo in range(0, aux * step, step):
+                out += inner(row[lo:lo + span])
+            t -= aux * (link - 2)  # the last window's arity
+            out += _lines(t, rhs)(row[aux * step:])
+            lines += (aux << link - 1) + (1 << t - 1)
+        elif t:
+            out += _lines(t, rhs)(list(chain.from_iterable(map(get, sup))))
+            lines += 1 << t - 1
+        elif rhs:
+            top += 1
+            lines += 2
+            out.append("%d 0\n-%d 0\n" % (top, top))
+    return formula._extend(top, [], lines, "".join(out))
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")  # a binary digit as a 0/1 byte
 
 
 def conjoin(formula: CnfFormula, h: ParityHash, native_xor: bool = True) -> CnfFormula:
@@ -297,9 +343,8 @@ def conjoin(formula: CnfFormula, h: ParityHash, native_xor: bool = True) -> CnfF
     xors = list(formula.xors)
     for i, row in enumerate(h.rows):
         # bin(row)[:1:-1] is the row's bits, lowest first: variable j at j - 1
-        sup = [j for j, bit in enumerate(bin(row)[:1:-1], 1) if bit == "1"]
-        rhs = (h.b_bits >> i) & 1
-        xors.append((sup, rhs))
+        sup = list(compress(range(1, h.n + 1), bin(row)[:1:-1].encode().translate(_BITS)))
+        xors.append((sup, h.b_bits >> i & 1))
     out = formula._extend(formula.num_vars, xors)
     return out if native_xor else expand_xors(out)
 
@@ -487,8 +532,8 @@ def _model_blocks(formula: CnfFormula):
     up to 2^20 assignments, and the rest are 2^20 long, each aligned to its
     own length; a formula of at most 16 variables is one block.  A block
     is its sub-blocks' masks (`dimacs._model_masks`, 2^16 assignments
-    each) joined as bytes and unpacked once; only the sub-blocks of the
-    blocks read are evaluated.
+    each), decoded by `_block_models`; only the sub-blocks of the blocks
+    read are evaluated.
     """
     masks = _model_masks(formula)
     size = max(1, 1 << min(formula.num_vars, _SUB_VARS) >> 3)  # bytes a mask
@@ -498,12 +543,38 @@ def _model_blocks(formula: CnfFormula):
         while part := list(islice(masks, min(max(read, 1), 1 << _BLOCK_VARS - _SUB_VARS))):
             read += len(part)
             if any(mask for _, mask in part):
-                raw = b"".join(mask.to_bytes(size, "little") for _, mask in part)
-                bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-                models = np.flatnonzero(bits.view(bool)).view(np.uint64)
-                models += np.uint64(part[0][0])
-                yield models
+                yield _block_models(part, size)
     return blocks()
+
+
+def _block_models(part: list, size: int):
+    """The models of consecutive sub-blocks, (start, mask) pairs with
+    `size`-byte masks, as one increasing uint64 array.
+
+    Each distinct mask is decoded once: the distinct masks are joined as
+    bytes and unpacked together, so distinct mask k's models come out
+    offset by k masks, and each sub-block i writes the models of its mask
+    k into place, shifted by i - k masks, with the block's start.  A mask
+    recurs where a variable above the sub-block is in no constraint, or
+    its constraints hold either way."""
+    distinct, which = [], []  # each sub-block's mask is distinct[which[i]]
+    for _, mask in part:
+        if mask not in distinct:
+            distinct.append(mask)
+        which.append(distinct.index(mask))
+    raw = b"".join(mask.to_bytes(size, "little") for mask in distinct)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    models = np.flatnonzero(bits.view(bool)).view(np.uint64)
+    width = 8 * size
+    bounds = np.searchsorted(
+        models, np.arange(len(distinct) + 1, dtype=np.uint64) * np.uint64(width)).tolist()
+    out = np.empty(sum(bounds[k + 1] - bounds[k] for k in which), dtype=np.uint64)
+    at, start = 0, part[0][0]
+    for i, k in enumerate(which):
+        got = models[bounds[k]:bounds[k + 1]]
+        np.add(got, np.uint64(start + (i - k) * width), out=out[at:at + len(got)])
+        at += len(got)
+    return out
 
 
 def _stream(problem: CountingProblem):

@@ -432,6 +432,112 @@ class TestEncodingMatchesReference:
         assert repr(formula) == repr(copy)
 
 
+class TestChainBoundaries:
+    """expand_xors against `reference_expand`, byte for byte, on rows whose
+    lengths sit at the chain's boundaries: t = chunk (no auxiliary),
+    t = chunk + j(link - 2) (the last window full) and one more (a last
+    window of two variables), plus empty and one-variable rows."""
+
+    @pytest.mark.parametrize("chunk", range(2, 10))
+    def test_rows_at_the_boundaries(self, chunk):
+        link = max(chunk, 3)
+        lengths = {0, 1, chunk, chunk + 1}
+        for j in range(1, 5):
+            lengths |= {chunk + j * (link - 2), chunk + j * (link - 2) + 1}
+        for t in sorted(lengths):
+            for rhs in (0, 1):
+                # variables out of order and not from 1, after a clause
+                support = [2 * v + 3 for v in reversed(range(t))]
+                formula = CnfFormula(2 * t + 4, [[1, -2]], [(support, rhs)])
+                want = reference_expand(formula, chunk)
+                got = expand_xors(formula, chunk)
+                assert emit(got) == reference_emit(want), (chunk, t, rhs)
+                assert got.clauses == want.clauses
+                assert got.num_vars == want.num_vars
+
+
+class TestKeptTokens:
+    """Every formula built from a base reads and writes the one token table
+    the base keeps: questions asked at once, on threads, all get the text a
+    fresh base gives, and the table holds no more than the variables the
+    questions named."""
+
+    def test_concurrent_questions_match_a_fresh_base(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from xorcount.gf2hash import HashParams, sample_hash
+
+        problem, _ = tables.encode_to_cnf(tables.synth_spec(8))
+        n = problem.n
+        hashes = [sample_hash(HashParams(n, 6, 0.5, seed=s)) for s in range(48)]
+        chunks = [2 + s % 5 for s in range(48)]
+        fresh = [emit(expand_xors(conjoin(tables.encode_to_cnf(tables.synth_spec(8))[0]
+                                          .formula, h), chunk))
+                 for h, chunk in zip(hashes, chunks)]
+        base = problem.formula
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                texts = list(pool.map(
+                    lambda hc: emit(expand_xors(conjoin(base, hc[0]), hc[1])),
+                    zip(hashes, chunks), timeout=120))
+        finally:
+            sys.setswitchinterval(switch)
+        assert texts == fresh
+        # the hash's variables and the widest question's auxiliaries
+        widest = max(expand_xors(conjoin(base, h), c).num_vars
+                     for h, c in zip(hashes, chunks))
+        assert set(base._kept["tokens"]) <= set(range(1, n + 1)) | set(
+            range(base.num_vars + 1, widest + 1))
+        assert conjoin(base, hashes[0])._kept is base._kept
+
+
+class TestWideEncodingDigests:
+    """SHA-256 of the text emit writes for synth_16 and synth_20 questions
+    at the synth-tables benchmark's m (its lower and upper bound) and
+    densities (f*, halfway to 1/2, and 1/2), in `TestEncodingDigests`'s
+    three forms."""
+
+    SIZES = {16: (6, 10), 20: (7, 11)}  # n -> (m of lb, m of ub)
+
+    @pytest.mark.parametrize("n,m,form,digest", [
+        (16, 6, "native",
+         "089ed1f7deab5cfe4cf6c44f207e885e5101a35b7c9f5a9b671aa50ade8401f9"),
+        (16, 6, "expanded",
+         "687672cafb946d5b4c2345d7cfbd1c376afa706c524620da212df3da2a5eec4b"),
+        (16, 6, "chunk3",
+         "470a41e69205dc8bfdc91f12fbdd237602ab2d104861538e52eebc047c3b2b94"),
+        (16, 10, "native",
+         "70a2909f48557a4c292ca02f72e8c0753f4b43f73441e2bfa77c86a38dc35cc7"),
+        (16, 10, "expanded",
+         "a584e397f5bd2b5ea6b295951ae7ffcbfbe470dc5dbd5807468ff785bb1f5b15"),
+        (16, 10, "chunk3",
+         "52fe59ab2af8b11c88847e79dee97ec7aaa8cef618df2a24d62dbe5af8c35830"),
+        (20, 7, "native",
+         "df4671560c948923a8c74b5fddce9af0c27b8271f535684f0f3c3cc211f673fd"),
+        (20, 7, "expanded",
+         "ecfa2665a5ac31bf137bed750006fbc836ef47fa5413c1f3b7d0485d63101c4d"),
+        (20, 7, "chunk3",
+         "fcd82cec1e097c1c25038cd3efb7aa88ebe129c50110b9cc6049b5b60b71a8ae"),
+        (20, 11, "native",
+         "439751ded53542043d8b9a91e34e56a18e204f08613e37cb65796d0f922ca05e"),
+        (20, 11, "expanded",
+         "2c617ac7d718372bb8f3e5cfdf22c9c949b416e7d36dedfe2468f2105b48abef"),
+        (20, 11, "chunk3",
+         "d10cc1d8ee3f762992021548a7364e961e4edb1494ae4f0018955ba688546028"),
+    ])
+    def test_benchmark_questions(self, n, m, form, digest):
+        problem, _ = tables.encode_to_cnf(tables.synth_spec(n))
+        m_lb = self.SIZES[n][0]
+        fstar = comb.min_density_fstar(problem.n, m_lb, 1 << (m_lb + 2), 2.25).f_star
+        texts = [TestEncodingDigests.FORMS[form](
+                     problem.formula, tables.hash_over_cells(problem, m, f, seed=n + m))
+                 for f in (fstar, (fstar + 0.5) / 2, 0.5)]
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == digest
+
+
 @st.composite
 def formulas(draw):
     num_vars = draw(st.integers(min_value=1, max_value=12))

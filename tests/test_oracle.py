@@ -159,6 +159,26 @@ class TestExpandXors:
         assert all(g.clauses)  # no empty clause emitted
         assert count_models(g) == 0
 
+    @pytest.mark.parametrize("chunk", range(2, 12))
+    def test_auxiliary_count(self, chunk):
+        # a row of t > chunk variables is 1 + ceil((t - chunk) / (link - 2))
+        # sub-XORs, one auxiliary between each two (3 at chunk 6, t 11)
+        link = max(chunk, 3)
+        for t in range(1, 60):
+            aux = -(-(t - chunk) // (link - 2)) if t > chunk else 0
+            g = expand_xors(CnfFormula(t, [], [(list(range(1, t + 1)), t & 1)]), chunk)
+            assert g.num_vars - t == aux, (chunk, t)
+            # every sub-XOR but the last has arity link
+            last = t - aux * (link - 2)
+            assert 1 <= last <= chunk
+            assert len(g.clauses) == (aux << link - 1) + (1 << last - 1)
+
+    @pytest.mark.parametrize("chunk", [6.0, 2.5, True, "6", None])
+    def test_chunk_must_be_an_int(self, chunk):
+        f = CnfFormula(14, [], [(list(range(1, 15)), 1)])
+        with pytest.raises(ParameterError, match="chunk must be an integer"):
+            expand_xors(f, chunk)
+
 
 class TestConjoin:
     def test_native_path_emits_m_xlines(self):
@@ -467,11 +487,33 @@ class TestSolverQuestion:
                                         {"template": 'solver "{in}'},
                                         {"budget_s": float("nan")},
                                         {"budget_s": float("inf")},
-                                        {"budget_s": 0.0}, {"budget_s": -1.0}])
+                                        {"budget_s": 0.0}, {"budget_s": -1.0},
+                                        # not ints, or bools
+                                        {"chunk": 6.0}, {"chunk": 2.5},
+                                        {"chunk": True}, {"jobs": 1.5},
+                                        {"jobs": True}, {"budget_s": True},
+                                        {"budget_s": "5"}])
     def test_profile_checked_at_construction(self, kwargs):
         # the template's {in} check: TestRunExternal.test_template_needs_placeholder
         with pytest.raises(ParameterError):
             SolverProfile(**{"template": "solver {in}", **kwargs})
+
+    def test_int_budget_is_accepted(self):
+        assert SolverProfile("solver {in}", budget_s=5).budget_s == 5
+
+    def test_float_chunk_never_reaches_the_expansion(self, monkeypatch):
+        # a profile that bypasses the check is refused in expand_xors,
+        # before any solver runs
+        from xorcount import oracle
+        monkeypatch.setattr(oracle, "run_external", lambda *a: pytest.fail("ran"))
+        with pytest.raises(ParameterError, match="chunk must be an integer"):
+            SolverProfile("solver {in}", chunk=6.0)
+        profile = SolverProfile("solver {in}", jobs=1)
+        object.__setattr__(profile, "chunk", 6.0)
+        formula = CnfFormula(14, [[1, 2, 3], [-4, 5, -6]], [])
+        h = sample_hash(HashParams(14, 3, 0.5, seed=1))
+        with pytest.raises(ParameterError, match="chunk must be an integer"):
+            has_survivor(CountingProblem.from_cnf(formula), h, solver=profile)
 
     def test_jobs_default_to_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5},
@@ -927,6 +969,38 @@ def criterion_11_cnf():
         vs = rng.sample(range(1, 21), 3)
         clauses.append([v if rng.random() < 0.5 else -v for v in vs])
     return CnfFormula(20, clauses, [])
+
+
+class TestRepeatedMasks:
+    """A block decodes each distinct sub-block mask once and writes its
+    models at every sub-block that holds it.  On formulas whose masks
+    repeat within a block (`edge_grid`'s of more than 16 variables, and
+    criterion 11's CNF, whose variable 17 is in no clause) the blocks match
+    an evaluation of each assignment on its own."""
+
+    FORMULAS = [f for f in edge_grid() if f.num_vars > 16] + [criterion_11_cnf()]
+
+    @pytest.mark.parametrize("index", range(len(FORMULAS)))
+    def test_matches_brute_force(self, index):
+        formula = self.FORMULAS[index]
+        blocks = list(_model_blocks(formula))
+        models = np.concatenate(blocks).tolist() if blocks else []
+        assert models == per_assignment_models(formula)
+
+    def test_masks_repeat(self, monkeypatch):
+        from xorcount import oracle
+        parts, real = [], oracle._block_models
+
+        def spy(part, size):
+            parts.append((len(part), len({mask for _, mask in part})))
+            return real(part, size)
+
+        monkeypatch.setattr(oracle, "_block_models", spy)
+        for formula in self.FORMULAS:
+            list(_model_blocks(formula))
+        # criterion 11's last block: 8 sub-blocks, 4 masks
+        assert (8, 4) in parts
+        assert sum(subs > masks for subs, masks in parts) >= 8
 
 
 def survives(h, members):
