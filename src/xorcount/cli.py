@@ -22,10 +22,16 @@ Start-up: at module level this imports only the stdlib, `errors` and
 too, where it writes them).  `epsilon` and `fstar` never load numpy, and
 `solve` and `count-models` (the solver child an external-solver estimate
 starts once per question) load nothing more: `dimacs` evaluates models in
-Python ints.  The program entry `run` defaults OPENBLAS_NUM_THREADS to 1
-before numpy can load: xorcount does no linear algebra, and starting the
-OpenBLAS worker threads numpy would otherwise start, one per further CPU,
-is most of numpy's import time.  `main` builds only the parser of the
+Python ints.  `bound`, `sweep` and `table` load numpy only where `oracle`
+holds S in process (an explicit set, a CNF's model stream, the survival
+kernel) or a hash draw is wide (`gf2hash._WIDE_K`): `table`, estimates
+answered by a solver, and estimates decided on their cells alone start
+without it, about 120 ms sooner for `table` and for a cell-decided
+`bound` (169-174 ms against 292-294 ms, medians of 9 on a 2-vCPU VM where
+`python -c pass` took 77 ms).  The program entry `run` defaults
+OPENBLAS_NUM_THREADS to 1 before numpy can load: xorcount does no linear
+algebra, and starting the OpenBLAS worker threads numpy would otherwise
+start, one per further CPU, is most of numpy's import time.  `main` builds only the parser of the
 command it runs, from the same `_COMMANDS` registry as the whole tree
 (`build_parser`), and hands the tree any argv that parser does not take.
 

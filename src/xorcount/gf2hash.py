@@ -49,7 +49,14 @@ _WORDS = struct.Struct("<II")  # the two 32-bit outputs behind one random()
 # 1/2).  The ~170 draws of one default `xorcount bound lb` win the import
 # back from k of about 3,500; at 2,500 they win back half of it or more,
 # and a process that runs several estimates (a `sweep`, a library caller)
-# all of it.
+# all of it.  Those processes had numpy itself loaded already.  One that
+# has not (a solver-backed or cell-decided estimate, which `oracle`
+# answers without numpy) pays numpy's whole import at its first wide draw:
+# a median 137 ms against 18 ms (7 fresh processes each, same VM,
+# OPENBLAS_NUM_THREADS=1, no cached bytecode), which this value was not
+# measured against.  Paper-scale solver runs (n = 204, m about 56: k =
+# 11,480) are past it, so they still load numpy at their first draw; only
+# narrower draws start without it.
 _WIDE_K = 2_500
 
 
@@ -215,7 +222,9 @@ def _draw_wide(n: int, m: int, f: float, seed: int):
     `init_genrand` instead, a different stream), and `random_sample`
     returns the doubles ((a >> 5) * 2^26 + (b >> 6)) / 2^53 that
     `random()` does.  NEP 19 freezes that stream.  Each row is packed to
-    bytes, bit j at bit j, and read as one int.
+    bytes, bit j at bit j, and read as one int.  The first call in a
+    process imports numpy.random, and with it numpy itself where nothing
+    else has loaded it (see _WIDE_K).
     """
     import numpy.random  # only draws this wide load it (see _WIDE_K)
 

@@ -23,6 +23,11 @@ Three interchangeable backends answer the same question:
 The first two are in process: S is a stream of (k, W) uint64 blocks, W =
 ceil(n/64) words per member (an explicit set is one block), and every
 question is answered against it.  Only `_stream` adds a block to it.
+numpy serves this alone: the functions that pack, stream or scan S import
+it at their first call, as `gf2hash._draw_wide` imports numpy.random.  So
+a run whose questions all go to a solver, or are all decided on their
+cells (below), never loads numpy, nor does `xorcount table`; an explicit
+set, a CNF's model stream and the kernel load it at first use.
 
 Every question goes through `has_survivors`, which takes a whole
 estimate's T hashes at once (a hash of None asks m = 0, "is S non-empty?",
@@ -80,8 +85,6 @@ from itertools import chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
 
-import numpy as np
-
 from .dimacs import _SUB_VARS, CnfFormula, _model_masks, _slices, count_models, emit
 from .errors import DimensionError, IntegrityError, ParameterError, ParseError
 from .gf2hash import ParityHash
@@ -112,6 +115,9 @@ _FOLD = 64
 # cell is Python's cost per operation, not the masks' length, so past 256
 # trials the kernel's pass over S's first block is as fast or faster
 _FLOOR_VARS = 8
+# the largest sub-XOR arity `expand_xors` takes: a sub-XOR of arity s is
+# 2^(s-1) clause lines, 32,768 at 16
+_MAX_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -125,12 +131,15 @@ class OracleVerdict:
     stats: dict = field(default_factory=dict)
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """`value` must be an int (not a bool) of at least `least`."""
+def _check_count(name: str, value, least: int, most: int = None) -> None:
+    """`value` must be an int (not a bool) of at least `least` and, unless
+    `most` is None, at most `most`."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParameterError("%s must be an integer, got %r" % (name, value))
     if value < least:
         raise ParameterError("%s must be at least %d" % (name, least))
+    if most is not None and value > most:
+        raise ParameterError("%s must be at most %d" % (name, most))
 
 
 @dataclass(frozen=True)
@@ -141,7 +150,7 @@ class SolverProfile:
     path; `budget_s` is the per-call wall-clock timeout in seconds, a
     positive and finite int or float, not a bool (None: no limit);
     `native_xor` sends parity rows as x-lines, else they are expanded into
-    CNF with sub-XORs of arity `chunk`, an int of at least 2; `jobs`, an
+    CNF with sub-XORs of arity `chunk`, an int from 2 to 16; `jobs`, an
     int of at least 1, is how many solver calls of one estimate run at
     once, by default (None) the number of CPUs this process may run on.
     The CLI fills these from --solver, --budget-s, --native-xor, --chunk
@@ -169,7 +178,7 @@ class SolverProfile:
                                    or not isinstance(budget, (int, float))
                                    or not 0.0 < budget < math.inf):
             raise ParameterError("budget_s must be positive and finite, or None")
-        _check_count("chunk", self.chunk, 2)
+        _check_count("chunk", self.chunk, 2, _MAX_CHUNK)
         if self.jobs is None:
             object.__setattr__(self, "jobs", _usable_cpus())
         _check_count("jobs", self.jobs, 1)
@@ -272,6 +281,7 @@ def _lines(s: int, rhs: int):
 def expand_xors(formula: CnfFormula, chunk: int = 6) -> CnfFormula:
     """Replace native XOR rows with plain clauses over fresh auxiliaries,
     numbered from num_vars + 1: the one lowering of XOR rows to CNF.
+    `chunk` is an int from 2 to _MAX_CHUNK, checked before any row is read.
 
     A row of t > chunk variables is chained into 1 + ceil((t - chunk) /
     (link - 2)) sub-XORs, link = max(chunk, 3), and a sub-XOR of arity s
@@ -293,7 +303,7 @@ def expand_xors(formula: CnfFormula, chunk: int = 6) -> CnfFormula:
     The result opens with the formula's own clauses (their lists are
     shared, not copied), and its new ones are kept as text, their int
     lists read back from those lines only when its `clauses` are read."""
-    _check_count("chunk", chunk, 2)
+    _check_count("chunk", chunk, 2, _MAX_CHUNK)
     link = max(chunk, 3)
     step, span = 4 * link - 4, 4 * link  # a window's start and length in tokens
     top, lines, out = formula.num_vars, 0, []
@@ -360,6 +370,8 @@ def _words(n: int) -> int:
 def _pack(values, words: int):
     """Python ints as a (len(values), words) uint64 array, word k of a row
     holding bits 64k..64k+63."""
+    import numpy as np
+
     if words == 1:
         return np.array(values, dtype=np.uint64).reshape(-1, 1)
     blob = b"".join(v.to_bytes(8 * words, "little") for v in values)
@@ -369,6 +381,8 @@ def _pack(values, words: int):
 def _distinct(words):
     """The rows of a (k, W) uint64 array in increasing order, each once:
     how every explicit set is sorted and deduplicated."""
+    import numpy as np
+
     words = words[np.lexsort(words.T)]  # the top word is the primary key
     fresh = np.ones(len(words), dtype=bool)
     fresh[1:] = (words[1:] != words[:-1]).any(axis=1)
@@ -385,6 +399,8 @@ def _explicit_from_lines(lines: list) -> CountingProblem:
     The lines are checked as one joined string, then its bytes become the
     packed block in one numpy pass.
     """
+    import numpy as np
+
     joined = "".join(lines)
     raw = joined.encode()
     if raw.translate(None, b"01"):
@@ -414,6 +430,8 @@ def _table_scan(blocks, hashes, rows, n: int):
     the piece in which its last trial finds a survivor.  The pieces' arrays
     are views of buffers allocated here, once, for `block` members, a
     multiple of _FOLD, so a piece padded to one fits."""
+    import numpy as np
+
     count, m = rows.shape[:2]
     nb = -(-n // 8)
     row_bytes = rows.astype("<u8", copy=False).view(np.uint8)
@@ -456,6 +474,8 @@ def _chunk_hits(blocks, groups, trials: slice, nb: int, block: int, buffers):
     once, then `_block_hits` reads `block` members of `blocks()` at a time
     until every trial has a survivor.  The lanes past the chunk's trials
     (see `_lanes`) have A = 0 and b = 0, so every member holds in them."""
+    import numpy as np
+
     count = len(groups[0][2][trials])
     lanes = _lanes(count, groups[0][1].itemsize)
     chunk = []
@@ -494,6 +514,8 @@ def _block_hits(member_bytes, chunk, buffers):
     padded with False to a multiple of _FOLD and folded _FOLD at a time
     before `any` reduces them: `any` down a (member, lane) array of a few
     lanes took up to 40x as long."""
+    import numpy as np
+
     size, nb = member_bytes.shape
     lanes = chunk[0].shape[1]
     index, offsets, axs, scratch, alive = buffers
@@ -557,6 +579,8 @@ def _block_models(part: list, size: int):
     k into place, shifted by i - k masks, with the block's start.  A mask
     recurs where a variable above the sub-block is in no constraint, or
     its constraints hold either way."""
+    import numpy as np
+
     distinct, which = [], []  # each sub-block's mask is distinct[which[i]]
     for _, mask in part:
         if mask not in distinct:
@@ -583,6 +607,8 @@ def _stream(problem: CountingProblem):
     problem's next block of models is enumerated, projected onto the first
     n variables (masked and deduplicated when n < num_vars), packed and
     kept; an explicit problem has none."""
+    import numpy as np
+
     blocks, i = problem._blocks, 0
     while True:
         if i == len(blocks):
@@ -867,7 +893,8 @@ def _survivors(problem: CountingProblem, hashes, pivots) -> list:
     first block, each counted as at least 2^_FLOOR_VARS, is `_decide` on
     each trial's `pivots` alone.  Any other runs the kernel over S's first
     block, then, on a CNF problem, `_decide` on the trials it leaves, and
-    the kernel over the rest of S for a cell too large."""
+    the kernel over the rest of S for a cell too large.  The budget is
+    checked first, so an estimate decided on its cells loads no numpy."""
     formula = problem.formula
     if formula is not None and sum(
             1 << max(formula.num_vars - len(p), _FLOOR_VARS)

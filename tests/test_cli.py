@@ -830,6 +830,100 @@ class TestStartup:
                 "'OPENBLAS_NUM_THREADS' in os.environ)")
         assert _child(["-c", code]).stdout.splitlines()[-1] == "0 True False"
 
+    def test_library_import_loads_no_numpy(self):
+        code = ("import sys, xorcount.oracle, xorcount.bounds, xorcount.tables; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'numpy'])")
+        assert _child(["-c", code]).stdout == "[]\n"
+
+    def test_solver_child_runs_without_numpy(self, tmp_path):
+        blocked = _numpy_blocked(tmp_path)
+        sat, unsat = tmp_path / "sat.cnf", tmp_path / "unsat.cnf"
+        sat.write_text("p cnf 2 1\n1 -2 0\n")
+        unsat.write_text("p cnf 1 2\n1 0\n-1 0\n")
+        assert _child([blocked, "solve", str(sat)]).returncode == 10
+        assert _child([blocked, "solve", str(unsat)]).returncode == 20
+        proc = _child([blocked, "count-models", str(sat)])
+        assert proc.returncode == 0 and proc.stdout.startswith("models: 3\n")
+
+    # solver-backed, cell-decided and table runs; the solver child is
+    # numpy-blocked too
+    ROUTES_WITHOUT_NUMPY = {
+        "table": ["table", "{synth20}"],
+        "cells": ["bound", "{c11}", "lb", "--m", "10", "--T", "7"],
+        "solver-chunk": ["bound", "{c14}", "ub", "--m", "11", "--T", "4",
+                         "--delta", "0.85", "--solver", "{solver}", "--chunk", "6"],
+        "solver-native": ["bound", "{c14}", "ub", "--m", "11", "--T", "4",
+                          "--delta", "0.85", "--solver", "{solver}", "--native-xor"],
+        "solver-sweep": ["sweep", "{c14}", "0.3", "--m", "6", "--T", "4",
+                         "--delta", "0.85", "--solver", "{solver}"],
+    }
+
+    @pytest.mark.parametrize("argv", ROUTES_WITHOUT_NUMPY.values(),
+                             ids=ROUTES_WITHOUT_NUMPY.keys())
+    def test_route_runs_without_numpy(self, tmp_path, capsys, argv):
+        blocked = _numpy_blocked(tmp_path)
+        argv = [a.format(solver="%s %s solve {in}" % (sys.executable, blocked),
+                         **_route_inputs(tmp_path)) for a in argv]
+        proc = _child([blocked] + argv)
+        assert proc.returncode == 0, proc.stderr
+        assert main(argv) == 0
+        assert _sweep_untimed(proc.stdout) == _sweep_untimed(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("argv", [["bound", "{s16}", "lb"],
+                                      ["bound", "{c11}", "lb"]],
+                             ids=["explicit", "kernel"])
+    def test_route_imports_numpy(self, tmp_path, argv):
+        # an explicit set is packed by numpy, and criterion 11's default
+        # pre-scan at m = 1 asks cells past the decision budget: the kernel
+        argv = [a.format(**_route_inputs(tmp_path)) for a in argv]
+        proc = _child(["-X", "importtime", "-m", "xorcount.cli"] + argv)
+        assert proc.returncode == 0, proc.stderr
+        assert "numpy" in _imported(proc.stderr)
+
+    def test_large_chunk_is_refused_before_any_solver(self, tmp_path):
+        ran = tmp_path / "ran"
+        proc = _child(["-m", "xorcount.cli", "bound", _route_inputs(tmp_path)["c14"],
+                       "lb", "--m", "6", "--T", "4", "--chunk", "17",
+                       "--solver", "touch %s {in}" % ran])
+        assert proc.returncode == 1 and not ran.exists()
+        assert proc.stderr == "bad solver settings: chunk must be at most 16\n"
+
+
+def _numpy_blocked(tmp_path):
+    """A script that runs `cli.run` on its argv with numpy's import blocked."""
+    path = tmp_path / "nonumpy.py"
+    path.write_text("import sys\nsys.modules['numpy'] = None\n"
+                    "from xorcount.cli import run\nsys.exit(run(sys.argv[1:]))\n")
+    return str(path)
+
+
+def _route_inputs(tmp_path):
+    """Paths of the start-up tests' inputs, written into tmp_path: synth_20's
+    table spec, criterion 11's random 3-CNF, a 14-variable random 3-CNF of
+    20 clauses and a 2^10-member 16-bit explicit set."""
+    from xorcount.dimacs import CnfFormula, emit
+    from xorcount.tables import format_table_spec, synth_spec
+
+    def cnf(seed, n, k):
+        rng = random.Random(seed)
+        return CnfFormula(n, [[v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, n + 1), 3)]
+                              for _ in range(k)], [])
+
+    paths = {name: tmp_path / name for name in ("synth20", "c11", "c14", "s16")}
+    paths["synth20"].write_text(format_table_spec(synth_spec(20)))
+    paths["c11"].write_text(emit(cnf(7, 20, 15)))
+    paths["c14"].write_text(emit(cnf(1400, 14, 20)))
+    write_explicit(paths["s16"], random.Random(3).sample(range(1 << 16), 1 << 10), 16)
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _sweep_untimed(stdout):
+    """The lines of stdout without the wall times `sweep` prints: "(0.72s)"
+    on its summary lines, and the wall_time_s field of its CSV rows."""
+    stdout = re.sub(r"\(\d+\.\d+s\)", "(s)", stdout)
+    return re.sub(r"^((?:[^,\n]*,){3})\d+\.\d+,", r"\1,", stdout, flags=re.M).splitlines()
+
 
 # common bound/sweep flags, each away from its default
 _BOUND_FLAGS = ["--seed", "7", "--m", "3", "--T", "5", "--delta", "0.2",

@@ -179,6 +179,21 @@ class TestExpandXors:
         with pytest.raises(ParameterError, match="chunk must be an integer"):
             expand_xors(f, chunk)
 
+    @pytest.mark.parametrize("chunk", [17, 100])
+    def test_chunk_past_16_is_refused_before_any_line(self, monkeypatch, chunk):
+        # a sub-XOR of arity s is 2^(s-1) lines: no getter is built for one
+        from xorcount import oracle
+        monkeypatch.setattr(oracle, "_lines", lambda s, rhs: pytest.fail("built"))
+        f = CnfFormula(40, [], [(list(range(1, 41)), 1)])
+        with pytest.raises(ParameterError, match="chunk must be at most 16"):
+            expand_xors(f, chunk)
+
+    def test_chunk_16_is_the_largest(self):
+        # a row of 16 variables is one sub-XOR of 2^15 lines
+        f = CnfFormula(17, [], [(list(range(1, 17)), 1)])
+        assert len(expand_xors(f, 16).clauses) == 1 << 15
+        assert SolverProfile("solver {in}", chunk=16).chunk == 16
+
 
 class TestConjoin:
     def test_native_path_emits_m_xlines(self):
@@ -483,7 +498,7 @@ class TestSolverQuestion:
         assert est.outcomes == (1, 1, 1, 1, 1)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("kwargs", [{"chunk": 1}, {"jobs": 0},
+    @pytest.mark.parametrize("kwargs", [{"chunk": 1}, {"chunk": 17}, {"jobs": 0},
                                         {"template": 'solver "{in}'},
                                         {"budget_s": float("nan")},
                                         {"budget_s": float("inf")},
