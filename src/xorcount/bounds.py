@@ -177,11 +177,15 @@ class SparseCountResult:
 
 def check_parameters(T: int = None, kappa: float = None, c: float = None,
                      delta: float = None):
-    """Refuse a trial count, kappa, threshold c or Delta out of range; None
-    skips that check.  The bound functions check theirs here, and callers
-    can check before any oracle call."""
-    if T is not None and T < 1:
-        raise ParameterError("T must be at least 1")
+    """Refuse a trial count that is not an int (or is a bool), and a trial
+    count, kappa, threshold c or Delta out of range; None skips that check.
+    The bound functions check theirs here, and callers can check before any
+    oracle call."""
+    if T is not None:
+        if isinstance(T, bool) or not isinstance(T, int):
+            raise ParameterError("T must be an integer, got %r" % (T,))
+        if T < 1:
+            raise ParameterError("T must be at least 1")
     if kappa is not None and not 0.0 < kappa < math.inf:
         raise ParameterError("kappa must be positive and finite")
     if c is not None and not 0.0 < c <= 1.0:

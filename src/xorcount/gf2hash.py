@@ -5,20 +5,26 @@ drawn entrywise Bernoulli(f) with f <= 1/2, b is a uniform m-bit vector.
 Rows and assignments are bit-packed into Python ints, bit j holding
 variable j + 1.
 
-Draw contract: a hash is a function of (n, m, f, seed) alone, the seed an
-int (`HashParams` refuses any other type).  It is the one that
-`random.Random(seed)` gives by comparing one `random()` per entry of A,
-row-major, against f, then one per bit of b against 1/2.  `sample_hash`
-does not build that generator, and reads all k = m*n + m uniforms at once
-from one of two Mersenne Twisters that each thread keeps and reseeds per
-hash with abs(seed)'s 32-bit words through `init_by_array`, the state
-`random.Random(seed)` starts from.  Below `_WIDE_K` uniforms it is CPython's
-(the C base of `random.Random`): one `getrandbits` call, whose 32-bit
-outputs, lowest word first, are the ones `random()` reads two at a time,
-and the comparisons rebuilt exactly from them.  From `_WIDE_K` on it is
-numpy's legacy `RandomState`, whose `random_sample` makes each double from
-two outputs as `random()` does; NEP 19 freezes that stream.  Neither runs
-the per-entry loop, and only wide draws import numpy.random.
+Draw contract: a hash is a function of (n, m, f, seed) alone, n, m and
+the seed ints (`HashParams` refuses bools and any other type).  It is the
+one that `random.Random(seed)` gives by comparing one `random()` per entry
+of A, row-major, against f, then one per bit of b against 1/2.
+`sample_hash` does not build that generator, and reads all k = m*n + m
+uniforms at once from one of two Mersenne Twisters that each thread keeps
+and reseeds per hash with abs(seed)'s 32-bit words through
+`init_by_array`, the state `random.Random(seed)` starts from.  Below
+`_WIDE_K` uniforms it is CPython's (the C base of `random.Random`): one
+`getrandbits` call, whose 32-bit outputs, lowest word first, are the ones
+`random()` reads two at a time, and the comparisons rebuilt exactly from
+them in three steps: each entry decided by its top byte through translate
+tables built once per process (the rare ties on all 53 bits), all k parsed
+as one int, and the rows cut from it by one `struct` unpack where n is 8,
+16, 32 or 64, by shift and mask otherwise.  At n = 16, m = 8 that costs
+about 10.5 us a draw, of which the reseed and `getrandbits` are about 7 us
+(2-vCPU x86 VM, Python 3.11).  From `_WIDE_K` on it is numpy's legacy
+`RandomState`, whose `random_sample` makes each double from two outputs as
+`random()` does; NEP 19 freezes that stream.  Neither runs the per-entry
+loop, and only wide draws import numpy.random.
 """
 
 from __future__ import annotations
@@ -41,6 +47,19 @@ __all__ = [
 
 _WORDS = struct.Struct("<II")  # the two 32-bit outputs behind one random()
 
+# _decide[top] holds the translate tables of a threshold t with top byte
+# top = t >> 45 (t <= 2^52, so top <= 128), mapping an entry's top byte to
+# "1" below t's and "0" above it: [0] for t whose low 45 bits are 0, where
+# an equal top byte means u >= t, and [1] for the rest, where it is "?", a
+# tie `_draw_narrow` resolves on all 53 bits.  `_row_cut[m, n]` unpacks m
+# little-endian n-bit rows, for n in _ROW_CODES.  Both fill at first use,
+# each entry always to the same value, so threads may fill one at once.
+_decide = {}
+_row_cut = {}
+_HALF = b"1" * 128 + b"0" * 128  # t = 2^52: a fair coin of b
+_LOW = (1 << 45) - 1
+_ROW_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
 # Draws of at least this many uniforms (k = m*n + m) take `_draw_wide`,
 # whose first draw in a process imports numpy.random.  Measured on a
 # 2-vCPU x86 VM (Python 3.11, numpy 2.4), in processes that had loaded
@@ -56,7 +75,12 @@ _WORDS = struct.Struct("<II")  # the two 32-bit outputs behind one random()
 # OPENBLAS_NUM_THREADS=1, no cached bytecode), which this value was not
 # measured against.  Paper-scale solver runs (n = 204, m about 56: k =
 # 11,480) are past it, so they still load numpy at their first draw; only
-# narrower draws start without it.
+# narrower draws start without it.  Once numpy.random is loaded, the wide
+# draw is the cheaper one from k of about 520 (same VM, f = 0.3): 30 against
+# 63 us at n = 256, m = 8, and 38 against 99 us at n = 144, m = 16.  A
+# cut that moved on whether numpy.random is in sys.modules changed the
+# synth-tables benchmark by about 2%, within its run-to-run spread, so the
+# value stays.
 _WIDE_K = 2_500
 
 
@@ -81,7 +105,8 @@ def _check_density(f: float):
 
 @dataclass(frozen=True)
 class HashParams:
-    """Parameters of the hash family: n variables, m constraints, density f."""
+    """Parameters of the hash family: n variables, m constraints, density f.
+    n, m and seed must be ints, not bools."""
 
     n: int
     m: int
@@ -89,13 +114,18 @@ class HashParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ParameterError("n and m must be positive, got n=%d m=%d" % (self.n, self.m))
-        if self.m > self.n:
-            raise ParameterError("m=%d exceeds n=%d" % (self.m, self.n))
+        n, m = self.n, self.m
+        # one test for plain ints, since every trial builds a HashParams
+        if not type(n) is type(m) is type(self.seed) is int:
+            for name in ("n", "m", "seed"):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ParameterError("%s must be an int, got %r" % (name, value))
+        if n < 1 or m < 1:
+            raise ParameterError("n and m must be positive, got n=%d m=%d" % (n, m))
+        if m > n:
+            raise ParameterError("m=%d exceeds n=%d" % (m, n))
         _check_density(self.f)
-        if not isinstance(self.seed, int):
-            raise ParameterError("seed must be an int, got %r" % (self.seed,))
 
 
 _NOT_BITS = str.maketrans("", "", "01")  # deletes the valid characters
@@ -150,22 +180,6 @@ def derive_seed(master: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def _below(raw: bytes, tops: bytes, t: int) -> bytes:
-    """b"1" for each entry e of `tops` whose u (from raw[8e:8e+8]) is < t,
-    else b"0"."""
-    top = t >> 45
-    if not t & ((1 << 45) - 1):
-        # u >= t for every u whose top byte is t's
-        return tops.translate(b"1" * top + b"0" * (256 - top))
-    bits = bytearray(tops.translate(b"1" * top + b"?" + b"0" * (255 - top)))
-    e = bits.find(b"?")
-    while e >= 0:
-        a, b = _WORDS.unpack_from(raw, 8 * e)
-        bits[e] = 49 if ((a >> 5) << 26 | b >> 6) < t else 48  # "1" / "0"
-        e = bits.find(b"?", e + 1)
-    return bits
-
-
 def sample_hash(params: HashParams) -> ParityHash:
     """Draw h_{A,b} from the f-sparse family.
 
@@ -191,12 +205,23 @@ def _draw_narrow(n: int, m: int, f: float, seed: int):
     `random()` returns u / 2^53 with u = ((a >> 5) << 26) | (b >> 6) for
     its two outputs a, b, so `random() < f` holds exactly when u < ceil(f
     * 2^53) (f * 2^53 is an exact double).  Little-endian, entry e's a and
-    b are bytes 8e..8e+7, and byte 8e+3 is u's top 8 bits: a 256-byte
-    translate table decides every entry whose top byte differs from the
-    threshold's, and the ~1/256 that tie are compared in full.  The m*n
-    entries of A become one int, entry (i, j) at bit i*n + j, and row i is
-    cut from it by shift and mask, which costs time quadratic in m; draws
-    that wide take `_draw_wide`.
+    b are bytes 8e..8e+7, and byte 8e+3 is u's top 8 bits.  The draw then
+    takes three steps:
+
+    1. Each threshold's 256-byte translate table, built once per process
+       (`_decide`), maps every top byte below the threshold's to "1" and
+       every one above it to "0".  An equal one, ~1/256 of entries, is
+       "0" where the threshold's low 45 bits are 0 and a tie, "?", else.
+    2. The A entries are translated against ceil(f * 2^53), the b entries
+       against 2^52, the ties compared in full, and the k characters parsed
+       as one int: entry (i, j) of A at bit i*n + j, b from bit m*n up.
+    3. Where n is 8, 16, 32 or 64, one `struct` unpack (`_row_cut`) cuts
+       the m rows from that int's low m*n bits' bytes; other widths cut
+       them by shift and mask, which costs time quadratic in m (draws that
+       wide take `_draw_wide`).
+
+    At n = 16, m = 8 a draw costs about 10.5 us on a 2-vCPU x86 VM
+    (Python 3.11), of which the reseed and `getrandbits` are about 7 us.
     """
     mn = m * n
     k = mn + m
@@ -204,13 +229,34 @@ def _draw_narrow(n: int, m: int, f: float, seed: int):
     rng.seed(seed)
     raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
     tops = raw[3::8]
-    a = int(_below(raw, tops[:mn], math.ceil(f * 2.0**53))[::-1], 2)
-    mask = (1 << n) - 1
-    # a list, not a generator: tuple(genexpr) raised peak RSS by 2 MB over
-    # 60k draws at n = 16, where tuple(list) raised it by nothing
-    rows = tuple([a >> i & mask for i in range(0, mn, n)])
-    b_bits = int(_below(raw[8 * mn :], tops[mn:], 1 << 52)[::-1], 2)
-    return rows, b_bits
+    t = math.ceil(f * 2.0**53)
+    top = t >> 45
+    tables = _decide.get(top)
+    if tables is None:
+        tables = _decide[top] = (b"1" * top + b"0" * (256 - top),
+                                 b"1" * top + b"?" + b"0" * (255 - top))
+    table = tables[t & _LOW != 0]
+    bits = tops[:mn].translate(table) + tops[mn:].translate(_HALF)
+    e = bits.find(b"?")
+    if e >= 0:
+        bits = bytearray(bits)
+        while e >= 0:
+            a, b = _WORDS.unpack_from(raw, 8 * e)
+            bits[e] = 49 if ((a >> 5) << 26 | b >> 6) < t else 48  # "1" / "0"
+            e = bits.find(b"?", e + 1)
+    v = int(bits[::-1], 2)
+    code = _ROW_CODES.get(n)
+    if code is None:
+        mask = (1 << n) - 1
+        # a list, not a generator: tuple(genexpr) raised peak RSS by 2 MB
+        # over 60k draws at n = 16, where tuple(list) raised it by nothing
+        rows = tuple([v >> i & mask for i in range(0, mn, n)])
+    else:
+        cut = _row_cut.get((m, n))
+        if cut is None:
+            cut = _row_cut[m, n] = struct.Struct("<%d%s" % (m, code))
+        rows = cut.unpack_from(v.to_bytes((k + 7) >> 3, "little"))
+    return rows, v >> mn
 
 
 def _draw_wide(n: int, m: int, f: float, seed: int):
@@ -221,7 +267,11 @@ def _draw_wide(n: int, m: int, f: float, seed: int):
     (given an int, or an ndarray it can squeeze to one, it runs
     `init_genrand` instead, a different stream), and `random_sample`
     returns the doubles ((a >> 5) * 2^26 + (b >> 6)) / 2^53 that
-    `random()` does.  NEP 19 freezes that stream.  Each row is packed to
+    `random()` does.  NEP 19 freezes that stream.  CPython's generator,
+    with numpy doing only the comparisons and the row cut, drew the same
+    hashes 2.2-3.3x slower (68-126 against 30-45 us at n = 256-401, m =
+    7-11; 3.1 against 0.93 ms at n = 1001, m = 100), most of it spent
+    building and converting the `getrandbits` int.  Each row is packed to
     bytes, bit j at bit j, and read as one int.  The first call in a
     process imports numpy.random, and with it numpy itself where nothing
     else has loaded it (see _WIDE_K).

@@ -330,6 +330,14 @@ class TestUpperBound:
         with pytest.raises(ValueError, match="T must be at least 1"):
             upper_bound(problem, 6, 0.5, delta=0.05, seed=0, T=T)
 
+    @pytest.mark.parametrize("T", [2.5, 3.0, True])
+    def test_given_T_not_an_int_is_refused(self, T):
+        problem = CountingProblem.from_explicit([Assignment(0, 8)], 8)
+        with pytest.raises(ParameterError, match="T must be an integer"):
+            upper_bound(problem, 6, 0.5, delta=0.05, seed=0, T=T)
+        with pytest.raises(ParameterError, match="T must be an integer"):
+            estimate_survival(problem, 3, 0.5, T, 1)
+
     def test_full_cube_never_fires(self):
         problem = full_cube_problem(8)
         for m in (1, 4, 8):

@@ -46,7 +46,9 @@ class TestSampleHash:
         assert 0 <= h.b_bits < (1 << 4)
 
     @pytest.mark.parametrize("n,m,f", [(0, 1, 0.5), (4, 0, 0.5), (4, 5, 0.5),
-                                       (4, 2, -0.1), (4, 2, 0.6)])
+                                       (4, 2, -0.1), (4, 2, 0.6),
+                                       (16.0, 8, 0.5), (16, 8.0, 0.5),
+                                       (True, 1, 0.5), (4, True, 0.5)])
     def test_invalid_params(self, n, m, f):
         with pytest.raises(ParameterError):
             HashParams(n, m, f)
@@ -108,6 +110,23 @@ class TestSampleHashDrawContract:
                            seed=rng.getrandbits(64))
             h = sample_hash(p)
             assert (h.rows, h.b_bits) == reference_sample_hash(p), p
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65])
+    def test_row_cut_matches_reference(self, n):
+        # n = 8, 16, 32 and 64 cut their rows by one struct unpack, at every
+        # m that stays narrow; their neighbours by shift and mask
+        if n in (8, 16, 32, 64):
+            ms = [m for m in range(1, n + 1) if m * n + m < gf2hash._WIDE_K]
+        else:
+            ms = [1, 3, min(8, n)]
+        for m in ms:
+            for f in DRAW_FS:
+                for seed in DRAW_SEEDS[::3]:
+                    p = HashParams(n, m, f, seed=seed)
+                    h = sample_hash(p)
+                    want = reference_sample_hash(p)
+                    assert (h.rows, h.b_bits) == want, p
+                    assert gf2hash._draw_narrow(n, m, f, seed) == want, p
 
     def test_outputs_pinned(self):
         # sha256 over the whole grid, recorded with the per-entry sampler
@@ -354,7 +373,7 @@ class TestReseededGenerator:
         assert not any(th.is_alive() for th in threads)
         assert all(g == want for g in got)
 
-    @pytest.mark.parametrize("seed", ["7", b"7", 7.0, None, 2**0.5])
+    @pytest.mark.parametrize("seed", ["7", b"7", 7.0, None, 2**0.5, True, False])
     def test_seed_must_be_an_int(self, seed):
         with pytest.raises(ParameterError, match="seed must be an int"):
             HashParams(8, 2, 0.5, seed=seed)
