@@ -141,6 +141,7 @@ class SparseCountConfig:
         if not 0.0 < self.alpha < math.inf:
             raise ParameterError("alpha must be positive and finite")
         if not callable(self.density_schedule):
+            _check_density(self.density_schedule)
             fconst = float(self.density_schedule)
             self.density_schedule = lambda i: fconst
 

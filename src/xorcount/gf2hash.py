@@ -34,6 +34,7 @@ import math
 import struct
 import threading
 from dataclasses import dataclass
+from numbers import Real
 
 from .errors import DimensionError, ParameterError, ParseError
 
@@ -98,7 +99,11 @@ _generator = _Generator()
 
 
 def _check_density(f: float):
-    """Refuse a constraint density outside [0, 1/2], nan included."""
+    """Refuse a constraint density that is not a real number, a bool
+    included, or that lies outside [0, 1/2], nan included."""
+    # one test for a float, since every trial's HashParams checks its f
+    if type(f) is not float and (isinstance(f, bool) or not isinstance(f, Real)):
+        raise ParameterError("density f must be a real number, got %r" % (f,))
     if not 0.0 <= f <= 0.5:
         raise ParameterError("density f must lie in [0, 1/2], got %r" % (f,))
 
@@ -106,7 +111,7 @@ def _check_density(f: float):
 @dataclass(frozen=True)
 class HashParams:
     """Parameters of the hash family: n variables, m constraints, density f.
-    n, m and seed must be ints, not bools."""
+    n, m and seed must be ints and f a real number, none of them a bool."""
 
     n: int
     m: int
@@ -139,8 +144,21 @@ class Assignment:
     n: int
 
     def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.n:
-            raise DimensionError("assignment does not fit in %d bits" % self.n)
+        # the fields are looked at only once this test fails or raises, so
+        # an Assignment that fits costs no more than the test
+        try:
+            if not (self.bits < 0 or self.bits >> self.n):
+                return
+        except (TypeError, ValueError):  # not ints, or n < 0
+            pass
+        for name in ("bits", "n"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ParameterError("assignment %s must be an int, got %r"
+                                     % (name, value))
+        if self.n < 0:
+            raise DimensionError("assignment n must be nonnegative, got %d" % self.n)
+        raise DimensionError("assignment does not fit in %d bits" % self.n)
 
     @classmethod
     def from_string(cls, s: str) -> "Assignment":

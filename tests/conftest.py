@@ -1,5 +1,7 @@
 import os
 import random
+import re
+import subprocess
 import sys
 import textwrap
 from fractions import Fraction
@@ -141,6 +143,21 @@ def exact_epsilon(n, m, q, f):
 def random_subset_problem(rng, n, size):
     members = [Assignment(b, n) for b in rng.sample(range(1 << n), size)]
     return CountingProblem.from_explicit(members, n)
+
+
+def child(args, **env):
+    """Run `python <args>` with env overlaid on this process's environment,
+    minus OPENBLAS_NUM_THREADS; return the completed process."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable] + args, env=dict(base, **env),
+                          capture_output=True, text=True, timeout=60)
+
+
+def sweep_untimed(stdout):
+    """The lines of stdout without the wall times `sweep` prints: "(0.72s)"
+    on its summary lines, and the wall_time_s field of its CSV rows."""
+    stdout = re.sub(r"\(\d+\.\d+s\)", "(s)", stdout)
+    return re.sub(r"^((?:[^,\n]*,){3})\d+\.\d+,", r"\1,", stdout, flags=re.M).splitlines()
 
 
 @pytest.fixture

@@ -600,6 +600,13 @@ class TestSparseCount:
         with pytest.raises(ValueError):
             SparseCountConfig(delta=0.1, alpha=0.0)
 
+    @pytest.mark.parametrize("f", ["0.3", None, True, 0.7, math.nan])
+    def test_constant_schedule_is_checked(self, f):
+        # a string was float()-ed, and any constant was checked only when
+        # its first level was asked
+        with pytest.raises(ParameterError, match="^density f must "):
+            SparseCountConfig(delta=0.1, alpha=0.1, density_schedule=f)
+
     def test_max_i_exhaustion(self):
         problem = full_cube_problem(6)
         cfg = SparseCountConfig(delta=0.2, alpha=0.5, max_i=2)

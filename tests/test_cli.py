@@ -7,7 +7,6 @@ import math
 import os
 import random
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import pytest
 from xorcount import cli
 from xorcount.cli import main
 from xorcount.gf2hash import Assignment
-from conftest import exact_epsilon
+from conftest import child, exact_epsilon, sweep_untimed
 
 
 def write_explicit(path, members, n):
@@ -60,8 +59,8 @@ class TestEpsilonCmd:
         # at q = 2^115 = 2^n / 2 the bracket 1 + eps (q-1) - q/2^m, taken
         # as a difference of logs near ln(2^98), rounds to zero, so v(q) is
         # clamped to 0 (ln -inf) with one warning
-        proc = _child(["-m", "xorcount.cli", "epsilon", "116", "17",
-                       str(2 ** 115), "0.5"])
+        proc = child(["-m", "xorcount.cli", "epsilon", "116", "17",
+                      str(2 ** 115), "0.5"])
         assert proc.returncode == 0
         assert "v(q): (vacuous)" in proc.stdout.splitlines()
         assert proc.stderr == ("warning: variance bound bracket non-positive; "
@@ -720,14 +719,6 @@ class TestCountModelsCmd:
         assert "models: 4" in capsys.readouterr().out
 
 
-def _child(args, **env):
-    """Run `python <args>` with env overlaid on this process's environment,
-    minus OPENBLAS_NUM_THREADS; return the completed process."""
-    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    return subprocess.run([sys.executable] + args, env=dict(base, **env),
-                          capture_output=True, text=True, timeout=60)
-
-
 def _imported(stderr):
     """The modules a `python -X importtime` run imported, by name."""
     return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
@@ -741,16 +732,16 @@ class TestStartup:
     def test_package_import_loads_no_module(self):
         code = ("import sys, xorcount; print(sorted(m for m in sys.modules "
                 "if m.startswith(('xorcount.', 'numpy'))))")
-        assert _child(["-c", code]).stdout == "[]\n"
+        assert child(["-c", code]).stdout == "[]\n"
 
     def test_cli_import_loads_no_numpy(self):
         code = ("import sys, xorcount.cli; print(sorted(m for m in sys.modules "
                 "if m.startswith(('xorcount.', 'numpy'))))")
-        assert _child(["-c", code]).stdout == (
+        assert child(["-c", code]).stdout == (
             "['xorcount.cli', 'xorcount.dimacs', 'xorcount.errors']\n")
 
     def test_fstar_never_imports_numpy(self):
-        proc = _child(["-X", "importtime", "-m", "xorcount.cli", "fstar", "204", "56"])
+        proc = child(["-X", "importtime", "-m", "xorcount.cli", "fstar", "204", "56"])
         assert proc.returncode == 0 and proc.stdout.startswith("f* = ")
         names = _imported(proc.stderr)
         assert "xorcount.comb" in names
@@ -759,7 +750,7 @@ class TestStartup:
     def test_solve_imports_only_what_it_runs(self, tmp_path):
         cnf = tmp_path / "t.cnf"
         cnf.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
-        proc = _child(["-X", "importtime", "-m", "xorcount.cli", "solve", str(cnf)])
+        proc = child(["-X", "importtime", "-m", "xorcount.cli", "solve", str(cnf)])
         assert proc.returncode == 10 and proc.stdout.startswith("s SATISFIABLE")
         names = _imported(proc.stderr)
         assert "xorcount.dimacs" in names
@@ -770,7 +761,7 @@ class TestStartup:
     def test_count_models_imports_only_what_it_runs(self, tmp_path):
         cnf = tmp_path / "t.cnf"
         cnf.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
-        proc = _child(["-X", "importtime", "-m", "xorcount.cli", "count-models", str(cnf)])
+        proc = child(["-X", "importtime", "-m", "xorcount.cli", "count-models", str(cnf)])
         assert proc.returncode == 0 and proc.stdout.startswith("models: 4\n")
         names = _imported(proc.stderr)
         assert "xorcount.dimacs" in names
@@ -784,7 +775,7 @@ class TestStartup:
         path = tmp_path / "s.txt"
         path.write_text("".join(Assignment(b, 16).to_string() + "\n"
                                 for b in rng.sample(range(1 << 16), 64)))
-        proc = _child(["-X", "importtime", "-m", "xorcount.cli", "bound", str(path), "lb"])
+        proc = child(["-X", "importtime", "-m", "xorcount.cli", "bound", str(path), "lb"])
         assert proc.returncode == 0 and proc.stdout.startswith("lower bound: ")
         names = _imported(proc.stderr)
         assert "xorcount.bounds" in names and "numpy.random" not in names
@@ -795,7 +786,7 @@ class TestStartup:
                 "before = 'numpy.random' in sys.modules; "
                 "sample_hash(HashParams(_WIDE_K - 1, 1, 0.5)); "
                 "print(before, 'numpy.random' in sys.modules)")
-        assert _child(["-c", code]).stdout == "False True\n"
+        assert child(["-c", code]).stdout == "False True\n"
 
     @pytest.mark.parametrize("preset,want", [(None, "1"), ("3", "3")])
     def test_run_defaults_openblas_threads(self, preset, want):
@@ -803,7 +794,7 @@ class TestStartup:
                 "rc = cli.run(['fstar', '204', '56']); "
                 "print(rc, os.environ.get('OPENBLAS_NUM_THREADS'))")
         env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
-        proc = _child(["-c", code], **env)
+        proc = child(["-c", code], **env)
         assert proc.stdout.splitlines()[-1] == "0 %s" % want
 
     def test_run_ends_an_interrupt_in_one_line(self, monkeypatch, capsys):
@@ -828,21 +819,21 @@ class TestStartup:
                 "rc = cli.main(['fstar', '204', '56']); "
                 "print(rc, dict(os.environ) == before, "
                 "'OPENBLAS_NUM_THREADS' in os.environ)")
-        assert _child(["-c", code]).stdout.splitlines()[-1] == "0 True False"
+        assert child(["-c", code]).stdout.splitlines()[-1] == "0 True False"
 
     def test_library_import_loads_no_numpy(self):
         code = ("import sys, xorcount.oracle, xorcount.bounds, xorcount.tables; "
                 "print([m for m in sys.modules if m.split('.')[0] == 'numpy'])")
-        assert _child(["-c", code]).stdout == "[]\n"
+        assert child(["-c", code]).stdout == "[]\n"
 
     def test_solver_child_runs_without_numpy(self, tmp_path):
         blocked = _numpy_blocked(tmp_path)
         sat, unsat = tmp_path / "sat.cnf", tmp_path / "unsat.cnf"
         sat.write_text("p cnf 2 1\n1 -2 0\n")
         unsat.write_text("p cnf 1 2\n1 0\n-1 0\n")
-        assert _child([blocked, "solve", str(sat)]).returncode == 10
-        assert _child([blocked, "solve", str(unsat)]).returncode == 20
-        proc = _child([blocked, "count-models", str(sat)])
+        assert child([blocked, "solve", str(sat)]).returncode == 10
+        assert child([blocked, "solve", str(unsat)]).returncode == 20
+        proc = child([blocked, "count-models", str(sat)])
         assert proc.returncode == 0 and proc.stdout.startswith("models: 3\n")
 
     # solver-backed, cell-decided and table runs; the solver child is
@@ -864,10 +855,10 @@ class TestStartup:
         blocked = _numpy_blocked(tmp_path)
         argv = [a.format(solver="%s %s solve {in}" % (sys.executable, blocked),
                          **_route_inputs(tmp_path)) for a in argv]
-        proc = _child([blocked] + argv)
+        proc = child([blocked] + argv)
         assert proc.returncode == 0, proc.stderr
         assert main(argv) == 0
-        assert _sweep_untimed(proc.stdout) == _sweep_untimed(capsys.readouterr().out)
+        assert sweep_untimed(proc.stdout) == sweep_untimed(capsys.readouterr().out)
 
     @pytest.mark.parametrize("argv", [["bound", "{s16}", "lb"],
                                       ["bound", "{c11}", "lb"]],
@@ -876,15 +867,15 @@ class TestStartup:
         # an explicit set is packed by numpy, and criterion 11's default
         # pre-scan at m = 1 asks cells past the decision budget: the kernel
         argv = [a.format(**_route_inputs(tmp_path)) for a in argv]
-        proc = _child(["-X", "importtime", "-m", "xorcount.cli"] + argv)
+        proc = child(["-X", "importtime", "-m", "xorcount.cli"] + argv)
         assert proc.returncode == 0, proc.stderr
         assert "numpy" in _imported(proc.stderr)
 
     def test_large_chunk_is_refused_before_any_solver(self, tmp_path):
         ran = tmp_path / "ran"
-        proc = _child(["-m", "xorcount.cli", "bound", _route_inputs(tmp_path)["c14"],
-                       "lb", "--m", "6", "--T", "4", "--chunk", "17",
-                       "--solver", "touch %s {in}" % ran])
+        proc = child(["-m", "xorcount.cli", "bound", _route_inputs(tmp_path)["c14"],
+                      "lb", "--m", "6", "--T", "4", "--chunk", "17",
+                      "--solver", "touch %s {in}" % ran])
         assert proc.returncode == 1 and not ran.exists()
         assert proc.stderr == "bad solver settings: chunk must be at most 16\n"
 
@@ -916,13 +907,6 @@ def _route_inputs(tmp_path):
     paths["c14"].write_text(emit(cnf(1400, 14, 20)))
     write_explicit(paths["s16"], random.Random(3).sample(range(1 << 16), 1 << 10), 16)
     return {name: str(path) for name, path in paths.items()}
-
-
-def _sweep_untimed(stdout):
-    """The lines of stdout without the wall times `sweep` prints: "(0.72s)"
-    on its summary lines, and the wall_time_s field of its CSV rows."""
-    stdout = re.sub(r"\(\d+\.\d+s\)", "(s)", stdout)
-    return re.sub(r"^((?:[^,\n]*,){3})\d+\.\d+,", r"\1,", stdout, flags=re.M).splitlines()
 
 
 # common bound/sweep flags, each away from its default
@@ -1027,7 +1011,8 @@ class TestCommandParser:
 
 class TestOneLineErrors:
     """Each refusal is the one whole line a run ends on: SystemExit with a
-    string is that line on stderr and exit 1."""
+    string is that line on stderr and exit 1, and nothing precedes it on
+    stdout."""
 
     # a solver whose model x1 = 0, x2 = 1 breaks sat.cnf's clause (1 -2);
     # braces doubled, since each argument is formatted with the paths
@@ -1155,7 +1140,7 @@ class TestOneLineErrors:
         (["table", "{twice_spec}"], "bad table-spec file {twice_spec}: bad table-spec "
                                     "line 'R: 2 0': repeated 'R:' line"),
     ])
-    def test_bad_input_is_a_one_line_error(self, tmp_path, argv, message):
+    def test_bad_input_is_a_one_line_error(self, tmp_path, capsys, argv, message):
         paths = {"missing": tmp_path / "nope.cnf",
                  "bad_token": tmp_path / "token.cnf",
                  "bad_literal": tmp_path / "literal.cnf",
@@ -1209,6 +1194,7 @@ class TestOneLineErrors:
         with pytest.raises(SystemExit) as exc:
             main([a.format(**paths) for a in argv])
         assert exc.value.code == message.format(**paths)
+        assert capsys.readouterr().out == ""
 
 
 class TestOneLineWarnings:
@@ -1226,15 +1212,15 @@ class TestOneLineWarnings:
                  "disagree": tmp_path / "disagree.txt"}
         paths["short"].write_text("p cnf 3 5\n1 -2 0\n2 3 0\n")
         paths["disagree"].write_text("rows 2 cols 2\nR: 1 0\nC: 0 0\n")
-        proc = _child(["-m", "xorcount.cli"] + [a.format(**paths) for a in argv])
+        proc = child(["-m", "xorcount.cli"] + [a.format(**paths) for a in argv])
         assert proc.returncode == code
         lines = proc.stderr.splitlines()
         assert lines and all(line.startswith("warning: ") for line in lines)
         assert ".py" not in proc.stderr
 
     def test_warning_filters_still_apply(self):
-        proc = _child(["-W", "error", "-m", "xorcount.cli",
-                       "fstar", "204", "56", "--c", "-1"])
+        proc = child(["-W", "error", "-m", "xorcount.cli",
+                      "fstar", "204", "56", "--c", "-1"])
         assert proc.returncode == 1
         assert proc.stderr.splitlines()[-1].startswith("UserWarning: q < 2^m")
 

@@ -5,6 +5,7 @@ import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from xorcount import gf2hash
@@ -48,10 +49,16 @@ class TestSampleHash:
     @pytest.mark.parametrize("n,m,f", [(0, 1, 0.5), (4, 0, 0.5), (4, 5, 0.5),
                                        (4, 2, -0.1), (4, 2, 0.6),
                                        (16.0, 8, 0.5), (16, 8.0, 0.5),
-                                       (True, 1, 0.5), (4, True, 0.5)])
+                                       (True, 1, 0.5), (4, True, 0.5),
+                                       (4, 2, "0.5"), (4, 2, None), (4, 2, False),
+                                       (4, 2, 0.5j)])
     def test_invalid_params(self, n, m, f):
         with pytest.raises(ParameterError):
             HashParams(n, m, f)
+
+    @pytest.mark.parametrize("f", [0, Fraction(1, 4), np.float64(0.3), np.float32(0.5)])
+    def test_real_densities_are_accepted(self, f):
+        assert HashParams(4, 2, f).f == f
 
 
 def reference_sample_hash(params):
@@ -305,6 +312,14 @@ class TestAssignment:
     def test_bad_character(self):
         with pytest.raises(ParseError):
             Assignment.from_string("10x")
+
+    @pytest.mark.parametrize("bits,n,error,field", [
+        (0, -1, DimensionError, "n"), (-1, -1, DimensionError, "n"),
+        (1.5, 4, ParameterError, "bits"), ("1", 4, ParameterError, "bits"),
+        (1, 4.0, ParameterError, "n")])
+    def test_bad_fields_are_named(self, bits, n, error, field):
+        with pytest.raises(error, match="^assignment %s must " % field):
+            Assignment(bits, n)
 
     @pytest.mark.parametrize("s", ["01x", "0_1", "+1", " 01"])
     def test_rejects_what_int_would_accept(self, s):

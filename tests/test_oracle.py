@@ -11,9 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xorcount.dimacs import CnfFormula, emit
-from xorcount.gf2hash import Assignment, HashParams, ParityHash, sample_hash
+from xorcount.gf2hash import (Assignment, HashParams, ParityHash, derive_seed,
+                              sample_hash)
 from xorcount.errors import ParseError
 from xorcount.oracle import (CountingProblem, IntegrityError, ParameterError,
                              SolverProfile, conjoin, count_models,
@@ -1421,6 +1424,68 @@ class TestDecisionBudget:
                     got = has_survivors(CountingProblem.from_cnf(formula, n), batch)
                     assert got == want, (formula, n)
                     assert bool(scans) == bool(over), (formula, n)
+
+
+@st.composite
+def cnf_questions(draw, wide=False):
+    """(problem, S, m): a CNF of 0-12 variables, with or without parity
+    rows, whole or projected onto fewer, S its models found by enumeration
+    as a uint64 array, and m = 0..n.  A wide one has 10-12 variables and
+    m = 1..nv - 9 rows, so each cell of a solvable hash holds at least 2^9
+    assignments: 256 or 257 trials are then past the decision budget, where
+    at nv <= 8, every cell being charged 2^8, 256 is the budget itself."""
+    nv = draw(st.integers(10, 12) if wide else st.integers(0, 12))
+    lits = st.integers(1, max(nv, 1)).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(lits, min_size=1, max_size=3), max_size=2 * nv))
+    rows = draw(st.lists(st.tuples(
+        st.lists(st.integers(1, max(nv, 1)), min_size=1, max_size=4, unique=True),
+        st.integers(0, 1)), max_size=3 if nv else 0))
+    formula = CnfFormula(nv, clauses, [(list(v), r) for v, r in rows])
+    n = draw(st.integers(1, nv - 1)) if nv > 1 and draw(st.booleans()) else nv
+    m = draw(st.integers(1, min(n, nv - 9)) if wide else st.integers(0, n))
+    members = np.array(sorted(projected_models(formula, n)), dtype=np.uint64)
+    return CountingProblem.from_cnf(formula, n), members, m
+
+
+@st.composite
+def explicit_questions(draw):
+    """(problem, S, m): an explicit set of 0-8 members of width n = 1-130,
+    S a list of Assignments, and m = 0..n."""
+    n = draw(st.integers(1, 130))
+    members = [Assignment(x, n) for x in
+               draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))]
+    return CountingProblem.from_explicit(members, n), members, draw(st.integers(0, n))
+
+
+class TestAnswerNet:
+    """Every in-process answer, whichever route gives it, is the one brute
+    force gives: a survivor among S's enumerated models, or a count of an
+    explicit set's survivors; T hashes at a density on or off the 2^-8
+    grid."""
+
+    @staticmethod
+    def brute(h, members):
+        if h is None:
+            return len(members) > 0
+        if isinstance(members, np.ndarray):
+            return survives(h, members)
+        return count_survivors(h, members) > 0
+
+    @pytest.mark.parametrize("T", [1, 7, 256, 257])
+    @pytest.mark.parametrize("questions", [cnf_questions(), cnf_questions(wide=True),
+                                           explicit_questions()],
+                             ids=["cnf", "wide-cnf", "explicit"])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_answers_match_brute_force(self, questions, T, data):
+        problem, members, m = data.draw(questions)
+        f = data.draw(st.one_of(st.integers(0, 128).map(lambda k: k / 256),
+                                st.floats(0.0, 0.5)))
+        seed = data.draw(st.integers(0, 1 << 32))
+        hashes = [sample_hash(HashParams(problem.n, m, f, seed=derive_seed(seed, t)))
+                  if m else None for t in range(T)]
+        want = ["sat" if self.brute(h, members) else "unsat" for h in hashes]
+        assert has_survivors(problem, hashes) == want
 
 
 class TestProblemWidth:
