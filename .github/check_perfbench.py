@@ -5,7 +5,8 @@
 run.py exits 0 even when a request mismatches its reference digest, so
 the verdict is read here: exit 1 unless every digest matched ("correct"
 is true) and no request failed.  MAY_FAIL 1 lets the run count failed
-requests; its digests must still match.
+requests; its digests must still match.  Output whose last line is not
+JSON, or that is empty, fails with "LABEL: no verdict line".
 """
 
 import json
@@ -14,7 +15,12 @@ import sys
 
 def main(path, label, may_fail="0"):
     with open(path) as fh:
-        r = json.loads(fh.read().splitlines()[-1])
+        lines = fh.read().splitlines()
+    try:
+        r = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        print("%s: no verdict line" % label)
+        return 1
     print(label, "correct:", r["correct"], "failed:", r["failed"])
     ok = r["correct"] is True and (r["failed"] == 0 or may_fail == "1")
     return 0 if ok else 1

@@ -138,7 +138,7 @@ class SparseCountConfig:
 
     def __post_init__(self):
         check_parameters(delta=self.delta)
-        if not 0.0 < self.alpha < math.inf:
+        if isinstance(self.alpha, bool) or not 0.0 < self.alpha < math.inf:
             raise ParameterError("alpha must be positive and finite")
         if not callable(self.density_schedule):
             _check_density(self.density_schedule)
@@ -178,18 +178,18 @@ class SparseCountResult:
 
 def check_parameters(T: int = None, kappa: float = None, c: float = None,
                      delta: float = None):
-    """Refuse a trial count that is not an int (or is a bool), and a trial
-    count, kappa, threshold c or Delta out of range; None skips that check.
-    The bound functions check theirs here, and callers can check before any
-    oracle call."""
+    """Refuse a trial count that is not an int, a bool as any of them, and
+    a trial count, kappa, threshold c or Delta out of range (a bool Delta
+    is 0 or 1); None skips that check.  The bound functions check theirs
+    here, and callers can check before any oracle call."""
     if T is not None:
         if isinstance(T, bool) or not isinstance(T, int):
             raise ParameterError("T must be an integer, got %r" % (T,))
         if T < 1:
             raise ParameterError("T must be at least 1")
-    if kappa is not None and not 0.0 < kappa < math.inf:
+    if kappa is not None and (isinstance(kappa, bool) or not 0.0 < kappa < math.inf):
         raise ParameterError("kappa must be positive and finite")
-    if c is not None and not 0.0 < c <= 1.0:
+    if c is not None and (isinstance(c, bool) or not 0.0 < c <= 1.0):
         raise ParameterError("threshold c must lie in (0, 1]")
     if delta is not None and not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0,1)")

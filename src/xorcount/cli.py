@@ -15,7 +15,8 @@ written, before the first oracle call.
 
 Instance files are sniffed by content: a DIMACS header, a "rows r cols c"
 table spec, or one 0/1 assignment string per line (explicit set).
-All log-scale outputs are printed in both natural log and log2.
+All log-scale outputs are printed in both natural log and log2, and
+`epsilon` and `fstar` print f and Delta with repr, the values they used.
 
 Start-up: at module level this imports only the stdlib, `errors` and
 `dimacs`; each subcommand imports the modules it runs (`csv` and `json`
@@ -56,8 +57,8 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import dimacs
-from .errors import (CapacityError, IntegrityError, OracleUnknownError,
-                     ParameterError, ParseError)
+from .errors import (CapacityError, ExhaustiveCapError, IntegrityError,
+                     OracleUnknownError, ParameterError, ParseError)
 
 # names for the annotations only, read by type checkers; the commands import
 # what they run (a constant, not `typing.TYPE_CHECKING`: typing is another import)
@@ -218,7 +219,7 @@ _SOLVER_ONLY = {"budget_s", "native_xor", "chunk", "jobs"}
 def _warn_unread(args, problem, solver, modes):
     """One stderr line naming each flag set away from its default that a
     run of `modes` on `problem` never reads; the run goes on as if it were
-    unset."""
+    unset.  XORCOUNT_SOLVER is not a flag, and is never named."""
     def named(dests):
         return ", ".join("--" + dest.replace("_", "-")
                          for dest, default in _DEFAULTS.items()
@@ -244,10 +245,13 @@ def _certify(problem, args, solver, f: float, modes) -> list:
     window m0 +- 2, ub walks up from m0 through at most m0 + 8 (up to 9
     estimates) until its event fires; with --m both ask at m0 alone.  A
     solver model that fails the in-process recheck ends the run with one
-    line, like a bad parameter."""
+    line, like a bad parameter, and so does the first question that would
+    enumerate a CNF past the exhaustive cap, a line naming --solver."""
     from . import bounds as bd
     with (_refusing("bad bound parameters: ", ParameterError),
-          _refusing("", IntegrityError)):
+          _refusing("", IntegrityError),
+          _refusing("formula %s: " % args.input, ExhaustiveCapError,
+                    suffix="; pass --solver to ask an external solver")):
         if problem.n == 0:
             raise ParameterError("the problem has width n = 0; bounds need n >= 1")
         if modes == ["count"]:
@@ -425,20 +429,30 @@ def cmd_count_models(args) -> int:
 
 def _add_common_bound_flags(p):
     d = _DEFAULTS
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="master seed: a run is a function of it (default 0)")
     p.add_argument("--m", type=int, default=d["m"], help="constraint count")
     p.add_argument("--T", type=int, default=None, help="trials per estimate")
-    p.add_argument("--delta", type=float, default=d["delta"])
-    p.add_argument("--kappa", type=float, default=d["kappa"])
+    p.add_argument("--delta", type=float, default=d["delta"],
+                   help="failure probability of ub, and delta of count "
+                        "(default %(default)s)")
+    p.add_argument("--kappa", type=float, default=d["kappa"],
+                   help="lb's Chernoff slack (default %(default)s)")
     p.add_argument("--c-threshold", dest="c_threshold", type=float,
-                   default=d["c_threshold"])
+                   default=d["c_threshold"],
+                   help="lb's survival threshold c in (0, 1] "
+                        "(default: the estimate itself)")
     p.add_argument("--solver", default=d["solver"],
                    help='external solver command, e.g. "cryptominisat {in}"')
     p.add_argument("--budget-s", dest="budget_s", type=float, default=d["budget_s"],
                    help="wall-clock limit of each solver call, in seconds")
-    p.add_argument("--native-xor", dest="native_xor", action="store_true")
-    p.add_argument("--chunk", type=int, default=d["chunk"])
-    p.add_argument("--bonferroni", action="store_true")
+    p.add_argument("--native-xor", dest="native_xor", action="store_true",
+                   help="send parity rows to the solver as x lines")
+    p.add_argument("--chunk", type=int, default=d["chunk"],
+                   help="arity of the sub-XORs a parity row is cut into for "
+                        "the solver, 2 to 16 (default %(default)s)")
+    p.add_argument("--bonferroni", action="store_true",
+                   help="charge lb's search over m to its confidence")
     p.add_argument("--jobs", type=int, default=d["jobs"],
                    help="solver calls run at once within an estimate "
                         "(default: the CPUs this process may run on)")
@@ -458,23 +472,34 @@ def _fstar_arguments(p):
     p.add_argument("--delta", type=float, default=2.25)
 
 
+def _instance_argument(p):
+    p.add_argument("input", help="DIMACS CNF, table spec or explicit set, "
+                                 "told apart by content")
+
+
 def _bound_arguments(p):
-    p.add_argument("input")
-    p.add_argument("mode", choices=["lb", "ub", "count"])
+    _instance_argument(p)
+    p.add_argument("mode", choices=["lb", "ub", "count"],
+                   help="lower bound, upper bound or sparse-count estimate")
     p.add_argument("--f", type=float, default=0.5, help="constraint density")
     _add_common_bound_flags(p)
-    p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"])
+    p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"],
+                   help="count's trial constant, T = ln(1/delta) ln(n) / alpha "
+                        "(default %(default)s)")
     p.add_argument("--no-ln-n", dest="no_ln_n", action="store_true",
                    help="drop the ln(n) factor from the trial-count formula")
     p.add_argument("--json", default=None, help="write the run report here")
 
 
 def _sweep_arguments(p):
-    p.add_argument("input")
+    _instance_argument(p)
     p.add_argument("f_list", help="comma-separated densities, e.g. 0.05,0.1,0.5")
     _add_common_bound_flags(p)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--certs-dir", dest="certs_dir", default=None)
+    p.add_argument("--csv", default=None,
+                   help="write the CSV here, not to standard output")
+    p.add_argument("--certs-dir", dest="certs_dir", default=None,
+                   help="write each density's lb and ub certificates here, "
+                        "one JSON file a density")
 
 
 def _table_arguments(p):

@@ -30,6 +30,15 @@ _LOG_ONE_THIRD = math.log(1.0 / 3.0)
 _PRED_SLACK = 1e-12  # absorbs log-domain rounding at exact boundaries
 
 
+def _check_ints(**values):
+    """Refuse a value that is not an int, a bool included.  Callers test
+    `type(x) is int` first, since bisections build an EpsilonInputs per
+    step."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParameterError("%s must be an int, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class EpsilonInputs:
     """Arguments of the collision bound: n variables, m constraints,
@@ -41,6 +50,8 @@ class EpsilonInputs:
     f: float
 
     def __post_init__(self):
+        if not type(self.n) is type(self.m) is type(self.q) is int:
+            _check_ints(n=self.n, m=self.m, q=self.q)
         if not 1 <= self.m <= self.n:
             raise ParameterError("need 1 <= m <= n, got m=%d n=%d" % (self.m, self.n))
         if self.q < 2 or (self.q - 1).bit_length() > self.n:  # q <= 2^n, unbuilt
@@ -124,8 +135,10 @@ def variance_bound_v(q: int, n: int, m: int, f: float) -> float:
 
     q = 1 degenerates to the singleton Bernoulli variance; the inner bracket
     is clamped to zero (with a warning), so v(q) to -inf, should rounding
-    drive it negative.
+    drive it negative.  q, n and m must be ints, none of them a bool.
     """
+    if not type(q) is type(n) is type(m) is int:
+        _check_ints(q=q, n=n, m=m)
     if q < 1:
         raise ParameterError("q must be positive")
     log_mu = math.log(q) - m * LN2  # ln(q / 2^m)

@@ -3,7 +3,8 @@ the exhaustive model evaluator (`_model_masks`, `count_models`), in
 Python ints alone: a `xorcount solve` child loads this module and not
 numpy.  `oracle.expand_xors` lowers parity rows to plain clauses.
 
-x-line convention (dialects disagree, so pinned here and in golden tests):
+x-line convention, CryptoMiniSat's (dialects disagree, so pinned here and
+in golden tests):
 "x1 2 0" asserts x1 XOR x2 = 1; a leading minus on the FIRST literal flips
 the right-hand side to 0, i.e. "x-1 2 0" asserts x1 XOR x2 = 0.
 """
@@ -14,7 +15,7 @@ import functools
 import warnings
 from itertools import chain
 
-from .errors import ParameterError, ParseError
+from .errors import ExhaustiveCapError, ParseError
 
 __all__ = ["CnfFormula", "ParseError", "parse", "emit", "count_models"]
 
@@ -247,7 +248,7 @@ def _model_masks(formula: CnfFormula):
     sub-blocks read are evaluated."""
     nv = formula.num_vars
     if nv > EXHAUSTIVE_CAP_VARS:
-        raise ParameterError(
+        raise ExhaustiveCapError(
             "exhaustive backend capped at %d variables, formula has %d"
             % (EXHAUSTIVE_CAP_VARS, nv))
     width = min(nv, _SUB_VARS)

@@ -6,6 +6,12 @@ class ParameterError(ValueError):
     """An argument outside the range a function or setting accepts."""
 
 
+class ExhaustiveCapError(ParameterError):
+    """A formula wider than the exhaustive backend enumerates, apart from
+    other bad arguments so that `xorcount bound` and `sweep` can name the
+    way round it, a solver."""
+
+
 class DimensionError(ValueError):
     """Assignments, hashes or formulas of mismatched widths."""
 

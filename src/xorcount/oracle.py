@@ -429,7 +429,9 @@ def _table_scan(blocks, hashes, rows, n: int):
     members, at most _BLOCK_ELEMENTS (member, trial) pairs, and stops after
     the piece in which its last trial finds a survivor.  The pieces' arrays
     are views of buffers allocated here, once, for `block` members, a
-    multiple of _FOLD, so a piece padded to one fits."""
+    multiple of _FOLD, so a piece padded to one fits.  The tables cost 256
+    entries per member byte and trial whatever |S| is, so a tiny set of
+    wide members pays for them in full."""
     import numpy as np
 
     count, m = rows.shape[:2]

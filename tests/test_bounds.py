@@ -9,7 +9,7 @@ import pytest
 from xorcount import bounds, oracle
 from xorcount.bounds import (LowerBoundCertificate, OracleUnknownError,
                              SparseCountConfig, SparseCountResult,
-                             SurvivalEstimate,
+                             SurvivalEstimate, check_parameters,
                              best_lower_bound, estimate_survival, lower_bound,
                              pick_promising_m, sparse_count, upper_bound)
 from xorcount.gf2hash import Assignment, HashParams, derive_seed, sample_hash
@@ -338,6 +338,15 @@ class TestUpperBound:
         with pytest.raises(ParameterError, match="T must be an integer"):
             estimate_survival(problem, 3, 0.5, T, 1)
 
+    @pytest.mark.parametrize("given,match", [
+        ({"kappa": True}, "^kappa must be positive and finite$"),
+        ({"c": True}, "^threshold c must lie in"),
+        ({"delta": True}, "^delta must lie in")])
+    def test_bool_reals_are_refused(self, given, match):
+        # refused as a bool T is: True passed as 1 before
+        with pytest.raises(ParameterError, match=match):
+            check_parameters(**given)
+
     def test_full_cube_never_fires(self):
         problem = full_cube_problem(8)
         for m in (1, 4, 8):
@@ -599,6 +608,13 @@ class TestSparseCount:
             SparseCountConfig(delta=0.0, alpha=0.1)
         with pytest.raises(ValueError):
             SparseCountConfig(delta=0.1, alpha=0.0)
+
+    @pytest.mark.parametrize("alpha,delta,match", [
+        (True, 0.1, "^alpha must be positive and finite$"),
+        (0.1, True, "^delta must lie in"), (0.1, False, "^delta must lie in")])
+    def test_bool_parameters_are_refused(self, alpha, delta, match):
+        with pytest.raises(ParameterError, match=match):
+            SparseCountConfig(delta=delta, alpha=alpha)
 
     @pytest.mark.parametrize("f", ["0.3", None, True, 0.7, math.nan])
     def test_constant_schedule_is_checked(self, f):

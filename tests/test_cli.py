@@ -521,6 +521,16 @@ class TestBoundCmd:
         msg = str(exc.value.code)
         assert str(f) in msg and "\n" not in msg and "width" in msg
 
+    def test_unsolvable_hashes_run_past_the_cap(self, tmp_path, capsys):
+        # synth_3's CNF has 45 variables, past the exhaustive cap; at f = 0
+        # and seed 0 no trial's hash has a solution of Ax = b, so no
+        # question reads a model and the run is not refused up front
+        spec = tmp_path / "s3.spec"
+        spec.write_text("rows 3 cols 3\nR: 1 2 2\nC: 1 2 2\nbinary: 1\n")
+        argv = ["bound", str(spec), "lb", "--m", "8", "--T", "8", "--f", "0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "lower bound: (vacuous)"
+
     def test_table_input(self, tmp_path, capsys):
         # 2x2 permutation-matrix spec: 2 tables, 12-variable CNF, small
         # enough for the exhaustive backend
@@ -992,6 +1002,13 @@ class TestCommandParser:
         assert code == 2 and err.startswith("usage: xorcount [-h]")
         assert err.endswith("xorcount: error: unrecognized arguments: --bogus\n")
 
+    @pytest.mark.parametrize("name", ["bound", "sweep"])
+    def test_every_argument_has_a_help_line(self, name):
+        # README leaves the flags' detail to `xorcount <command> --help`
+        p = argparse.ArgumentParser()
+        cli._COMMANDS[name][1](p)
+        assert [a.dest for a in p._actions if not a.help] == []
+
     def test_a_command_builds_one_parser(self, tmp_path, monkeypatch):
         # the whole tree is eight parsers, 1.5-1.9 ms to build and parse
         # with on a 2-vCPU VM, against 0.45-0.49 ms for bound's alone
@@ -1046,6 +1063,13 @@ class TestOneLineErrors:
                                   "at 26 variables, formula has 27"),
         (["count-models", "{too_wide}"], "formula {too_wide}: exhaustive backend "
                                          "capped at 26 variables, formula has 27"),
+        # bound and sweep name the way round the cap
+        (["bound", "{too_wide}", "lb"], "formula {too_wide}: exhaustive backend capped "
+                                        "at 26 variables, formula has 27; pass "
+                                        "--solver to ask an external solver"),
+        (["sweep", "{too_wide}", "0.5"], "formula {too_wide}: exhaustive backend capped "
+                                         "at 26 variables, formula has 27; pass "
+                                         "--solver to ask an external solver"),
         (["solve", "{negative}"],
          "bad DIMACS file {negative}: malformed header: 'p cnf -1 0'"),
         (["count-models", "{negative}"],

@@ -83,6 +83,15 @@ class TestEpsilon:
         with pytest.raises(ParameterError):
             EpsilonInputs(5, 2, 4, 0.7)
 
+    @pytest.mark.parametrize("n,m,q,name", [
+        (10, True, 4, "m"), (10, 3.0, 64, "m"), (10, 3, 4.5, "q"),
+        (True, 1, 2, "n"), (10.0, 3, 64, "n"), (10, 3, False, "q")])
+    def test_non_int_inputs_are_refused(self, n, m, q, name):
+        # a bool passed as 1, a float m as 3, and a float q raised
+        # AttributeError from int.bit_length
+        with pytest.raises(ParameterError, match="^%s must be an int, got " % name):
+            EpsilonInputs(n, m, q, 0.3)
+
 
 class TestVarianceBound:
     def test_f_half_closed_form(self):
@@ -103,6 +112,13 @@ class TestVarianceBound:
     def test_invalid_q(self):
         with pytest.raises(ParameterError):
             variance_bound_v(0, 10, 3, 0.5)
+
+    @pytest.mark.parametrize("q,n,m,name", [
+        (2.5, 10, 3, "q"), (1.0, 10, 3, "q"), (True, 10, 3, "q"),
+        (4, 10, True, "m"), (4, 10.0, 3, "n")])
+    def test_non_int_inputs_are_refused(self, q, n, m, name):
+        with pytest.raises(ParameterError, match="^%s must be an int, got " % name):
+            variance_bound_v(q, n, m, 0.3)
 
 
 class TestUpperBoundThreshold:

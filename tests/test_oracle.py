@@ -1457,6 +1457,33 @@ def explicit_questions(draw):
     return CountingProblem.from_explicit(members, n), members, draw(st.integers(0, n))
 
 
+def deep_cnf(nv, seed):
+    """A random CNF of nv variables, nv // 2 3-clauses and nv - 12 parity
+    rows of 2-5 variables, so that its 1,000-3,000 models are spread over
+    all 2^nv assignments."""
+    rng = random.Random(seed)
+    clauses = [[rng.choice([v, -v]) for v in rng.sample(range(1, nv + 1), 3)]
+               for _ in range(nv // 2)]
+    rows = [(rng.sample(range(1, nv + 1), rng.randint(2, 5)), rng.randint(0, 1))
+            for _ in range(nv - 12)]
+    return CnfFormula(nv, clauses, rows)
+
+
+def evaluated_models(formula):
+    """Every model of `formula`, increasing, as a uint64 array: each clause
+    and parity row evaluated over all 2^num_vars assignments at once, with
+    no code of the model stream or of `dimacs`' evaluator."""
+    x = np.arange(1 << formula.num_vars, dtype=np.uint32)
+    bit = [None] + [(x >> np.uint32(v - 1)) & np.uint32(1) == 1
+                    for v in range(1, formula.num_vars + 1)]
+    ok = np.ones(len(x), dtype=bool)
+    for clause in formula.clauses:
+        ok &= np.logical_or.reduce([bit[l] if l > 0 else ~bit[-l] for l in clause])
+    for support, rhs in formula.xors:
+        ok &= np.logical_xor.reduce([bit[v] for v in support]) == bool(rhs)
+    return x[ok].astype(np.uint64)
+
+
 class TestAnswerNet:
     """Every in-process answer, whichever route gives it, is the one brute
     force gives: a survivor among S's enumerated models, or a count of an
@@ -1486,6 +1513,23 @@ class TestAnswerNet:
                   if m else None for t in range(T)]
         want = ["sat" if self.brute(h, members) else "unsat" for h in hashes]
         assert has_survivors(problem, hashes) == want
+
+    @pytest.mark.parametrize("nv,n,seed", [(18, 18, 1), (19, 16, 2), (20, 20, 3),
+                                           (20, 17, 4)])
+    def test_answers_past_the_first_block(self, nv, n, seed):
+        # models in several blocks of S, and 1,000 trials, past the decision
+        # budget: the kernel reads S's first block, the trials it leaves are
+        # decided on their cells, and a cell of more than 2^16 assignments
+        # (m = 2, 3 at nv = 20) has the kernel read on through S
+        formula = deep_cnf(nv, seed)
+        models = evaluated_models(formula)
+        assert len({max(0, x.bit_length() - 16) for x in models.tolist()}) >= 3
+        members = np.unique(models & np.uint64((1 << n) - 1))
+        for m, f in [(2, 0.05), (3, 0.5), (nv - 14, 0.3), (nv - 9, 0.1), (nv - 8, 0.5)]:
+            hashes = [sample_hash(HashParams(n, m, f, seed=derive_seed(seed, t)))
+                      for t in range(1000)]
+            want = ["sat" if survives(h, members) else "unsat" for h in hashes]
+            assert has_survivors(CountingProblem.from_cnf(formula, n), hashes) == want
 
 
 class TestProblemWidth:
