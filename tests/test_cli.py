@@ -1063,13 +1063,6 @@ class TestOneLineErrors:
                                   "at 26 variables, formula has 27"),
         (["count-models", "{too_wide}"], "formula {too_wide}: exhaustive backend "
                                          "capped at 26 variables, formula has 27"),
-        # bound and sweep name the way round the cap
-        (["bound", "{too_wide}", "lb"], "formula {too_wide}: exhaustive backend capped "
-                                        "at 26 variables, formula has 27; pass "
-                                        "--solver to ask an external solver"),
-        (["sweep", "{too_wide}", "0.5"], "formula {too_wide}: exhaustive backend capped "
-                                         "at 26 variables, formula has 27; pass "
-                                         "--solver to ask an external solver"),
         (["solve", "{negative}"],
          "bad DIMACS file {negative}: malformed header: 'p cnf -1 0'"),
         (["count-models", "{negative}"],
@@ -1163,6 +1156,13 @@ class TestOneLineErrors:
          "bad table-spec file {zero_spec}: structural zero (3,0) out of range"),
         (["table", "{twice_spec}"], "bad table-spec file {twice_spec}: bad table-spec "
                                     "line 'R: 2 0': repeated 'R:' line"),
+        # bound and sweep name the way round the cap
+        (["bound", "{too_wide}", "lb"], "formula {too_wide}: exhaustive backend capped "
+                                        "at 26 variables, formula has 27; pass "
+                                        "--solver to ask an external solver"),
+        (["sweep", "{too_wide}", "0.5"], "formula {too_wide}: exhaustive backend capped "
+                                         "at 26 variables, formula has 27; pass "
+                                         "--solver to ask an external solver"),
     ])
     def test_bad_input_is_a_one_line_error(self, tmp_path, capsys, argv, message):
         paths = {"missing": tmp_path / "nope.cnf",
